@@ -3,17 +3,20 @@
 //! The paper's shared-memory library synchronizes with `p` shared counters:
 //! each processor increments its own, processor 0 spins on counters `1..p`,
 //! and processors `1..p` spin on counter 0 (Appendix B.1). That scheme is
-//! [`FlagBarrier`]. A blocking condvar-based [`CentralBarrier`] is the
-//! default (robust when logical processes outnumber cores), and a
-//! [`TreeBarrier`] and [`DisseminationBarrier`] are provided for the barrier
-//! ablation bench.
+//! [`FlagBarrier`]. The default is [`CentralBarrier`], which also spins —
+//! on one generation word, for a bounded budget of about one park/unpark
+//! pair — and then parks on a condvar, so it costs what the flag scheme
+//! costs with a core per process and stays robust when logical processes
+//! outnumber cores (the budget is then spent in `yield_now`, not in a
+//! spin). A [`TreeBarrier`] and [`DisseminationBarrier`] are provided for
+//! the barrier ablation bench.
 
 use crate::pad::CachePadded;
 // Every synchronization primitive comes through the shim: std under a
 // normal build (bit-identical codegen), loom's model-checked equivalents
 // under `--cfg loom`. See sync_shim.rs and DESIGN.md §13.
 pub(crate) use crate::sync_shim::spin_wait;
-use crate::sync_shim::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
+use crate::sync_shim::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering, SpinBudget};
 
 /// A reusable barrier for a fixed set of `p` participants.
 pub trait Barrier: Send + Sync {
@@ -56,7 +59,9 @@ pub trait Barrier: Send + Sync {
 /// Which barrier implementation a backend should use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BarrierKind {
-    /// Mutex + condvar, sense-reversing. Default; friendly to oversubscription.
+    /// Central counter, spin-then-park: waiters spin on a generation word
+    /// for a bounded budget, then sleep on a condvar. Default; as cheap as
+    /// the spinning kinds on idle cores, friendly to oversubscription.
     #[default]
     Central,
     /// The paper's flag scheme: `p` shared counters, proc 0 as coordinator.
@@ -81,11 +86,29 @@ impl BarrierKind {
 
 // ---------------------------------------------------------------------------
 
-/// Sense-reversing central barrier built on a mutex and condvar.
+/// Central counter barrier with a spin-then-park crossing.
+///
+/// Arrival is one atomic increment. The last arriver publishes the next
+/// generation (Release) and is the only one who may touch the mutex — and
+/// only when some waiter has registered as a sleeper. A waiter spins on the
+/// generation word (Acquire) for the [`SpinBudget`] — about one park/unpark
+/// pair; yielding between checks when `p` exceeds the core count — and only
+/// then registers and parks on the condvar. With a core per participant a
+/// crossing is a handful of cache-line transfers; oversubscribed, a waiter
+/// hands its core to the threads it waits for and, if they stay behind,
+/// sleeps off the run queue exactly as a condvar barrier's would.
 pub struct CentralBarrier {
     parties: usize,
-    state: Mutex<(usize, u64)>, // (arrived, generation)
+    /// Arrivals in the current generation; the last arriver resets it.
+    arrived: CachePadded<AtomicUsize>,
+    /// Generations completed: the word waiters spin on.
+    generation: CachePadded<AtomicU64>,
+    /// Waiters past their spin budget, parked (or about to park) on `cv`.
+    /// Changed only while holding `lock`.
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
     cv: Condvar,
+    spin: SpinBudget,
     poisoned: AtomicBool,
     /// Per-participant generation recorded at [`arrive`](Barrier::arrive)
     /// time, so [`complete`](Barrier::complete) knows which generation to
@@ -96,63 +119,93 @@ pub struct CentralBarrier {
 impl CentralBarrier {
     /// Barrier for `p` participants.
     pub fn new(p: usize) -> Self {
+        Self::with_spin(p, SpinBudget::new(p))
+    }
+
+    /// Barrier with a fixed spin budget (the loom suite forces 0 and 1).
+    pub(crate) fn with_spin(p: usize, spin: SpinBudget) -> Self {
         assert!(p > 0);
         CentralBarrier {
             parties: p,
-            state: Mutex::new((0, 0)),
+            arrived: CachePadded::new(AtomicUsize::new(0)),
+            generation: CachePadded::new(AtomicU64::new(0)),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
+            spin,
             poisoned: AtomicBool::new(false),
             arrive_gen: (0..p)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
         }
     }
+
+    /// First half of a crossing: count the caller in and return the
+    /// generation it is completing. The last one in publishes the next
+    /// generation and wakes whoever gave up spinning.
+    fn count_in(&self) -> u64 {
+        // Stable: the generation cannot advance before the caller arrives.
+        let gen = self.generation.0.load(Ordering::Relaxed);
+        // AcqRel: the RMW chain carries every earlier arriver's writes to
+        // the last one, whose generation store carries them to all waiters.
+        if self.arrived.0.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            self.arrived.0.store(0, Ordering::Relaxed);
+            // SeqCst (Release and more): store generation → load sleepers
+            // here against add sleepers → load generation in `wait_out`.
+            // One side must see the other, so no sleeper parks unwoken
+            // against a generation it did not see.
+            self.generation
+                .0
+                .store(gen.wrapping_add(1), Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) != 0 {
+                // Through the lock, so the wake cannot fall between a
+                // sleeper's re-check and its cv.wait.
+                let _registered = self.lock.lock().expect(LOCK_CLEAN);
+                self.cv.notify_all();
+            }
+        }
+        gen
+    }
+
+    /// Second half: return once generation `gen` is complete (or poisoned).
+    fn wait_out(&self, gen: u64) {
+        let done =
+            |order| self.generation.0.load(order) != gen || self.poisoned.load(Ordering::Acquire);
+        if self.spin.spin(gen, || done(Ordering::Acquire)) {
+            return;
+        }
+        let mut guard = self.lock.lock().expect(LOCK_CLEAN);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while !done(Ordering::SeqCst) {
+            guard = self.cv.wait(guard).expect(LOCK_CLEAN);
+        }
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
+    }
 }
+
+/// The barrier's mutex guards `()` and no code path panics while holding it.
+const LOCK_CLEAN: &str = "barrier lock is never poisoned";
 
 impl Barrier for CentralBarrier {
     fn wait(&self, _pid: usize) {
-        if self.poisoned.load(Ordering::Acquire) {
-            return;
-        }
-        let mut st = self.state.lock().unwrap();
-        st.0 += 1;
-        if st.0 == self.parties {
-            st.0 = 0;
-            st.1 = st.1.wrapping_add(1);
-            self.cv.notify_all();
-        } else {
-            let gen = st.1;
-            while st.1 == gen && !self.poisoned.load(Ordering::Acquire) {
-                st = self.cv.wait(st).unwrap();
-            }
+        if !self.poisoned.load(Ordering::Acquire) {
+            self.wait_out(self.count_in());
         }
     }
 
     fn arrive(&self, pid: usize) {
-        if self.poisoned.load(Ordering::Acquire) {
-            return;
-        }
-        let mut st = self.state.lock().unwrap();
-        // Record the generation being completed *before* a possible
-        // advance: if we are the last arriver, complete() sees st.1 has
-        // already moved past it and returns without blocking.
-        self.arrive_gen[pid].0.store(st.1, Ordering::Relaxed);
-        st.0 += 1;
-        if st.0 == self.parties {
-            st.0 = 0;
-            st.1 = st.1.wrapping_add(1);
-            self.cv.notify_all();
+        if !self.poisoned.load(Ordering::Acquire) {
+            // If the caller is the last arriver, complete() finds the
+            // generation already past this one and returns at once.
+            self.arrive_gen[pid]
+                .0
+                .store(self.count_in(), Ordering::Relaxed);
         }
     }
 
     fn complete(&self, pid: usize) {
-        if self.poisoned.load(Ordering::Acquire) {
-            return;
-        }
-        let gen = self.arrive_gen[pid].0.load(Ordering::Relaxed);
-        let mut st = self.state.lock().unwrap();
-        while st.1 == gen && !self.poisoned.load(Ordering::Acquire) {
-            st = self.cv.wait(st).unwrap();
+        if !self.poisoned.load(Ordering::Acquire) {
+            self.wait_out(self.arrive_gen[pid].0.load(Ordering::Relaxed));
         }
     }
 
@@ -161,10 +214,10 @@ impl Barrier for CentralBarrier {
     }
 
     fn poison(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        // Take the lock so the store can't race between a waiter's predicate
-        // check and its cv.wait, then wake everyone currently parked.
-        let _st = self.state.lock().unwrap();
+        self.poisoned.store(true, Ordering::SeqCst);
+        // Spinners see the flag; take the lock so the store cannot fall
+        // between a sleeper's re-check and its cv.wait, then wake them all.
+        let _registered = self.lock.lock().expect(LOCK_CLEAN);
         self.cv.notify_all();
     }
 
@@ -636,6 +689,93 @@ mod tests {
             b.arrive(1); // releases pid 0
             b.complete(1); // must not deadlock waiting on an old generation
         });
+    }
+
+    /// Central barrier whose waiters spin for exactly `ns` (then park),
+    /// whatever the host's core count.
+    fn central_with_budget(p: usize, ns: u32) -> CentralBarrier {
+        CentralBarrier::with_spin(p, SpinBudget::with_full(ns))
+    }
+
+    /// Four threads per core, thousands of generations, plain and mixed
+    /// split-phase crossings: bounded spinning must never starve the thread
+    /// being waited for. Run at the budget `new` picks (yielding here, `p`
+    /// exceeds the cores) and at a forced spin larger than it ever picks.
+    #[test]
+    fn oversubscribed_crossings_stay_live() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let p = 4 * cores;
+        // The interpreter is ~1000× slower; the CI slice keeps the shape.
+        let gens = if cfg!(miri) { 20 } else { 1_000 };
+        let start = std::time::Instant::now();
+        for barrier in [CentralBarrier::new(p), central_with_budget(p, 50_000)] {
+            let barrier: Arc<dyn Barrier> = Arc::new(barrier);
+            stress(Arc::clone(&barrier), p, gens);
+            split_phase_stress(barrier, p, gens);
+        }
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(120),
+            "{} oversubscribed crossings at p = {p} took {took:?}",
+            8 * gens
+        );
+    }
+
+    /// Delays every other crossing of pid 0 by 5 ms, far past any budget
+    /// but `u32::MAX` ns.
+    struct LateArriver(CentralBarrier, AtomicUsize);
+
+    impl Barrier for LateArriver {
+        fn wait(&self, pid: usize) {
+            if pid == 0 && self.1.fetch_add(1, Ordering::Relaxed).is_multiple_of(2) {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            self.0.wait(pid);
+        }
+        fn parties(&self) -> usize {
+            self.0.parties()
+        }
+        fn poison(&self) {
+            self.0.poison();
+        }
+        fn is_poisoned(&self) -> bool {
+            self.0.is_poisoned()
+        }
+    }
+
+    /// Both wake paths carry the publication edge: a budget of `u32::MAX`
+    /// ns outlasts the late arriver, so every wait resolves in the spin;
+    /// a budget of 0 parks every waiter; 30 µs mixes the two (the late
+    /// crossings park, the prompt ones mostly do not).
+    #[test]
+    fn spin_and_park_wake_paths_both_publish() {
+        for ns in [u32::MAX, 0, 30_000] {
+            for p in [2, 3] {
+                let late = LateArriver(central_with_budget(p, ns), AtomicUsize::new(0));
+                generation_reuse_stress(Arc::new(late), p, 20);
+            }
+        }
+    }
+
+    /// Poison must reach a waiter wherever it is: spinning (budget
+    /// `u32::MAX` ns, it would spin for seconds) or parked (budget 0).
+    #[test]
+    fn poison_releases_spinner_and_sleeper_promptly() {
+        for ns in [u32::MAX, 0] {
+            let b = central_with_budget(2, ns);
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| b.wait(0));
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                let poisoned_at = std::time::Instant::now();
+                b.poison();
+                waiter.join().unwrap();
+                let took = poisoned_at.elapsed();
+                assert!(
+                    took < std::time::Duration::from_secs(1),
+                    "budget {ns} ns: waiter needed {took:?} after poison"
+                );
+            });
+        }
     }
 
     #[test]

@@ -323,12 +323,18 @@ pub fn cal_cache_stats() -> CalCacheStats {
     }
 }
 
+/// Format version in the cache's file name and header. Moves with the
+/// format, and when a change moves what the probe measures without moving
+/// the crate version: v2 is the spin-then-park `CentralBarrier`, whose `L`
+/// is a twentieth of v1's.
+const CAL_CACHE_FORMAT: &str = "v2";
+
 /// On-disk cache location: `$GREEN_BSP_CAL_CACHE` if set, else a
 /// versioned file in the system temp directory.
 fn cal_cache_path() -> std::path::PathBuf {
     match std::env::var_os("GREEN_BSP_CAL_CACHE") {
         Some(p) => std::path::PathBuf::from(p),
-        None => std::env::temp_dir().join("green-bsp-cal-cache-v1.txt"),
+        None => std::env::temp_dir().join(format!("green-bsp-cal-cache-{CAL_CACHE_FORMAT}.txt")),
     }
 }
 
@@ -340,7 +346,8 @@ fn cal_cache_header() -> String {
         .map(|n| n.get())
         .unwrap_or(1);
     format!(
-        "green-bsp-cal-cache v1 cpus={} build={}",
+        "green-bsp-cal-cache {} cpus={} build={}",
+        CAL_CACHE_FORMAT,
         cpus,
         env!("CARGO_PKG_VERSION")
     )
@@ -353,10 +360,13 @@ fn cal_cache_header() -> String {
 /// `slot netsim_bits nprocs g_bits_hex l_bits_hex` with the `f64`s stored
 /// as hex bit patterns for exact round-trips.
 fn load_cal_cache() -> std::collections::HashMap<CalKey, Calibration> {
+    std::fs::read_to_string(cal_cache_path())
+        .map(|text| parse_cal_cache(&text))
+        .unwrap_or_default()
+}
+
+fn parse_cal_cache(text: &str) -> std::collections::HashMap<CalKey, Calibration> {
     let mut map = std::collections::HashMap::new();
-    let Ok(text) = std::fs::read_to_string(cal_cache_path()) else {
-        return map;
-    };
     let mut lines = text.lines();
     if lines.next() != Some(cal_cache_header().as_str()) {
         return map;
@@ -393,6 +403,10 @@ fn load_cal_cache() -> std::collections::HashMap<CalKey, Calibration> {
 /// (read-only tmp, permission) is silent: the cache is an optimization,
 /// never a correctness dependency.
 fn store_cal_cache(map: &std::collections::HashMap<CalKey, Calibration>) {
+    let _ = std::fs::write(cal_cache_path(), render_cal_cache(map));
+}
+
+fn render_cal_cache(map: &std::collections::HashMap<CalKey, Calibration>) -> String {
     use std::fmt::Write as _;
     let mut text = cal_cache_header();
     text.push('\n');
@@ -409,7 +423,7 @@ fn store_cal_cache(map: &std::collections::HashMap<CalKey, Calibration>) {
             c.l_us.to_bits()
         );
     }
-    let _ = std::fs::write(cal_cache_path(), text);
+    text
 }
 
 /// Measure `backend`'s `(g, L)` at `nprocs` on the process-global
@@ -575,6 +589,25 @@ mod tests {
             injected
         );
         rt.shutdown();
+    }
+
+    /// `(g, L)` cached by a build with the 20 µs condvar barrier must not
+    /// price plans for this one: a v1 file is a cold start.
+    #[test]
+    fn cal_cache_from_format_v1_is_a_cold_start() {
+        let entry = Calibration {
+            nprocs: 2,
+            g_us: 0.05,
+            l_us: 19.8,
+        };
+        let current = render_cal_cache(&[((0, 0, 2), entry)].into());
+        assert_eq!(parse_cal_cache(&current).get(&(0, 0, 2)), Some(&entry));
+        let v1 = current.replacen(&format!(" {CAL_CACHE_FORMAT} "), " v1 ", 1);
+        assert_ne!(v1, current);
+        assert!(parse_cal_cache(&v1).is_empty());
+        if std::env::var_os("GREEN_BSP_CAL_CACHE").is_none() {
+            assert!(!cal_cache_path().to_string_lossy().ends_with("-v1.txt"));
+        }
     }
 
     #[test]

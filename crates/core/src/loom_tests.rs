@@ -30,11 +30,11 @@
 //! that's what the Miri and TSan CI slices cover.
 
 use crate::backend::shared::{ByteMailbox, Mailbox};
-use crate::barrier::{Barrier, BarrierKind};
+use crate::barrier::{Barrier, BarrierKind, CentralBarrier};
 use crate::packet::Packet;
 use crate::relax::NeighborSync;
 use crate::stats::TransportCounters;
-use crate::sync_shim::UnsafeCell;
+use crate::sync_shim::{SpinBudget, UnsafeCell};
 use loom::thread;
 use std::sync::Arc;
 
@@ -240,6 +240,72 @@ fn loom_dissemination_barrier_publishes_p3() {
             h.join().unwrap();
         }
     });
+}
+
+/// The spin → park hand-off of the central barrier. With the budget forced
+/// to 0 every waiter goes straight to "register as sleeper, re-check the
+/// generation, cv.wait"; with 1 it first makes one spin check, so the last
+/// arriver's "publish generation, check sleeper count" lands before,
+/// between and after each of those steps. A lost wakeup is a deadlock the
+/// model reports; a lost publication is a race on the cells. Each round is
+/// two crossings, so the second also runs against sleepers of the first
+/// that have not yet deregistered.
+fn check_central_handoff(p: usize, budget: u32, rounds: u32) {
+    loom::model(move || {
+        let bar = Arc::new(CentralBarrier::with_spin(p, SpinBudget::with_full(budget)));
+        let cells: Arc<Vec<UnsafeCell<u32>>> =
+            Arc::new((0..p).map(|_| UnsafeCell::new(0)).collect());
+        let run = move |pid: usize, bar: &CentralBarrier, cells: &[UnsafeCell<u32>]| {
+            for round in 1..=rounds {
+                cells[pid].with_mut(|c| {
+                    // SAFETY: own cell; the peers' reads of the previous
+                    // round are ordered before by that round's second
+                    // crossing (model-checked).
+                    unsafe { *c = round }
+                });
+                bar.wait(pid);
+                for cell in cells {
+                    let got = cell.with(|c| {
+                        // SAFETY: ordered after every write of this round
+                        // by the crossing (model-checked).
+                        unsafe { *c }
+                    });
+                    assert_eq!(got, round);
+                }
+                bar.wait(pid);
+            }
+        };
+        let hs: Vec<_> = (1..p)
+            .map(|pid| {
+                let (bar, cells) = (bar.clone(), cells.clone());
+                thread::spawn(move || run(pid, &bar, &cells))
+            })
+            .collect();
+        run(0, &bar, &cells);
+        for h in hs {
+            h.join().unwrap();
+        }
+    });
+}
+
+#[test]
+fn loom_central_barrier_handoff_park_only_p2() {
+    check_central_handoff(2, 0, 2);
+}
+
+#[test]
+fn loom_central_barrier_handoff_spin_then_park_p2() {
+    check_central_handoff(2, 1, 2);
+}
+
+#[test]
+fn loom_central_barrier_handoff_park_only_p3() {
+    check_central_handoff(3, 0, 1);
+}
+
+#[test]
+fn loom_central_barrier_handoff_spin_then_park_p3() {
+    check_central_handoff(3, 1, 1);
 }
 
 /// Split-phase arrive/complete must publish exactly like a full wait:

@@ -23,7 +23,7 @@ use crate::pad::CachePadded;
 // build (bit-identical codegen), loom's model-checked equivalents under
 // `--cfg loom`. See sync_shim.rs and DESIGN.md §13.
 use crate::sync_shim as shim;
-use crate::sync_shim::{AtomicBool, AtomicU64, Mutex, Ordering, Thread};
+use crate::sync_shim::{AtomicBool, AtomicU64, Mutex, Ordering, SpinBudget, Thread};
 use std::time::Duration;
 
 /// The ordering of the per-edge generation-flag publication in
@@ -176,9 +176,9 @@ pub struct NeighborSync {
     /// `parked[dst]`: fast-path gate so signalers skip the waiter mutex
     /// entirely while `dst` is running.
     parked: Vec<CachePadded<AtomicBool>>,
-    /// How waits resolved: (within the spin phase, within the yield
-    /// phase, by parking). Diagnostic for tuning the wait ladder.
-    resolved: [CachePadded<AtomicU64>; 3],
+    /// The pre-park policy shared with `CentralBarrier`, so a neighborhood
+    /// boundary spins exactly as long as the full one it relaxes.
+    spin: SpinBudget,
     poisoned: AtomicBool,
 }
 
@@ -189,32 +189,6 @@ struct Waiter {
     gen: u64,
     srcs: Box<[usize]>,
 }
-
-/// Flag checks before a waiter starts yielding. Short on purpose: with
-/// more runnable threads than cores (the common case here), spinning only
-/// steals the core from the neighbor being waited on.
-#[cfg(not(loom))]
-const PARK_SPIN: usize = 64;
-/// Under the model checker every spin iteration is a schedule point; two
-/// passes are enough to exercise the spin-resolve path without exploding
-/// the interleaving space.
-#[cfg(loom)]
-const PARK_SPIN: usize = 2;
-
-/// Bounded `yield_now` passes between spinning and parking. A yield keeps
-/// the waiter runnable and hands the core to whichever in-neighbor has not
-/// signaled yet — on an oversubscribed host the missing flag is usually one
-/// scheduling decision away, and a wait that resolves inside the yield
-/// phase costs no park/unpark syscall pair at all. A small bound matters in
-/// both directions: zero forces every contested boundary through
-/// park/unpark (measured ~2x the central barrier's per-boundary cost on a
-/// one-core host), while unbounded yielding never parks, so the scheduler
-/// round-robins through stuck threads instead of letting the deferred-wake
-/// path batch them off the run queue.
-#[cfg(not(loom))]
-const PARK_YIELDS: usize = 3;
-#[cfg(loom)]
-const PARK_YIELDS: usize = 1;
 
 /// Deliver every deferred wake in `pending`.
 fn flush_pending(pending: &mut Vec<Thread>) {
@@ -236,18 +210,9 @@ impl NeighborSync {
             parked: (0..p)
                 .map(|_| CachePadded::new(AtomicBool::new(false)))
                 .collect(),
-            resolved: std::array::from_fn(|_| CachePadded::new(AtomicU64::new(0))),
+            spin: SpinBudget::new(p),
             poisoned: AtomicBool::new(false),
         }
-    }
-
-    /// `(spin, yield, park)` wait-resolution counts since construction.
-    pub fn resolution_counts(&self) -> (u64, u64, u64) {
-        (
-            self.resolved[0].0.load(Ordering::Relaxed),
-            self.resolved[1].0.load(Ordering::Relaxed),
-            self.resolved[2].0.load(Ordering::Relaxed),
-        )
     }
 
     /// Number of processors.
@@ -310,9 +275,10 @@ impl NeighborSync {
     /// callers must treat the crossing as failed, mirroring
     /// [`Barrier::is_poisoned`](crate::barrier::Barrier::is_poisoned).
     ///
-    /// A short spin covers the truly-parallel fast path; after that the
-    /// waiter registers its thread handle and parks, to be unparked by the
-    /// next in-neighbor signal (or by [`poison`](NeighborSync::poison)).
+    /// The shared [`SpinBudget`] covers the truly-parallel fast path (by
+    /// yielding when `p` exceeds the cores); after that the waiter registers
+    /// its thread handle and parks, to be unparked by the next in-neighbor
+    /// signal (or by [`poison`](NeighborSync::poison)).
     /// Registration happens *before* each flag recheck and signalers store
     /// the flag *before* unparking, so a wakeup can never be missed; the
     /// park timeout is only insurance on top of that protocol.
@@ -325,42 +291,18 @@ impl NeighborSync {
                 >= gen
         };
         let all_met = || srcs.iter().all(|&s| met(s));
-        for _ in 0..PARK_SPIN {
-            if all_met() {
-                self.resolved[0].0.fetch_add(1, Ordering::Relaxed);
-                // A wake may be deferred only while its holder has not yet
-                // crossed its own next boundary; resolving here IS that
-                // crossing, so deliver before returning to compute —
-                // otherwise a split-phase caller whose waits always resolve
-                // in-spin would never block and its completed neighbors
-                // would ride out the park timeout.
-                flush_pending(pending);
-                return !self.poisoned.load(Ordering::Acquire);
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return false;
-            }
-            shim::spin_loop();
-        }
-        // This thread is about to give up the core one way or another, so
-        // the anti-preemption argument for deferring wakes no longer
-        // applies — deliver them before sleeping, or a neighbor whose
-        // only missing flag is ours would be stranded against the park
-        // timeout.
+        // A wake may be deferred only while its holder has not yet reached
+        // its own next boundary, and this is it: whether the wait resolves
+        // at once, in the spin, or by parking, a neighbor whose only
+        // missing flag was ours must not sit out our spin budget (or, for
+        // a split-phase caller that never blocks, the park timeout).
         flush_pending(pending);
-        // The lagging in-neighbor is usually runnable on an oversubscribed
-        // host: give it the core a few times before paying for a park.
-        for _ in 0..PARK_YIELDS {
-            shim::yield_now();
-            if all_met() {
-                self.resolved[1].0.fetch_add(1, Ordering::Relaxed);
-                return !self.poisoned.load(Ordering::Acquire);
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return false;
-            }
+        if self
+            .spin
+            .spin(gen, || all_met() || self.poisoned.load(Ordering::Acquire))
+        {
+            return !self.poisoned.load(Ordering::Acquire);
         }
-        self.resolved[2].0.fetch_add(1, Ordering::Relaxed);
         *self.waiters[dst].lock().unwrap() = Some(Waiter {
             thread: shim::current(),
             gen,

@@ -133,6 +133,11 @@ pub mod atomic {
                         do_rmw(l, env, |old| old.wrapping_add(v), order)
                     })
                 }
+                pub fn fetch_sub(&self, v: $ty, order: Ordering) -> $ty {
+                    atomic_op(&self.loc, |l, env| {
+                        do_rmw(l, env, |old| old.wrapping_sub(v), order)
+                    })
+                }
             }
 
             impl Default for $name {
