@@ -243,10 +243,6 @@ impl MsgPassProc {
 }
 
 impl ProcTransport for MsgPassProc {
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.out[dest].push(pkt);
-    }
-
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         self.out[dest].extend_from_slice(pkts);
     }

@@ -62,7 +62,6 @@ impl NetSimProc {
         shared: Arc<SharedState>,
         st: Arc<NetSimState>,
         pid: usize,
-        chunk: usize,
         params: NetSimParams,
     ) -> Self {
         let l_neigh_us = if params.l_neigh_us > 0.0 {
@@ -77,7 +76,7 @@ impl NetSimProc {
             params.l_us * (1.0 + deg as f64) / p as f64
         };
         NetSimProc {
-            inner: SharedProc::new(shared, pid, chunk),
+            inner: SharedProc::new(shared, pid),
             st,
             params,
             sent_this_step: 0,
@@ -106,11 +105,6 @@ fn precise_delay(us: f64) {
 }
 
 impl ProcTransport for NetSimProc {
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.sent_this_step += 1;
-        self.inner.send(dest, pkt);
-    }
-
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         self.sent_this_step += pkts.len() as u64;
         self.inner.send_batch(dest, pkts);
@@ -142,10 +136,6 @@ impl ProcTransport for NetSimProc {
         // Latch locally for the delay charge; forwarded to the inner
         // `SharedProc` at the boundary itself so both latches stay in step.
         self.mode = mode;
-    }
-
-    fn set_eager(&mut self, on: bool) {
-        self.inner.set_eager(on);
     }
 
     fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {

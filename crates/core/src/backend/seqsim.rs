@@ -176,10 +176,6 @@ impl ProcTransport for SeqProc {
         self.st.wait_for_baton(self.pid);
     }
 
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.out[dest].push(pkt);
-    }
-
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         self.out[dest].extend_from_slice(pkts);
     }

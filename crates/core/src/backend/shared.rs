@@ -36,9 +36,10 @@
 //! send to graph neighbors or self; the boundary panics with
 //! [`TransportErrorKind::GraphViolation`] otherwise. Split-phase boundaries
 //! move the flush + arrival announcement into `exchange_begin` and keep
-//! only the blocking wait + drain in `exchange`; eager mode deposits at
-//! send time, which the phase discipline already tolerates (mid-step chunk
-//! flushes have always deposited early).
+//! only the blocking wait + drain in `exchange`. Deposits happen whenever the
+//! context hands a chunk over — mid-superstep once a destination's staging
+//! buffer fills, per send in eager mode, the rest at the boundary — and the
+//! phase discipline covers them all alike.
 
 use super::super::barrier::Barrier;
 use super::super::context::ProcTransport;
@@ -55,9 +56,9 @@ use crate::stats::TransportCounters;
 use crate::sync_shim::{AtomicPtr, AtomicUsize, Mutex, Ordering, Thread, UnsafeCell};
 use std::sync::Arc;
 
-/// Default number of packets staged locally before reserving slab space —
-/// the paper's value (1000 packets per lock acquisition, now per
-/// reservation).
+/// Default number of packets the context stages per destination before
+/// handing them to the transport — the paper's value (1000 packets per lock
+/// acquisition, here per slab reservation or per buffer extend).
 pub const DEFAULT_CHUNK: usize = 1000;
 
 /// Default per-(destination, phase) slab capacity in packets (1 MiB of
@@ -452,10 +453,7 @@ impl SharedState {
 pub(crate) struct SharedProc {
     pub(crate) st: Arc<SharedState>,
     pub(crate) pid: usize,
-    /// Per-destination staging areas, flushed when they reach `chunk`.
-    stage: Vec<Vec<Packet>>,
-    chunk: usize,
-    /// Superstep currently executing (so `send` knows the target phase).
+    /// Superstep currently executing (so a deposit knows its target phase).
     cur_step: usize,
     /// Sync mode latched for the next boundary (consumed there).
     mode: SyncMode,
@@ -467,8 +465,6 @@ pub(crate) struct SharedProc {
     begun_mode: SyncMode,
     /// An `exchange_begin` ran for `cur_step`; `exchange` completes it.
     begun: bool,
-    /// Eager delivery: deposit sends into destination slabs immediately.
-    eager: bool,
     /// Monotone neighborhood-rendezvous generation. Advances in lockstep
     /// across procs (sync-mode congruence) and survives arena reuse, like
     /// msgpass's `xseq` — the shared flags are never rewound.
@@ -483,19 +479,16 @@ pub(crate) struct SharedProc {
 }
 
 impl SharedProc {
-    pub(crate) fn new(st: Arc<SharedState>, pid: usize, chunk: usize) -> Self {
+    pub(crate) fn new(st: Arc<SharedState>, pid: usize) -> Self {
         let n = st.mailboxes.len();
         SharedProc {
             st,
             pid,
-            stage: vec![Vec::new(); n],
-            chunk: chunk.max(1),
             cur_step: 0,
             mode: SyncMode::Full,
             prev_mode: SyncMode::Full,
             begun_mode: SyncMode::Full,
             begun: false,
-            eager: false,
             neigh_gen: 0,
             sent_dests: vec![false; n],
             pending_wakes: Vec::new(),
@@ -506,18 +499,6 @@ impl SharedProc {
     #[inline]
     fn write_phase(&self) -> usize {
         (self.cur_step + 1) & 1
-    }
-
-    fn flush_dest(&mut self, dest: usize) {
-        if self.stage[dest].is_empty() {
-            return;
-        }
-        let phase = self.write_phase();
-        if let Some(a) = &self.st.audit {
-            a.on_push(self.pid, dest, phase, self.cur_step);
-        }
-        self.st.mailboxes[dest][phase].push(&self.stage[dest], &mut self.counters);
-        self.stage[dest].clear();
     }
 
     /// Drain this process's packet and byte mailboxes for the phase that
@@ -538,13 +519,6 @@ impl SharedProc {
         self.st.byte_mailboxes[self.pid][phase].drain(byte_inbox, &mut self.counters);
         if let Some(a) = &self.st.audit {
             a.on_drain_end(self.pid, phase);
-        }
-    }
-
-    /// Flush all staging areas into the destination mailboxes.
-    pub(crate) fn flush_all(&mut self) {
-        for dest in 0..self.stage.len() {
-            self.flush_dest(dest);
         }
     }
 
@@ -585,29 +559,15 @@ impl SharedProc {
 }
 
 impl ProcTransport for SharedProc {
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.sent_dests[dest] = true;
-        self.stage[dest].push(pkt);
-        if self.eager || self.stage[dest].len() >= self.chunk {
-            self.flush_dest(dest);
-        }
-    }
-
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
+        // The context did the staging: a chunk travels from its buffer to
+        // the destination's slab with one reservation and one memcpy.
         self.sent_dests[dest] = true;
-        // Small batches ride the staging buffer (better reservation
-        // amortization); large ones — and every eager batch — go straight
-        // to the slab, skipping the per-packet staging copy entirely.
-        if !self.eager && self.stage[dest].len() + pkts.len() < self.chunk {
-            self.stage[dest].extend_from_slice(pkts);
-        } else {
-            self.flush_dest(dest);
-            let phase = self.write_phase();
-            if let Some(a) = &self.st.audit {
-                a.on_push(self.pid, dest, phase, self.cur_step);
-            }
-            self.st.mailboxes[dest][phase].push(pkts, &mut self.counters);
+        let phase = self.write_phase();
+        if let Some(a) = &self.st.audit {
+            a.on_push(self.pid, dest, phase, self.cur_step);
         }
+        self.st.mailboxes[dest][phase].push(pkts, &mut self.counters);
     }
 
     fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
@@ -627,7 +587,6 @@ impl ProcTransport for SharedProc {
         debug_assert_eq!(step, self.cur_step);
         debug_assert!(!self.begun, "exchange_begin without a completing exchange");
         let mode = std::mem::take(&mut self.mode);
-        self.flush_all();
         self.check_graph(mode, step);
         match mode {
             SyncMode::Full => self.st.barrier.arrive(self.pid),
@@ -654,16 +613,12 @@ impl ProcTransport for SharedProc {
         self.mode = mode;
     }
 
-    fn set_eager(&mut self, on: bool) {
-        self.eager = on;
-    }
-
     fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
         debug_assert_eq!(step, self.cur_step);
         let mode;
         let ok = if self.begun {
-            // Second half of a split boundary: the flush and the arrival
-            // announcement already happened in exchange_begin.
+            // Second half of a split boundary: the arrival announcement
+            // already happened in exchange_begin.
             self.begun = false;
             mode = self.begun_mode;
             match mode {
@@ -683,7 +638,6 @@ impl ProcTransport for SharedProc {
             }
         } else {
             mode = std::mem::take(&mut self.mode);
-            self.flush_all();
             self.check_graph(mode, step);
             match mode {
                 SyncMode::Full => {
@@ -766,13 +720,10 @@ impl ProcTransport for SharedProc {
             // transport never carries wakes into the next job.
             rx.neigh.flush(&mut self.pending_wakes);
         }
-        for buf in &mut self.stage {
-            buf.clear();
-        }
         // Each endpoint rewinds its *own* mailboxes (both phases): packets
-        // sent after a job's last sync can still have been flushed into a
-        // slab by the chunk threshold, and a leased slice must never observe
-        // a prior job's packets.
+        // sent after a job's last sync still reach a slab (the context hands
+        // its staging over as it finishes), and a leased slice must never
+        // observe a prior job's packets.
         for mb in &self.st.mailboxes[self.pid] {
             mb.reset();
         }
@@ -783,7 +734,6 @@ impl ProcTransport for SharedProc {
         self.mode = SyncMode::Full;
         self.prev_mode = SyncMode::Full;
         self.begun_mode = SyncMode::Full;
-        self.eager = false;
         self.sent_dests.iter_mut().for_each(|d| *d = false);
         // `neigh_gen` is deliberately NOT rewound: the shared per-edge
         // flags are monotone across the arena's lifetime (like msgpass's
@@ -1004,13 +954,15 @@ mod tests {
     #[test]
     fn shared_proc_counters_flow_through_exchange() {
         let st = SharedState::new(2, BarrierKind::Central.build(2), 16);
-        // Single-threaded double-endpoint dance: both procs flush, then both
-        // hit the barrier via two threads.
-        let mut a = SharedProc::new(st.clone(), 0, 4);
-        let mut b = SharedProc::new(st.clone(), 1, 4);
-        for i in 0..10 {
-            a.send(1, Packet::two_u64(i, 0));
-            b.send(0, Packet::two_u64(100 + i, 0));
+        // Single-threaded double-endpoint dance: both procs deposit in
+        // chunks of five, then both hit the barrier via two threads.
+        let mut a = SharedProc::new(st.clone(), 0);
+        let mut b = SharedProc::new(st.clone(), 1);
+        let pkts =
+            |base: u64| -> Vec<Packet> { (0..10).map(|i| Packet::two_u64(base + i, 0)).collect() };
+        for (to_b, to_a) in pkts(0).chunks(5).zip(pkts(100).chunks(5)) {
+            a.send_batch(1, to_b);
+            b.send_batch(0, to_a);
         }
         let (mut ia, mut ib) = (Vec::new(), Vec::new());
         let (mut ba, mut bb) = (Vec::new(), Vec::new());
@@ -1020,9 +972,10 @@ mod tests {
         });
         assert_eq!(ia.len(), 10);
         assert_eq!(ib.len(), 10);
-        assert!(
-            a.counters().slab_reservations >= 2,
-            "chunked flushes reserve"
+        assert_eq!(
+            a.counters().slab_reservations,
+            2,
+            "one reservation per chunk"
         );
         assert_eq!(a.counters().pkts_moved, 10);
     }

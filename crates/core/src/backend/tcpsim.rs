@@ -380,10 +380,6 @@ impl TcpSimProc {
 }
 
 impl ProcTransport for TcpSimProc {
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.out[dest].push(pkt);
-    }
-
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         self.out[dest].extend_from_slice(pkts);
     }
@@ -662,7 +658,7 @@ mod tests {
         let t0 = std::thread::spawn(move || {
             let mut inbox = Vec::new();
             let mut bytes = Vec::new();
-            p0.send(1, Packet([42u8; PACKET_SIZE]));
+            p0.send_batch(1, &[Packet([42u8; PACKET_SIZE])]);
             p0.send_bytes(1, &[10, 20, 30]);
             p0.exchange(0, &mut inbox, &mut bytes);
         });

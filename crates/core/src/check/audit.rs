@@ -236,9 +236,6 @@ impl ProcTransport for Box<dyn ProcTransport> {
     fn on_start(&mut self) {
         (**self).on_start()
     }
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        (**self).send(dest, pkt)
-    }
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         (**self).send_batch(dest, pkts)
     }
@@ -250,16 +247,13 @@ impl ProcTransport for Box<dyn ProcTransport> {
     }
     // The relaxed-synchronization hooks must forward explicitly: this impl
     // shadows the inner type's methods, and the trait defaults are no-ops —
-    // without these, split-phase, neighborhood, and eager requests from
-    // `Ctx` would silently never reach any backend.
+    // without these, split-phase and neighborhood requests from `Ctx` would
+    // silently never reach any backend.
     fn exchange_begin(&mut self, step: usize) {
         (**self).exchange_begin(step)
     }
     fn set_sync_mode(&mut self, mode: crate::relax::SyncMode) {
         (**self).set_sync_mode(mode)
-    }
-    fn set_eager(&mut self, on: bool) {
-        (**self).set_eager(on)
     }
     fn finish(&mut self) {
         (**self).finish()
@@ -368,11 +362,6 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
         self.inner.on_start()
     }
 
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.sent_to[dest] += 1;
-        self.inner.send(dest, pkt);
-    }
-
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         self.sent_to[dest] += pkts.len() as u64;
         self.inner.send_batch(dest, pkts);
@@ -402,12 +391,6 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
             "neighborhood synchronization requires Config::sync_graph"
         );
         self.mode = mode;
-    }
-
-    fn set_eager(&mut self, on: bool) {
-        // Forwarded: eager delivery changes *when* deposits happen, not the
-        // boundary protocol, so the checked run exercises the real path.
-        self.inner.set_eager(on)
     }
 
     fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {

@@ -32,17 +32,13 @@ pub(crate) trait ProcTransport: Send {
     /// simulator blocks here until it is this process's turn).
     fn on_start(&mut self) {}
 
-    /// Queue `pkt` for delivery to `dest` at the start of the next superstep.
-    fn send(&mut self, dest: usize, pkt: Packet);
-
-    /// Queue a whole batch for `dest`. Backends override this to bypass the
-    /// per-packet staging checks (one chunk reservation or one buffer extend
-    /// for the entire batch); the default just loops.
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
-        for &pkt in pkts {
-            self.send(dest, pkt);
-        }
-    }
+    /// Queue a non-empty batch of packets for delivery to `dest` at the
+    /// start of the next superstep. This is the packet lane's only entry
+    /// point: [`Ctx`] stages single packets per destination and hands over
+    /// whole chunks ([`crate::Config::chunk`]), so a transport pays one
+    /// reservation or one buffer extend per call, never per packet. Repeated
+    /// calls for one destination in one superstep accumulate.
+    fn send_batch(&mut self, dest: usize, pkts: &[Packet]);
 
     /// Queue a buffer of byte-lane records (complete `[src|len|payload]`
     /// frames, already packed back to back) for `dest`. [`Ctx::sync`] calls
@@ -69,14 +65,6 @@ pub(crate) trait ProcTransport: Send {
     /// panic. The default ignores the request, which is semantically safe:
     /// a full barrier strictly strengthens a neighborhood rendezvous.
     fn set_sync_mode(&mut self, _mode: SyncMode) {}
-
-    /// Toggle eager per-destination delivery: when on, sends may be pushed
-    /// into the destination's standby buffers while the superstep is still
-    /// computing instead of being staged locally until the boundary. Sticky
-    /// until toggled again. Purely an optimization hint — delivery timing
-    /// (readable in superstep `s + 1`) is unchanged, so the default no-op
-    /// is correct.
-    fn set_eager(&mut self, _on: bool) {}
 
     /// Complete superstep `step` (0-based): flush queued packets, perform the
     /// global synchronization, and append the packets addressed to this
@@ -154,6 +142,18 @@ pub struct Ctx {
     /// The other inbox buffer of the double-buffer pair.
     spare: Vec<Packet>,
     inbox_pos: usize,
+    /// Per-destination packet staging: [`Ctx::send_pkt`] appends here and
+    /// the transport sees a whole chunk at a time ([`Ctx::flush_pkts`]).
+    /// Buffers start empty and grow as packets are staged — at most one
+    /// chunk each — so a destination never sent to costs nothing.
+    pkt_out: Vec<Vec<Packet>>,
+    /// Staged packets per destination that trigger a hand-off to the
+    /// transport: `chunk`, or 1 while eager delivery is on — so the hot
+    /// path compares against one field and never branches on the mode.
+    flush_at: usize,
+    /// [`crate::Config::chunk`], kept to restore `flush_at` when eager
+    /// delivery is switched off.
+    chunk: usize,
     /// Per-destination byte-lane staging: framed records accumulated during
     /// the superstep and handed to the transport in one piece at `sync`.
     byte_out: Vec<Vec<u8>>,
@@ -177,7 +177,8 @@ pub struct Ctx {
     neigh_pending: bool,
     /// Eager per-destination delivery ([`Ctx::set_eager`]): byte-lane
     /// records flush to the transport as each message completes instead of
-    /// being staged until the boundary.
+    /// being staged until the boundary (the packet lane's half of the mode
+    /// is `flush_at == 1`).
     eager: bool,
     /// Compute time accumulated up to `sync_begin`, completed by the
     /// overlap window's time at `sync_end`.
@@ -285,7 +286,13 @@ impl Drop for MsgWriter<'_> {
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: usize, nprocs: usize, transport: Box<dyn ProcTransport>) -> Self {
+    pub(crate) fn new(
+        pid: usize,
+        nprocs: usize,
+        chunk: usize,
+        transport: Box<dyn ProcTransport>,
+    ) -> Self {
+        let chunk = chunk.max(1);
         Ctx {
             pid,
             nprocs,
@@ -293,6 +300,9 @@ impl Ctx {
             inbox: Vec::new(),
             spare: Vec::new(),
             inbox_pos: 0,
+            pkt_out: vec![Vec::new(); nprocs],
+            flush_at: chunk,
+            chunk,
             byte_out: vec![Vec::new(); nprocs],
             byte_inbox: Vec::new(),
             byte_spare: Vec::new(),
@@ -335,6 +345,12 @@ impl Ctx {
         self.inbox.clear();
         self.spare.clear();
         self.inbox_pos = 0;
+        // Packets staged after the job's last sync die here, like every
+        // other leftover of the previous job; the capacity stays.
+        for buf in &mut self.pkt_out {
+            buf.clear();
+        }
+        self.flush_at = self.chunk;
         for buf in &mut self.byte_out {
             buf.clear();
         }
@@ -415,6 +431,9 @@ impl Ctx {
             work_units: self.work_units,
             sync_wait: Duration::ZERO,
         });
+        // The transport sees everything the program sent; what has no
+        // boundary left goes when the transport is reset or dropped.
+        self.flush_staged();
         self.transport.finish();
     }
 
@@ -463,13 +482,48 @@ impl Ctx {
             let lane = if self.in_msg_send { LANE_MSG } else { LANE_RAW };
             c.record_lane(self.step, lane);
         }
-        self.transport.send(dest, pkt);
+        // The whole per-packet cost: one indexed 16-byte store and a length
+        // bump. The packet is never passed on by reference, so once this is
+        // inlined the caller builds it straight into the staging buffer.
+        let buf = &mut self.pkt_out[dest];
+        buf.push(pkt);
+        if buf.len() >= self.flush_at {
+            self.flush_pkts(dest);
+        }
+    }
+
+    /// Hand `dest`'s staged packets to the transport as one batch. Out of
+    /// line: it runs once per chunk, and keeping it out of `send_pkt` keeps
+    /// the inlined per-packet path to a handful of instructions.
+    #[inline(never)]
+    fn flush_pkts(&mut self, dest: usize) {
+        let buf = &mut self.pkt_out[dest];
+        if !buf.is_empty() {
+            self.transport.send_batch(dest, buf);
+            buf.clear();
+        }
+    }
+
+    /// Hand everything still staged — both lanes, every destination — to
+    /// the transport (clearing keeps each buffer's allocation). Every
+    /// boundary flavor starts here, so a transport's `exchange` or
+    /// `exchange_begin` never has to ask for staged traffic.
+    fn flush_staged(&mut self) {
+        for dest in 0..self.nprocs {
+            self.flush_pkts(dest);
+            if !self.byte_out[dest].is_empty() {
+                self.transport.send_bytes(dest, &self.byte_out[dest]);
+                self.byte_out[dest].clear();
+            }
+        }
     }
 
     /// Send a whole batch of packets to process `dest`; equivalent to calling
-    /// [`Ctx::send_pkt`] once per packet, but the per-packet staging checks
-    /// are bypassed: the transport reserves space for the batch at once.
-    /// Collectives and the DRMA layer route their bulk traffic through this.
+    /// [`Ctx::send_pkt`] once per packet. A batch that fits under the chunk
+    /// rides the staging buffer (better hand-off amortization); a larger one
+    /// — and every eager batch — goes straight to the transport, skipping
+    /// the staging copy. Collectives and the DRMA layer route their bulk
+    /// traffic through this.
     #[inline]
     #[track_caller]
     pub fn send_pkts(&mut self, dest: usize, pkts: &[Packet]) {
@@ -486,7 +540,15 @@ impl Ctx {
             let lane = if self.in_msg_send { LANE_MSG } else { LANE_RAW };
             c.record_lane(self.step, lane);
         }
-        self.transport.send_batch(dest, pkts);
+        let buf = &mut self.pkt_out[dest];
+        if buf.len() + pkts.len() < self.flush_at {
+            buf.extend_from_slice(pkts);
+        } else {
+            // Staged packets leave first: one sender's packets to one
+            // destination keep their send order.
+            self.flush_pkts(dest);
+            self.transport.send_batch(dest, pkts);
+        }
     }
 
     /// Send `payload` to process `dest` as one variable-length byte-lane
@@ -669,15 +731,7 @@ impl Ctx {
         let compute = self.step_start.elapsed();
         let sent = self.sent_this_step;
         let sent_bytes = self.sent_bytes_this_step;
-        // Hand the superstep's staged byte-lane traffic to the transport in
-        // one piece per destination (clearing keeps each buffer's
-        // allocation for the next superstep).
-        for dest in 0..self.nprocs {
-            if !self.byte_out[dest].is_empty() {
-                self.transport.send_bytes(dest, &self.byte_out[dest]);
-                self.byte_out[dest].clear();
-            }
-        }
+        self.flush_staged();
         // Swap the double-buffered inboxes: the buffer delivered into keeps
         // its allocation from two supersteps ago, so a steady traffic level
         // reallocates neither buffer.
@@ -712,12 +766,7 @@ impl Ctx {
         }
         self.in_split = true;
         self.pending_compute = self.step_start.elapsed();
-        for dest in 0..self.nprocs {
-            if !self.byte_out[dest].is_empty() {
-                self.transport.send_bytes(dest, &self.byte_out[dest]);
-                self.byte_out[dest].clear();
-            }
-        }
+        self.flush_staged();
         let boundary = Instant::now();
         self.transport.exchange_begin(self.step);
         self.pending_wait = boundary.elapsed();
@@ -782,11 +831,11 @@ impl Ctx {
     }
 
     /// Toggle eager per-destination delivery for subsequent sends: each
-    /// byte-lane message flushes to the transport the moment it is
-    /// complete, and backends that support it deposit packets directly
-    /// into the destination's standby buffers, so the boundary only
-    /// publishes cursors instead of moving bytes. Sticky until toggled
-    /// again; results are bit-identical either way.
+    /// packet and each byte-lane message goes to the transport the moment
+    /// it is complete (whatever is already staged leaves when the mode is
+    /// switched on, so nothing sent later overtakes it), and the boundary
+    /// has nothing left to move. Sticky until toggled again; results are
+    /// bit-identical either way.
     pub fn set_eager(&mut self, on: bool) {
         if self.in_split {
             // Checked degradation: toggling delivery mode while a boundary
@@ -801,7 +850,12 @@ impl Ctx {
         if let Some(c) = &mut self.check {
             c.trace.eager.push((self.step, on));
         }
-        self.transport.set_eager(on);
+        if on {
+            self.flush_at = 1;
+            self.flush_staged();
+        } else {
+            self.flush_at = self.chunk;
+        }
     }
 
     /// Split-window misuse gate. On a checked run

@@ -53,7 +53,7 @@ const SEED0: u64 = 0x9E37_79B9_7F4A_7C15;
 /// rotate+add+xor so the hardened send path stays within noise of the bare
 /// one (the fast lane moves hundreds of millions of packets per second).
 #[inline]
-pub(crate) fn pkt_hash(pkt: &Packet) -> u64 {
+fn pkt_hash(pkt: &Packet) -> u64 {
     let (a, b) = pkt.as_two_u64();
     a.rotate_left(1).wrapping_add(b ^ SEED0)
 }
@@ -739,10 +739,6 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
         self.inner.on_start();
     }
 
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.inner.send(dest, pkt);
-    }
-
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         match self.event_for(dest, true) {
             // `injected` is counted once per event at the frame site
@@ -862,10 +858,6 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
         self.inner.set_sync_mode(mode);
     }
 
-    fn set_eager(&mut self, on: bool) {
-        self.inner.set_eager(on);
-    }
-
     fn finish(&mut self) {
         self.inner.finish();
     }
@@ -961,11 +953,6 @@ impl<B: ProcTransport> GuardedBackend<B> {
 impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
     fn on_start(&mut self) {
         self.inner.on_start();
-    }
-
-    fn send(&mut self, dest: usize, pkt: Packet) {
-        self.out_sums[dest] = self.out_sums[dest].wrapping_add(pkt_hash(&pkt));
-        self.out_pkts[dest].push(pkt);
     }
 
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
@@ -1262,12 +1249,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
     // likewise keeps the no-op default: the guard's ack/retry conversation
     // cannot be split across a begin/end pair.
     fn set_sync_mode(&mut self, _mode: crate::relax::SyncMode) {}
-
-    fn set_eager(&mut self, _on: bool) {
-        // Not forwarded either: the guard buffers all sends itself (the
-        // checksummed frames are built at the boundary), so the inner
-        // backend never sees mid-step traffic to deliver eagerly.
-    }
 
     fn finish(&mut self) {
         self.inner.finish();

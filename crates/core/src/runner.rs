@@ -32,8 +32,10 @@ pub struct Config {
     pub backend: BackendKind,
     /// Barrier used by barrier-based backends.
     pub barrier: BarrierKind,
-    /// Packets staged per destination before reserving mailbox space
-    /// (shared-memory backend; the paper uses 1000).
+    /// Packets [`Ctx::send_pkt`] stages per destination before handing them
+    /// to the transport as one batch, on every backend (one slab
+    /// reservation on shared memory, one buffer extend elsewhere; the paper
+    /// uses 1000).
     pub chunk: usize,
     /// Initial per-(destination, phase) mailbox slab capacity in packets
     /// (shared-memory backend). Traffic beyond this spills to a locked
@@ -119,7 +121,7 @@ impl Config {
         self
     }
 
-    /// Set the shared-memory staging chunk size.
+    /// Set the per-destination staging chunk size (every backend).
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
@@ -239,9 +241,7 @@ fn build_transports(
                 cfg.sync_graph.clone(),
             );
             (0..p)
-                .map(|pid| {
-                    Box::new(SharedProc::new(st.clone(), pid, cfg.chunk)) as Box<dyn ProcTransport>
-                })
+                .map(|pid| Box::new(SharedProc::new(st.clone(), pid)) as Box<dyn ProcTransport>)
                 .collect()
         }
         BackendKind::MsgPass => MsgPassProc::create_all(p, tol.is_some(), cfg.sync_graph.clone())
@@ -267,13 +267,8 @@ fn build_transports(
             let ns = NetSimState::new(cfg.barrier.build(p));
             (0..p)
                 .map(|pid| {
-                    Box::new(NetSimProc::new(
-                        shared.clone(),
-                        ns.clone(),
-                        pid,
-                        cfg.chunk,
-                        params,
-                    )) as Box<dyn ProcTransport>
+                    Box::new(NetSimProc::new(shared.clone(), ns.clone(), pid, params))
+                        as Box<dyn ProcTransport>
                 })
                 .collect()
         }
@@ -824,7 +819,7 @@ where
         None => build_transports(cfg, shared.as_ref(), fstate)
             .into_iter()
             .enumerate()
-            .map(|(pid, t)| Ctx::new(pid, nprocs, t))
+            .map(|(pid, t)| Ctx::new(pid, nprocs, cfg.chunk, t))
             .collect(),
     };
     // Streaming runs: stamp the tile coordinates on every slot (a `Copy`,
@@ -1327,7 +1322,7 @@ mod tests {
 
     #[test]
     fn large_volume_exceeding_chunk_size() {
-        // Force multiple chunk flushes in the shared backend.
+        // Force multiple chunk hand-offs from the context's staging.
         let cfg = Config::new(2).chunk(16);
         let out = run(&cfg, |ctx| {
             let n = 10_000u64;
@@ -1343,6 +1338,9 @@ mod tests {
         });
         let expect = (0..10_000u64).sum::<u64>();
         assert_eq!(out.results, vec![expect, expect]);
+        // One slab reservation per 16-packet chunk, per process.
+        let t = out.stats.transport_total();
+        assert_eq!(t.slab_reservations, 2 * 10_000 / 16, "{:?}", t);
     }
 
     #[test]

@@ -1,27 +1,47 @@
 //! Proof of the §11 zero-allocation claim: once a transport set is parked
 //! in the runtime's arena, a warm lease/release cycle touches the heap
 //! zero times — it is a hash probe, a `Vec::pop`, per-endpoint cursor
-//! resets, and a push back into retained capacity.
+//! resets, and a push back into retained capacity — and a warm job's packet
+//! lane (stage, hand off a chunk, cross the boundary, drain) touches it
+//! zero times too: the arena keeps the staging capacity like every other
+//! `Ctx` buffer.
 //!
 //! This file is its own test binary on purpose: `#[global_allocator]` is
 //! process-wide, and a single `#[test]` keeps the counter free of
 //! interference from parallel tests.
 
-use green_bsp::{Config, Runtime};
+use green_bsp::{Config, Packet, Runtime};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator with a global allocation counter.
+/// System allocator with a global and a per-thread allocation counter.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator can neither allocate nor observe a dead slot.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation to `System`, which upholds the
 // `GlobalAlloc` contract; the counter side effect does not touch the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded verbatim; caller upholds the layout contract.
         unsafe { System.alloc(layout) }
     }
@@ -32,13 +52,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded verbatim; `ptr` came from this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded verbatim; caller upholds the layout contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -68,5 +88,42 @@ fn warm_lease_release_cycle_allocates_nothing() {
         delta, 0,
         "warm lease/release path allocated {delta} time(s) over 32 cycles"
     );
+
+    // The packet lane of a warm job, below and above one chunk per
+    // destination. Each process counts its own thread's allocations over
+    // three supersteps of send / sync / drain; the empty superstep in front
+    // takes the one allocation a job always makes at its first boundary
+    // (its superstep log) out of the window.
+    for per_dest in [cfg.chunk - 1, 2 * cfg.chunk + 500] {
+        for run in 0..4 {
+            let out = rt
+                .try_run(&cfg, |ctx| {
+                    ctx.sync();
+                    let before = thread_allocs();
+                    for step in 0..3u64 {
+                        for dest in 0..ctx.nprocs() {
+                            for i in 0..per_dest as u64 {
+                                ctx.send_pkt(dest, Packet::two_u64(step, i));
+                            }
+                        }
+                        ctx.sync();
+                        let mut got = 0;
+                        while ctx.get_pkt().is_some() {
+                            got += 1;
+                        }
+                        assert_eq!(got, per_dest * ctx.nprocs());
+                    }
+                    thread_allocs() - before
+                })
+                .expect("exchange job");
+            if run > 0 {
+                assert_eq!(
+                    out.results,
+                    vec![0; cfg.nprocs],
+                    "run {run} at {per_dest} packets per destination allocated on the packet lane"
+                );
+            }
+        }
+    }
     rt.shutdown();
 }

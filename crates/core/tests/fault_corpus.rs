@@ -375,6 +375,42 @@ fn unhardened_injection_raises_fault_undetected() {
     );
 }
 
+/// Unhardened injection reaches the packet lane whichever call sent the
+/// packets: the context hands `send_pkt` traffic to the transport in
+/// batches, and a batch is what the injector acts on.
+#[test]
+fn unhardened_batch_faults_reach_send_pkt_traffic() {
+    for (kind, want) in [
+        (FaultKind::Drop, [0, 0]),
+        (FaultKind::Duplicate, [8, 0]),
+        (FaultKind::Delay, [0, 4]),
+    ] {
+        let plan = FaultPlan::new(7).with(FaultEvent {
+            pid: 0,
+            step: 0,
+            dest: 1,
+            kind,
+        });
+        let out = try_run(&Config::new(2).faults(plan), |ctx| {
+            if ctx.pid() == 0 {
+                for i in 0..4 {
+                    ctx.send_pkt(1, Packet::two_u64(i, 0));
+                }
+            }
+            let mut seen = [0; 2];
+            for n in &mut seen {
+                ctx.sync();
+                while ctx.get_pkt().is_some() {
+                    *n += 1;
+                }
+            }
+            seen
+        })
+        .expect("an unhardened run completes");
+        assert_eq!(out.results[1], want, "{kind:?}");
+    }
+}
+
 // --------------------------------------------------------------- property
 
 proptest! {

@@ -8,6 +8,29 @@ use bsp_repro::green_bsp::{run, BackendKind, Config, NetSimParams, Packet};
 use bsp_repro::sort::sample_sort;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard};
+
+/// Every test here compares a wall clock with a prediction while its BSP
+/// processes spin out emulated delays, so the tests must not share the
+/// host's cores with each other: each holds this lock for its whole body.
+static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    // The lock guards no data, so a test that failed while holding it
+    // leaves nothing behind for the next one.
+    WALL_CLOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// `H` in packet equivalents, as the emulator charges it and as
+/// `tune::predict_with` prices it: packets plus byte-lane bytes at one `g`
+/// per 16.
+fn h_equivalents(stats: &bsp_repro::green_bsp::RunStats) -> u64 {
+    stats
+        .steps
+        .iter()
+        .map(|s| s.h() + s.h_bytes().div_ceil(16))
+        .sum()
+}
 
 /// Run a program twice: once plain (for W and the stats), once under the
 /// emulator (for "actual"); return (actual_secs, predicted_secs).
@@ -20,13 +43,14 @@ where
     let w = plain.stats.w_total().as_secs_f64();
     // Equation (1) directly with the emulator's parameters.
     let pred = w
-        + params.g_us * 1e-6 * emulated.stats.h_total() as f64
+        + params.g_us * 1e-6 * h_equivalents(&emulated.stats) as f64
         + params.l_us * 1e-6 * emulated.stats.s() as f64;
     (emulated.wall.as_secs_f64(), pred)
 }
 
 #[test]
 fn sample_sort_time_is_predicted_within_a_third() {
+    let _alone = exclusive();
     let p = 4;
     let n_per = 20_000;
     let params = NetSimParams {
@@ -50,6 +74,7 @@ fn sample_sort_time_is_predicted_within_a_third() {
 
 #[test]
 fn broadcast_time_is_predicted_within_a_third() {
+    let _alone = exclusive();
     let p = 4;
     let len = 30_000;
     let params = NetSimParams {
@@ -80,6 +105,7 @@ fn two_phase_broadcast_beats_direct_when_the_model_says_so() {
     // verify both the model's preference and the emulated reality agree.
     // (p = 8: the root's direct send is 7·len packets, while two-phase
     // peaks at ~2·len + framing — a clear win even with index packets.)
+    let _alone = exclusive();
     let p = 8;
     let len = 16_000;
     let params = NetSimParams {
