@@ -7,6 +7,11 @@
 //! all-to-all exchange: a process cannot leave the boundary before every
 //! peer has reached it (each peer's buffer for this superstep, possibly
 //! empty, must arrive). Channels stand in for MPI `Isend`/`Irecv` pairs.
+//!
+//! Buffers travel with the batch and come back: the allocation a batch
+//! arrived in becomes the replacement for the next one posted to that peer
+//! (packets), or the receiver's inbox segment whose dead predecessor does
+//! (bytes), so a steady exchange allocates nothing on either lane.
 
 //! ## Relaxed boundaries (DESIGN.md §12)
 //!
@@ -26,7 +31,7 @@
 //! only the receives to `exchange`, so the caller's overlap window runs
 //! while peers' batches are in flight.
 
-use super::super::context::ProcTransport;
+use super::super::context::{hand_over, ProcTransport};
 use super::super::packet::{Packet, PACKET_SIZE};
 use crate::fault::{byte_hash, pkt_sum, BspError, TransportError, TransportErrorKind};
 use crate::relax::{SyncGraph, SyncMode};
@@ -47,6 +52,25 @@ pub(crate) struct Batch {
     pub(crate) checksum: u64,
 }
 
+impl Batch {
+    /// Deliver a received batch: the packets are appended to `inbox`, the
+    /// byte records become the (dead, cleared) inbox segment `seg`. Returns
+    /// the two allocations that leave circulation on this side, both empty:
+    /// the packet buffer the batch arrived in — the next replacement for
+    /// `out[src]` — and the dead segment, which the next byte hand-over for
+    /// `src` gives back to the context.
+    pub(crate) fn unload(
+        mut self,
+        inbox: &mut Vec<Packet>,
+        seg: &mut Vec<u8>,
+    ) -> (Vec<Packet>, Vec<u8>) {
+        inbox.extend_from_slice(&self.pkts);
+        self.pkts.clear();
+        std::mem::swap(seg, &mut self.bytes);
+        (self.pkts, self.bytes)
+    }
+}
+
 /// Checksum over a batch's content: order-insensitive over the fixed-size
 /// packets (the BSP contract permits any arrival order) plus an
 /// order-sensitive hash of the byte-lane records (their record framing is
@@ -61,7 +85,12 @@ pub(crate) struct MsgPassProc {
     nprocs: usize,
     /// Per-destination output buffers.
     out: Vec<Vec<Packet>>,
-    /// Per-destination byte-lane output buffers.
+    /// `spare[peer]`: the emptied buffer `peer`'s last batch arrived in —
+    /// the next replacement for `out[peer]`.
+    spare: Vec<Vec<Packet>>,
+    /// Per-destination byte-lane records, taken over from the context whole
+    /// ([`hand_over`]); between boundaries an empty entry keeps the dead
+    /// inbox segment that the next hand-over gives back.
     out_bytes: Vec<Vec<u8>>,
     /// `senders[dest]` carries this process's superstep batches to `dest`.
     senders: Vec<Option<Sender<Batch>>>,
@@ -121,6 +150,7 @@ impl MsgPassProc {
                 pid,
                 nprocs,
                 out: vec![Vec::new(); nprocs],
+                spare: vec![Vec::new(); nprocs],
                 out_bytes: vec![Vec::new(); nprocs],
                 senders,
                 receivers,
@@ -182,19 +212,18 @@ impl MsgPassProc {
     /// Post one (possibly empty) batch to `dest`. The batch synchronizes the
     /// pair even when empty.
     fn post_batch(&mut self, dest: usize, step: usize) {
-        // The outgoing batch surrenders its allocations to the receiver;
-        // pre-size the replacements from this superstep's volume so the
-        // next superstep appends without reallocating.
         let volume = self.out[dest].len();
-        let byte_volume = self.out_bytes[dest].len();
         let checksum = if self.hardened {
             batch_checksum(&self.out[dest], &self.out_bytes[dest])
         } else {
             0
         };
+        // The outgoing batch surrenders its allocations to the receiver;
+        // the one `dest`'s last batch arrived in takes the packet buffer's
+        // place, and `exchange` refills the byte entry the same way.
         let batch = Batch {
-            pkts: std::mem::replace(&mut self.out[dest], Vec::with_capacity(volume)),
-            bytes: std::mem::replace(&mut self.out_bytes[dest], Vec::with_capacity(byte_volume)),
+            pkts: std::mem::replace(&mut self.out[dest], std::mem::take(&mut self.spare[dest])),
+            bytes: std::mem::take(&mut self.out_bytes[dest]),
             seq: self.xseq,
             checksum,
         };
@@ -228,13 +257,8 @@ impl MsgPassProc {
                 }
             }
             SyncMode::Neighborhood => {
-                let neighbors: Vec<usize> = self
-                    .graph
-                    .as_ref()
-                    .expect("checked in check_graph")
-                    .neighbors(self.pid)
-                    .to_vec();
-                for dest in neighbors {
+                let graph = Arc::clone(self.graph.as_ref().expect("checked in check_graph"));
+                for &dest in graph.neighbors(self.pid) {
                     self.post_batch(dest, step);
                 }
             }
@@ -247,9 +271,9 @@ impl ProcTransport for MsgPassProc {
         self.out[dest].extend_from_slice(pkts);
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
-        self.counters.bytes_moved += bytes.len() as u64;
-        self.out_bytes[dest].extend_from_slice(bytes);
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
+        self.counters.bytes_moved += buf.len() as u64;
+        hand_over(&mut self.out_bytes[dest], buf);
     }
 
     fn exchange_begin(&mut self, step: usize) {
@@ -273,7 +297,7 @@ impl ProcTransport for MsgPassProc {
         self.mode = mode;
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         let mode = if self.begun {
             self.begun = false;
             self.begun_mode
@@ -283,24 +307,30 @@ impl ProcTransport for MsgPassProc {
             self.post_all(mode, step);
             mode
         };
-        // Self-delivery (`append` leaves the buffers' allocations in place).
-        self.counters.pkts_moved += self.out[self.pid].len() as u64;
-        self.counters.bytes_moved += (self.out[self.pid].len() * PACKET_SIZE) as u64;
-        inbox.append(&mut self.out[self.pid]);
-        byte_inbox.append(&mut self.out_bytes[self.pid]);
+        // Self-delivery (`append` leaves the packet buffer's allocation in
+        // place).
+        let me = self.pid;
+        self.counters.pkts_moved += self.out[me].len() as u64;
+        self.counters.bytes_moved += (self.out[me].len() * PACKET_SIZE) as u64;
+        inbox.append(&mut self.out[me]);
         // Wait for one batch from every peer — every other process (full) or
         // every graph neighbor (neighborhood) — in pid order (deterministic
         // inbox layout; the BSP contract lets packets arrive in any order).
-        let sources: Vec<usize> = match mode {
-            SyncMode::Full => (0..self.nprocs).filter(|&s| s != self.pid).collect(),
-            SyncMode::Neighborhood => self
-                .graph
-                .as_ref()
-                .expect("checked in check_graph")
-                .neighbors(self.pid)
-                .to_vec(),
+        let graph = match mode {
+            SyncMode::Full => None,
+            SyncMode::Neighborhood => self.graph.clone(),
         };
-        for src in sources {
+        for (src, seg) in byte_inbox.iter_mut().enumerate() {
+            // Every segment is dead; one that nothing replaces stays empty.
+            seg.clear();
+            if src == me {
+                // Own records trade places with the dead segment.
+                std::mem::swap(&mut self.out_bytes[me], seg);
+                continue;
+            }
+            if graph.as_ref().is_some_and(|g| !g.is_neighbor(me, src)) {
+                continue;
+            }
             self.counters.lock_acquisitions += 1; // channel receive
             let batch = match self.receivers[src].as_ref().expect("peer channel").recv() {
                 Ok(b) => b,
@@ -338,8 +368,7 @@ impl ProcTransport for MsgPassProc {
                     );
                 }
             }
-            inbox.extend(batch.pkts);
-            byte_inbox.extend_from_slice(&batch.bytes);
+            (self.spare[src], self.out_bytes[src]) = batch.unload(inbox, seg);
         }
         self.xseq += 1;
         self.prev_mode = mode;

@@ -110,12 +110,12 @@ impl ProcTransport for NetSimProc {
         self.inner.send_batch(dest, pkts);
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
         // Charge the byte lane in packet-equivalents so the emulated g·h
         // delay reflects the true wire volume. ceil(len/16) slightly
         // over-charges short records — a documented approximation (DESIGN §9).
-        self.sent_this_step += bytes.len().div_ceil(PACKET_SIZE) as u64;
-        self.inner.send_bytes(dest, bytes);
+        self.sent_this_step += buf.len().div_ceil(PACKET_SIZE) as u64;
+        self.inner.send_bytes(dest, buf);
     }
 
     fn exchange_begin(&mut self, step: usize) {
@@ -138,13 +138,12 @@ impl ProcTransport for NetSimProc {
         self.mode = mode;
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         let par = step & 1;
         let pid = self.inner.pid;
-        // Record how much this process received by measuring the inbox
-        // growth across the inner exchange.
+        // Record how much this process received: the packet inbox grows
+        // across the inner exchange, the byte segments are replaced by it.
         let before = inbox.len();
-        let byte_before = byte_inbox.len();
         // Contribute our send count before the inner barrier...
         self.st.slots[par].fetch_max(self.sent_this_step, Ordering::AcqRel);
         self.sent_this_step = 0;
@@ -160,8 +159,8 @@ impl ProcTransport for NetSimProc {
         // ...and our receive count before the second barrier. (recv counts
         // are only known after delivery, so h is finalized here.) Byte-lane
         // receives are charged in packet-equivalents, like sends.
-        let recvd = (inbox.len() - before) as u64
-            + (byte_inbox.len() - byte_before).div_ceil(PACKET_SIZE) as u64;
+        let byte_recvd: usize = byte_inbox.iter().map(Vec::len).sum();
+        let recvd = (inbox.len() - before) as u64 + byte_recvd.div_ceil(PACKET_SIZE) as u64;
         self.st.slots[par].fetch_max(recvd, Ordering::AcqRel);
         self.st.barrier2.wait(pid);
         if self.st.barrier2.is_poisoned() {

@@ -10,10 +10,11 @@
 //! paper's `W` (work depth) and total-work columns report.
 //!
 //! Message delivery reuses the double-buffered phase discipline of the
-//! shared-memory backend: a process finishing superstep `s` deposits its
-//! packets in phase `(s+1) mod 2` and, when the baton comes back around, it
-//! drains that phase. The baton order guarantees every process finished
-//! superstep `s` before any process starts `s + 1`.
+//! shared-memory backend (and, for the byte lane, its [`ByteGrid`]): a
+//! process finishing superstep `s` deposits its traffic in phase
+//! `(s+1) mod 2` and, when the baton comes back around, it drains that
+//! phase. The baton order guarantees every process finished superstep `s`
+//! before any process starts `s + 1`.
 
 //! Relaxed boundaries (DESIGN.md §12) are trivial here: with one process
 //! running at a time, the baton already gives every boundary full-barrier
@@ -23,8 +24,9 @@
 //! fails with [`TransportErrorKind::GraphViolation`] exactly as it would
 //! on a concurrent backend, so the simulator stays a faithful oracle.
 
-use super::super::context::ProcTransport;
+use super::super::context::{hand_over, ProcTransport};
 use super::super::packet::{Packet, PACKET_SIZE};
+use super::shared::ByteGrid;
 use crate::fault::{BspError, TransportError, TransportErrorKind};
 use crate::relax::{SyncGraph, SyncMode};
 use crate::stats::TransportCounters;
@@ -35,8 +37,8 @@ pub(crate) struct SeqState {
     /// `bufs[dest][phase]` — no locking needed beyond the baton, but Mutex
     /// keeps the code uniform and the cost is one uncontended lock.
     bufs: Vec<[Mutex<Vec<Packet>>; 2]>,
-    /// `byte_bufs[dest][phase]` — byte-lane records, same phase discipline.
-    byte_bufs: Vec<[Mutex<Vec<u8>>; 2]>,
+    /// Byte-lane records, one slot per `(dest, src, phase)`.
+    bytes: ByteGrid,
     baton: Mutex<BatonState>,
     cv: Condvar,
     /// Set when a process dies holding the baton; wakes every waiter so the
@@ -55,9 +57,7 @@ impl SeqState {
             bufs: (0..nprocs)
                 .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
                 .collect(),
-            byte_bufs: (0..nprocs)
-                .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
-                .collect(),
+            bytes: ByteGrid::new(nprocs),
             baton: Mutex::new(BatonState {
                 current: 0,
                 done: vec![false; nprocs],
@@ -180,9 +180,9 @@ impl ProcTransport for SeqProc {
         self.out[dest].extend_from_slice(pkts);
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
-        self.counters.bytes_moved += bytes.len() as u64;
-        self.out_bytes[dest].extend_from_slice(bytes);
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
+        self.counters.bytes_moved += buf.len() as u64;
+        hand_over(&mut self.out_bytes[dest], buf);
     }
 
     fn set_sync_mode(&mut self, mode: SyncMode) {
@@ -193,7 +193,7 @@ impl ProcTransport for SeqProc {
         self.mode = mode;
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         // The baton serializes everything, so a neighborhood boundary is
         // delivered identically to a full one; only the discipline differs.
         let mode = std::mem::take(&mut self.mode);
@@ -211,13 +211,13 @@ impl ProcTransport for SeqProc {
         for (dest, buf) in self.out_bytes.iter_mut().enumerate() {
             if !buf.is_empty() {
                 self.counters.lock_acquisitions += 1;
-                self.st.byte_bufs[dest][phase].lock().unwrap().append(buf);
+                self.st.bytes.deposit(dest, self.pid, phase, buf);
             }
         }
         self.st.pass_baton(self.pid);
         self.st.wait_for_baton(self.pid);
         inbox.append(&mut self.st.bufs[self.pid][phase].lock().unwrap());
-        byte_inbox.append(&mut self.st.byte_bufs[self.pid][phase].lock().unwrap());
+        self.st.bytes.collect(self.pid, phase, byte_inbox);
     }
 
     fn finish(&mut self) {
@@ -248,10 +248,10 @@ impl ProcTransport for SeqProc {
         }
         // Each endpoint clears its own inbound phase buffers; a full sweep
         // over the group covers the whole shared state.
-        for phase in 0..2 {
-            self.st.bufs[self.pid][phase].lock().unwrap().clear();
-            self.st.byte_bufs[self.pid][phase].lock().unwrap().clear();
+        for buf in &self.st.bufs[self.pid] {
+            buf.lock().unwrap().clear();
         }
+        self.st.bytes.clear(self.pid);
         let mut b = self.st.baton.lock().unwrap();
         b.done[self.pid] = false;
         if self.pid == 0 {

@@ -1,5 +1,6 @@
 //! Shared-memory library version (paper Appendix B.1), rebuilt around
-//! zero-contention slab mailboxes.
+//! zero-contention slab mailboxes for packets and per-pair buffer slots
+//! ([`ByteGrid`]) for the byte lane.
 //!
 //! Each process owns two input mailboxes used in alternating supersteps. The
 //! paper's library lock-protects its input buffers and amortizes the lock by
@@ -23,7 +24,10 @@
 //! happens inside the drain) on one phase are always separated from every
 //! write to that phase by at least one barrier, and the barrier provides the
 //! happens-before edge that makes the relaxed cursor arithmetic and the raw
-//! cell writes visible. See DESIGN.md, "Transport hot path".
+//! cell writes visible. See DESIGN.md, "Transport hot path". The byte lane
+//! follows the same discipline with nothing relaxed about it: a sender
+//! swaps its staging buffer into the `(dest, src, phase)` slot, the owner
+//! swaps it out after the barrier, both under the slot's mutex.
 //!
 //! ## Relaxed boundaries (DESIGN.md §12)
 //!
@@ -42,7 +46,7 @@
 //! phase discipline covers them all alike.
 
 use super::super::barrier::Barrier;
-use super::super::context::ProcTransport;
+use super::super::context::{hand_over, ProcTransport};
 use super::super::packet::{Packet, PACKET_SIZE};
 use crate::check::audit::PhaseAudit;
 use crate::fault::{BspError, TransportError, TransportErrorKind};
@@ -212,154 +216,70 @@ impl Mailbox {
     }
 }
 
-/// A single-phase byte-lane mailbox: the variable-length counterpart of
-/// [`Mailbox`]. Senders deposit buffers of framed `[src|len|payload]`
-/// records with one `fetch_add` reservation and one `memcpy`; the owner
-/// drains zero-copy between barriers under the same phase discipline.
+/// The byte lane's fabric: one buffer slot per `(dest, src, phase)`.
 ///
-/// Records must stay contiguous — a record split across the slab/overflow
-/// boundary would interleave with other spillers' locked appends — so a
-/// reservation that straddles the capacity goes *entirely* to the overflow,
-/// and the drain truncates the slab's valid prefix at the straddler's start.
-/// Reservations tile `0..total` densely, so at most one reservation per
-/// phase can contain the capacity boundary; everything after it starts past
-/// the capacity and takes the all-overflow path.
-pub(crate) struct ByteMailbox {
-    /// Write cursor: total bytes reserved this phase.
-    cursor: CachePadded<AtomicUsize>,
-    /// Slab data pointer; always `(*vec.get()).as_mut_ptr()`.
-    data: AtomicPtr<u8>,
-    /// Slab capacity in bytes; always `(*vec.get()).capacity()`.
-    cap: AtomicUsize,
-    /// The `Vec` owning the slab (length 0 outside `drain`). Owner-only.
-    vec: UnsafeCell<Vec<u8>>,
-    /// Start offset of the unique reservation that straddled `cap` this
-    /// phase; `usize::MAX` when none. Written by at most one sender per
-    /// phase (see the struct docs), read by the owner's drain.
-    straddle: AtomicUsize,
-    /// Spillover for the straddling reservation and everything after it.
-    overflow: Mutex<Vec<u8>>,
+/// Byte-lane records are never copied between processes — the buffer they
+/// were staged in is handed over. A slot has exactly one writer (`src`,
+/// during a superstep that writes `phase`) and one reader (`dest`, right
+/// after the boundary that closes it), and both only ever `mem::swap` its
+/// buffer with one of their own: the sender trades its full staging buffer
+/// for the slot's empty one, the owner trades last superstep's dead inbox
+/// segment for the slot's full one. Four buffers therefore circulate per
+/// ordered pair — staging, the two phase slots, the inbox segment — and a
+/// steady traffic level allocates nothing. The phase discipline (module
+/// docs) keeps writer and reader a barrier apart, so the mutex is never
+/// contended; it is there so that the hand-over needs no `unsafe`.
+pub(crate) struct ByteGrid {
+    /// `slots[dest][src][phase]`.
+    slots: Vec<Vec<[Mutex<Vec<u8>>; 2]>>,
 }
 
-// SAFETY: same protocol as `Mailbox` — concurrent `push` calls write
-// disjoint byte ranges of the slab (the `fetch_add` reservation), and
-// `drain`, the only code touching `vec` or republishing `data`/`cap`, runs
-// in a window the superstep barrier separates from every push to this
-// phase.
-unsafe impl Sync for ByteMailbox {}
-
-impl ByteMailbox {
-    // pub(crate) for the loom suite, as with [`Mailbox::new`].
-    pub(crate) fn new(cap: usize) -> Self {
-        let mut vec: Vec<u8> = Vec::with_capacity(cap.max(1));
-        ByteMailbox {
-            cursor: CachePadded::new(AtomicUsize::new(0)),
-            data: AtomicPtr::new(vec.as_mut_ptr()),
-            cap: AtomicUsize::new(vec.capacity()),
-            vec: UnsafeCell::new(vec),
-            straddle: AtomicUsize::new(usize::MAX),
-            overflow: Mutex::new(Vec::new()),
+impl ByteGrid {
+    pub(crate) fn new(nprocs: usize) -> Self {
+        ByteGrid {
+            slots: (0..nprocs)
+                .map(|_| {
+                    (0..nprocs)
+                        .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
+                        .collect()
+                })
+                .collect(),
         }
     }
 
-    /// Deposit a buffer of complete records: one atomic reservation, one
-    /// contiguous copy. A buffer that does not fit entirely inside the slab
-    /// goes entirely to the locked overflow (records stay contiguous).
-    /// Callable concurrently from any thread.
-    pub(crate) fn push(&self, bytes: &[u8], counters: &mut TransportCounters) {
-        if bytes.is_empty() {
-            return;
-        }
-        // Relaxed suffices: disjointness needs only the RMW's atomicity, and
-        // visibility to the drain is given by the superstep barrier.
-        let start = self.cursor.0.fetch_add(bytes.len(), Ordering::Relaxed);
-        counters.slab_reservations += 1;
-        counters.bytes_moved += bytes.len() as u64;
-        let cap = self.cap.load(Ordering::Relaxed);
-        if start + bytes.len() <= cap {
-            // SAFETY: the range `start..start + len` lies inside the slab
-            // buffer's capacity and belongs exclusively to this reservation;
-            // the owner never touches the buffer while pushes can run.
-            unsafe {
-                let dst = self.data.load(Ordering::Relaxed).add(start);
-                std::ptr::copy_nonoverlapping(bytes.as_ptr(), dst, bytes.len());
-            }
-            return;
-        }
-        if start < cap {
-            // This reservation straddles the capacity boundary. Densely
-            // tiled ranges admit at most one such reservation per phase, so
-            // this plain store cannot race another straddler.
-            self.straddle.store(start, Ordering::Relaxed);
-        }
-        counters.overflow_spills += 1;
-        counters.lock_acquisitions += 1;
-        let mut ov = self.overflow.lock().unwrap();
-        ov.extend_from_slice(bytes);
+    /// Sender side: hand `src`'s records for `dest` to the slot of `phase`
+    /// and leave `buf` empty — holding the slot's previous (empty) buffer
+    /// unless this superstep already deposited there (eager mode), in which
+    /// case the records are appended.
+    pub(crate) fn deposit(&self, dest: usize, src: usize, phase: usize, buf: &mut Vec<u8>) {
+        let mut slot = self.slots[dest][src][phase]
+            .lock()
+            .expect("byte slot lock poisoned");
+        hand_over(&mut slot, buf);
     }
 
-    /// Owner-only: move everything deposited this phase into `inbox`, reset
-    /// the cursor, and grow the slab if the phase overflowed. Must only be
-    /// called between the barrier ending the phase's superstep and the next
-    /// barrier. Zero-copy in the common case: the filled slab buffer is
-    /// swapped with `inbox` and the inbox's old buffer becomes the next
-    /// slab, so buffers circulate and a steady traffic level allocates
-    /// nothing.
-    pub(crate) fn drain(&self, inbox: &mut Vec<u8>, counters: &mut TransportCounters) {
-        let total = self.cursor.0.swap(0, Ordering::Relaxed);
-        if total == 0 {
-            return;
+    /// Owner side, between the boundary that closes `phase` and the next
+    /// one: trade every inbox segment for the matching slot's buffer, so
+    /// `byte_inbox[src]` holds what `src` deposited and the slot keeps the
+    /// dead segment's allocation. Returns how many slots held records.
+    pub(crate) fn collect(&self, dest: usize, phase: usize, byte_inbox: &mut [Vec<u8>]) -> u64 {
+        let mut filled = 0;
+        for (slot, seg) in self.slots[dest].iter().zip(byte_inbox) {
+            let mut slot = slot[phase].lock().expect("byte slot lock poisoned");
+            std::mem::swap(&mut *slot, seg);
+            slot.clear();
+            filled += u64::from(!seg.is_empty());
         }
-        let straddle = self.straddle.swap(usize::MAX, Ordering::Relaxed);
-        self.vec.with_mut(|vptr| {
-            // SAFETY: exclusive access during the drain window (phase
-            // discipline); no push to this phase can run concurrently —
-            // under `--cfg loom` the model checker verifies exactly this
-            // via the cell's happens-before tracking.
-            let vec = unsafe { &mut *vptr };
-            let cap = vec.capacity();
-            // Valid slab prefix: reservations tile densely from 0, so every
-            // byte below min(total, cap, straddle) was written by a completed
-            // in-slab push — the straddler and everything after it went to
-            // the overflow.
-            let used = total.min(cap).min(straddle);
-            // SAFETY: `used` bytes of the buffer are initialized (see above).
-            unsafe { vec.set_len(used) };
-            std::mem::swap(inbox, vec);
-            // `vec` is now the inbox's previous buffer; the receiver already
-            // consumed record boundaries out of it, so just recycle it.
-            if !vec.is_empty() {
-                inbox.append(vec);
-            }
-            vec.clear();
-            if total > used {
-                counters.lock_acquisitions += 1;
-                let mut ov = self.overflow.lock().unwrap();
-                debug_assert_eq!(ov.len(), total - used, "byte overflow bookkeeping");
-                inbox.append(&mut ov);
-            }
-            // Republish the slab: grow so the next burst of this size is
-            // lock-free, otherwise reuse the circulated buffer as-is.
-            let need = if total > used {
-                total.next_power_of_two()
-            } else {
-                cap
-            };
-            if vec.capacity() < need {
-                if total > used {
-                    counters.slab_regrows += 1;
-                }
-                *vec = Vec::with_capacity(need);
-            }
-            self.data.store(vec.as_mut_ptr(), Ordering::Relaxed);
-            self.cap.store(vec.capacity(), Ordering::Relaxed);
-        });
+        filled
     }
 
-    /// Current slab capacity in bytes (test hook).
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        self.cap.load(Ordering::Relaxed)
+    /// Arena reset between jobs (owner only, outside any exchange): drop
+    /// whatever was deposited for `dest` after the job's last boundary,
+    /// keeping every slot's capacity.
+    pub(crate) fn clear(&self, dest: usize) {
+        for slot in self.slots[dest].iter().flatten() {
+            slot.lock().expect("byte slot lock poisoned").clear();
+        }
     }
 }
 
@@ -376,28 +296,14 @@ impl Mailbox {
     }
 }
 
-impl ByteMailbox {
-    /// Arena reset between jobs; see [`Mailbox::reset`]. Also clears the
-    /// straddle marker so the next phase starts with a whole slab.
-    pub(crate) fn reset(&self) {
-        let total = self.cursor.0.swap(0, Ordering::Relaxed);
-        let straddle = self.straddle.swap(usize::MAX, Ordering::Relaxed);
-        if total > self.cap.load(Ordering::Relaxed) || straddle != usize::MAX {
-            self.overflow.lock().unwrap().clear();
-        }
-    }
-}
-
 /// Global state shared by all processes: the double-buffered mailboxes and
 /// the barrier.
 pub(crate) struct SharedState {
     /// `mailboxes[dest][phase]`, phase alternating by superstep.
     pub(crate) mailboxes: Vec<[Mailbox; 2]>,
-    /// `byte_mailboxes[dest][phase]`: the byte-lane ring, same phase
-    /// discipline as the packet slabs. Initial capacity is
-    /// `slab_cap × PACKET_SIZE` bytes, so one `Config::slab_cap` knob sizes
-    /// both rings (slab pages are touched lazily either way).
-    pub(crate) byte_mailboxes: Vec<[ByteMailbox; 2]>,
+    /// The byte lane: per-pair buffer slots under the same phase
+    /// discipline as the packet slabs.
+    pub(crate) bytes: ByteGrid,
     pub(crate) barrier: Box<dyn Barrier>,
     /// Shadow-state phase-discipline validator; attached on checked runs
     /// only, so the unchecked hot path pays one predictable branch.
@@ -427,14 +333,11 @@ impl SharedState {
         graph: Option<Arc<SyncGraph>>,
     ) -> Arc<Self> {
         let cap = slab_cap.max(1);
-        let byte_cap = cap.saturating_mul(PACKET_SIZE);
         Arc::new(SharedState {
             mailboxes: (0..nprocs)
                 .map(|_| [Mailbox::new(cap), Mailbox::new(cap)])
                 .collect(),
-            byte_mailboxes: (0..nprocs)
-                .map(|_| [ByteMailbox::new(byte_cap), ByteMailbox::new(byte_cap)])
-                .collect(),
+            bytes: ByteGrid::new(nprocs),
             barrier,
             audit,
             relax: graph.map(|graph| RelaxShared {
@@ -501,22 +404,22 @@ impl SharedProc {
         (self.cur_step + 1) & 1
     }
 
-    /// Drain this process's packet and byte mailboxes for the phase that
-    /// superstep `step + 1` reads, appending into the two inboxes. One
-    /// audit window covers both drains: they share the same
-    /// barrier-separated slot of the phase discipline.
+    /// Drain this process's packet mailbox and byte slots for the phase
+    /// that superstep `step + 1` reads: packets are appended to `inbox`,
+    /// byte segments replaced. One audit window covers both drains: they
+    /// share the same barrier-separated slot of the phase discipline.
     pub(crate) fn drain_own(
         &mut self,
         step: usize,
         inbox: &mut Vec<Packet>,
-        byte_inbox: &mut Vec<u8>,
+        byte_inbox: &mut [Vec<u8>],
     ) {
         let phase = (step + 1) & 1;
         if let Some(a) = &self.st.audit {
             a.on_drain_start(self.pid, phase, step);
         }
         self.st.mailboxes[self.pid][phase].drain(inbox, &mut self.counters);
-        self.st.byte_mailboxes[self.pid][phase].drain(byte_inbox, &mut self.counters);
+        self.counters.lock_acquisitions += self.st.bytes.collect(self.pid, phase, byte_inbox);
         if let Some(a) = &self.st.audit {
             a.on_drain_end(self.pid, phase);
         }
@@ -570,17 +473,18 @@ impl ProcTransport for SharedProc {
         self.st.mailboxes[dest][phase].push(pkts, &mut self.counters);
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
         // The context hands over a whole superstep's records per destination
-        // (or, in eager mode, one completed record at a time), so this is
-        // one reservation + one memcpy straight into the destination's byte
-        // slab — no per-message staging.
+        // (or, in eager mode, one completed record at a time): the buffer
+        // itself goes into this pair's slot, nothing is copied.
         self.sent_dests[dest] = true;
         let phase = self.write_phase();
         if let Some(a) = &self.st.audit {
             a.on_push(self.pid, dest, phase, self.cur_step);
         }
-        self.st.byte_mailboxes[dest][phase].push(bytes, &mut self.counters);
+        self.counters.lock_acquisitions += 1;
+        self.counters.bytes_moved += buf.len() as u64;
+        self.st.bytes.deposit(dest, self.pid, phase, buf);
     }
 
     fn exchange_begin(&mut self, step: usize) {
@@ -613,7 +517,7 @@ impl ProcTransport for SharedProc {
         self.mode = mode;
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         debug_assert_eq!(step, self.cur_step);
         let mode;
         let ok = if self.begun {
@@ -720,16 +624,14 @@ impl ProcTransport for SharedProc {
             // transport never carries wakes into the next job.
             rx.neigh.flush(&mut self.pending_wakes);
         }
-        // Each endpoint rewinds its *own* mailboxes (both phases): packets
-        // sent after a job's last sync still reach a slab (the context hands
-        // its staging over as it finishes), and a leased slice must never
-        // observe a prior job's packets.
+        // Each endpoint rewinds its *own* mailboxes and byte slots (both
+        // phases): traffic sent after a job's last sync still reaches them
+        // (the context hands its staging over as it finishes), and a leased
+        // slice must never observe a prior job's traffic.
         for mb in &self.st.mailboxes[self.pid] {
             mb.reset();
         }
-        for mb in &self.st.byte_mailboxes[self.pid] {
-            mb.reset();
-        }
+        self.st.bytes.clear(self.pid);
         self.cur_step = 0;
         self.mode = SyncMode::Full;
         self.prev_mode = SyncMode::Full;
@@ -830,127 +732,6 @@ mod tests {
         }
     }
 
-    /// Frame one record the way `Ctx::send_bytes` does.
-    fn record(src: u32, payload: &[u8]) -> Vec<u8> {
-        let mut r = Vec::with_capacity(8 + payload.len());
-        r.extend_from_slice(&src.to_le_bytes());
-        r.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        r.extend_from_slice(payload);
-        r
-    }
-
-    /// Parse drained records back into `(src, payload)` pairs.
-    fn parse(buf: &[u8]) -> Vec<(u32, Vec<u8>)> {
-        let mut out = Vec::new();
-        let mut pos = 0;
-        while pos < buf.len() {
-            let src = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-            let len = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap()) as usize;
-            out.push((src, buf[pos + 8..pos + 8 + len].to_vec()));
-            pos += 8 + len;
-        }
-        out
-    }
-
-    #[test]
-    fn byte_mailbox_roundtrip_within_capacity() {
-        let mb = ByteMailbox::new(256);
-        let mut c = TransportCounters::default();
-        mb.push(&record(0, b"hello"), &mut c);
-        mb.push(&record(1, b""), &mut c);
-        mb.push(&record(2, &[7u8; 40]), &mut c);
-        let mut out = Vec::new();
-        mb.drain(&mut out, &mut c);
-        let mut got = parse(&out);
-        got.sort();
-        assert_eq!(
-            got,
-            vec![(0, b"hello".to_vec()), (1, Vec::new()), (2, vec![7u8; 40])]
-        );
-        assert_eq!(c.lock_acquisitions, 0, "in-capacity traffic takes no lock");
-        assert_eq!(c.overflow_spills, 0);
-        assert_eq!(c.slab_reservations, 3);
-        assert_eq!(c.bytes_moved, (13 + 8 + 48) as u64);
-    }
-
-    #[test]
-    fn byte_mailbox_straddler_keeps_records_whole() {
-        // Capacity 20: a 13-byte record fits, the next 13-byte record
-        // straddles the boundary and must land intact in the overflow, and a
-        // third lands entirely past the cap.
-        let mb = ByteMailbox::new(20);
-        let mut c = TransportCounters::default();
-        mb.push(&record(0, b"aaaaa"), &mut c);
-        mb.push(&record(1, b"bbbbb"), &mut c);
-        mb.push(&record(2, b"ccccc"), &mut c);
-        assert_eq!(c.overflow_spills, 2);
-        let mut out = Vec::new();
-        mb.drain(&mut out, &mut c);
-        let mut got = parse(&out);
-        got.sort();
-        assert_eq!(
-            got,
-            vec![
-                (0, b"aaaaa".to_vec()),
-                (1, b"bbbbb".to_vec()),
-                (2, b"ccccc".to_vec())
-            ]
-        );
-        // Grown past the total burst; the same burst next phase is lock-free.
-        assert!(mb.capacity() >= 39, "grown to {}", mb.capacity());
-        let before = c.lock_acquisitions;
-        mb.push(&record(0, b"aaaaa"), &mut c);
-        mb.push(&record(1, b"bbbbb"), &mut c);
-        mb.push(&record(2, b"ccccc"), &mut c);
-        assert_eq!(c.lock_acquisitions, before);
-        let mut out2 = Vec::new();
-        mb.drain(&mut out2, &mut c);
-        assert_eq!(parse(&out2).len(), 3);
-    }
-
-    #[test]
-    fn byte_mailbox_concurrent_pushes_preserve_framing() {
-        // Writers hammer a deliberately tiny slab so in-slab, straddling,
-        // and all-overflow paths all fire; every record must come back
-        // intact exactly once.
-        let mb = ByteMailbox::new(64);
-        let writers = 8usize;
-        let per = 300usize;
-        std::thread::scope(|s| {
-            for w in 0..writers {
-                let mb = &mb;
-                s.spawn(move || {
-                    let mut c = TransportCounters::default();
-                    for i in 0..per {
-                        // Variable payload sizes exercise misaligned tiling.
-                        let mut payload = vec![(w * 31 + i) as u8; 4 + (i % 23)];
-                        payload[..4].copy_from_slice(&(i as u32).to_le_bytes());
-                        mb.push(&record(w as u32, &payload), &mut c);
-                    }
-                });
-            }
-        });
-        let mut out = Vec::new();
-        let mut c = TransportCounters::default();
-        mb.drain(&mut out, &mut c);
-        let got = parse(&out);
-        assert_eq!(got.len(), writers * per);
-        let mut counts = vec![0usize; writers];
-        for (src, _) in &got {
-            counts[*src as usize] += 1;
-        }
-        assert!(counts.iter().all(|&n| n == per), "{:?}", counts);
-    }
-
-    #[test]
-    fn byte_mailbox_empty_drain_is_noop() {
-        let mb = ByteMailbox::new(16);
-        let mut c = TransportCounters::default();
-        let mut out = Vec::new();
-        mb.drain(&mut out, &mut c);
-        assert!(out.is_empty());
-    }
-
     #[test]
     fn shared_proc_counters_flow_through_exchange() {
         let st = SharedState::new(2, BarrierKind::Central.build(2), 16);
@@ -965,7 +746,7 @@ mod tests {
             b.send_batch(0, to_a);
         }
         let (mut ia, mut ib) = (Vec::new(), Vec::new());
-        let (mut ba, mut bb) = (Vec::new(), Vec::new());
+        let (mut ba, mut bb) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
         std::thread::scope(|s| {
             s.spawn(|| a.exchange(0, &mut ia, &mut ba));
             s.spawn(|| b.exchange(0, &mut ib, &mut bb));

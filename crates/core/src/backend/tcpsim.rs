@@ -13,7 +13,7 @@
 // participate in index arithmetic); clippy's iterator suggestions obscure them.
 #![allow(clippy::needless_range_loop)]
 
-use super::super::context::ProcTransport;
+use super::super::context::{hand_over, ProcTransport};
 use super::super::packet::{Packet, PACKET_SIZE};
 use super::msgpass::{batch_checksum, Batch};
 use crate::fault::{BspError, FaultTolerance, TransportError, TransportErrorKind};
@@ -96,8 +96,13 @@ pub(crate) fn verify_batch(batch: &Batch, expect_seq: u64) -> Result<(), Transpo
 pub(crate) struct TcpSimProc {
     pid: usize,
     out: Vec<Vec<Packet>>,
-    /// Per-destination byte-lane output buffers; shipped in the same staged
-    /// conversation as the packets (one [`Batch`] per pipe transfer).
+    /// `spare[peer]`: the emptied buffer `peer`'s last batch arrived in —
+    /// the next replacement for `out[peer]`.
+    spare: Vec<Vec<Packet>>,
+    /// Per-destination byte-lane records, taken over from the context whole
+    /// and shipped in the same staged conversation as the packets (one
+    /// [`Batch`] per pipe transfer); between boundaries an empty entry keeps
+    /// the dead inbox segment that the next hand-over gives back.
     out_bytes: Vec<Vec<u8>>,
     schedule: Arc<Schedule>,
     /// `senders[dest]` / `receivers[src]`: one bounded pipe per ordered pair,
@@ -175,6 +180,7 @@ impl TcpSimProc {
             .map(|pid| TcpSimProc {
                 pid,
                 out: vec![Vec::new(); nprocs],
+                spare: vec![Vec::new(); nprocs],
                 out_bytes: vec![Vec::new(); nprocs],
                 schedule: Arc::clone(&schedule),
                 senders: std::mem::take(&mut tx[pid]),
@@ -384,9 +390,9 @@ impl ProcTransport for TcpSimProc {
         self.out[dest].extend_from_slice(pkts);
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
-        self.counters.bytes_moved += bytes.len() as u64;
-        self.out_bytes[dest].extend_from_slice(bytes);
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
+        self.counters.bytes_moved += buf.len() as u64;
+        hand_over(&mut self.out_bytes[dest], buf);
     }
 
     fn set_sync_mode(&mut self, mode: SyncMode) {
@@ -397,14 +403,19 @@ impl ProcTransport for TcpSimProc {
         self.mode = mode;
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         let mode = std::mem::take(&mut self.mode);
         self.check_graph(mode, step);
-        // Self-delivery first (`append` keeps the buffers' allocations).
+        // Every segment is dead; the ones no batch replaces stay empty.
+        for seg in byte_inbox.iter_mut() {
+            seg.clear();
+        }
+        // Self-delivery first (`append` keeps the packet buffer's
+        // allocation; the byte records trade places with the dead segment).
         self.counters.pkts_moved += self.out[self.pid].len() as u64;
         self.counters.bytes_moved += (self.out[self.pid].len() * PACKET_SIZE) as u64;
         inbox.append(&mut self.out[self.pid]);
-        byte_inbox.append(&mut self.out_bytes[self.pid]);
+        std::mem::swap(&mut self.out_bytes[self.pid], &mut byte_inbox[self.pid]);
         // Staged conversation: in each round talk to exactly one partner.
         // Lower pid transmits first; the partner reads the pipe before
         // replying — the scheduling that avoids blocking-TCP deadlock.
@@ -429,15 +440,15 @@ impl ProcTransport for TcpSimProc {
             {
                 continue; // relaxed boundary: no rendezvous with non-neighbors
             }
-            // Pre-size the replacement buffers from this superstep's volume;
-            // the outgoing allocations travel to the partner.
+            // The outgoing allocations travel to the partner; the one its
+            // last batch arrived in takes the packet buffer's place, and
+            // the byte entry is refilled below the same way.
             let volume = self.out[partner].len();
-            let byte_volume = self.out_bytes[partner].len();
-            let pkts = std::mem::replace(&mut self.out[partner], Vec::with_capacity(volume));
-            let bytes = std::mem::replace(
-                &mut self.out_bytes[partner],
-                Vec::with_capacity(byte_volume),
+            let pkts = std::mem::replace(
+                &mut self.out[partner],
+                std::mem::take(&mut self.spare[partner]),
             );
+            let bytes = std::mem::take(&mut self.out_bytes[partner]);
             let checksum = if self.hardened {
                 batch_checksum(&pkts, &bytes)
             } else {
@@ -452,17 +463,16 @@ impl ProcTransport for TcpSimProc {
             self.counters.lock_acquisitions += 2; // pipe send + recv
             self.counters.pkts_moved += volume as u64;
             self.counters.bytes_moved += (volume * PACKET_SIZE) as u64;
-            if self.pid < partner {
+            let got = if self.pid < partner {
                 self.transmit(partner, step, batch);
-                let got = self.receive(partner, step);
-                inbox.extend(got.pkts);
-                byte_inbox.extend_from_slice(&got.bytes);
+                self.receive(partner, step)
             } else {
                 let got = self.receive(partner, step);
-                inbox.extend(got.pkts);
-                byte_inbox.extend_from_slice(&got.bytes);
                 self.transmit(partner, step, batch);
-            }
+                got
+            };
+            (self.spare[partner], self.out_bytes[partner]) =
+                got.unload(inbox, &mut byte_inbox[partner]);
         }
         self.xseq += 1;
         self.prev_mode = mode;
@@ -657,17 +667,17 @@ mod tests {
         });
         let t0 = std::thread::spawn(move || {
             let mut inbox = Vec::new();
-            let mut bytes = Vec::new();
+            let mut bytes = vec![Vec::new(); 2];
             p0.send_batch(1, &[Packet([42u8; PACKET_SIZE])]);
-            p0.send_bytes(1, &[10, 20, 30]);
+            p0.send_bytes(1, &mut vec![10, 20, 30]);
             p0.exchange(0, &mut inbox, &mut bytes);
         });
         let mut inbox = Vec::new();
-        let mut bytes = Vec::new();
+        let mut bytes = vec![Vec::new(); 2];
         p1.exchange(0, &mut inbox, &mut bytes);
         assert_eq!(inbox.len(), 1);
         assert_eq!(inbox[0].0[0], 42);
-        assert_eq!(bytes, vec![10, 20, 30]);
+        assert_eq!(bytes, [vec![10, 20, 30], vec![]]);
         t0.join().unwrap();
         drop(p1); // closes the relay's outbound pipe
         relay.join().unwrap();

@@ -239,10 +239,10 @@ impl ProcTransport for Box<dyn ProcTransport> {
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         (**self).send_batch(dest, pkts)
     }
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
-        (**self).send_bytes(dest, bytes)
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
+        (**self).send_bytes(dest, buf)
     }
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         (**self).exchange(step, inbox, byte_inbox)
     }
     // The relaxed-synchronization hooks must forward explicitly: this impl
@@ -367,9 +367,9 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
         self.inner.send_batch(dest, pkts);
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
-        self.sent_bytes_to[dest] += bytes.len() as u64;
-        self.inner.send_bytes(dest, bytes);
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
+        self.sent_bytes_to[dest] += buf.len() as u64;
+        self.inner.send_bytes(dest, buf);
     }
 
     fn exchange_begin(&mut self, _step: usize) {
@@ -393,7 +393,7 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
         self.mode = mode;
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         debug_assert_eq!(step, self.step, "transport driven out of order");
         let phase = step & 1;
         let mode = std::mem::take(&mut self.mode);
@@ -411,7 +411,6 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
             *n = 0;
         }
         let before = inbox.len();
-        let byte_before = byte_inbox.len();
         self.inner.exchange(step, inbox, byte_inbox);
         let delivered = (inbox.len() - before) as u64;
         let expected = self.shared.ledger.take(self.pid, phase);
@@ -431,7 +430,8 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
                 },
             );
         }
-        let bytes_delivered = (byte_inbox.len() - byte_before) as u64;
+        // The byte segments are replaced, not appended to.
+        let bytes_delivered = byte_inbox.iter().map(|seg| seg.len() as u64).sum::<u64>();
         let bytes_expected = self.shared.ledger_bytes.take(self.pid, phase);
         if bytes_delivered != bytes_expected {
             report(

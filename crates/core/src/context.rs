@@ -40,14 +40,16 @@ pub(crate) trait ProcTransport: Send {
     /// calls for one destination in one superstep accumulate.
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]);
 
-    /// Queue a buffer of byte-lane records (complete `[src|len|payload]`
-    /// frames, already packed back to back) for `dest`. [`Ctx::sync`] calls
-    /// this at most once per destination per superstep with the whole
-    /// superstep's staged traffic; eager mode ([`Ctx::set_eager`]) instead
-    /// calls it once per *record* as each message is finished. Either way a
-    /// backend must append — repeated calls for one destination in one
-    /// superstep accumulate.
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]);
+    /// Take over a non-empty buffer of byte-lane records (complete
+    /// `[src|len|payload]` frames, packed back to back) for `dest` and leave
+    /// `buf` empty. The buffer is *moved*, not copied: a transport holding
+    /// nothing for `dest` yet swaps allocations with the caller
+    /// ([`hand_over`]), so `buf` comes back as a recycled allocation.
+    /// [`Ctx::sync`] calls this at most once per destination per superstep
+    /// with the whole superstep's staged traffic; eager mode
+    /// ([`Ctx::set_eager`]) calls it once per *record*, and only those
+    /// repeated calls for one destination in one superstep append.
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>);
 
     /// First half of a split-phase boundary for superstep `step`: flush
     /// queued traffic and *announce* arrival at the rendezvous without
@@ -68,11 +70,16 @@ pub(crate) trait ProcTransport: Send {
 
     /// Complete superstep `step` (0-based): flush queued packets, perform the
     /// global synchronization, and append the packets addressed to this
-    /// process during `step` to `inbox` (and the byte-lane records to
-    /// `byte_inbox`). When an [`exchange_begin`](ProcTransport::exchange_begin)
-    /// for the same step already ran, this is the second half of the
-    /// split-phase pair and must not re-flush.
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>);
+    /// process during `step` to `inbox`. The byte lane is delivered by
+    /// *replacing* `byte_inbox`: on return `byte_inbox[src]` holds exactly
+    /// the records `src` sent here during `step` — whole records, in `src`'s
+    /// send order, empty if it sent none. What the segments held on entry
+    /// (the previous superstep's deliveries, dead by now) are the
+    /// allocations the transport recycles. When an
+    /// [`exchange_begin`](ProcTransport::exchange_begin) for the same step
+    /// already ran, this is the second half of the split-phase pair and
+    /// must not re-flush.
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]);
 
     /// The user function returned. Transports that serialize execution use
     /// this to hand control onward; barrier-based transports rely on the
@@ -111,6 +118,19 @@ pub(crate) trait ProcTransport: Send {
     fn reset(&mut self) -> bool {
         false
     }
+}
+
+/// Move `buf`'s records behind whatever `held` already has and leave `buf`
+/// empty. When `held` is empty — every hand-over but an eager one — the two
+/// allocations are swapped and nothing is copied.
+#[inline]
+pub(crate) fn hand_over(held: &mut Vec<u8>, buf: &mut Vec<u8>) {
+    if held.is_empty() {
+        std::mem::swap(held, buf);
+    } else {
+        held.extend_from_slice(buf);
+    }
+    buf.clear();
 }
 
 /// Per-process checkpoint plumbing, present only when the run has a
@@ -155,14 +175,18 @@ pub struct Ctx {
     /// delivery is switched off.
     chunk: usize,
     /// Per-destination byte-lane staging: framed records accumulated during
-    /// the superstep and handed to the transport in one piece at `sync`.
+    /// the superstep. At `sync` the transport takes each buffer whole and
+    /// leaves a recycled one in its place (see DESIGN.md §9).
     byte_out: Vec<Vec<u8>>,
-    /// Byte-lane records delivered this superstep (double-buffered with
-    /// `byte_spare`, like the packet inbox).
-    byte_inbox: Vec<u8>,
-    byte_spare: Vec<u8>,
-    /// Read cursor into `byte_inbox` (record-granular).
+    /// Byte-lane records delivered this superstep, one segment per source
+    /// pid. The next `exchange` replaces every segment and recycles the
+    /// allocations.
+    byte_inbox: Vec<Vec<u8>>,
+    /// Read cursor: segment, and record-granular offset into it.
+    byte_seg: usize,
     byte_pos: usize,
+    /// Delivered bytes not yet read, over all segments.
+    byte_unread: usize,
     step: usize,
     sent_this_step: u64,
     sent_bytes_this_step: u64,
@@ -219,8 +243,8 @@ pub struct MsgWriter<'a> {
     /// Offset of this record's header in `buf`.
     start: usize,
     sent_bytes: &'a mut u64,
-    /// Eager delivery ([`Ctx::set_eager`]): flush this record straight to
-    /// the transport when the writer drops, leaving nothing staged.
+    /// Eager delivery ([`Ctx::set_eager`]): hand the buffer to the transport
+    /// when the writer drops, leaving nothing staged.
     eager: Option<(&'a mut Box<dyn ProcTransport>, usize)>,
 }
 
@@ -275,12 +299,13 @@ impl Drop for MsgWriter<'_> {
         self.buf[self.start + 4..self.start + MSG_HDR].copy_from_slice(&(len as u32).to_le_bytes());
         *self.sent_bytes += (MSG_HDR + len) as u64;
         if let Some((transport, dest)) = self.eager.as_mut() {
-            // Eager delivery: the record is complete, hand it to the
-            // transport now and unstage it. Delivery timing is unchanged —
-            // the bytes become readable at `dest` only after the next
-            // boundary — but the boundary itself has nothing left to move.
-            transport.send_bytes(*dest, &self.buf[self.start..]);
-            self.buf.truncate(self.start);
+            // Eager delivery: the record is complete, hand the buffer over
+            // now (nothing else is staged in it: switching the mode on
+            // flushed the lane, and every eager record leaves when it is
+            // complete). Delivery timing is unchanged — the bytes become
+            // readable at `dest` only after the next boundary — but the
+            // boundary itself has nothing left to move.
+            transport.send_bytes(*dest, self.buf);
         }
     }
 }
@@ -304,9 +329,10 @@ impl Ctx {
             flush_at: chunk,
             chunk,
             byte_out: vec![Vec::new(); nprocs],
-            byte_inbox: Vec::new(),
-            byte_spare: Vec::new(),
+            byte_inbox: vec![Vec::new(); nprocs],
+            byte_seg: 0,
             byte_pos: 0,
+            byte_unread: 0,
             step: 0,
             sent_this_step: 0,
             sent_bytes_this_step: 0,
@@ -351,12 +377,12 @@ impl Ctx {
             buf.clear();
         }
         self.flush_at = self.chunk;
-        for buf in &mut self.byte_out {
+        for buf in self.byte_out.iter_mut().chain(&mut self.byte_inbox) {
             buf.clear();
         }
-        self.byte_inbox.clear();
-        self.byte_spare.clear();
+        self.byte_seg = 0;
         self.byte_pos = 0;
+        self.byte_unread = 0;
         self.step = 0;
         self.sent_this_step = 0;
         self.sent_bytes_this_step = 0;
@@ -504,16 +530,33 @@ impl Ctx {
         }
     }
 
+    /// Cross the boundary: retire the previous superstep's deliveries and
+    /// let the transport deliver this one's.
+    fn deliver(&mut self) {
+        // Swap the double-buffered packet inboxes: the buffer delivered into
+        // keeps its allocation from two supersteps ago, so a steady traffic
+        // level reallocates neither buffer. The byte segments need no spare:
+        // the transport trades each for the buffer its records arrived in.
+        std::mem::swap(&mut self.inbox, &mut self.spare);
+        self.inbox.clear();
+        self.inbox_pos = 0;
+        self.transport
+            .exchange(self.step, &mut self.inbox, &mut self.byte_inbox);
+        self.byte_seg = 0;
+        self.byte_pos = 0;
+        self.byte_unread = self.byte_inbox.iter().map(Vec::len).sum();
+    }
+
     /// Hand everything still staged — both lanes, every destination — to
-    /// the transport (clearing keeps each buffer's allocation). Every
-    /// boundary flavor starts here, so a transport's `exchange` or
-    /// `exchange_begin` never has to ask for staged traffic.
+    /// the transport (packet buffers are cleared and keep their allocation,
+    /// byte buffers are traded for recycled ones). Every boundary flavor
+    /// starts here, so a transport's `exchange` or `exchange_begin` never
+    /// has to ask for staged traffic.
     fn flush_staged(&mut self) {
         for dest in 0..self.nprocs {
             self.flush_pkts(dest);
             if !self.byte_out[dest].is_empty() {
-                self.transport.send_bytes(dest, &self.byte_out[dest]);
-                self.byte_out[dest].clear();
+                self.transport.send_bytes(dest, &mut self.byte_out[dest]);
             }
         }
     }
@@ -556,8 +599,10 @@ impl Ctx {
     /// [`Ctx::recv_bytes`]. Unlike the legacy
     /// [`crate::message::send_msg_fragmented`] discipline, the payload is not
     /// chopped into 16-byte packets: the whole message is staged with one
-    /// `memcpy` behind an 8-byte `{src, len}` header and delivered
-    /// zero-copy after the barrier. An empty payload is a valid message.
+    /// `memcpy` behind an 8-byte `{src, len}` header, and that copy is the
+    /// only one on every backend — the staging buffer itself moves to the
+    /// receiver at the boundary and is read in place. An empty payload is a
+    /// valid message.
     #[inline]
     pub fn send_bytes(&mut self, dest: usize, payload: &[u8]) {
         debug_assert!(dest < self.nprocs, "dest {} out of range", dest);
@@ -578,16 +623,13 @@ impl Ctx {
         }
         let pid = self.pid;
         let buf = &mut self.byte_out[dest];
-        let start = buf.len();
         buf.extend_from_slice(&(pid as u32).to_le_bytes());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(payload);
         if self.eager {
             // Eager delivery: hand the completed record to the transport
-            // now and unstage it (see MsgWriter::drop).
-            self.transport
-                .send_bytes(dest, &self.byte_out[dest][start..]);
-            self.byte_out[dest].truncate(start);
+            // now (see MsgWriter::drop).
+            self.transport.send_bytes(dest, buf);
         }
     }
 
@@ -634,23 +676,30 @@ impl Ctx {
     }
 
     /// Get the next byte-lane message delivered to this process in the
-    /// previous superstep: `(source pid, payload)`. Messages from one sender
-    /// arrive in that sender's send order; the interleaving across senders
-    /// is unspecified, like packet delivery order. `None` when every
-    /// delivered message has been read. Unread messages are discarded at the
-    /// next [`Ctx::sync`], mirroring the packet contract.
+    /// previous superstep: `(source pid, payload)`, read in place from the
+    /// buffer the sender staged it in. Messages arrive by ascending source
+    /// pid, and from one sender in that sender's send order, on every
+    /// backend. `None` when every delivered message has been read. Unread
+    /// messages are discarded at the next [`Ctx::sync`], mirroring the
+    /// packet contract.
     #[inline]
     pub fn recv_bytes(&mut self) -> Option<(usize, &[u8])> {
-        if self.byte_pos >= self.byte_inbox.len() {
-            return None;
-        }
-        let hdr = &self.byte_inbox[self.byte_pos..self.byte_pos + MSG_HDR];
+        let seg = loop {
+            let seg = self.byte_inbox.get(self.byte_seg)?;
+            if self.byte_pos < seg.len() {
+                break seg;
+            }
+            self.byte_seg += 1;
+            self.byte_pos = 0;
+        };
+        let hdr = &seg[self.byte_pos..self.byte_pos + MSG_HDR];
         let src = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
         let len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
         let body = self.byte_pos + MSG_HDR;
-        debug_assert!(body + len <= self.byte_inbox.len(), "truncated record");
+        debug_assert!(body + len <= seg.len(), "truncated record");
         self.byte_pos = body + len;
-        Some((src, &self.byte_inbox[body..body + len]))
+        self.byte_unread -= MSG_HDR + len;
+        Some((src, &seg[body..body + len]))
     }
 
     /// Unread byte-lane bytes remaining this superstep (headers included) —
@@ -658,7 +707,7 @@ impl Ctx {
     /// [`Ctx::recv_bytes`] will return `None`.
     #[inline]
     pub fn bytes_remaining(&self) -> usize {
-        self.byte_inbox.len() - self.byte_pos
+        self.byte_unread
     }
 
     /// Get the next packet sent to this process in the previous superstep, in
@@ -732,18 +781,8 @@ impl Ctx {
         let sent = self.sent_this_step;
         let sent_bytes = self.sent_bytes_this_step;
         self.flush_staged();
-        // Swap the double-buffered inboxes: the buffer delivered into keeps
-        // its allocation from two supersteps ago, so a steady traffic level
-        // reallocates neither buffer.
-        std::mem::swap(&mut self.inbox, &mut self.spare);
-        self.inbox.clear();
-        self.inbox_pos = 0;
-        std::mem::swap(&mut self.byte_inbox, &mut self.byte_spare);
-        self.byte_inbox.clear();
-        self.byte_pos = 0;
         let boundary = Instant::now();
-        self.transport
-            .exchange(self.step, &mut self.inbox, &mut self.byte_inbox);
+        self.deliver();
         let sync_wait = boundary.elapsed();
         self.close_step(sent, sent_bytes, compute, sync_wait, false);
     }
@@ -793,17 +832,10 @@ impl Ctx {
         let compute = self.pending_compute + self.step_start.elapsed();
         let sent = self.sent_this_step;
         let sent_bytes = self.sent_bytes_this_step;
-        // The inbox swap happens here, not at sync_begin, so the previous
+        // The inboxes turn over here, not at sync_begin, so the previous
         // superstep's deliveries stay readable through the overlap window.
-        std::mem::swap(&mut self.inbox, &mut self.spare);
-        self.inbox.clear();
-        self.inbox_pos = 0;
-        std::mem::swap(&mut self.byte_inbox, &mut self.byte_spare);
-        self.byte_inbox.clear();
-        self.byte_pos = 0;
         let boundary = Instant::now();
-        self.transport
-            .exchange(self.step, &mut self.inbox, &mut self.byte_inbox);
+        self.deliver();
         let sync_wait = self.pending_wait + boundary.elapsed();
         self.pending_wait = Duration::ZERO;
         self.close_step(sent, sent_bytes, compute, sync_wait, true);
@@ -900,7 +932,7 @@ impl Ctx {
             sent,
             recv: self.inbox.len() as u64,
             sent_bytes,
-            recv_bytes: self.byte_inbox.len() as u64,
+            recv_bytes: self.byte_unread as u64,
             compute,
             work_units: self.work_units,
             sync_wait,
@@ -938,7 +970,7 @@ impl Ctx {
     /// the collective contract (the caller must have drained its inbox; see
     /// [`crate::collectives`]). No-op on unchecked runs.
     pub(crate) fn record_collective(&mut self, kind: CollectiveKind) {
-        let pending = (self.inbox.len() - self.inbox_pos) + (self.byte_inbox.len() - self.byte_pos);
+        let pending = (self.inbox.len() - self.inbox_pos) + self.byte_unread;
         let (pid, step) = (self.pid, self.step);
         if let Some(c) = &mut self.check {
             if pending > 0 {

@@ -38,7 +38,7 @@
 //! separately-protected control channel); persistent plans do re-hit
 //! retransmit rounds, which is how retry-budget exhaustion is exercised.
 
-use crate::context::ProcTransport;
+use crate::context::{hand_over, ProcTransport};
 use crate::packet::{Packet, PACKET_SIZE};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -649,6 +649,15 @@ fn next_record<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     Some(&buf[body..body + len])
 }
 
+/// Every whole record of every segment, with the segment (= source pid) it
+/// arrived in; a segment's malformed remainder is skipped.
+fn records(segs: &[Vec<u8>]) -> impl Iterator<Item = (usize, &[u8])> {
+    segs.iter().enumerate().flat_map(|(src, seg)| {
+        let mut pos = 0usize;
+        std::iter::from_fn(move || next_record(seg, &mut pos)).map(move |rec| (src, rec))
+    })
+}
+
 fn mask_all(p: usize) -> u64 {
     if p >= 64 {
         u64::MAX
@@ -756,55 +765,55 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
         }
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
         match self.event_for(dest, true) {
             Some((_, FaultKind::Drop)) => {
                 self.counters.injected += 1;
+                buf.clear();
             }
             Some((_, FaultKind::Duplicate)) => {
                 self.counters.injected += 1;
-                self.inner.send_bytes(dest, bytes);
-                self.inner.send_bytes(dest, bytes);
+                let mut twin = buf.clone();
+                self.inner.send_bytes(dest, buf);
+                self.inner.send_bytes(dest, &mut twin);
             }
             Some((_, FaultKind::Delay)) => {
                 self.counters.injected += 1;
-                self.stash_bytes_new.push((dest, bytes.to_vec()));
+                self.stash_bytes_new.push((dest, std::mem::take(buf)));
             }
             Some((_, FaultKind::Corrupt)) => {
                 self.counters.injected += 1;
-                let mut b = bytes.to_vec();
                 // Mid-record: lands in the frame header for tiny frames
                 // (hdr_sum catches it) or in the payload (byte_sum does).
-                let i = b.len() / 2;
-                b[i] ^= 0x20;
-                self.inner.send_bytes(dest, &b);
+                let i = buf.len() / 2;
+                buf[i] ^= 0x20;
+                self.inner.send_bytes(dest, buf);
             }
             Some((_, FaultKind::Reorder)) => {
                 self.counters.injected += 1;
-                let mut b = bytes.to_vec();
                 let body = 8 + FRAME_HDR;
-                if b.len() >= body + 2 {
+                if buf.len() >= body + 2 {
                     // Rotate the payload records out of order.
-                    let mid = (b.len() - body) / 2;
-                    b[body..].rotate_left(mid.max(1));
+                    let mid = (buf.len() - body) / 2;
+                    buf[body..].rotate_left(mid.max(1));
                 } else {
                     // No payload to scramble: damage the header instead.
-                    let n = b.len();
-                    b[n - 1] ^= 0x01;
+                    let n = buf.len();
+                    buf[n - 1] ^= 0x01;
                 }
-                self.inner.send_bytes(dest, &b);
+                self.inner.send_bytes(dest, buf);
             }
-            _ => self.inner.send_bytes(dest, bytes),
+            _ => self.inner.send_bytes(dest, buf),
         }
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         // Traffic delayed in the previous round arrives in this one.
         for (dest, pkts) in self.stash_pkts_old.drain(..) {
             self.inner.send_batch(dest, &pkts);
         }
-        for (dest, b) in self.stash_bytes_old.drain(..) {
-            self.inner.send_bytes(dest, &b);
+        for (dest, mut b) in self.stash_bytes_old.drain(..) {
+            self.inner.send_bytes(dest, &mut b);
         }
         if let Some((i, kind)) = self.event_for(0, false) {
             match kind {
@@ -899,9 +908,11 @@ pub(crate) struct GuardedBackend<B: ProcTransport> {
     out_pkts: Vec<Vec<Packet>>,
     out_sums: Vec<u64>,
     out_bytes: Vec<Vec<u8>>,
-    /// Scratch inboxes for one inner round (allocation reused across rounds).
+    /// Scratch inboxes for one inner round (allocations circulate with the
+    /// inner transport's across rounds): packets, and one byte segment per
+    /// source. A frame is one record, so it never straddles a segment.
     round_pkts: Vec<Packet>,
-    round_bytes: Vec<u8>,
+    round_bytes: Vec<Vec<u8>>,
     frame: Vec<u8>,
     pkt_scratch: Vec<u8>,
     counters: FaultCounters,
@@ -932,7 +943,7 @@ impl<B: ProcTransport> GuardedBackend<B> {
             out_sums: vec![0; nprocs],
             out_bytes: vec![Vec::new(); nprocs],
             round_pkts: Vec::new(),
-            round_bytes: Vec::new(),
+            round_bytes: vec![Vec::new(); nprocs],
             frame: Vec::new(),
             pkt_scratch: Vec::new(),
             counters: FaultCounters::default(),
@@ -942,7 +953,6 @@ impl<B: ProcTransport> GuardedBackend<B> {
     /// Run one inner round and leave its traffic in `round_pkts`/`round_bytes`.
     fn inner_round(&mut self) {
         self.round_pkts.clear();
-        self.round_bytes.clear();
         let step = self.inner_step;
         self.inner
             .exchange(step, &mut self.round_pkts, &mut self.round_bytes);
@@ -960,11 +970,11 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         self.out_pkts[dest].extend_from_slice(pkts);
     }
 
-    fn send_bytes(&mut self, dest: usize, bytes: &[u8]) {
-        self.out_bytes[dest].extend_from_slice(bytes);
+    fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
+        hand_over(&mut self.out_bytes[dest], buf);
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut Vec<u8>) {
+    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
         debug_assert_eq!(step, self.step, "guarded transport driven out of order");
         let p = self.nprocs;
         let me = self.pid;
@@ -990,7 +1000,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 &self.out_bytes[dest],
                 &[],
             );
-            self.inner.send_bytes(dest, &frame);
+            self.inner.send_bytes(dest, &mut frame);
             self.frame = frame;
         }
         let t0 = Instant::now();
@@ -999,7 +1009,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         // verified in place and never copied again. On a verify failure the
         // tail is truncated and rebuilt from retransmitted DATA frames.
         let base_pkts = inbox.len();
-        self.round_bytes.clear();
         self.inner
             .exchange(self.inner_step, inbox, &mut self.round_bytes);
         self.inner_step += 1;
@@ -1011,35 +1020,44 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         }
 
         // ---- verify: headers, per-src payloads, then the whole fast lane.
+        // A verified payload goes straight into its source's (dead, hence
+        // cleared) inbox segment; `bytes_ok` has a bit per segment filled.
+        for seg in byte_inbox.iter_mut() {
+            seg.clear();
+        }
         let mut hdrs: Vec<Option<(u64, u64)>> = vec![None; p];
-        let mut bytes_ok: Vec<Option<Vec<u8>>> = vec![None; p];
+        let mut bytes_ok: u64 = 0;
         let mut dirty = false;
-        let mut pos = 0usize;
-        while let Some(rec) = next_record(&self.round_bytes, &mut pos) {
-            match decode_frame(rec) {
-                None => {
-                    dirty = true;
-                    self.counters.detected += 1;
-                }
-                Some((h, payload)) => {
-                    if h.kind != KIND_CTRL || h.seq != seq || h.src >= p {
-                        self.counters.detected += 1; // stale or misrouted frame
-                    } else if hdrs[h.src].is_some() {
-                        self.counters.detected += 1; // duplicate frame
-                    } else {
-                        hdrs[h.src] = Some((h.npkts, h.pkt_sum));
-                        if payload.len() as u64 == h.nbytes && byte_hash(payload) == h.byte_sum {
-                            bytes_ok[h.src] = Some(payload.to_vec());
+        for (src, seg) in self.round_bytes.iter().enumerate() {
+            let mut pos = 0usize;
+            while let Some(rec) = next_record(seg, &mut pos) {
+                match decode_frame(rec) {
+                    None => {
+                        dirty = true;
+                        self.counters.detected += 1;
+                    }
+                    Some((h, payload)) => {
+                        if h.kind != KIND_CTRL || h.seq != seq || h.src != src {
+                            self.counters.detected += 1; // stale or misrouted frame
+                        } else if hdrs[src].is_some() {
+                            self.counters.detected += 1; // duplicate frame
                         } else {
-                            self.counters.detected += 1; // corrupt/reordered payload
+                            hdrs[src] = Some((h.npkts, h.pkt_sum));
+                            if payload.len() as u64 == h.nbytes && byte_hash(payload) == h.byte_sum
+                            {
+                                byte_inbox[src].extend_from_slice(payload);
+                                bytes_ok |= 1u64 << src;
+                            } else {
+                                self.counters.detected += 1; // corrupt/reordered payload
+                            }
                         }
                     }
                 }
             }
-        }
-        if pos != self.round_bytes.len() {
-            dirty = true; // malformed record tail
-            self.counters.detected += 1;
+            if pos != seg.len() {
+                dirty = true; // malformed record tail
+                self.counters.detected += 1;
+            }
         }
         // Every peer owes us a CTRL frame each data round (including
         // ourselves); absent ones were dropped or delayed in flight.
@@ -1064,14 +1082,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         // attribution, so any global mismatch means a full per-src rebuild
         // from self-verifying DATA frames.
         let mut need_full: u64 = if fast_ok { 0 } else { mask_all(p) };
-        let mut need_bytes: u64 = 0;
-        if fast_ok {
-            for (src, b) in bytes_ok.iter().enumerate() {
-                if b.is_none() {
-                    need_bytes |= 1u64 << src;
-                }
-            }
-        }
+        let mut need_bytes: u64 = if fast_ok { mask_all(p) & !bytes_ok } else { 0 };
         let mut re_pkts: Vec<Vec<Packet>> = vec![Vec::new(); p];
 
         // ---- recovery: status round, then retransmit rounds until every
@@ -1091,7 +1102,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 self.frame.clear();
                 let mut frame = std::mem::take(&mut self.frame);
                 encode_frame(&mut frame, me, KIND_STATUS, seq, 0, 0, &mine, &[]);
-                self.inner.send_bytes(dest, &frame);
+                self.inner.send_bytes(dest, &mut frame);
                 self.frame = frame;
             }
             self.inner_round();
@@ -1101,20 +1112,19 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 self.counters.detected += 1;
             }
             let mut stat: Vec<Option<(u64, u64)>> = vec![None; p];
-            let mut pos = 0usize;
-            while let Some(rec) = next_record(&self.round_bytes, &mut pos) {
+            for (src, rec) in records(&self.round_bytes) {
                 match decode_frame(rec) {
                     Some((h, payload))
                         if h.kind == KIND_STATUS
                             && h.seq == seq
-                            && h.src < p
+                            && h.src == src
                             && payload.len() == 16
                             && byte_hash(payload) == h.byte_sum =>
                     {
-                        if stat[h.src].is_none() {
+                        if stat[src].is_none() {
                             let f = u64::from_le_bytes(payload[..8].try_into().unwrap());
                             let b = u64::from_le_bytes(payload[8..].try_into().unwrap());
-                            stat[h.src] = Some((f, b));
+                            stat[src] = Some((f, b));
                         } else {
                             self.counters.detected += 1;
                         }
@@ -1177,20 +1187,19 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                     &self.out_bytes[q],
                     &self.pkt_scratch,
                 );
-                self.inner.send_bytes(q, &frame);
+                self.inner.send_bytes(q, &mut frame);
                 self.frame = frame;
             }
             self.inner_round();
             if !self.round_pkts.is_empty() {
                 self.counters.detected += 1;
             }
-            let mut pos = 0usize;
-            while let Some(rec) = next_record(&self.round_bytes, &mut pos) {
+            for (src, rec) in records(&self.round_bytes) {
                 let Some((h, payload)) = decode_frame(rec) else {
                     self.counters.detected += 1;
                     continue;
                 };
-                if h.kind != KIND_DATA || h.seq != seq || h.src >= p {
+                if h.kind != KIND_DATA || h.seq != seq || h.src != src {
                     self.counters.detected += 1;
                     continue;
                 }
@@ -1200,7 +1209,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                     self.counters.detected += 1;
                     continue;
                 }
-                let srcbit = 1u64 << h.src;
+                let srcbit = 1u64 << src;
                 let app = &payload[..h.nbytes as usize];
                 if need_full & srcbit != 0 {
                     let mut pkts = Vec::with_capacity(h.npkts as usize);
@@ -1211,14 +1220,16 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                         self.counters.detected += 1;
                         continue;
                     }
-                    re_pkts[h.src] = pkts;
-                    bytes_ok[h.src] = Some(app.to_vec());
+                    re_pkts[src] = pkts;
                     need_full &= !srcbit;
                 } else if need_bytes & srcbit != 0 {
-                    bytes_ok[h.src] = Some(app.to_vec());
                     need_bytes &= !srcbit;
+                } else {
+                    // A frame we did not ask for (late duplicate).
+                    continue;
                 }
-                // A frame we did not ask for (late duplicate) is ignored.
+                byte_inbox[src].clear();
+                byte_inbox[src].extend_from_slice(app);
             }
         }
 
@@ -1227,9 +1238,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
             for pkts in &mut re_pkts {
                 inbox.append(pkts);
             }
-        }
-        for b in bytes_ok.iter().flatten() {
-            byte_inbox.extend_from_slice(b);
         }
         for d in 0..p {
             self.out_pkts[d].clear();

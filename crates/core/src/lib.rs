@@ -16,10 +16,11 @@
 //! The library deliberately offers only one communication and one
 //! synchronization operation — [`Ctx::send_pkt`], [`Ctx::get_pkt`],
 //! [`Ctx::sync`] — mirroring the paper's minimalist design, plus a
-//! zero-copy *byte lane* ([`Ctx::send_bytes`] / [`Ctx::recv_bytes`]) that
-//! carries variable-length messages without 16-byte fragmentation
-//! (DESIGN.md §9). Everything else ([`collectives`], the [`message`]
-//! shims) is built on top.
+//! *byte lane* ([`Ctx::send_bytes`] / [`Ctx::recv_bytes`]) that carries
+//! variable-length messages without 16-byte fragmentation: a message is
+//! copied once, into a per-destination buffer, and that buffer moves to
+//! the receiver at the boundary (DESIGN.md §9). Everything else
+//! ([`collectives`], the [`message`] shims) is built on top.
 //!
 //! ## Quick start
 //!

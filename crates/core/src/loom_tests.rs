@@ -29,7 +29,7 @@
 //! interleavings rather than race freedom of the copies themselves —
 //! that's what the Miri and TSan CI slices cover.
 
-use crate::backend::shared::{ByteMailbox, Mailbox};
+use crate::backend::shared::Mailbox;
 use crate::barrier::{Barrier, BarrierKind, CentralBarrier};
 use crate::packet::Packet;
 use crate::relax::NeighborSync;
@@ -99,32 +99,6 @@ fn loom_mailbox_overflow_conservation_p3() {
             h.join().unwrap();
         }
         assert_eq!(drain_values(&mb), vec![10, 11, 20, 21, 30, 31]);
-    });
-}
-
-#[test]
-fn loom_byte_mailbox_straddle_conservation_p2() {
-    // 4-byte slab, two 3-byte records: one lands in-slab, the other
-    // straddles (going entirely to overflow) or starts past the capacity
-    // — depending on reservation order. Either way the drain must hand
-    // back exactly the pushed bytes.
-    loom::model(|| {
-        let mb = Arc::new(ByteMailbox::new(4));
-        let m2 = mb.clone();
-        let h = thread::spawn(move || {
-            let mut c = TransportCounters::default();
-            m2.push(&[1, 2, 3], &mut c);
-        });
-        {
-            let mut c = TransportCounters::default();
-            mb.push(&[4, 5, 6], &mut c);
-        }
-        h.join().unwrap();
-        let mut inbox = Vec::new();
-        let mut c = TransportCounters::default();
-        mb.drain(&mut inbox, &mut c);
-        inbox.sort_unstable();
-        assert_eq!(inbox, vec![1, 2, 3, 4, 5, 6]);
     });
 }
 

@@ -37,9 +37,10 @@ pub struct Config {
     /// reservation on shared memory, one buffer extend elsewhere; the paper
     /// uses 1000).
     pub chunk: usize,
-    /// Initial per-(destination, phase) mailbox slab capacity in packets
+    /// Initial per-(destination, phase) packet slab capacity in packets
     /// (shared-memory backend). Traffic beyond this spills to a locked
-    /// overflow once, then the slab grows at the superstep boundary.
+    /// overflow once, then the slab grows at the superstep boundary. The
+    /// byte lane has no slab to size: its buffers move (DESIGN.md §9).
     pub slab_cap: usize,
     /// Run under the BSP checker (see [`crate::check`]): packet-lifetime
     /// tracking, superstep/collective congruence, DRMA conflict detection,
@@ -127,8 +128,8 @@ impl Config {
         self
     }
 
-    /// Set the shared-memory mailbox slab capacity (packets per
-    /// destination per phase).
+    /// Set the shared-memory packet slab capacity (packets per
+    /// destination per phase; the byte lane is not sized by it).
     pub fn slab_cap(mut self, slab_cap: usize) -> Self {
         self.slab_cap = slab_cap.max(1);
         self

@@ -45,10 +45,12 @@ pub struct LocalStep {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportCounters {
     /// Mutex/channel-lock operations taken on the hot path (shared-memory
-    /// overflow locks, channel sends/receives). The slab mailbox design
-    /// drives this to ~0 for in-capacity traffic.
+    /// overflow locks, byte-lane slot hand-overs that moved records,
+    /// channel sends/receives). The slab mailbox design drives this to ~0
+    /// for in-capacity packet traffic.
     pub lock_acquisitions: u64,
-    /// Lock-free chunk reservations (`fetch_add` on a mailbox cursor).
+    /// Lock-free chunk reservations (`fetch_add` on a packet mailbox
+    /// cursor). The byte lane makes none.
     pub slab_reservations: u64,
     /// Batches that overran the slab and spilled to the locked overflow.
     pub overflow_spills: u64,
@@ -57,7 +59,8 @@ pub struct TransportCounters {
     pub slab_regrows: u64,
     /// Packets this transport moved into destination buffers.
     pub pkts_moved: u64,
-    /// Bytes moved (`pkts_moved × PACKET_SIZE`).
+    /// Volume handed to the transport: `pkts_moved × PACKET_SIZE` plus
+    /// every byte-lane byte (record headers included) at its hand-over.
     pub bytes_moved: u64,
 }
 

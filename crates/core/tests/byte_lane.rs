@@ -1,0 +1,360 @@
+//! The byte lane end to end (DESIGN.md §9): a record is copied once, into
+//! the sender's staging buffer, and that buffer moves — staging → transport
+//! → the receiver's inbox segment — to be read in place. Delivery is one
+//! segment per source pid: ascending source, then send order, on every
+//! backend. Every scenario runs on all five backends and on the checked and
+//! hardened stacks.
+
+use green_bsp::{BackendKind, BspError, CancelToken, Config, Ctx, NetSimParams, Runtime, MSG_HDR};
+
+/// The five library implementations at `p` processes, then the wrapped
+/// stacks.
+fn stacks(p: usize) -> Vec<(&'static str, Config)> {
+    vec![
+        ("shared", Config::new(p)),
+        ("msgpass", Config::new(p).backend(BackendKind::MsgPass)),
+        ("tcpsim", Config::new(p).backend(BackendKind::TcpSim)),
+        ("seqsim", Config::new(p).backend(BackendKind::SeqSim)),
+        (
+            "netsim",
+            Config::new(p).backend(BackendKind::NetSim(NetSimParams {
+                g_us: 0.001,
+                l_us: 0.5,
+                l_neigh_us: 0.0,
+                time_scale: 1.0,
+            })),
+        ),
+        ("shared+checked", Config::new(p).checked()),
+        ("shared+hardened", Config::new(p).hardened()),
+        (
+            "tcpsim+hardened",
+            Config::new(p).backend(BackendKind::TcpSim).hardened(),
+        ),
+        (
+            "msgpass+hardened+checked",
+            Config::new(p)
+                .backend(BackendKind::MsgPass)
+                .hardened()
+                .checked(),
+        ),
+    ]
+}
+
+const SIZES: [usize; 8] = [0, 1, 7, 64, 1_000, 4_096, 65_536, 13];
+
+/// What `src` sends `dest` in `step`, in send order. Odd sources are silent
+/// in even supersteps (an empty segment between two full ones), some pairs
+/// are silent in every superstep, and payload sizes run from 0 to 64 KiB.
+fn script(src: usize, dest: usize, step: usize) -> Vec<Vec<u8>> {
+    if (src % 2 == 1 && step.is_multiple_of(2)) || (src + 2 * dest + step) % 5 == 4 {
+        return Vec::new();
+    }
+    (0..1 + (src + dest + step) % 3)
+        .map(|i| {
+            let len = SIZES[(src * 7 + dest * 3 + step * 5 + i) % SIZES.len()];
+            let tag = (src * 1_000 + dest * 100 + step * 10 + i) as u32;
+            (0..len)
+                .map(|j| (tag.wrapping_mul(31).wrapping_add(j as u32) % 251) as u8)
+                .collect()
+        })
+        .collect()
+}
+
+/// What `dest` must receive after `step`, in delivery order.
+fn expected(p: usize, dest: usize, step: usize) -> Vec<(usize, Vec<u8>)> {
+    (0..p)
+        .flat_map(|src| script(src, dest, step).into_iter().map(move |m| (src, m)))
+        .collect()
+}
+
+/// Read everything delivered, in delivery order, checking `bytes_remaining`
+/// before every read.
+fn drain(ctx: &mut Ctx) -> Vec<(usize, Vec<u8>)> {
+    let mut got = Vec::new();
+    let mut left = ctx.bytes_remaining();
+    while let Some((src, m)) = ctx.recv_bytes() {
+        left -= MSG_HDR + m.len();
+        got.push((src, m.to_vec()));
+        assert_eq!(ctx.bytes_remaining(), left, "after message {}", got.len());
+    }
+    assert_eq!(left, 0, "bytes_remaining did not reach zero");
+    got
+}
+
+fn clean(name: &str, at: &str, reports: &[green_bsp::CheckReport]) {
+    assert!(reports.is_empty(), "{name} {at}: {reports:?}");
+}
+
+#[test]
+fn delivery_is_ascending_source_then_send_order_and_matches_seqsim() {
+    const STEPS: usize = 3;
+    for p in [1usize, 3, 4] {
+        let program = |ctx: &mut Ctx| {
+            let (p, me) = (ctx.nprocs(), ctx.pid());
+            let mut seen = Vec::new();
+            for step in 0..STEPS {
+                for dest in 0..p {
+                    for m in script(me, dest, step) {
+                        ctx.send_bytes(dest, &m);
+                    }
+                }
+                ctx.sync();
+                let total: usize = expected(p, me, step)
+                    .iter()
+                    .map(|(_, m)| MSG_HDR + m.len())
+                    .sum();
+                assert_eq!(ctx.bytes_remaining(), total, "pid {me} step {step}");
+                seen.push(drain(ctx));
+            }
+            seen
+        };
+        let want = green_bsp::run(&Config::new(p).backend(BackendKind::SeqSim), program);
+        for (pid, seen) in want.results.iter().enumerate() {
+            for (step, got) in seen.iter().enumerate() {
+                assert_eq!(got, &expected(p, pid, step), "seqsim p={p} pid={pid}");
+            }
+        }
+        for (name, cfg) in stacks(p) {
+            let got = green_bsp::run(&cfg, program);
+            assert_eq!(got.results, want.results, "{name} p={p}");
+            assert_eq!(got.stats.total_bytes(), want.stats.total_bytes(), "{name}");
+            assert_eq!(
+                got.stats.h_bytes_total(),
+                want.stats.h_bytes_total(),
+                "{name}"
+            );
+            clean(name, "delivery", &got.stats.check_reports);
+        }
+    }
+}
+
+#[test]
+fn unread_messages_are_discarded_at_the_next_sync() {
+    for p in [1usize, 3, 4] {
+        for (name, cfg) in stacks(p) {
+            let out = green_bsp::run(&cfg, |ctx| {
+                let (p, me) = (ctx.nprocs(), ctx.pid());
+                for dest in 0..p {
+                    for i in 0..3u8 {
+                        ctx.send_bytes(dest, &[i; 40]);
+                    }
+                }
+                ctx.sync();
+                // Stop in the middle of the first segment.
+                let (src, m) = ctx.recv_bytes().expect("a message");
+                assert_eq!((src, m), (0, &[0u8; 40][..]));
+                assert_eq!(ctx.bytes_remaining(), (3 * p - 1) * (MSG_HDR + 40));
+                // Only the last process sends now: every other segment must
+                // come back empty, not with what was left unread in it.
+                if me == p - 1 {
+                    for dest in 0..p {
+                        ctx.send_bytes(dest, b"fresh");
+                    }
+                }
+                ctx.sync();
+                let got = drain(ctx);
+                ctx.sync();
+                (got, ctx.bytes_remaining(), ctx.recv_bytes().is_none())
+            });
+            for (pid, r) in out.results.iter().enumerate() {
+                let want = (vec![(p - 1, b"fresh".to_vec())], 0, true);
+                assert_eq!(r, &want, "{name} p={p} pid={pid}");
+            }
+            clean(name, "discard", &out.stats.check_reports);
+        }
+    }
+}
+
+#[test]
+fn records_staged_before_sync_begin_arrive_at_sync_end() {
+    for p in [1usize, 3, 4] {
+        for (name, cfg) in stacks(p) {
+            let out = green_bsp::run(&cfg, |ctx| {
+                let (p, me) = (ctx.nprocs(), ctx.pid());
+                for dest in 0..p {
+                    ctx.send_bytes(dest, &[me as u8; 100]);
+                    ctx.send_bytes(dest, b"");
+                }
+                ctx.sync();
+                let first = ctx.recv_bytes().map(|(s, m)| (s, m.to_vec()));
+                for dest in 0..p {
+                    ctx.send_bytes(dest, format!("{me}->{dest}").as_bytes());
+                }
+                ctx.sync_begin();
+                // The window: the previous superstep's deliveries are still
+                // there, from where the reader stopped, and nothing sent
+                // before `sync_begin` has shown up yet.
+                let mut window = vec![first.expect("own first message")];
+                window.extend(drain(ctx));
+                ctx.sync_end();
+                (window, drain(ctx))
+            });
+            for (pid, (window, after)) in out.results.iter().enumerate() {
+                let want_window: Vec<(usize, Vec<u8>)> = (0..p)
+                    .flat_map(|s| [(s, vec![s as u8; 100]), (s, Vec::new())])
+                    .collect();
+                let want_after: Vec<(usize, Vec<u8>)> = (0..p)
+                    .map(|s| (s, format!("{s}->{pid}").into_bytes()))
+                    .collect();
+                assert_eq!(window, &want_window, "{name} p={p} pid={pid}: window");
+                assert_eq!(after, &want_after, "{name} p={p} pid={pid}: after");
+            }
+            clean(name, "split", &out.stats.check_reports);
+        }
+    }
+}
+
+#[test]
+fn set_eager_mid_superstep_and_msg_writer_keep_send_order() {
+    for p in [1usize, 3, 4] {
+        // The same five records per destination, once through `send_bytes`
+        // and once through `msg_writer`, with eager delivery switched on
+        // for the third and fourth.
+        let program = |ctx: &mut Ctx, writer: bool| {
+            let send = |ctx: &mut Ctx, dest: usize, m: &[u8]| {
+                if writer {
+                    let (head, tail) = m.split_at(m.len() / 2);
+                    let mut w = ctx.msg_writer(dest);
+                    w.write(head);
+                    w.write(tail);
+                    assert_eq!(w.len(), m.len());
+                } else {
+                    ctx.send_bytes(dest, m);
+                }
+            };
+            let big = vec![0xB1u8; 65_536];
+            for round in 0..2 {
+                for dest in 0..ctx.nprocs() {
+                    send(ctx, dest, b"staged");
+                    send(ctx, dest, &big);
+                }
+                ctx.set_eager(true);
+                for dest in 0..ctx.nprocs() {
+                    send(ctx, dest, b"eager");
+                    send(ctx, dest, b"");
+                }
+                ctx.set_eager(false);
+                for dest in 0..ctx.nprocs() {
+                    send(ctx, dest, &[round as u8; 9]);
+                }
+                ctx.sync();
+                let got = drain(ctx);
+                let want: Vec<(usize, Vec<u8>)> = (0..ctx.nprocs())
+                    .flat_map(|s| {
+                        [
+                            (s, b"staged".to_vec()),
+                            (s, big.clone()),
+                            (s, b"eager".to_vec()),
+                            (s, Vec::new()),
+                            (s, vec![round as u8; 9]),
+                        ]
+                    })
+                    .collect();
+                assert_eq!(got, want, "pid {} round {round}", ctx.pid());
+            }
+        };
+        for (name, cfg) in stacks(p) {
+            let plain = green_bsp::run(&cfg, |ctx| program(ctx, false));
+            let written = green_bsp::run(&cfg, |ctx| program(ctx, true));
+            clean(name, "eager", &plain.stats.check_reports);
+            clean(name, "eager+writer", &written.stats.check_reports);
+            assert_eq!(
+                plain.stats.total_bytes(),
+                written.stats.total_bytes(),
+                "{name}"
+            );
+            assert_eq!(
+                plain.stats.h_bytes_total(),
+                written.stats.h_bytes_total(),
+                "{name} p={p}"
+            );
+        }
+    }
+}
+
+/// Two boundaries of a job that sends nothing: whatever it receives was left
+/// behind by an earlier job.
+fn probe(ctx: &mut Ctx) -> usize {
+    let mut seen = 0;
+    for _ in 0..2 {
+        ctx.sync();
+        seen += ctx.bytes_remaining() + drain(ctx).len();
+    }
+    seen
+}
+
+#[test]
+fn staged_bytes_never_reach_the_next_job_on_the_arena_set() {
+    for p in [1usize, 3, 4] {
+        for (name, cfg) in stacks(p) {
+            let rt = Runtime::new();
+            // One delivered superstep, so every kind of buffer has held
+            // records, then both a staged and an eagerly handed-over message
+            // that no boundary delivers.
+            let stage = |ctx: &mut Ctx| {
+                for dest in 0..ctx.nprocs() {
+                    ctx.send_bytes(dest, &[1; 300]);
+                }
+                ctx.sync();
+                for dest in 0..ctx.nprocs() {
+                    ctx.send_bytes(dest, b"staged, never delivered");
+                }
+                ctx.set_eager(true);
+                ctx.send_bytes(
+                    (ctx.pid() + 1) % ctx.nprocs(),
+                    b"handed over, never delivered",
+                );
+            };
+
+            // A job that returns with bytes staged is parked and reset.
+            rt.try_run(&cfg, stage).expect("the job itself is fine");
+            let hits = rt.arena_hits();
+            let after = rt.try_run(&cfg, probe).expect("probe");
+            // Bare transports are parked and re-leased; wrapped ones rebuild.
+            if !cfg.check && cfg.tolerance.is_none() {
+                assert_eq!(rt.arena_hits(), hits + 1, "{name}: probe did not lease");
+            }
+            assert_eq!(after.results, vec![0; p], "{name} p={p}: after a clean job");
+            assert_eq!(after.stats.total_bytes(), 0, "{name}");
+
+            // A job that panics with bytes staged.
+            let err = rt
+                .try_run(&cfg, |ctx| {
+                    stage(ctx);
+                    if ctx.pid() == 0 {
+                        panic!("boom");
+                    }
+                    ctx.sync();
+                })
+                .expect_err("proc 0 panicked");
+            assert!(
+                matches!(err, BspError::ProcPanicked { pid: 0, .. }),
+                "{name}: {err}"
+            );
+            let after = rt.try_run(&cfg, probe).expect("probe");
+            assert_eq!(
+                after.results,
+                vec![0; p],
+                "{name} p={p}: after a panicked job"
+            );
+
+            // A job that is cancelled with bytes staged.
+            let token = CancelToken::new();
+            let err = rt
+                .try_run(&cfg.clone().cancel_token(&token), |ctx| {
+                    stage(ctx);
+                    token.cancel();
+                    ctx.sync();
+                })
+                .expect_err("cancelled");
+            assert!(matches!(err, BspError::Cancelled { .. }), "{name}: {err}");
+            let after = rt.try_run(&cfg, probe).expect("probe");
+            assert_eq!(
+                after.results,
+                vec![0; p],
+                "{name} p={p}: after a cancelled job"
+            );
+            rt.shutdown();
+        }
+    }
+}

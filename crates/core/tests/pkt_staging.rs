@@ -180,10 +180,12 @@ fn set_eager_mid_superstep_flushes_what_was_staged() {
         if name == "shared" {
             // Per process, packet lane: the five staged packets leave as one
             // batch when the mode is switched on, three leave one by one,
-            // and the last two wait for the boundary. Byte lane: the staged
-            // record at the switch, the eager one when it is complete.
+            // and the last two wait for the boundary. Byte lane (no slab: a
+            // locked buffer hand-over): the staged record at the switch, the
+            // eager one when it is complete, and the owner's one take.
             let t = out.stats.transport_total();
-            assert_eq!(t.slab_reservations, 2 * ((1 + 3 + 1) + 2), "{t:?}");
+            assert_eq!(t.slab_reservations, 2 * (1 + 3 + 1), "{t:?}");
+            assert_eq!(t.lock_acquisitions, 2 * (2 + 1), "{t:?}");
         }
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The program is a cyclic exchange of fixed-size messages: every process
 //! sends one message per destination per superstep and drains what it
-//! receives. The *same* payloads travel either on the zero-copy byte lane
-//! ([`green_bsp::Ctx::send_bytes`] — one bulk reservation + memcpy per
-//! destination) or through the legacy 16-byte fragmentation shim
+//! receives. The *same* payloads travel either on the byte lane
+//! ([`green_bsp::Ctx::send_bytes`] — one copy into a per-destination buffer
+//! that then moves to the receiver) or through the legacy 16-byte
+//! fragmentation shim
 //! ([`green_bsp::message::send_msg_fragmented`] — a header packet plus one
 //! packet per 8 payload bytes). The measured payload-bytes/second isolates
 //! what DESIGN.md §9 claims the byte lane buys: for a 1 KiB message the
@@ -23,7 +24,7 @@ pub const MSG_SIZES: [usize; 3] = [64, 1024, 65536];
 /// One measured throughput point.
 #[derive(Clone, Debug)]
 pub struct MessagePoint {
-    /// Transport lane: `bytes` (zero-copy lane) or `frag` (16-byte packets).
+    /// Transport lane: `bytes` (the byte lane) or `frag` (16-byte packets).
     pub lane: &'static str,
     /// Processor count.
     pub nprocs: usize,
@@ -49,7 +50,9 @@ pub fn measure_messages(
     byte_lane: bool,
 ) -> MessagePoint {
     let cfg = Config::new(p).backend(backend);
-    run_pattern(&cfg, msg_bytes, 2.min(steps), byte_lane); // warmup
+    // Warmup: four supersteps, because four buffers circulate per ordered
+    // pair on the byte lane (DESIGN.md §9) and each is sized on first use.
+    run_pattern(&cfg, msg_bytes, 4, byte_lane);
     let start = Instant::now();
     let out = run_pattern(&cfg, msg_bytes, steps, byte_lane);
     let secs = start.elapsed().as_secs_f64();
