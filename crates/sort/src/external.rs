@@ -15,8 +15,10 @@
 //!    bucket and the writer thread appends each group to that bucket's
 //!    spill file.
 //! 3. **Merge** — for each bucket in splitter order, read the whole spill
-//!    file and sort it with a warm in-core [`sample_sort_with`] job,
-//!    appending the result to the output store.
+//!    file and sort it with a warm in-core [`sample_sort_with`] job: each
+//!    process decodes its shard straight from the bucket's bytes and
+//!    returns its sorted slice already encoded, and the driver appends the
+//!    `p` slices to the output store.
 //!
 //! Buckets partition the key space, so concatenating the sorted buckets
 //! in splitter order yields the globally sorted sequence — and because a
@@ -65,6 +67,19 @@ fn merge(agg: &mut RunStats, s: &RunStats) {
     agg.io_read_bytes += s.io_read_bytes;
     agg.io_write_bytes += s.io_write_bytes;
     agg.prefetch_wait += s.prefetch_wait;
+}
+
+/// The pass-2 bucket spill files. They are removed when this drops, so no
+/// exit from the sort — an I/O error, a failed or cancelled job — leaves
+/// one behind in the spill directory.
+struct Spills(Vec<TileStore>);
+
+impl Drop for Spills {
+    fn drop(&mut self) {
+        for store in &self.0 {
+            let _ = std::fs::remove_file(store.path());
+        }
+    }
 }
 
 /// The bucket a key belongs to — the in-core sample sort's convention
@@ -145,14 +160,11 @@ pub fn external_sample_sort_with(
     // buffer carries `[u64: bucket << 32 | count][count × u64 key]` groups;
     // the writer thread appends each group's keys to its bucket store.
     let run = SEQ.fetch_add(1, Ordering::Relaxed);
-    let spills: Vec<TileStore> = (0..buckets)
-        .map(|b| {
-            TileStore::create_in(
-                &sc.spill_dir,
-                &format!("extsort-{}-{run}-b{b}.keys", std::process::id()),
-            )
-        })
-        .collect::<Result<_, _>>()?;
+    let mut spills = Spills(Vec::with_capacity(buckets));
+    for b in 0..buckets {
+        let name = format!("extsort-{}-{run}-b{b}.keys", std::process::id());
+        spills.0.push(TileStore::create_in(&sc.spill_dir, &name)?);
+    }
 
     let splitters_ref = &splitters;
     let partitioned = run_stream_with(
@@ -174,7 +186,7 @@ pub fn external_sample_sort_with(
                     let hdr = u64::from_le_bytes(rest[..8].try_into().unwrap());
                     let (b, count) = ((hdr >> 32) as usize, (hdr & 0xffff_ffff) as usize);
                     let bytes = count * 8;
-                    spills[b].append(&rest[8..8 + bytes])?;
+                    spills.0[b].append(&rest[8..8 + bytes])?;
                     wrote += bytes as u64;
                     rest = &rest[8 + bytes..];
                 }
@@ -183,7 +195,7 @@ pub fn external_sample_sort_with(
         },
     )?;
     merge(&mut agg, &partitioned.stats);
-    let spilled: u64 = spills.iter().map(|s| s.len()).sum();
+    let spilled: u64 = spills.0.iter().map(|s| s.len()).sum();
     assert_eq!(
         spilled, total,
         "partition pass lost keys: {spilled} of {total} bytes spilled"
@@ -191,37 +203,31 @@ pub fn external_sample_sort_with(
 
     // Pass 3: sort each bucket in core with a warm BSP job and append it
     // to the output. Buckets are read whole — see the skew note above.
-    for store in &spills {
+    for store in &spills.0 {
         let bytes = store.read_to_vec()?;
         agg.io_read_bytes += bytes.len() as u64;
         if bytes.is_empty() {
             continue;
         }
-        let keys: Vec<u64> = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let nrec = keys.len();
-        let per = nrec.div_ceil(p);
+        let (keys, _) = bytes.as_chunks::<8>();
+        let per = keys.len().div_ceil(p);
         let out = rt
             .try_run(cfg, |ctx| {
-                let lo = (ctx.pid() * per).min(nrec);
-                let hi = ((ctx.pid() + 1) * per).min(nrec);
-                sample_sort_with(ctx, keys[lo..hi].to_vec(), byte_lane)
+                let shard = keys.chunks(per).nth(ctx.pid()).unwrap_or(&[]);
+                let shard = shard.iter().map(|&k| u64::from_le_bytes(k)).collect();
+                let sorted = sample_sort_with(ctx, shard, byte_lane);
+                let mut encoded = vec![0u8; sorted.len() * 8];
+                for (slot, k) in encoded.as_chunks_mut::<8>().0.iter_mut().zip(sorted) {
+                    *slot = k.to_le_bytes();
+                }
+                encoded
             })
             .map_err(StreamError::Bsp)?;
         merge(&mut agg, &out.stats);
-        let mut sorted = Vec::with_capacity(bytes.len());
         for part in &out.results {
-            for k in part {
-                sorted.extend_from_slice(&k.to_le_bytes());
-            }
+            output.append(part)?;
+            agg.io_write_bytes += part.len() as u64;
         }
-        output.append(&sorted)?;
-        agg.io_write_bytes += sorted.len() as u64;
-    }
-    for store in &spills {
-        let _ = std::fs::remove_file(store.path());
     }
 
     Ok(ExternalSort {
@@ -247,43 +253,29 @@ fn push_group(out: &mut Vec<u8>, b: usize, group: &[u64]) {
 fn route_shard(ctx: &mut Ctx, data: &[u8], splitters: &[u64], byte_lane: bool, out: &mut Vec<u8>) {
     let shard = &data[ctx.tile().expect("tile job").shard(ctx.pid(), ctx.nprocs())];
     let (me, p) = (ctx.pid(), ctx.nprocs());
-    if byte_lane {
-        let buckets = splitters.len() + 1;
-        let mut groups: Vec<Vec<u64>> = vec![Vec::new(); buckets];
-        for c in shard.chunks_exact(8) {
-            let k = u64::from_le_bytes(c.try_into().unwrap());
-            groups[bucket_of(splitters, k)].push(k);
+    // On the packet lane only the self-owned groups ever fill.
+    let mut groups: Vec<Vec<u64>> = vec![Vec::new(); splitters.len() + 1];
+    for c in shard.chunks_exact(8) {
+        let k = u64::from_le_bytes(c.try_into().unwrap());
+        let b = bucket_of(splitters, k);
+        if byte_lane || b % p == me {
+            groups[b].push(k);
+        } else {
+            ctx.send_pkt(b % p, Packet::two_u64(k, b as u64));
         }
-        for (b, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            if b % p == me {
-                push_group(out, b, group);
-                continue;
-            }
-            let mut w = ctx.msg_writer(b % p);
-            w.put_u64(((b as u64) << 32) | group.len() as u64);
-            for &k in group {
-                w.put_u64(k);
-            }
+    }
+    for (b, group) in groups.iter().enumerate() {
+        if group.is_empty() {
+            continue;
         }
-    } else {
-        let buckets = splitters.len() + 1;
-        let mut kept: Vec<Vec<u64>> = vec![Vec::new(); buckets];
-        for c in shard.chunks_exact(8) {
-            let k = u64::from_le_bytes(c.try_into().unwrap());
-            let b = bucket_of(splitters, k);
-            if b % p == me {
-                kept[b].push(k);
-            } else {
-                ctx.send_pkt(b % p, Packet::two_u64(k, b as u64));
-            }
+        if b % p == me {
+            push_group(out, b, group);
+            continue;
         }
-        for (b, group) in kept.iter().enumerate() {
-            if !group.is_empty() {
-                push_group(out, b, group);
-            }
+        let mut w = ctx.msg_writer(b % p);
+        w.put_u64(((b as u64) << 32) | group.len() as u64);
+        for &k in group {
+            w.put_u64(k);
         }
     }
 }
@@ -356,6 +348,104 @@ mod tests {
         assert_eq!(res.stats.tiles, 2 * sc.plan(input.len()).len() as u64);
         rt.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Run the external sort over `keys` in 64-byte tiles after `arm` has
+    /// had its way with the stores; whatever the outcome, only the input
+    /// and output stores may remain in the spill directory.
+    fn sort_armed(
+        keys: &[u64],
+        cfg: &Config,
+        tag: &str,
+        arm: impl FnOnce(&TileStore, &TileStore),
+        meanwhile: impl FnOnce(&std::path::Path) + Send,
+    ) -> Result<ExternalSort, StreamError> {
+        let dir = tmpdir(tag);
+        let input = TileStore::create_in(&dir, "input.keys").unwrap();
+        input.write_all(&key_bytes(keys)).unwrap();
+        let output = TileStore::create_in(&dir, "output.keys").unwrap();
+        arm(&input, &output);
+        let rt = Runtime::new();
+        let sc = StreamConfig::new(64).record(8).spill_dir(&dir);
+        let res = std::thread::scope(|s| {
+            let sort = s.spawn(|| external_sample_sort(&rt, cfg, &sc, &input, &output));
+            meanwhile(&dir);
+            sort.join().unwrap()
+        });
+        rt.shutdown();
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["input.keys", "output.keys"], "{tag}: spills leaked");
+        let _ = std::fs::remove_dir_all(&dir);
+        res
+    }
+
+    fn spills_exist(dir: &std::path::Path) -> bool {
+        std::fs::read_dir(dir).unwrap().any(|e| {
+            e.unwrap()
+                .file_name()
+                .to_string_lossy()
+                .starts_with("extsort-")
+        })
+    }
+
+    #[test]
+    fn failed_passes_leave_no_spill_files() {
+        let keys: Vec<u64> = (0..800u64).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
+        let cfg = Config::new(2);
+        let tiles = 800 / 8;
+        // Pass 1 reads every tile once; the next read is pass 2's first.
+        let res = sort_armed(
+            &keys,
+            &cfg,
+            "leak-read",
+            |input, _| input.fail_reads_after(tiles + 3),
+            |_| {},
+        );
+        assert!(matches!(res, Err(StreamError::Io(_))), "{res:?}");
+        // Truncating the output is its first write; pass 3's appends follow.
+        let res = sort_armed(
+            &keys,
+            &cfg,
+            "leak-write",
+            |_, output| output.fail_writes_after(3),
+            |_| {},
+        );
+        assert!(matches!(res, Err(StreamError::Io(_))), "{res:?}");
+        // And the clean exit removes them as before.
+        assert!(sort_armed(&keys, &cfg, "leak-none", |_, _| {}, |_| {}).is_ok());
+    }
+
+    #[test]
+    fn cancelled_sort_leaves_no_spill_files() {
+        // 1000 tiles and 2000 buckets: once the spill files exist there are
+        // ≥ 1000 tile boundaries and 2000 bucket jobs left to observe the
+        // token at, so cancelling as soon as they appear always lands.
+        let keys: Vec<u64> = (0..8000u64).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
+        let tok = green_bsp::CancelToken::new();
+        let cfg = Config::new(2).cancel_token(&tok);
+        let res = sort_armed(
+            &keys,
+            &cfg,
+            "leak-cancel",
+            |_, _| {},
+            |dir| {
+                while !spills_exist(dir) {
+                    std::thread::yield_now();
+                }
+                tok.cancel();
+            },
+        );
+        assert!(
+            matches!(
+                res,
+                Err(StreamError::Bsp(green_bsp::BspError::Cancelled { .. }))
+            ),
+            "{res:?}"
+        );
     }
 
     #[test]

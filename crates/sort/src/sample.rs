@@ -1,18 +1,25 @@
 //! One-round parallel sample sort.
 //!
 //! Superstep structure (3 supersteps: 2 synchronizations + the final local
-//! sort):
+//! merge):
 //!
 //! 1. sort locally, pick `OVERSAMPLE` regular samples, all-gather them;
 //! 2. every processor computes the same `p − 1` splitters from the
 //!    gathered samples and routes each key to its bucket's owner (the
-//!    all-to-all that dominates `H`);
-//! 3. merge the received runs locally.
+//!    all-to-all that dominates `H`). The local keys are sorted, so a
+//!    bucket is a contiguous run of them: routing is `p − 1` binary
+//!    searches and one bulk send per destination, and the run this
+//!    processor keeps never leaves the key buffer;
+//! 3. merge the received runs locally: every byte-lane payload is one
+//!    sorted run from one source, merged into the kept run in place as it
+//!    is read (`recv_bytes` lends one payload at a time); the packet lane
+//!    interleaves its sources, so its arrivals are sorted once and merged
+//!    the same way. No key is sorted twice.
 //!
 //! With regular sampling the largest bucket is at most `2·n/p + p·s` keys,
 //! so the h-relation is balanced and the predicted time
 //! `W + g·(n/p) + 2L` is sharp — the property §4 wants from a "simple
-//! subroutine".
+//! subroutine" — with `W` one local sort plus the merge.
 
 use green_bsp::{collectives, Ctx, Packet};
 
@@ -43,10 +50,10 @@ pub fn sample_sort_with(ctx: &mut Ctx, keys: Vec<u64>, byte_lane: bool) -> Vec<u
 /// [`sample_sort_with`] with split-phase synchronization (DESIGN.md §12):
 /// `split_phase = true` opens each boundary with [`Ctx::sync_begin`], does
 /// local work while the exchange is in flight, and collects with
-/// [`Ctx::sync_end`]. The overlapped work is the sort of the keys this
-/// processor keeps — the largest local chunk — so the bucket all-to-all
-/// and the dominant local sort run concurrently. Output is bit-identical
-/// to the fused path (a sorted multiset has one canonical order).
+/// [`Ctx::sync_end`]. The overlapped work is what needs no arrival: the
+/// sample pool's allocation, then moving the kept run to the front of the
+/// key buffer it is merged in. Output is bit-identical to the fused path
+/// (a sorted multiset has one canonical order).
 pub fn sample_sort_mode(
     ctx: &mut Ctx,
     mut keys: Vec<u64>,
@@ -54,11 +61,10 @@ pub fn sample_sort_mode(
     split_phase: bool,
 ) -> Vec<u64> {
     let p = ctx.nprocs();
+    keys.sort_unstable();
     if p == 1 {
-        keys.sort_unstable();
         return keys;
     }
-    keys.sort_unstable();
     ctx.charge((keys.len().max(1).ilog2() as u64) * keys.len() as u64);
 
     // Superstep 1: all-gather regular samples. The pool is assembled by
@@ -75,10 +81,7 @@ pub fn sample_sort_mode(
             }
         })
         .collect();
-    for dest in 0..p {
-        if dest == me {
-            continue;
-        }
+    for dest in (0..p).filter(|&dest| dest != me) {
         if byte_lane {
             let mut w = ctx.msg_writer(dest);
             for &sample in &samples {
@@ -92,18 +95,11 @@ pub fn sample_sort_mode(
     }
     // (collectives are not used here because each proc sends OVERSAMPLE
     // values; the pool is assembled by slot index.)
-    let mut pool;
-    if split_phase {
-        // Overlap the pool allocation and own-slot copy with the gather.
-        ctx.sync_begin();
-        pool = vec![u64::MAX; p * OVERSAMPLE];
+    let mut pool = boundary(ctx, split_phase, || {
+        let mut pool = vec![u64::MAX; p * OVERSAMPLE];
         pool[me * OVERSAMPLE..(me + 1) * OVERSAMPLE].copy_from_slice(&samples);
-        ctx.sync_end();
-    } else {
-        ctx.sync();
-        pool = vec![u64::MAX; p * OVERSAMPLE];
-        pool[me * OVERSAMPLE..(me + 1) * OVERSAMPLE].copy_from_slice(&samples);
-    }
+        pool
+    });
     if byte_lane {
         while let Some((src, payload)) = ctx.recv_bytes() {
             for (s, chunk) in payload.chunks_exact(8).enumerate() {
@@ -117,95 +113,95 @@ pub fn sample_sort_mode(
         }
     }
     pool.sort_unstable();
-    let splitters: Vec<u64> = (1..p).map(|i| pool[i * OVERSAMPLE]).collect();
 
     // Superstep 2: route keys to their buckets (the all-to-all that
-    // dominates H). Receivers sort the merged bucket, so the exchange is
-    // order-insensitive and the two lanes agree bit for bit.
-    let mut mine: Vec<u64> = Vec::new();
-    if byte_lane {
-        let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for &k in &keys {
-            let bucket = splitters.partition_point(|&s| s <= k);
-            if bucket == me {
-                mine.push(k); // keep local keys out of the network
-            } else {
-                outgoing[bucket].push(k);
-            }
-        }
-        for (dest, vals) in outgoing.iter().enumerate() {
-            if !vals.is_empty() {
+    // dominates H). Key `k` belongs to bucket `#{splitters ≤ k}`, and the
+    // keys are sorted, so bucket `b` is the run `keys[cut[b]..cut[b + 1]]`.
+    let mut cut = vec![0; p + 1];
+    for b in 1..p {
+        let splitter = pool[b * OVERSAMPLE];
+        cut[b] = cut[b - 1] + keys[cut[b - 1]..].partition_point(|&k| k < splitter);
+    }
+    cut[p] = keys.len();
+    for dest in (0..p).filter(|&dest| dest != me) {
+        let run = &keys[cut[dest]..cut[dest + 1]];
+        if byte_lane {
+            if !run.is_empty() {
                 let mut w = ctx.msg_writer(dest);
-                for &k in vals {
+                for &k in run {
                     w.put_u64(k);
                 }
             }
-        }
-    } else {
-        for &k in &keys {
-            let bucket = splitters.partition_point(|&s| s <= k);
-            if bucket == me {
-                mine.push(k);
-            } else {
-                ctx.send_pkt(bucket, Packet::two_u64(k, 0));
+        } else {
+            for &k in run {
+                ctx.send_pkt(dest, Packet::two_u64(k, 0));
             }
         }
     }
-    if split_phase {
-        // The kept keys are the largest local chunk; sorting them while
-        // the all-to-all is in flight is the split-phase payoff.
-        ctx.sync_begin();
-        mine.sort_unstable();
-        ctx.sync_end();
-        let mut recv: Vec<u64> = Vec::new();
-        if byte_lane {
-            while let Some((_src, payload)) = ctx.recv_bytes() {
-                recv.extend(
-                    payload
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-                );
-            }
-        } else {
-            while let Some(pkt) = ctx.get_pkt() {
-                recv.push(pkt.as_two_u64().0);
-            }
+    // Keep local keys out of the network: cut the key buffer down to the
+    // kept run, which the arrivals are then merged into.
+    boundary(ctx, split_phase, || {
+        keys.truncate(cut[me + 1]);
+        keys.drain(..cut[me]);
+    });
+
+    // Superstep 3: merge. One sorted run per byte-lane payload (a source
+    // routes each bucket as one message), ascending source order.
+    let mut moved = 0;
+    if byte_lane {
+        keys.reserve_exact(ctx.bytes_remaining() / 8);
+        while let Some((_src, run)) = ctx.recv_bytes() {
+            let (run, _) = run.as_chunks::<8>();
+            merge_run(&mut keys, run.len(), |j| u64::from_le_bytes(run[j]));
+            moved += keys.len();
+        }
+    } else {
+        let mut recv = Vec::with_capacity(ctx.pkts_remaining());
+        while let Some(pkt) = ctx.get_pkt() {
+            recv.push(pkt.as_two_u64().0);
         }
         recv.sort_unstable();
-        // Linear merge of the two sorted runs.
-        let mut merged = Vec::with_capacity(mine.len() + recv.len());
-        let (mut i, mut j) = (0, 0);
-        while i < mine.len() && j < recv.len() {
-            if mine[i] <= recv[j] {
-                merged.push(mine[i]);
-                i += 1;
-            } else {
-                merged.push(recv[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&mine[i..]);
-        merged.extend_from_slice(&recv[j..]);
-        ctx.charge((merged.len().max(1).ilog2() as u64) * merged.len() as u64);
-        return merged;
+        keys.reserve_exact(recv.len());
+        merge_run(&mut keys, recv.len(), |j| recv[j]);
+        moved = (recv.len().max(1).ilog2() as usize) * recv.len() + keys.len();
     }
-    ctx.sync();
-    if byte_lane {
-        while let Some((_src, payload)) = ctx.recv_bytes() {
-            mine.extend(
-                payload
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-            );
-        }
+    ctx.charge(moved as u64);
+    keys
+}
+
+/// One superstep boundary with `local` work that needs nothing from it:
+/// run while the exchange is in flight when `split_phase`, after it
+/// otherwise.
+fn boundary<T>(ctx: &mut Ctx, split_phase: bool, local: impl FnOnce() -> T) -> T {
+    if split_phase {
+        ctx.sync_begin();
+        let done = local();
+        ctx.sync_end();
+        done
     } else {
-        while let Some(pkt) = ctx.get_pkt() {
-            mine.push(pkt.as_two_u64().0);
-        }
+        ctx.sync();
+        local()
     }
-    mine.sort_unstable();
-    ctx.charge((mine.len().max(1).ilog2() as u64) * mine.len() as u64);
-    mine
+}
+
+/// Merge the sorted run `run(0..len)` into the sorted `acc`, in place and
+/// from the back, so the one buffer is both source and destination (the
+/// write position never passes the read position). The loop picks the
+/// larger tail without branching on the comparison.
+fn merge_run(acc: &mut Vec<u64>, len: usize, run: impl Fn(usize) -> u64) {
+    let (mut i, mut j) = (acc.len(), len);
+    acc.resize(i + j, 0);
+    while i > 0 && j > 0 {
+        let (a, b) = (acc[i - 1], run(j - 1));
+        let from_acc = a > b;
+        acc[i + j - 1] = if from_acc { a } else { b };
+        i -= from_acc as usize;
+        j -= !from_acc as usize;
+    }
+    // `acc[..i]` is already in place; what is left of the run goes below it.
+    for (j, slot) in acc[..j].iter_mut().enumerate() {
+        *slot = run(j);
+    }
 }
 
 /// Verify a distributed sorted result: locally sorted, globally ordered
@@ -263,6 +259,26 @@ mod tests {
             all, expect,
             "concatenation of buckets must be the sorted whole"
         );
+    }
+
+    #[test]
+    fn merge_run_merges_in_place() {
+        let cases: [(&[u64], &[u64]); 7] = [
+            (&[], &[]),
+            (&[1, 3, 5], &[]),
+            (&[], &[2, 4]),
+            (&[1, 3, 5], &[0, 0, 6]),
+            (&[5, 5], &[5]),
+            (&[10, 11], &[1, 2, 3]),
+            (&[1, 2, 3], &[10, u64::MAX]),
+        ];
+        for (acc, run) in cases {
+            let mut got = acc.to_vec();
+            merge_run(&mut got, run.len(), |j| run[j]);
+            let mut want = [acc, run].concat();
+            want.sort_unstable();
+            assert_eq!(got, want, "{acc:?} + {run:?}");
+        }
     }
 
     #[test]
