@@ -7,8 +7,8 @@
 //! would deadlock every barrier backend) — and extracts each process's
 //! **superstep skeleton**: the ordered list of boundaries it crosses with
 //! their declared kinds (full barrier vs neighborhood rendezvous, fused vs
-//! split-phase), its per-superstep send volumes per lane, its eager
-//! toggles, and its checkpoint placements. Cross-process analysis of the
+//! split-phase), its per-superstep send volumes per lane, and its
+//! checkpoint placements. Cross-process analysis of the
 //! skeletons then reports, as ordinary [`CheckReport`] diagnostics:
 //!
 //! - [`CheckKind::PlanDeadlock`] — processes whose boundary counts or
@@ -95,8 +95,6 @@ pub struct PlanReport {
     /// Per-superstep skeleton and predicted cost (includes the final
     /// partial superstep, which no boundary closes).
     pub steps: Vec<PlanStep>,
-    /// Eager-delivery toggles observed: `(pid, superstep, on)`.
-    pub eager: Vec<(usize, usize, bool)>,
     /// Whole-program `T` on the chosen machine: the sum of the per-step
     /// predictions, with each boundary priced by kind (full `L`,
     /// neighborhood `L_neigh`, or the split-phase overlap credit) — for an
@@ -158,15 +156,6 @@ impl fmt::Display for PlanReport {
             self.predicted.total() * 1e6,
             self.predicted.comm() * 1e6
         )?;
-        for (pid, step, on) in &self.eager {
-            writeln!(
-                f,
-                "eager: proc {} turned {} at superstep {}",
-                pid,
-                if *on { "on" } else { "off" },
-                step
-            )?;
-        }
         if self.findings.is_empty() {
             writeln!(f, "findings: none")?;
         } else {
@@ -298,13 +287,6 @@ where
     findings.sort_by_key(|a| (a.step, a.pid));
 
     let boundaries = consensus_boundaries(&stats.proc_traces);
-    let mut eager: Vec<(usize, usize, bool)> = Vec::new();
-    for (pid, t) in stats.proc_traces.iter().enumerate() {
-        for &(step, on) in &t.eager {
-            eager.push((pid, step, on));
-        }
-    }
-    eager.sort_unstable();
 
     // Boundary-kind-aware pricing, matching the tuner (`crate::tune`):
     // a neighborhood boundary costs `L_neigh` (derived from `L`, the sync
@@ -370,7 +352,6 @@ where
         findings,
         boundaries,
         steps,
-        eager,
         predicted,
     })
 }
@@ -560,14 +541,12 @@ mod tests {
     }
 
     #[test]
-    fn lint_records_split_and_eager_in_the_skeleton() {
+    fn lint_records_split_in_the_skeleton() {
         let report = lint(&Config::new(2), &SGI, |ctx| {
-            ctx.set_eager(true);
             ctx.send_pkt(1 - ctx.pid(), Packet::ZERO);
             ctx.sync_begin();
             ctx.sync_end();
             while ctx.get_pkt().is_some() {}
-            ctx.set_eager(false);
             ctx.sync();
         })
         .unwrap();
@@ -575,10 +554,5 @@ mod tests {
         assert_eq!(report.boundaries.len(), 2);
         assert!(report.boundaries[0].split);
         assert!(!report.boundaries[1].split);
-        assert_eq!(report.eager.len(), 4); // 2 procs × 2 toggles
-        assert!(report
-            .eager
-            .iter()
-            .any(|&(p, s, on)| p == 0 && s == 0 && on));
     }
 }

@@ -1,15 +1,18 @@
-//! The library implementations: one module per platform flavour from the
-//! paper, plus the sequential simulator and the machine emulator.
+//! The library implementations. A transport is an exchange schedule and
+//! nothing else: staging, the boundary's mode and the sync-graph discipline
+//! all live in [`crate::Ctx`], which hands every transport whole batches and
+//! tells it, per boundary, which rendezvous to run.
 //!
 //! * [`shared`] — the SGI Challenge shared-memory version (Appendix B.1):
 //!   double-buffered input buffers, chunked lock amortization, explicit
 //!   barrier at superstep boundaries.
-//! * [`msgpass`] — the NEC Cenju MPI version (Appendix B.2): a distinct
-//!   input and output buffer per pair of processes, all exchanged at the
-//!   superstep boundary; synchronization is implicit in the all-to-all.
-//! * [`tcpsim`] — the PC-LAN TCP version (Appendix B.3): processes pair off
-//!   and exchange according to a precomputed `p − 1`-stage total-exchange
-//!   schedule, which is what prevented deadlock over blocking TCP.
+//! * [`channel`] — a distinct output buffer per pair of processes, traded
+//!   over per-pair pipes at the boundary, where synchronization is implicit
+//!   in the trade. One transport, two schedules: the NEC Cenju MPI
+//!   version's all-to-all ([`BackendKind::MsgPass`], Appendix B.2), and the
+//!   PC-LAN TCP version's precomputed `p − 1`-stage pairwise total exchange
+//!   ([`BackendKind::TcpSim`], Appendix B.3), which is what prevented
+//!   deadlock over blocking TCP.
 //! * [`seqsim`] — the single-processor simulation the paper used to measure
 //!   work depth `W` and total work: the same program, with logical processes
 //!   executed one at a time.
@@ -17,11 +20,10 @@
 //!   superstep delay of a target platform (the substitution for the paper's
 //!   physical testbeds; see DESIGN.md §2).
 
-pub(crate) mod msgpass;
+pub(crate) mod channel;
 pub(crate) mod netsim;
 pub(crate) mod seqsim;
 pub(crate) mod shared;
-pub(crate) mod tcpsim;
 
 /// Which library implementation to run a program on.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]

@@ -47,14 +47,6 @@ pub(crate) struct NetSimProc {
     /// set, else `l_us · (1 + max_degree) / p` — the fraction of the full
     /// barrier's fan-in a pairwise rendezvous actually pays for.
     l_neigh_us: f64,
-    /// The sync mode of the boundary currently being crossed. Latched from
-    /// [`ProcTransport::set_sync_mode`] (one boundary only, like the inner
-    /// `SharedProc`) so the injected delay charges `L_neigh` instead of `L`
-    /// on neighborhood boundaries.
-    mode: SyncMode,
-    /// Mode latched at `exchange_begin` for the matching `exchange`.
-    begun_mode: SyncMode,
-    begun: bool,
 }
 
 impl NetSimProc {
@@ -81,9 +73,6 @@ impl NetSimProc {
             params,
             sent_this_step: 0,
             l_neigh_us,
-            mode: SyncMode::Full,
-            begun_mode: SyncMode::Full,
-            begun: false,
         }
     }
 }
@@ -118,7 +107,7 @@ impl ProcTransport for NetSimProc {
         self.inner.send_bytes(dest, buf);
     }
 
-    fn exchange_begin(&mut self, step: usize) {
+    fn exchange_begin(&mut self, step: usize, mode: SyncMode) {
         // Contribute the send count now: the h cell must be fed before this
         // process's rendezvous arrival, and no sends are legal between
         // `sync_begin` and `sync_end`. (`exchange` re-contributes a
@@ -126,19 +115,16 @@ impl ProcTransport for NetSimProc {
         let par = step & 1;
         self.st.slots[par].fetch_max(self.sent_this_step, Ordering::AcqRel);
         self.sent_this_step = 0;
-        self.begun_mode = std::mem::take(&mut self.mode);
-        self.begun = true;
-        self.inner.set_sync_mode(self.begun_mode);
-        self.inner.exchange_begin(step);
+        self.inner.exchange_begin(step, mode);
     }
 
-    fn set_sync_mode(&mut self, mode: SyncMode) {
-        // Latch locally for the delay charge; forwarded to the inner
-        // `SharedProc` at the boundary itself so both latches stay in step.
-        self.mode = mode;
-    }
-
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
+    fn exchange(
+        &mut self,
+        step: usize,
+        mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    ) {
         let par = step & 1;
         let pid = self.inner.pid;
         // Record how much this process received: the packet inbox grows
@@ -147,15 +133,7 @@ impl ProcTransport for NetSimProc {
         // Contribute our send count before the inner barrier...
         self.st.slots[par].fetch_max(self.sent_this_step, Ordering::AcqRel);
         self.sent_this_step = 0;
-        let mode = if self.begun {
-            self.begun = false;
-            self.begun_mode
-        } else {
-            let mode = std::mem::take(&mut self.mode);
-            self.inner.set_sync_mode(mode);
-            mode
-        };
-        self.inner.exchange(step, inbox, byte_inbox);
+        self.inner.exchange(step, mode, inbox, byte_inbox);
         // ...and our receive count before the second barrier. (recv counts
         // are only known after delivery, so h is finalized here.) Byte-lane
         // receives are charged in packet-equivalents, like sends.
@@ -202,11 +180,6 @@ impl ProcTransport for NetSimProc {
             return false;
         }
         self.sent_this_step = 0;
-        // The inner reset declines mid-split, so `begun` is always false
-        // here; clear the mode latches for symmetry with SharedProc.
-        self.mode = SyncMode::Full;
-        self.begun_mode = SyncMode::Full;
-        self.begun = false;
         // A clean run leaves both parity cells at zero (pid 0 clears each
         // after its second barrier); clear defensively anyway — no job is
         // running on this state during an arena reset.

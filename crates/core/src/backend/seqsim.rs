@@ -19,16 +19,13 @@
 //! Relaxed boundaries (DESIGN.md §12) are trivial here: with one process
 //! running at a time, the baton already gives every boundary full-barrier
 //! strength, so a neighborhood boundary changes nothing about delivery.
-//! The *graph discipline* is still enforced — a superstep adjacent to a
-//! neighborhood boundary that sends outside the registered sync graph
-//! fails with [`TransportErrorKind::GraphViolation`] exactly as it would
-//! on a concurrent backend, so the simulator stays a faithful oracle.
+//! The *graph discipline* is still enforced, by the context as on every
+//! backend (`Ctx::check_graph`), so the simulator stays a faithful oracle.
 
 use super::super::context::{hand_over, ProcTransport};
 use super::super::packet::{Packet, PACKET_SIZE};
 use super::shared::ByteGrid;
-use crate::fault::{BspError, TransportError, TransportErrorKind};
-use crate::relax::{SyncGraph, SyncMode};
+use crate::relax::SyncMode;
 use crate::stats::TransportCounters;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -113,17 +110,11 @@ pub(crate) struct SeqProc {
     pid: usize,
     out: Vec<Vec<Packet>>,
     out_bytes: Vec<Vec<u8>>,
-    /// Registered sync graph (None = neighborhood boundaries unavailable).
-    graph: Option<Arc<SyncGraph>>,
-    /// Sync mode latched for the next boundary (consumed there).
-    mode: SyncMode,
-    /// Mode of the previous boundary (adjacent-boundary graph discipline).
-    prev_mode: SyncMode,
     counters: TransportCounters,
 }
 
 impl SeqProc {
-    pub(crate) fn create_all(nprocs: usize, graph: Option<Arc<SyncGraph>>) -> Vec<SeqProc> {
+    pub(crate) fn create_all(nprocs: usize) -> Vec<SeqProc> {
         let st = SeqState::new(nprocs);
         (0..nprocs)
             .map(|pid| SeqProc {
@@ -131,41 +122,9 @@ impl SeqProc {
                 pid,
                 out: vec![Vec::new(); nprocs],
                 out_bytes: vec![Vec::new(); nprocs],
-                graph: graph.clone(),
-                mode: SyncMode::Full,
-                prev_mode: SyncMode::Full,
                 counters: TransportCounters::default(),
             })
             .collect()
-    }
-
-    /// Adjacent-boundary graph discipline (see the shared backend): staged
-    /// traffic to a non-neighbor is illegal when this boundary or the
-    /// previous one is a neighborhood boundary.
-    fn check_graph(&self, mode: SyncMode, step: usize) {
-        if mode != SyncMode::Neighborhood && self.prev_mode != SyncMode::Neighborhood {
-            return;
-        }
-        let graph = self
-            .graph
-            .as_ref()
-            .expect("neighborhood boundary implies a registered sync graph");
-        for dest in 0..self.out.len() {
-            let sent = !self.out[dest].is_empty() || !self.out_bytes[dest].is_empty();
-            if sent && dest != self.pid && !graph.is_neighbor(self.pid, dest) {
-                std::panic::panic_any(BspError::Transport(TransportError {
-                    pid: self.pid,
-                    peer: Some(dest),
-                    step,
-                    kind: TransportErrorKind::GraphViolation,
-                    detail: format!(
-                        "superstep {} is adjacent to a neighborhood boundary but proc {} \
-                         sent traffic to proc {}, which is not a sync-graph neighbor",
-                        step, self.pid, dest
-                    ),
-                }));
-            }
-        }
     }
 }
 
@@ -185,20 +144,15 @@ impl ProcTransport for SeqProc {
         hand_over(&mut self.out_bytes[dest], buf);
     }
 
-    fn set_sync_mode(&mut self, mode: SyncMode) {
-        assert!(
-            mode == SyncMode::Full || self.graph.is_some(),
-            "neighborhood synchronization requires Config::sync_graph"
-        );
-        self.mode = mode;
-    }
-
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
+    fn exchange(
+        &mut self,
+        step: usize,
+        _mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    ) {
         // The baton serializes everything, so a neighborhood boundary is
-        // delivered identically to a full one; only the discipline differs.
-        let mode = std::mem::take(&mut self.mode);
-        self.check_graph(mode, step);
-        self.prev_mode = mode;
+        // delivered identically to a full one.
         let phase = (step + 1) & 1;
         for (dest, batch) in self.out.iter_mut().enumerate() {
             if !batch.is_empty() {
@@ -258,8 +212,6 @@ impl ProcTransport for SeqProc {
             b.current = 0;
         }
         drop(b);
-        self.mode = SyncMode::Full;
-        self.prev_mode = SyncMode::Full;
         self.counters = TransportCounters::default();
         true
     }

@@ -37,19 +37,19 @@
 //! the same happens-before the barrier used to provide, but only along
 //! declared edges — which is why every superstep *adjacent* to a
 //! neighborhood boundary (the one it ends and the one it begins) may only
-//! send to graph neighbors or self; the boundary panics with
-//! [`TransportErrorKind::GraphViolation`] otherwise. Split-phase boundaries
-//! move the flush + arrival announcement into `exchange_begin` and keep
-//! only the blocking wait + drain in `exchange`. Deposits happen whenever the
-//! context hands a chunk over — mid-superstep once a destination's staging
-//! buffer fills, per send in eager mode, the rest at the boundary — and the
-//! phase discipline covers them all alike.
+//! send to graph neighbors or self; the context enforces that for every
+//! backend alike (`Ctx::check_graph`). Split-phase boundaries move the
+//! arrival announcement into `exchange_begin` and keep only the blocking
+//! wait + drain in `exchange`. Deposits happen whenever the context hands a
+//! chunk over — mid-superstep once a destination's staging buffer fills,
+//! the rest at the boundary — and the phase discipline covers them all
+//! alike.
 
 use super::super::barrier::Barrier;
 use super::super::context::{hand_over, ProcTransport};
 use super::super::packet::{Packet, PACKET_SIZE};
 use crate::check::audit::PhaseAudit;
-use crate::fault::{BspError, TransportError, TransportErrorKind};
+use crate::fault::BspError;
 use crate::pad::CachePadded;
 use crate::relax::{NeighborSync, SyncGraph, SyncMode};
 use crate::stats::TransportCounters;
@@ -249,8 +249,8 @@ impl ByteGrid {
 
     /// Sender side: hand `src`'s records for `dest` to the slot of `phase`
     /// and leave `buf` empty — holding the slot's previous (empty) buffer
-    /// unless this superstep already deposited there (eager mode), in which
-    /// case the records are appended.
+    /// unless this superstep already deposited there (a fault injector's
+    /// duplicate), in which case the records are appended.
     pub(crate) fn deposit(&self, dest: usize, src: usize, phase: usize, buf: &mut Vec<u8>) {
         let mut slot = self.slots[dest][src][phase]
             .lock()
@@ -358,22 +358,12 @@ pub(crate) struct SharedProc {
     pub(crate) pid: usize,
     /// Superstep currently executing (so a deposit knows its target phase).
     cur_step: usize,
-    /// Sync mode latched for the next boundary (consumed there).
-    mode: SyncMode,
-    /// Mode of the boundary that ended the previous superstep: the graph
-    /// discipline covers both supersteps adjacent to a neighborhood
-    /// boundary (module docs).
-    prev_mode: SyncMode,
-    /// Mode captured at `exchange_begin` for the in-flight split boundary.
-    begun_mode: SyncMode,
     /// An `exchange_begin` ran for `cur_step`; `exchange` completes it.
     begun: bool,
     /// Monotone neighborhood-rendezvous generation. Advances in lockstep
     /// across procs (sync-mode congruence) and survives arena reuse, like
     /// msgpass's `xseq` — the shared flags are never rewound.
     neigh_gen: u64,
-    /// Destinations this superstep sent traffic to (graph-violation check).
-    sent_dests: Vec<bool>,
     /// Deferred neighborhood wakes (see [`NeighborSync::signal`]): handed
     /// to every signal/wait and flushed on finish/reset so no neighbor is
     /// left sleeping against the park timeout.
@@ -383,17 +373,12 @@ pub(crate) struct SharedProc {
 
 impl SharedProc {
     pub(crate) fn new(st: Arc<SharedState>, pid: usize) -> Self {
-        let n = st.mailboxes.len();
         SharedProc {
             st,
             pid,
             cur_step: 0,
-            mode: SyncMode::Full,
-            prev_mode: SyncMode::Full,
-            begun_mode: SyncMode::Full,
             begun: false,
             neigh_gen: 0,
-            sent_dests: vec![false; n],
             pending_wakes: Vec::new(),
             counters: TransportCounters::default(),
         }
@@ -425,37 +410,22 @@ impl SharedProc {
         }
     }
 
-    /// Enforce the graph discipline at a boundary: when this boundary or
-    /// the one before it is a neighborhood rendezvous, every destination
-    /// with traffic this superstep must be a graph neighbor (or self) —
-    /// the pairwise flags provide no happens-before edge to anyone else.
-    fn check_graph(&self, mode: SyncMode, step: usize) {
-        if mode == SyncMode::Neighborhood && self.st.relax.is_none() {
-            panic!(
-                "neighborhood sync requested but no sync graph was registered (Config::sync_graph)"
-            );
-        }
-        if mode != SyncMode::Neighborhood && self.prev_mode != SyncMode::Neighborhood {
-            return;
-        }
-        let rx = self
-            .st
-            .relax
-            .as_ref()
-            .expect("prev neighborhood boundary implies a graph");
-        for dest in 0..self.sent_dests.len() {
-            if self.sent_dests[dest] && dest != self.pid && !rx.graph.is_neighbor(self.pid, dest) {
-                std::panic::panic_any(BspError::Transport(TransportError {
-                    pid: self.pid,
-                    peer: Some(dest),
-                    step,
-                    kind: TransportErrorKind::GraphViolation,
-                    detail: format!(
-                        "superstep {} is adjacent to a neighborhood boundary but proc {} \
-                         sent traffic to proc {}, which is not a sync-graph neighbor",
-                        step, self.pid, dest
-                    ),
-                }));
+    /// Announce this process's arrival at the boundary `mode` names without
+    /// waiting for anyone: the split half of a barrier crossing, or the
+    /// signal on every out-edge of the sync graph.
+    fn arrive(&mut self, mode: SyncMode) {
+        match mode {
+            SyncMode::Full => self.st.barrier.arrive(self.pid),
+            SyncMode::Neighborhood => {
+                self.neigh_gen += 1;
+                let rx = (self.st.relax.as_ref())
+                    .expect("neighborhood synchronization requires Config::sync_graph");
+                rx.neigh.signal(
+                    self.pid,
+                    rx.graph.neighbors(self.pid),
+                    self.neigh_gen,
+                    &mut self.pending_wakes,
+                );
             }
         }
     }
@@ -465,7 +435,6 @@ impl ProcTransport for SharedProc {
     fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
         // The context did the staging: a chunk travels from its buffer to
         // the destination's slab with one reservation and one memcpy.
-        self.sent_dests[dest] = true;
         let phase = self.write_phase();
         if let Some(a) = &self.st.audit {
             a.on_push(self.pid, dest, phase, self.cur_step);
@@ -474,10 +443,9 @@ impl ProcTransport for SharedProc {
     }
 
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
-        // The context hands over a whole superstep's records per destination
-        // (or, in eager mode, one completed record at a time): the buffer
-        // itself goes into this pair's slot, nothing is copied.
-        self.sent_dests[dest] = true;
+        // The context hands over a whole superstep's records per
+        // destination: the buffer itself goes into this pair's slot, nothing
+        // is copied.
         let phase = self.write_phase();
         if let Some(a) = &self.st.audit {
             a.on_push(self.pid, dest, phase, self.cur_step);
@@ -487,86 +455,47 @@ impl ProcTransport for SharedProc {
         self.st.bytes.deposit(dest, self.pid, phase, buf);
     }
 
-    fn exchange_begin(&mut self, step: usize) {
+    fn exchange_begin(&mut self, step: usize, mode: SyncMode) {
         debug_assert_eq!(step, self.cur_step);
         debug_assert!(!self.begun, "exchange_begin without a completing exchange");
-        let mode = std::mem::take(&mut self.mode);
-        self.check_graph(mode, step);
-        match mode {
-            SyncMode::Full => self.st.barrier.arrive(self.pid),
+        self.arrive(mode);
+        self.begun = true;
+    }
+
+    fn exchange(
+        &mut self,
+        step: usize,
+        mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    ) {
+        debug_assert_eq!(step, self.cur_step);
+        // After an `exchange_begin` this is the second half of a split
+        // boundary: the arrival announcement already happened.
+        let begun = std::mem::take(&mut self.begun);
+        let ok = match mode {
+            SyncMode::Full => {
+                if begun {
+                    self.st.barrier.complete(self.pid);
+                } else {
+                    self.st.barrier.wait(self.pid);
+                }
+                !self.st.barrier.is_poisoned()
+            }
             SyncMode::Neighborhood => {
-                self.neigh_gen += 1;
-                let rx = self.st.relax.as_ref().expect("checked in check_graph");
-                rx.neigh.signal(
+                // Pairwise rendezvous: signal own out-edges, wait own
+                // in-edges. Release/Acquire on the per-edge flags gives
+                // neighbors the same happens-before the barrier did.
+                if !begun {
+                    self.arrive(mode);
+                }
+                let rx = self.st.relax.as_ref().expect("arrived over the graph");
+                rx.neigh.wait(
                     self.pid,
                     rx.graph.neighbors(self.pid),
                     self.neigh_gen,
                     &mut self.pending_wakes,
-                );
-            }
-        }
-        self.begun_mode = mode;
-        self.begun = true;
-    }
-
-    fn set_sync_mode(&mut self, mode: SyncMode) {
-        assert!(
-            mode == SyncMode::Full || self.st.relax.is_some(),
-            "neighborhood sync requested but no sync graph was registered (Config::sync_graph)"
-        );
-        self.mode = mode;
-    }
-
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
-        debug_assert_eq!(step, self.cur_step);
-        let mode;
-        let ok = if self.begun {
-            // Second half of a split boundary: the arrival announcement
-            // already happened in exchange_begin.
-            self.begun = false;
-            mode = self.begun_mode;
-            match mode {
-                SyncMode::Full => {
-                    self.st.barrier.complete(self.pid);
-                    !self.st.barrier.is_poisoned()
-                }
-                SyncMode::Neighborhood => {
-                    let rx = self.st.relax.as_ref().expect("begun in neighborhood mode");
-                    rx.neigh.wait(
-                        self.pid,
-                        rx.graph.neighbors(self.pid),
-                        self.neigh_gen,
-                        &mut self.pending_wakes,
-                    )
-                }
-            }
-        } else {
-            mode = std::mem::take(&mut self.mode);
-            self.check_graph(mode, step);
-            match mode {
-                SyncMode::Full => {
-                    self.st.barrier.wait(self.pid);
-                    !self.st.barrier.is_poisoned()
-                }
-                SyncMode::Neighborhood => {
-                    // Pairwise rendezvous: signal own out-edges, wait own
-                    // in-edges. Release/Acquire on the per-edge flags gives
-                    // neighbors the same happens-before the barrier did.
-                    self.neigh_gen += 1;
-                    let rx = self.st.relax.as_ref().expect("checked in check_graph");
-                    rx.neigh.signal(
-                        self.pid,
-                        rx.graph.neighbors(self.pid),
-                        self.neigh_gen,
-                        &mut self.pending_wakes,
-                    );
-                    rx.neigh.wait(
-                        self.pid,
-                        rx.graph.neighbors(self.pid),
-                        self.neigh_gen,
-                        &mut self.pending_wakes,
-                    )
-                }
+                )
             }
         };
         if !ok {
@@ -574,7 +503,7 @@ impl ProcTransport for SharedProc {
             // all-arrived guarantee, so the inboxes are unusable. Surface a
             // structured error instead of computing on garbage or
             // deadlocking.
-            std::panic::panic_any(crate::fault::BspError::PeerFailed {
+            std::panic::panic_any(BspError::PeerFailed {
                 pid: self.pid,
                 step,
                 detail: "a peer process panicked before reaching the superstep boundary"
@@ -582,8 +511,6 @@ impl ProcTransport for SharedProc {
             });
         }
         self.drain_own(step, inbox, byte_inbox);
-        self.prev_mode = mode;
-        self.sent_dests.iter_mut().for_each(|d| *d = false);
         self.cur_step = step + 1;
     }
 
@@ -633,10 +560,6 @@ impl ProcTransport for SharedProc {
         }
         self.st.bytes.clear(self.pid);
         self.cur_step = 0;
-        self.mode = SyncMode::Full;
-        self.prev_mode = SyncMode::Full;
-        self.begun_mode = SyncMode::Full;
-        self.sent_dests.iter_mut().for_each(|d| *d = false);
         // `neigh_gen` is deliberately NOT rewound: the shared per-edge
         // flags are monotone across the arena's lifetime (like msgpass's
         // xseq), so a reused endpoint must keep counting from where the
@@ -748,8 +671,8 @@ mod tests {
         let (mut ia, mut ib) = (Vec::new(), Vec::new());
         let (mut ba, mut bb) = (vec![Vec::new(); 2], vec![Vec::new(); 2]);
         std::thread::scope(|s| {
-            s.spawn(|| a.exchange(0, &mut ia, &mut ba));
-            s.spawn(|| b.exchange(0, &mut ib, &mut bb));
+            s.spawn(|| a.exchange(0, SyncMode::Full, &mut ia, &mut ba));
+            s.spawn(|| b.exchange(0, SyncMode::Full, &mut ib, &mut bb));
         });
         assert_eq!(ia.len(), 10);
         assert_eq!(ib.len(), 10);

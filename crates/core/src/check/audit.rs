@@ -15,6 +15,7 @@
 use super::{report, CheckKind, CheckReport, CheckShared, ReportSink};
 use crate::context::ProcTransport;
 use crate::packet::Packet;
+use crate::relax::SyncMode;
 use crate::stats::TransportCounters;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -242,18 +243,20 @@ impl ProcTransport for Box<dyn ProcTransport> {
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
         (**self).send_bytes(dest, buf)
     }
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
-        (**self).exchange(step, inbox, byte_inbox)
+    fn exchange(
+        &mut self,
+        step: usize,
+        mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    ) {
+        (**self).exchange(step, mode, inbox, byte_inbox)
     }
-    // The relaxed-synchronization hooks must forward explicitly: this impl
-    // shadows the inner type's methods, and the trait defaults are no-ops —
-    // without these, split-phase and neighborhood requests from `Ctx` would
-    // silently never reach any backend.
-    fn exchange_begin(&mut self, step: usize) {
-        (**self).exchange_begin(step)
-    }
-    fn set_sync_mode(&mut self, mode: crate::relax::SyncMode) {
-        (**self).set_sync_mode(mode)
+    // Must forward explicitly: this impl shadows the inner type's methods,
+    // and the trait default is a no-op — without this, a split-phase
+    // announcement from `Ctx` would silently never reach any backend.
+    fn exchange_begin(&mut self, step: usize, mode: SyncMode) {
+        (**self).exchange_begin(step, mode)
     }
     fn finish(&mut self) {
         (**self).finish()
@@ -289,25 +292,10 @@ pub(crate) struct CheckedBackend<B: ProcTransport> {
     /// Byte-lane bytes sent per destination during the current superstep.
     sent_bytes_to: Vec<u64>,
     step: usize,
-    /// The run's sync graph, for the graph-violation check. The checker
-    /// records the program's declared sync modes but the inner backend
-    /// always runs full boundaries (see `set_sync_mode`), so this wrapper
-    /// must re-derive the discipline the relaxed fast path would enforce.
-    graph: Option<Arc<crate::relax::SyncGraph>>,
-    /// Mode the program declared for the next boundary.
-    mode: crate::relax::SyncMode,
-    /// Mode declared for the previous boundary (adjacent-boundary rule).
-    prev_mode: crate::relax::SyncMode,
 }
 
 impl<B: ProcTransport> CheckedBackend<B> {
-    pub(crate) fn new(
-        inner: B,
-        shared: Arc<CheckShared>,
-        pid: usize,
-        nprocs: usize,
-        graph: Option<Arc<crate::relax::SyncGraph>>,
-    ) -> Self {
+    pub(crate) fn new(inner: B, shared: Arc<CheckShared>, pid: usize, nprocs: usize) -> Self {
         CheckedBackend {
             inner,
             shared,
@@ -315,44 +303,6 @@ impl<B: ProcTransport> CheckedBackend<B> {
             sent_to: vec![0; nprocs],
             sent_bytes_to: vec![0; nprocs],
             step: 0,
-            graph,
-            mode: crate::relax::SyncMode::Full,
-            prev_mode: crate::relax::SyncMode::Full,
-        }
-    }
-
-    /// File a [`CheckKind::GraphViolatingSend`] for every destination this
-    /// superstep sent to that the adjacent-boundary discipline forbids.
-    /// Diagnostic, not fatal: the inner backend ran a full boundary, so the
-    /// run's results are still well-defined — but the same program on an
-    /// unchecked relaxed run would race or panic.
-    fn check_graph(&self, mode: crate::relax::SyncMode, step: usize) {
-        use crate::relax::SyncMode;
-        if mode != SyncMode::Neighborhood && self.prev_mode != SyncMode::Neighborhood {
-            return;
-        }
-        let Some(graph) = self.graph.as_ref() else {
-            return; // the backend's own assert already rejects this config
-        };
-        for dest in 0..self.sent_to.len() {
-            let sent = self.sent_to[dest] > 0 || self.sent_bytes_to[dest] > 0;
-            if sent && dest != self.pid && !graph.is_neighbor(self.pid, dest) {
-                report(
-                    &self.shared.sink,
-                    CheckReport {
-                        kind: CheckKind::GraphViolatingSend,
-                        pid: self.pid,
-                        step,
-                        related_step: None,
-                        detail: format!(
-                            "superstep {} is adjacent to a neighborhood boundary but proc {} \
-                             sent {} packet(s) and {} byte-lane byte(s) to proc {}, which is \
-                             not a sync-graph neighbor",
-                            step, self.pid, self.sent_to[dest], self.sent_bytes_to[dest], dest
-                        ),
-                    },
-                );
-            }
         }
     }
 }
@@ -372,33 +322,21 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
         self.inner.send_bytes(dest, buf);
     }
 
-    fn exchange_begin(&mut self, _step: usize) {
-        // Deliberately NOT forwarded: the conservation ledger must publish
-        // this superstep's counts before the boundary rendezvous, and that
-        // happens in `exchange`. Collapsing the split boundary into one
-        // full exchange at `sync_end` is semantically a legal (stronger)
-        // implementation of split-phase sync.
-    }
+    // `exchange_begin` deliberately keeps the no-op default: the
+    // conservation ledger must publish this superstep's counts before the
+    // boundary rendezvous, and that happens in `exchange`. Collapsing the
+    // split boundary into one full exchange at `sync_end` is semantically a
+    // legal (stronger) implementation of split-phase sync.
 
-    fn set_sync_mode(&mut self, mode: crate::relax::SyncMode) {
-        // Record the program's declared mode for the graph check, but never
-        // forward `Neighborhood`: the inner backend runs every boundary at
-        // full strength, so the conservation ledger's cross-process
-        // happens-before argument (publish before the boundary, read after
-        // it) keeps holding unchanged under checking.
-        assert!(
-            mode == crate::relax::SyncMode::Full || self.graph.is_some(),
-            "neighborhood synchronization requires Config::sync_graph"
-        );
-        self.mode = mode;
-    }
-
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
+    fn exchange(
+        &mut self,
+        step: usize,
+        _mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    ) {
         debug_assert_eq!(step, self.step, "transport driven out of order");
         let phase = step & 1;
-        let mode = std::mem::take(&mut self.mode);
-        self.check_graph(mode, step);
-        self.prev_mode = mode;
         // Publish this superstep's per-destination counts before entering
         // the boundary synchronization, so every peer's counts are visible
         // to the destination when its inner exchange returns.
@@ -411,7 +349,11 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
             *n = 0;
         }
         let before = inbox.len();
-        self.inner.exchange(step, inbox, byte_inbox);
+        // Whatever the program declared, the inner transport crosses at
+        // full strength: the ledger's cross-process happens-before argument
+        // (publish before the boundary, read after it) needs every sender
+        // ordered before this reader, not just the graph neighbors.
+        self.inner.exchange(step, SyncMode::Full, inbox, byte_inbox);
         let delivered = (inbox.len() - before) as u64;
         let expected = self.shared.ledger.take(self.pid, phase);
         if delivered != expected {

@@ -85,9 +85,9 @@ pub enum CheckKind {
     /// against the destination's slab maintenance, so the send is illegal
     /// even if it happens to arrive (see DESIGN.md §12).
     GraphViolatingSend,
-    /// A split-phase window was misused: a send, `sync`, or `set_eager`
-    /// between [`crate::Ctx::sync_begin`] and [`crate::Ctx::sync_end`], a
-    /// second `sync_begin` without closing the first, a `sync_end` with no
+    /// A split-phase window was misused: a send or `sync` between
+    /// [`crate::Ctx::sync_begin`] and [`crate::Ctx::sync_end`], a second
+    /// `sync_begin` without closing the first, a `sync_end` with no
     /// open window, or a return from the program mid-window. Unchecked
     /// runs panic at the offending call; checked runs degrade (the
     /// offending operation is dropped or the window is force-closed) and
@@ -262,8 +262,6 @@ pub(crate) struct ProcTrace {
     pub(crate) boundaries: Vec<BoundaryEvent>,
     /// Checkpoint registrations: `(superstep, inside a split window)`.
     pub(crate) ckpts: Vec<(usize, bool)>,
-    /// Eager-delivery toggles: `(superstep, on)`.
-    pub(crate) eager: Vec<(usize, bool)>,
 }
 
 /// Run-wide checker state shared by every process.

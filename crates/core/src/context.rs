@@ -11,9 +11,9 @@ use crate::check::{
     report, BoundaryEvent, CheckCtx, CheckKind, CheckReport, CollectiveEvent, CollectiveKind,
     DrmaEvent, DrmaOp, TrackedPkt, LANE_BYTES, LANE_MSG, LANE_RAW,
 };
-use crate::fault::{BspError, FaultCounters};
+use crate::fault::{BspError, FaultCounters, TransportError, TransportErrorKind};
 use crate::packet::Packet;
-use crate::relax::SyncMode;
+use crate::relax::{SyncGraph, SyncMode};
 use crate::stats::{LocalStep, TransportCounters};
 use std::panic::{panic_any, Location};
 use std::sync::atomic::Ordering;
@@ -45,32 +45,29 @@ pub(crate) trait ProcTransport: Send {
     /// `buf` empty. The buffer is *moved*, not copied: a transport holding
     /// nothing for `dest` yet swaps allocations with the caller
     /// ([`hand_over`]), so `buf` comes back as a recycled allocation.
-    /// [`Ctx::sync`] calls this at most once per destination per superstep
-    /// with the whole superstep's staged traffic; eager mode
-    /// ([`Ctx::set_eager`]) calls it once per *record*, and only those
-    /// repeated calls for one destination in one superstep append.
+    /// [`Ctx`] calls this at most once per destination per superstep, with
+    /// the whole superstep's staged traffic; only a fault injector's
+    /// duplicated or delayed buffer arrives as a second call and is
+    /// appended.
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>);
 
     /// First half of a split-phase boundary for superstep `step`: flush
-    /// queued traffic and *announce* arrival at the rendezvous without
-    /// blocking for peers, so the caller can overlap local compute before
-    /// [`exchange`](ProcTransport::exchange) completes the crossing. After
-    /// `exchange_begin`, no further sends may arrive until the matching
-    /// `exchange`. The default is a no-op — `exchange` alone is always a
-    /// correct (if overlap-free) implementation of the pair.
-    fn exchange_begin(&mut self, _step: usize) {}
+    /// queued traffic and *announce* arrival at the rendezvous `mode` names
+    /// without blocking for peers, so the caller can overlap local compute
+    /// before [`exchange`](ProcTransport::exchange) — called with the same
+    /// `step` and `mode` — completes the crossing. After `exchange_begin`,
+    /// no further sends may arrive until the matching `exchange`. The
+    /// default is a no-op — `exchange` alone is always a correct (if
+    /// overlap-free) implementation of the pair.
+    fn exchange_begin(&mut self, _step: usize, _mode: SyncMode) {}
 
-    /// Select the synchronization discipline for the *next* exchange only;
-    /// the mode reverts to [`SyncMode::Full`] once that exchange completes.
-    /// [`SyncMode::Neighborhood`] requires a sync graph registered at
-    /// construction ([`crate::Config::sync_graph`]); backends without one
-    /// panic. The default ignores the request, which is semantically safe:
-    /// a full barrier strictly strengthens a neighborhood rendezvous.
-    fn set_sync_mode(&mut self, _mode: SyncMode) {}
-
-    /// Complete superstep `step` (0-based): flush queued packets, perform the
-    /// global synchronization, and append the packets addressed to this
-    /// process during `step` to `inbox`. The byte lane is delivered by
+    /// Complete superstep `step` (0-based): flush queued packets, perform
+    /// the synchronization `mode` asks for — the p-wide barrier, or a
+    /// rendezvous with this process's sync-graph neighbors only, which any
+    /// transport may strengthen to the barrier — and append the packets
+    /// addressed to this process during `step` to `inbox`. Which
+    /// destinations a superstep may send to is [`Ctx`]'s business
+    /// (`Ctx::check_graph`), not the transport's. The byte lane is delivered by
     /// *replacing* `byte_inbox`: on return `byte_inbox[src]` holds exactly
     /// the records `src` sent here during `step` — whole records, in `src`'s
     /// send order, empty if it sent none. What the segments held on entry
@@ -79,7 +76,13 @@ pub(crate) trait ProcTransport: Send {
     /// [`exchange_begin`](ProcTransport::exchange_begin) for the same step
     /// already ran, this is the second half of the split-phase pair and
     /// must not re-flush.
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]);
+    fn exchange(
+        &mut self,
+        step: usize,
+        mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    );
 
     /// The user function returned. Transports that serialize execution use
     /// this to hand control onward; barrier-based transports rely on the
@@ -121,8 +124,9 @@ pub(crate) trait ProcTransport: Send {
 }
 
 /// Move `buf`'s records behind whatever `held` already has and leave `buf`
-/// empty. When `held` is empty — every hand-over but an eager one — the two
-/// allocations are swapped and nothing is copied.
+/// empty. When `held` is empty — every hand-over but a fault injector's
+/// duplicated or delayed buffer — the two allocations are swapped and
+/// nothing is copied.
 #[inline]
 pub(crate) fn hand_over(held: &mut Vec<u8>, buf: &mut Vec<u8>) {
     if held.is_empty() {
@@ -168,11 +172,7 @@ pub struct Ctx {
     /// chunk each — so a destination never sent to costs nothing.
     pkt_out: Vec<Vec<Packet>>,
     /// Staged packets per destination that trigger a hand-off to the
-    /// transport: `chunk`, or 1 while eager delivery is on — so the hot
-    /// path compares against one field and never branches on the mode.
-    flush_at: usize,
-    /// [`crate::Config::chunk`], kept to restore `flush_at` when eager
-    /// delivery is switched off.
+    /// transport ([`crate::Config::chunk`]).
     chunk: usize,
     /// Per-destination byte-lane staging: framed records accumulated during
     /// the superstep. At `sync` the transport takes each buffer whole and
@@ -192,18 +192,22 @@ pub struct Ctx {
     sent_bytes_this_step: u64,
     work_units: u64,
     step_start: Instant,
-    /// True between [`Ctx::sync_begin`] and [`Ctx::sync_end`]: sends are
+    /// `Some` between [`Ctx::sync_begin`] and [`Ctx::sync_end`]: sends are
     /// forbidden in the overlap window (the exchange is already in flight).
-    in_split: bool,
-    /// The in-flight boundary is a neighborhood rendezvous
-    /// ([`Ctx::sync_neigh`] / [`Ctx::sync_neigh_begin`]); consumed by
-    /// `close_step` when recording the boundary's kind for the checker.
-    neigh_pending: bool,
-    /// Eager per-destination delivery ([`Ctx::set_eager`]): byte-lane
-    /// records flush to the transport as each message completes instead of
-    /// being staged until the boundary (the packet lane's half of the mode
-    /// is `flush_at == 1`).
-    eager: bool,
+    /// Holds the mode the window was opened with, which `sync_end` hands to
+    /// the transport again.
+    split: Option<SyncMode>,
+    /// The registered sync graph ([`crate::Config::sync_graph`]); `None`
+    /// makes neighborhood boundaries unavailable.
+    graph: Option<Arc<SyncGraph>>,
+    /// Mode of the boundary that opened the current superstep: the graph
+    /// discipline covers both supersteps adjacent to a neighborhood
+    /// boundary ([`Ctx::check_graph`]).
+    last_mode: SyncMode,
+    /// Destinations whose traffic already went to the transport this
+    /// superstep. Written per hand-over, never per packet; what is still
+    /// staged at the boundary is read off the staging buffers.
+    sent_to: Vec<bool>,
     /// Compute time accumulated up to `sync_begin`, completed by the
     /// overlap window's time at `sync_end`.
     pending_compute: Duration,
@@ -243,9 +247,6 @@ pub struct MsgWriter<'a> {
     /// Offset of this record's header in `buf`.
     start: usize,
     sent_bytes: &'a mut u64,
-    /// Eager delivery ([`Ctx::set_eager`]): hand the buffer to the transport
-    /// when the writer drops, leaving nothing staged.
-    eager: Option<(&'a mut Box<dyn ProcTransport>, usize)>,
 }
 
 impl MsgWriter<'_> {
@@ -298,15 +299,6 @@ impl Drop for MsgWriter<'_> {
         assert!(len <= u32::MAX as usize, "message too large: {} bytes", len);
         self.buf[self.start + 4..self.start + MSG_HDR].copy_from_slice(&(len as u32).to_le_bytes());
         *self.sent_bytes += (MSG_HDR + len) as u64;
-        if let Some((transport, dest)) = self.eager.as_mut() {
-            // Eager delivery: the record is complete, hand the buffer over
-            // now (nothing else is staged in it: switching the mode on
-            // flushed the lane, and every eager record leaves when it is
-            // complete). Delivery timing is unchanged — the bytes become
-            // readable at `dest` only after the next boundary — but the
-            // boundary itself has nothing left to move.
-            transport.send_bytes(*dest, self.buf);
-        }
     }
 }
 
@@ -315,9 +307,9 @@ impl Ctx {
         pid: usize,
         nprocs: usize,
         chunk: usize,
+        graph: Option<Arc<SyncGraph>>,
         transport: Box<dyn ProcTransport>,
     ) -> Self {
-        let chunk = chunk.max(1);
         Ctx {
             pid,
             nprocs,
@@ -326,8 +318,7 @@ impl Ctx {
             spare: Vec::new(),
             inbox_pos: 0,
             pkt_out: vec![Vec::new(); nprocs],
-            flush_at: chunk,
-            chunk,
+            chunk: chunk.max(1),
             byte_out: vec![Vec::new(); nprocs],
             byte_inbox: vec![Vec::new(); nprocs],
             byte_seg: 0,
@@ -338,9 +329,10 @@ impl Ctx {
             sent_bytes_this_step: 0,
             work_units: 0,
             step_start: Instant::now(),
-            in_split: false,
-            neigh_pending: false,
-            eager: false,
+            split: None,
+            graph,
+            last_mode: SyncMode::Full,
+            sent_to: vec![false; nprocs],
             pending_compute: Duration::ZERO,
             pending_wait: Duration::ZERO,
             log: Vec::new(),
@@ -376,7 +368,6 @@ impl Ctx {
         for buf in &mut self.pkt_out {
             buf.clear();
         }
-        self.flush_at = self.chunk;
         for buf in self.byte_out.iter_mut().chain(&mut self.byte_inbox) {
             buf.clear();
         }
@@ -388,9 +379,9 @@ impl Ctx {
         self.sent_bytes_this_step = 0;
         self.work_units = 0;
         self.step_start = Instant::now();
-        self.in_split = false;
-        self.neigh_pending = false;
-        self.eager = false;
+        self.split = None;
+        self.last_mode = SyncMode::Full;
+        self.sent_to.fill(false);
         self.pending_compute = Duration::ZERO;
         self.pending_wait = Duration::ZERO;
         self.log.clear();
@@ -428,7 +419,7 @@ impl Ctx {
     /// in `S` (e.g. the 1-processor matrix multiplication has `S = 1` with no
     /// synchronizations at all).
     pub(crate) fn finalize(&mut self) {
-        if self.in_split {
+        if self.split.is_some() {
             let pid = self.pid;
             // Checked degradation: complete the half-crossed boundary so
             // peers blocked in the matching exchange are not stranded,
@@ -496,7 +487,7 @@ impl Ctx {
     #[track_caller]
     pub fn send_pkt(&mut self, dest: usize, pkt: Packet) {
         debug_assert!(dest < self.nprocs, "dest {} out of range", dest);
-        if self.in_split {
+        if self.split.is_some() {
             if self.split_misuse("send_pkt between sync_begin and sync_end (packet dropped)") {
                 return;
             }
@@ -513,7 +504,7 @@ impl Ctx {
         // inlined the caller builds it straight into the staging buffer.
         let buf = &mut self.pkt_out[dest];
         buf.push(pkt);
-        if buf.len() >= self.flush_at {
+        if buf.len() >= self.chunk {
             self.flush_pkts(dest);
         }
     }
@@ -525,6 +516,7 @@ impl Ctx {
     fn flush_pkts(&mut self, dest: usize) {
         let buf = &mut self.pkt_out[dest];
         if !buf.is_empty() {
+            self.sent_to[dest] = true;
             self.transport.send_batch(dest, buf);
             buf.clear();
         }
@@ -532,7 +524,7 @@ impl Ctx {
 
     /// Cross the boundary: retire the previous superstep's deliveries and
     /// let the transport deliver this one's.
-    fn deliver(&mut self) {
+    fn deliver(&mut self, mode: SyncMode) {
         // Swap the double-buffered packet inboxes: the buffer delivered into
         // keeps its allocation from two supersteps ago, so a steady traffic
         // level reallocates neither buffer. The byte segments need no spare:
@@ -541,7 +533,7 @@ impl Ctx {
         self.inbox.clear();
         self.inbox_pos = 0;
         self.transport
-            .exchange(self.step, &mut self.inbox, &mut self.byte_inbox);
+            .exchange(self.step, mode, &mut self.inbox, &mut self.byte_inbox);
         self.byte_seg = 0;
         self.byte_pos = 0;
         self.byte_unread = self.byte_inbox.iter().map(Vec::len).sum();
@@ -556,6 +548,7 @@ impl Ctx {
         for dest in 0..self.nprocs {
             self.flush_pkts(dest);
             if !self.byte_out[dest].is_empty() {
+                self.sent_to[dest] = true;
                 self.transport.send_bytes(dest, &mut self.byte_out[dest]);
             }
         }
@@ -564,14 +557,13 @@ impl Ctx {
     /// Send a whole batch of packets to process `dest`; equivalent to calling
     /// [`Ctx::send_pkt`] once per packet. A batch that fits under the chunk
     /// rides the staging buffer (better hand-off amortization); a larger one
-    /// — and every eager batch — goes straight to the transport, skipping
-    /// the staging copy. Collectives and the DRMA layer route their bulk
-    /// traffic through this.
+    /// goes straight to the transport, skipping the staging copy.
+    /// Collectives and the DRMA layer route their bulk traffic through this.
     #[inline]
     #[track_caller]
     pub fn send_pkts(&mut self, dest: usize, pkts: &[Packet]) {
         debug_assert!(dest < self.nprocs, "dest {} out of range", dest);
-        if self.in_split {
+        if self.split.is_some() {
             if self.split_misuse("send_pkts between sync_begin and sync_end (batch dropped)") {
                 return;
             }
@@ -584,12 +576,13 @@ impl Ctx {
             c.record_lane(self.step, lane);
         }
         let buf = &mut self.pkt_out[dest];
-        if buf.len() + pkts.len() < self.flush_at {
+        if buf.len() + pkts.len() < self.chunk {
             buf.extend_from_slice(pkts);
         } else {
             // Staged packets leave first: one sender's packets to one
             // destination keep their send order.
             self.flush_pkts(dest);
+            self.sent_to[dest] = true;
             self.transport.send_batch(dest, pkts);
         }
     }
@@ -606,7 +599,7 @@ impl Ctx {
     #[inline]
     pub fn send_bytes(&mut self, dest: usize, payload: &[u8]) {
         debug_assert!(dest < self.nprocs, "dest {} out of range", dest);
-        if self.in_split {
+        if self.split.is_some() {
             if self.split_misuse("send_bytes between sync_begin and sync_end (message dropped)") {
                 return;
             }
@@ -626,11 +619,6 @@ impl Ctx {
         buf.extend_from_slice(&(pid as u32).to_le_bytes());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(payload);
-        if self.eager {
-            // Eager delivery: hand the completed record to the transport
-            // now (see MsgWriter::drop).
-            self.transport.send_bytes(dest, buf);
-        }
     }
 
     /// Open one byte-lane message to `dest` for in-place serialization:
@@ -640,7 +628,7 @@ impl Ctx {
     /// [`Ctx::send_bytes`], without the intermediate allocation and copy.
     pub fn msg_writer(&mut self, dest: usize) -> MsgWriter<'_> {
         debug_assert!(dest < self.nprocs, "dest {} out of range", dest);
-        if self.in_split {
+        if self.split.is_some() {
             // The writer API has no way to refuse a message, so the
             // checked degradation stages it normally; it leaves at the
             // next boundary that flushes the lane, one superstep late.
@@ -653,25 +641,14 @@ impl Ctx {
         if let Some(c) = &mut self.check {
             c.record_lane(self.step, LANE_BYTES);
         }
-        let pid = self.pid;
-        let eager = self.eager;
-        // Split borrow: the writer holds the staging buffer and (in eager
-        // mode) the transport; the two fields never alias.
-        let Ctx {
-            byte_out,
-            transport,
-            sent_bytes_this_step,
-            ..
-        } = self;
-        let buf = &mut byte_out[dest];
+        let buf = &mut self.byte_out[dest];
         let start = buf.len();
-        buf.extend_from_slice(&(pid as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.pid as u32).to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         MsgWriter {
             buf,
             start,
-            sent_bytes: sent_bytes_this_step,
-            eager: eager.then_some((transport, dest)),
+            sent_bytes: &mut self.sent_bytes_this_step,
         }
     }
 
@@ -763,28 +740,18 @@ impl Ctx {
     /// exactly what they always did (one `exchange`, no extra rendezvous
     /// traffic).
     pub fn sync(&mut self) {
-        self.check_control();
-        if self.in_split {
-            // Checked degradation: the caller clearly wants a boundary and
-            // one is already half-crossed, so complete the open window —
-            // that keeps this proc's boundary count congruent with peers
-            // that called sync_end correctly.
-            if self.split_misuse(
-                "sync between sync_begin and sync_end (treated as the matching sync_end)",
-            ) {
-                self.sync_end();
-                return;
-            }
-            panic!("sync between sync_begin and sync_end");
-        }
-        let compute = self.step_start.elapsed();
-        let sent = self.sent_this_step;
-        let sent_bytes = self.sent_bytes_this_step;
-        self.flush_staged();
-        let boundary = Instant::now();
-        self.deliver();
-        let sync_wait = boundary.elapsed();
-        self.close_step(sent, sent_bytes, compute, sync_wait, false);
+        self.boundary(SyncMode::Full);
+    }
+
+    /// [`Ctx::sync`] over the registered sync graph
+    /// ([`crate::Config::sync_graph`]): the boundary is a pairwise
+    /// rendezvous with this process's neighbors instead of the p-wide
+    /// barrier. Every process must take the same boundary kind at the same
+    /// superstep (sync-mode congruence); traffic to a non-neighbor is a
+    /// contract violation (panic unchecked, diagnostic under
+    /// [`crate::Config::checked`]).
+    pub fn sync_neigh(&mut self) {
+        self.boundary(SyncMode::Neighborhood);
     }
 
     /// First half of a split-phase boundary: flush this superstep's sends
@@ -794,20 +761,58 @@ impl Ctx {
     /// superstep's delivered packets, which stay valid until `sync_end` —
     /// but must not send ([`Ctx::send_pkt`] and friends panic).
     pub fn sync_begin(&mut self) {
+        self.boundary_begin(SyncMode::Full);
+    }
+
+    /// Split-phase [`Ctx::sync_neigh`]: announce arrival to neighbors now,
+    /// complete the pairwise rendezvous at the matching [`Ctx::sync_end`].
+    pub fn sync_neigh_begin(&mut self) {
+        self.boundary_begin(SyncMode::Neighborhood);
+    }
+
+    /// The fused boundary in `mode`.
+    fn boundary(&mut self, mode: SyncMode) {
         self.check_control();
-        if self.in_split {
+        if self.split.is_some() {
+            // Checked degradation: the caller clearly wants a boundary and
+            // one is already half-crossed, so complete the open window (in
+            // the mode it was opened with) — that keeps this proc's
+            // boundary count congruent with peers that called sync_end
+            // correctly.
+            if self.split_misuse(
+                "sync between sync_begin and sync_end (treated as the matching sync_end)",
+            ) {
+                self.sync_end();
+                return;
+            }
+            panic!("sync between sync_begin and sync_end");
+        }
+        let compute = self.step_start.elapsed();
+        self.check_graph(mode);
+        self.flush_staged();
+        let boundary = Instant::now();
+        self.deliver(mode);
+        let sync_wait = boundary.elapsed();
+        self.close_step(mode, compute, sync_wait, false);
+    }
+
+    /// Open a split window whose boundary is `mode`.
+    fn boundary_begin(&mut self, mode: SyncMode) {
+        self.check_control();
+        if self.split.is_some() {
             // Checked degradation: the window is already open; a second
-            // announcement has nothing to add, so ignore it.
+            // announcement has nothing to add, so ignore it — mode and all.
             if self.split_misuse("sync_begin called twice without sync_end (second call ignored)") {
                 return;
             }
             panic!("sync_begin called twice without sync_end");
         }
-        self.in_split = true;
+        self.split = Some(mode);
         self.pending_compute = self.step_start.elapsed();
+        self.check_graph(mode);
         self.flush_staged();
         let boundary = Instant::now();
-        self.transport.exchange_begin(self.step);
+        self.transport.exchange_begin(self.step, mode);
         self.pending_wait = boundary.elapsed();
         // Reopen the clock: the overlap window is local computation and
         // belongs to the superstep being closed.
@@ -819,7 +824,7 @@ impl Ctx {
     /// just ended. Must follow a [`Ctx::sync_begin`]; `sync_begin` +
     /// `sync_end` is observationally equivalent to one [`Ctx::sync`].
     pub fn sync_end(&mut self) {
-        if !self.in_split {
+        let Some(mode) = self.split.take() else {
             // Checked degradation: there is no open window to complete;
             // performing a boundary here would desynchronize this proc
             // from its peers, so ignore the call.
@@ -827,66 +832,66 @@ impl Ctx {
                 return;
             }
             panic!("sync_end without sync_begin");
-        }
-        self.in_split = false;
+        };
         let compute = self.pending_compute + self.step_start.elapsed();
-        let sent = self.sent_this_step;
-        let sent_bytes = self.sent_bytes_this_step;
         // The inboxes turn over here, not at sync_begin, so the previous
         // superstep's deliveries stay readable through the overlap window.
         let boundary = Instant::now();
-        self.deliver();
+        self.deliver(mode);
         let sync_wait = self.pending_wait + boundary.elapsed();
         self.pending_wait = Duration::ZERO;
-        self.close_step(sent, sent_bytes, compute, sync_wait, true);
+        self.close_step(mode, compute, sync_wait, true);
     }
 
-    /// [`Ctx::sync`] over the registered sync graph
-    /// ([`crate::Config::sync_graph`]): the boundary is a pairwise
-    /// rendezvous with this process's neighbors instead of the p-wide
-    /// barrier. Every process must take the same boundary kind at the same
-    /// superstep (sync-mode congruence); traffic to a non-neighbor is a
-    /// contract violation (panic unchecked, diagnostic under
-    /// [`crate::Config::checked`]).
-    pub fn sync_neigh(&mut self) {
-        self.transport.set_sync_mode(SyncMode::Neighborhood);
-        self.neigh_pending = true;
-        self.sync();
-    }
-
-    /// Split-phase [`Ctx::sync_neigh`]: announce arrival to neighbors now,
-    /// complete the pairwise rendezvous at the matching [`Ctx::sync_end`].
-    pub fn sync_neigh_begin(&mut self) {
-        self.transport.set_sync_mode(SyncMode::Neighborhood);
-        self.neigh_pending = true;
-        self.sync_begin();
-    }
-
-    /// Toggle eager per-destination delivery for subsequent sends: each
-    /// packet and each byte-lane message goes to the transport the moment
-    /// it is complete (whatever is already staged leaves when the mode is
-    /// switched on, so nothing sent later overtakes it), and the boundary
-    /// has nothing left to move. Sticky until toggled again; results are
-    /// bit-identical either way.
-    pub fn set_eager(&mut self, on: bool) {
-        if self.in_split {
-            // Checked degradation: toggling delivery mode while a boundary
-            // is half-crossed would desynchronize the transport's staging
-            // bookkeeping, so the toggle is dropped.
-            if self.split_misuse("set_eager between sync_begin and sync_end (toggle ignored)") {
-                return;
+    /// The graph discipline, enforced here for every backend and wrapper
+    /// stack: when the boundary about to be crossed — or the one that
+    /// opened this superstep — is a neighborhood rendezvous, every
+    /// destination this superstep sent to must be a sync-graph neighbor or
+    /// this process itself, because the pairwise rendezvous orders nothing
+    /// along any other edge. Runs before the staged traffic is handed over.
+    /// Unchecked runs fail with [`TransportErrorKind::GraphViolation`];
+    /// checked runs file [`CheckKind::GraphViolatingSend`] and carry on (the
+    /// checker's transport crosses every boundary at full strength, so the
+    /// results stay well-defined).
+    fn check_graph(&self, mode: SyncMode) {
+        if mode != SyncMode::Neighborhood && self.last_mode != SyncMode::Neighborhood {
+            return;
+        }
+        let graph = self
+            .graph
+            .as_ref()
+            .expect("neighborhood synchronization requires Config::sync_graph");
+        let (pid, step) = (self.pid, self.step);
+        for dest in 0..self.nprocs {
+            let sent = self.sent_to[dest]
+                || !self.pkt_out[dest].is_empty()
+                || !self.byte_out[dest].is_empty();
+            if !sent || dest == pid || graph.is_neighbor(pid, dest) {
+                continue;
             }
-            panic!("set_eager between sync_begin and sync_end");
-        }
-        self.eager = on;
-        if let Some(c) = &mut self.check {
-            c.trace.eager.push((self.step, on));
-        }
-        if on {
-            self.flush_at = 1;
-            self.flush_staged();
-        } else {
-            self.flush_at = self.chunk;
+            let detail = format!(
+                "superstep {step} is adjacent to a neighborhood boundary but proc {pid} \
+                 sent traffic to proc {dest}, which is not a sync-graph neighbor"
+            );
+            match &self.check {
+                Some(c) => report(
+                    &c.shared.sink,
+                    CheckReport {
+                        kind: CheckKind::GraphViolatingSend,
+                        pid,
+                        step,
+                        related_step: None,
+                        detail,
+                    },
+                ),
+                None => panic_any(BspError::Transport(TransportError {
+                    pid,
+                    peer: Some(dest),
+                    step,
+                    kind: TransportErrorKind::GraphViolation,
+                    detail,
+                })),
+            }
         }
     }
 
@@ -916,22 +921,17 @@ impl Ctx {
     }
 
     /// Shared tail of every boundary flavor: log the superstep, advance
-    /// counters and the checker epoch, reopen the compute clock. `split`
-    /// marks a boundary crossed via `sync_begin`/`sync_end`.
-    fn close_step(
-        &mut self,
-        sent: u64,
-        sent_bytes: u64,
-        compute: Duration,
-        sync_wait: Duration,
-        split: bool,
-    ) {
+    /// counters and the checker epoch, reopen the compute clock. `mode` is
+    /// the boundary just crossed; `split` marks one crossed via
+    /// `sync_begin`/`sync_end`.
+    fn close_step(&mut self, mode: SyncMode, compute: Duration, sync_wait: Duration, split: bool) {
         let closed = self.step;
-        let neigh = std::mem::take(&mut self.neigh_pending);
+        self.last_mode = mode;
+        self.sent_to.fill(false);
         self.log.push(LocalStep {
-            sent,
+            sent: self.sent_this_step,
             recv: self.inbox.len() as u64,
-            sent_bytes,
+            sent_bytes: self.sent_bytes_this_step,
             recv_bytes: self.byte_unread as u64,
             compute,
             work_units: self.work_units,
@@ -948,7 +948,7 @@ impl Ctx {
             c.trace.syncs += 1;
             c.trace.boundaries.push(BoundaryEvent {
                 step: closed,
-                neigh,
+                neigh: mode == SyncMode::Neighborhood,
                 split,
             });
         }
@@ -1038,7 +1038,7 @@ impl Ctx {
         // *would* checkpoint is part of its superstep plan, and saving
         // inside a split window is flagged by the analyzer either way.
         if let Some(c) = &mut self.check {
-            c.trace.ckpts.push((self.step, self.in_split));
+            c.trace.ckpts.push((self.step, self.split.is_some()));
         }
         if let Some(c) = &self.ckpt {
             c.store.save(c.pid, self.step, state.to_vec());

@@ -40,6 +40,7 @@
 
 use crate::context::{hand_over, ProcTransport};
 use crate::packet::{Packet, PACKET_SIZE};
+use crate::relax::SyncMode;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -807,7 +808,13 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
         }
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
+    fn exchange(
+        &mut self,
+        step: usize,
+        mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    ) {
         // Traffic delayed in the previous round arrives in this one.
         for (dest, pkts) in self.stash_pkts_old.drain(..) {
             self.inner.send_batch(dest, &pkts);
@@ -841,7 +848,7 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
                 _ => {}
             }
         }
-        self.inner.exchange(step, inbox, byte_inbox);
+        self.inner.exchange(step, mode, inbox, byte_inbox);
         std::mem::swap(&mut self.stash_pkts_old, &mut self.stash_pkts_new);
         std::mem::swap(&mut self.stash_bytes_old, &mut self.stash_bytes_new);
         if self.meta.round.load(Ordering::Relaxed) == ROUND_DATA {
@@ -862,10 +869,6 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
     // happens inside `exchange`, and collapsing a split boundary into one
     // full exchange is a legal (stronger) implementation — the injected
     // events still land at the same app superstep.
-
-    fn set_sync_mode(&mut self, mode: crate::relax::SyncMode) {
-        self.inner.set_sync_mode(mode);
-    }
 
     fn finish(&mut self) {
         self.inner.finish();
@@ -954,8 +957,12 @@ impl<B: ProcTransport> GuardedBackend<B> {
     fn inner_round(&mut self) {
         self.round_pkts.clear();
         let step = self.inner_step;
-        self.inner
-            .exchange(step, &mut self.round_pkts, &mut self.round_bytes);
+        self.inner.exchange(
+            step,
+            SyncMode::Full,
+            &mut self.round_pkts,
+            &mut self.round_bytes,
+        );
         self.inner_step += 1;
     }
 }
@@ -974,7 +981,23 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         hand_over(&mut self.out_bytes[dest], buf);
     }
 
-    fn exchange(&mut self, step: usize, inbox: &mut Vec<Packet>, byte_inbox: &mut [Vec<u8>]) {
+    // The self-healing protocol runs *global lockstep rounds*: every process
+    // sends a CTRL frame to every peer each data round, and recovery rounds
+    // assume all p processes participate. A neighborhood rendezvous would
+    // break both (non-neighbors exchange nothing), so whatever mode the
+    // program declared, every inner round is `Full`: the program keeps its
+    // relaxed structure (and `Ctx` still holds it to the graph discipline)
+    // and stays correct — full barriers are strictly stronger — it just
+    // does not get the relaxed speedup while hardened. `exchange_begin`
+    // likewise keeps the no-op default: the guard's ack/retry conversation
+    // cannot be split across a begin/end pair.
+    fn exchange(
+        &mut self,
+        step: usize,
+        _mode: SyncMode,
+        inbox: &mut Vec<Packet>,
+        byte_inbox: &mut [Vec<u8>],
+    ) {
         debug_assert_eq!(step, self.step, "guarded transport driven out of order");
         let p = self.nprocs;
         let me = self.pid;
@@ -1009,8 +1032,12 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         // verified in place and never copied again. On a verify failure the
         // tail is truncated and rebuilt from retransmitted DATA frames.
         let base_pkts = inbox.len();
-        self.inner
-            .exchange(self.inner_step, inbox, &mut self.round_bytes);
+        self.inner.exchange(
+            self.inner_step,
+            SyncMode::Full,
+            inbox,
+            &mut self.round_bytes,
+        );
         self.inner_step += 1;
         if let Some(d) = self.deadline {
             if t0.elapsed() > d {
@@ -1246,17 +1273,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         }
         self.step += 1;
     }
-
-    // The self-healing protocol runs *global lockstep rounds*: every process
-    // sends a CTRL frame to every peer each data round, and recovery rounds
-    // assume all p processes participate. A neighborhood boundary would
-    // break both (non-neighbors exchange nothing), so a hardened run GATES
-    // `Neighborhood` down to `Full`: the program keeps its relaxed structure
-    // and stays correct — full barriers are strictly stronger — it just
-    // does not get the relaxed speedup while hardened. `exchange_begin`
-    // likewise keeps the no-op default: the guard's ack/retry conversation
-    // cannot be split across a begin/end pair.
-    fn set_sync_mode(&mut self, _mode: crate::relax::SyncMode) {}
 
     fn finish(&mut self) {
         self.inner.finish();

@@ -15,8 +15,8 @@
 //! before its step-`s + 2` deposits into that phase, so the Release/Acquire
 //! edge of the flag store/load carries the same happens-before the global
 //! barrier used to provide — but only along declared edges. Traffic to a
-//! non-neighbor has no such edge, which is why backends reject it
-//! ([`TransportErrorKind::GraphViolation`](crate::TransportErrorKind)).
+//! non-neighbor has no such edge, which is why the context rejects it on
+//! every backend ([`TransportErrorKind::GraphViolation`](crate::TransportErrorKind)).
 
 use crate::pad::CachePadded;
 // All synchronization primitives come through the shim: std under a normal
@@ -40,7 +40,7 @@ const PUBLISH: Ordering = Ordering::Release;
 #[cfg(loom_mutant)]
 const PUBLISH: Ordering = Ordering::Relaxed;
 
-/// How a superstep boundary synchronizes, consumed per exchange.
+/// How a superstep boundary synchronizes: an argument of every exchange.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SyncMode {
     /// The bulk-synchronous p-wide barrier (the paper's discipline).
@@ -222,7 +222,7 @@ impl NeighborSync {
 
     /// Publish generation `gen` on every out-edge `src → dst` for
     /// `dst ∈ dsts`. Release ordering: everything `src` wrote before the
-    /// signal (its eager deposits, its slab cursors) is visible to a `dst`
+    /// signal (its deposits, its slab cursors) is visible to a `dst`
     /// that acquires the flag.
     ///
     /// `pending` is the caller-owned deferred-wake buffer: wakes this

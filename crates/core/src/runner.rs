@@ -1,11 +1,10 @@
 //! Launching BSP programs: configuration, process spawning, and result
 //! collection.
 
-use crate::backend::msgpass::MsgPassProc;
+use crate::backend::channel::ChannelProc;
 use crate::backend::netsim::{NetSimProc, NetSimState};
 use crate::backend::seqsim::SeqProc;
 use crate::backend::shared::{SharedProc, SharedState, DEFAULT_CHUNK, DEFAULT_SLAB_CAP};
-use crate::backend::tcpsim::TcpSimProc;
 use crate::backend::BackendKind;
 use crate::barrier::BarrierKind;
 use crate::check::audit::CheckedBackend;
@@ -245,15 +244,14 @@ fn build_transports(
                 .map(|pid| Box::new(SharedProc::new(st.clone(), pid)) as Box<dyn ProcTransport>)
                 .collect()
         }
-        BackendKind::MsgPass => MsgPassProc::create_all(p, tol.is_some(), cfg.sync_graph.clone())
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn ProcTransport>)
-            .collect(),
-        BackendKind::TcpSim => TcpSimProc::create_all(p, tol, cfg.sync_graph.clone())
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn ProcTransport>)
-            .collect(),
-        BackendKind::SeqSim => SeqProc::create_all(p, cfg.sync_graph.clone())
+        BackendKind::MsgPass | BackendKind::TcpSim => {
+            let staged = cfg.backend == BackendKind::TcpSim;
+            ChannelProc::create_all(p, staged, tol, cfg.sync_graph.clone())
+                .into_iter()
+                .map(|t| Box::new(t) as Box<dyn ProcTransport>)
+                .collect()
+        }
+        BackendKind::SeqSim => SeqProc::create_all(p)
             .into_iter()
             .map(|t| Box::new(t) as Box<dyn ProcTransport>)
             .collect(),
@@ -316,13 +314,8 @@ fn build_transports(
             .into_iter()
             .enumerate()
             .map(|(pid, t)| {
-                Box::new(CheckedBackend::new(
-                    t,
-                    Arc::clone(shared),
-                    pid,
-                    p,
-                    cfg.sync_graph.clone(),
-                )) as Box<dyn ProcTransport>
+                Box::new(CheckedBackend::new(t, Arc::clone(shared), pid, p))
+                    as Box<dyn ProcTransport>
             })
             .collect(),
     }
@@ -820,7 +813,7 @@ where
         None => build_transports(cfg, shared.as_ref(), fstate)
             .into_iter()
             .enumerate()
-            .map(|(pid, t)| Ctx::new(pid, nprocs, cfg.chunk, t))
+            .map(|(pid, t)| Ctx::new(pid, nprocs, cfg.chunk, cfg.sync_graph.clone(), t))
             .collect(),
     };
     // Streaming runs: stamp the tile coordinates on every slot (a `Copy`,

@@ -34,8 +34,8 @@ pub struct LocalStep {
     pub work_units: u64,
     /// Wall-clock time spent inside the superstep boundary itself — the
     /// rendezvous plus the transport's flush and drain — split out of
-    /// `compute`. Relaxed synchronization (neighborhood barriers, eager
-    /// delivery, split-phase overlap) exists to shrink exactly this number.
+    /// `compute`. Relaxed synchronization (neighborhood barriers,
+    /// split-phase overlap) exists to shrink exactly this number.
     pub sync_wait: Duration,
 }
 

@@ -160,7 +160,7 @@ fn graph_byte_lane_violation_is_flagged_too() {
     let gv = report.of_kind(CheckKind::GraphViolatingSend);
     assert_eq!(gv.len(), 1, "{}", dump(&report.findings));
     assert_eq!(gv[0].pid, 0);
-    assert!(gv[0].detail.contains("byte"), "{}", gv[0].detail);
+    assert!(gv[0].detail.contains("to proc 2"), "{}", gv[0].detail);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,13 +366,63 @@ fn unchecked_return_mid_window_panics() {
     });
 }
 
+// ---------------------------------------------------------------------------
+// An ignored or degraded neighborhood call leaves no mode behind: the
+// boundary that runs is the one the open window asked for, and the graph
+// discipline of a neighborhood boundary that never ran applies to nobody.
+// ---------------------------------------------------------------------------
+
+/// Run `program` at p = 3 with 0–1 the sync graph's only edge, checked:
+/// exactly one `SplitMisuse` per proc and nothing else — no
+/// `GraphViolatingSend` — and no boundary recorded as a neighborhood
+/// rendezvous.
+fn ignored_neigh_call_leaves_no_mode(program: fn(&mut Ctx)) {
+    let cfg = Config::new(3).sync_graph(&[(0, 1)]);
+    for backend in [
+        BackendKind::Shared,
+        BackendKind::MsgPass,
+        BackendKind::TcpSim,
+        BackendKind::SeqSim,
+    ] {
+        let out = run(&cfg.clone().backend(backend).checked(), program);
+        let reports = &out.stats.check_reports;
+        let mut blamed: Vec<_> = reports.iter().map(|r| (r.kind, r.pid)).collect();
+        blamed.sort_by_key(|&(_, pid)| pid);
+        let want: Vec<_> = (0..3).map(|pid| (CheckKind::SplitMisuse, pid)).collect();
+        assert_eq!(blamed, want, "{backend:?}:\n{}", dump(reports));
+    }
+    let skeleton = lint(&cfg, &SGI, program).expect("recording run completes");
+    assert!(
+        skeleton.boundaries.iter().all(|b| !b.neigh),
+        "{:?}",
+        skeleton.boundaries
+    );
+}
+
 #[test]
-#[should_panic(expected = "set_eager between sync_begin and sync_end")]
-fn unchecked_eager_toggle_in_window_panics() {
-    let _ = run(&Config::new(2).backend(BackendKind::SeqSim), |ctx| {
+fn ignored_sync_neigh_begin_leaves_no_mode() {
+    ignored_neigh_call_leaves_no_mode(|ctx| {
         ctx.sync_begin();
-        ctx.set_eager(true);
+        ctx.sync_neigh_begin(); // window already open: ignored, mode and all
         ctx.sync_end();
+        if ctx.pid() == 0 {
+            ctx.send_pkt(2, Packet::ZERO); // 0–2 is no edge; no rendezvous ran
+        }
+        ctx.sync();
+        while ctx.get_pkt().is_some() {}
+    });
+}
+
+#[test]
+fn sync_neigh_as_sync_end_leaves_no_mode() {
+    ignored_neigh_call_leaves_no_mode(|ctx| {
+        ctx.sync_begin();
+        ctx.sync_neigh(); // completes the open *full* window
+        if ctx.pid() == 0 {
+            ctx.send_bytes(2, b"off the graph, between full boundaries");
+        }
+        ctx.sync();
+        while ctx.recv_bytes().is_some() {}
     });
 }
 
@@ -383,8 +433,8 @@ fn unchecked_eager_toggle_in_window_panics() {
 #[test]
 fn clean_program_with_all_features_lints_clean() {
     // Ring graph; alternates full barriers, split-phase windows, and
-    // neighborhood rendezvous; toggles eager delivery; checkpoints on a
-    // legal boundary. Nothing here should trip the analyzer.
+    // neighborhood rendezvous; checkpoints on a legal boundary. Nothing
+    // here should trip the analyzer.
     let p = 4;
     let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + 1) % p)).collect();
     let cfg = Config::new(p).sync_graph(&edges);
@@ -405,11 +455,9 @@ fn clean_program_with_all_features_lints_clean() {
         }
         assert_eq!(n, p);
         // Superstep 1: neighbor-only traffic, neighborhood rendezvous.
-        ctx.set_eager(true);
         ctx.send_pkt(right, Packet::two_u64(me as u64, 1));
         ctx.sync_neigh();
         assert!(ctx.get_pkt().is_some());
-        ctx.set_eager(false);
         // Superstep 2: checkpoint on a legal boundary, then finish.
         ctx.save_checkpoint(&[me as u8]);
         ctx.sync();

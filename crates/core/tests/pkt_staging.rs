@@ -1,7 +1,6 @@
 //! The packet-staging seam (DESIGN.md §7): `Ctx::send_pkt` stages packets
 //! per destination and a transport only ever sees whole batches — at the
-//! chunk threshold, at a boundary, per send in eager mode, and when the
-//! program returns. Every scenario runs on all five backends.
+//! chunk threshold, at a boundary, and when the program returns. Every scenario runs on all five backends.
 
 use green_bsp::{
     BackendKind, BspError, CancelToken, CheckKind, Config, Ctx, NetSimParams, Packet, Runtime,
@@ -144,48 +143,6 @@ fn send_pkt_send_pkts_send_pkt_loses_and_duplicates_nothing() {
                 let want: Vec<(u64, u64)> = (0..batch as u64 + 6).map(|i| (src, i)).collect();
                 assert_eq!(got, &want, "{name} batch={batch}");
             }
-        }
-    }
-}
-
-#[test]
-fn set_eager_mid_superstep_flushes_what_was_staged() {
-    for (name, cfg) in five_backends(2) {
-        let out = green_bsp::run(&cfg, |ctx| {
-            let peer = 1 - ctx.pid();
-            for i in 0..5 {
-                ctx.send_pkt(peer, pkt(ctx, i));
-            }
-            ctx.send_bytes(peer, b"staged");
-            ctx.set_eager(true);
-            for i in 5..8 {
-                ctx.send_pkt(peer, pkt(ctx, i));
-            }
-            ctx.send_bytes(peer, b"eager");
-            ctx.set_eager(false);
-            for i in 8..10 {
-                ctx.send_pkt(peer, pkt(ctx, i));
-            }
-            ctx.sync();
-            // One sender's messages arrive in its send order: the eager
-            // record must not overtake the one staged before the switch.
-            let mut msgs = Vec::new();
-            while let Some((_, m)) = ctx.recv_bytes() {
-                msgs.push(m.to_vec());
-            }
-            assert_eq!(msgs, [b"staged".to_vec(), b"eager".to_vec()]);
-            drain(ctx).len()
-        });
-        assert_eq!(out.results, vec![10, 10], "{name}");
-        if name == "shared" {
-            // Per process, packet lane: the five staged packets leave as one
-            // batch when the mode is switched on, three leave one by one,
-            // and the last two wait for the boundary. Byte lane (no slab: a
-            // locked buffer hand-over): the staged record at the switch, the
-            // eager one when it is complete, and the owner's one take.
-            let t = out.stats.transport_total();
-            assert_eq!(t.slab_reservations, 2 * (1 + 3 + 1), "{t:?}");
-            assert_eq!(t.lock_acquisitions, 2 * (2 + 1), "{t:?}");
         }
     }
 }

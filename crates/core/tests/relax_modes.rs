@@ -1,10 +1,9 @@
 //! Cross-backend × cross-mode equivalence: random app-shaped traffic
 //! driven through relaxed synchronization (neighborhood barriers,
-//! split-phase boundaries, eager delivery — DESIGN.md §12) must be
-//! bit-identical to the same traffic under bulk synchronization, on every
-//! backend. "Bit-identical" covers the delivered payload multisets *and*
-//! the packet/byte ledgers (per-superstep `total_pkts`, `h`,
-//! `total_bytes`).
+//! split-phase boundaries — DESIGN.md §12) must be bit-identical to the
+//! same traffic under bulk synchronization, on every backend.
+//! "Bit-identical" covers the delivered payload multisets *and* the
+//! packet/byte ledgers (per-superstep `total_pkts`, `h`, `total_bytes`).
 //!
 //! Plans are generated so the adjacent-boundary rule holds by
 //! construction: a superstep adjacent to a neighborhood boundary sends
@@ -13,7 +12,10 @@
 //! processors (the empty-neighborhood case), and the edge lists carry
 //! self-edges, which `SyncGraph` must drop.
 
-use green_bsp::{run, BackendKind, Config, NetSimParams, Packet};
+use green_bsp::{
+    run, try_run, BackendKind, BspError, CheckKind, Config, Ctx, FaultPlan, NetSimParams, Packet,
+    TransportErrorKind,
+};
 use proptest::prelude::*;
 
 /// A random relaxed-synchronization program.
@@ -26,8 +28,6 @@ struct RelaxPlan {
     neigh: Vec<bool>,
     /// Per superstep: use the split-phase form of the boundary?
     split: Vec<bool>,
-    /// Per superstep: request eager per-destination delivery?
-    eager: Vec<bool>,
     /// `sends[step][src][dest]` packet count (pre-masking).
     sends: Vec<Vec<Vec<u8>>>,
 }
@@ -73,13 +73,12 @@ fn relax_plan() -> impl Strategy<Value = RelaxPlan> {
             let flags = || prop::collection::vec(any::<bool>(), s);
             let step = prop::collection::vec(prop::collection::vec(0u8..6, p), p);
             let sends = prop::collection::vec(step, s);
-            (Just(p), Just(edges), flags(), flags(), flags(), sends).prop_map(
-                |(nprocs, edges, neigh, split, eager, sends)| RelaxPlan {
+            (Just(p), Just(edges), flags(), flags(), sends).prop_map(
+                |(nprocs, edges, neigh, split, sends)| RelaxPlan {
                     nprocs,
                     edges,
                     neigh,
                     split,
-                    eager,
                     sends,
                 },
             )
@@ -93,7 +92,7 @@ type StepMultisets = Vec<Vec<Vec<u64>>>;
 type LedgerRows = Vec<(u64, u64, u64, u64)>;
 
 /// Execute the plan. `relaxed = false` forces every boundary to a fused
-/// full barrier with no eager delivery — the bulk-synchronous reference.
+/// full barrier — the bulk-synchronous reference.
 fn execute(plan: &RelaxPlan, backend: BackendKind, relaxed: bool) -> (StepMultisets, LedgerRows) {
     let cfg = Config::new(plan.nprocs)
         .backend(backend)
@@ -103,9 +102,6 @@ fn execute(plan: &RelaxPlan, backend: BackendKind, relaxed: bool) -> (StepMultis
         let me = ctx.pid();
         let mut log = Vec::new();
         for step in 0..plan.sends.len() {
-            if relaxed {
-                ctx.set_eager(plan.eager[step]);
-            }
             for (dest, &count) in plan.sends[step][me].iter().enumerate() {
                 if !plan.legal(step, me, dest) {
                     continue;
@@ -198,13 +194,41 @@ proptest! {
     }
 }
 
-/// A send to a non-neighbor in a superstep adjacent to a neighborhood
-/// boundary must fail fast with `GraphViolation` — on every backend, both
-/// when the offending boundary is the relaxed one and when the *previous*
-/// boundary was relaxed.
+/// The graph discipline is one rule with one verdict on every transport
+/// stack: traffic to a non-neighbor in a superstep adjacent to a
+/// neighborhood boundary — the one the boundary closes or the one it opens,
+/// fused or split-phase, whichever way the traffic was sent — fails an
+/// unchecked run with the same `GraphViolation` and is reported, without
+/// stopping the run, by a checked one.
 #[test]
 fn graph_violating_send_fails_fast() {
-    use green_bsp::{try_run, BspError, TransportErrorKind};
+    type Send = fn(&mut Ctx, usize);
+    type Wrap = fn(Config) -> Config;
+    /// The ways traffic reaches a transport (under `Config::chunk(4)`).
+    const SENDS: [(&str, Send); 5] = [
+        ("send_pkt", |ctx, dest| ctx.send_pkt(dest, Packet::ZERO)),
+        // Above the chunk: handed to the transport directly, never staged.
+        ("send_pkts", |ctx, dest| {
+            ctx.send_pkts(dest, &[Packet::ZERO; 9])
+        }),
+        // Two full chunks: all of it left mid-superstep, nothing is staged
+        // when the boundary looks.
+        ("flushed", |ctx, dest| {
+            for _ in 0..8 {
+                ctx.send_pkt(dest, Packet::ZERO);
+            }
+        }),
+        ("send_bytes", |ctx, dest| {
+            ctx.send_bytes(dest, b"off the graph")
+        }),
+        ("msg_writer", |ctx, dest| ctx.msg_writer(dest).put_u64(7)),
+    ];
+    let stacks: [(&str, Wrap); 4] = [
+        ("bare", |cfg| cfg),
+        ("checked", Config::checked),
+        ("faulty", |cfg| cfg.faults(FaultPlan::new(1))),
+        ("hardened", Config::hardened),
+    ];
     for backend in [
         BackendKind::Shared,
         BackendKind::MsgPass,
@@ -212,36 +236,60 @@ fn graph_violating_send_fails_fast() {
         BackendKind::SeqSim,
         netsim(),
     ] {
-        for after in [false, true] {
-            let cfg = Config::new(3).backend(backend).sync_graph(&[(0, 1)]);
-            let res = try_run(&cfg, move |ctx| {
-                if after {
-                    // Boundary 0 is relaxed; the superstep after it sends
-                    // off-graph (prev_mode makes this illegal).
-                    ctx.sync_neigh();
-                    if ctx.pid() == 0 {
-                        ctx.send_pkt(2, Packet::ZERO);
+        for (stack, wrap) in stacks {
+            for split in [false, true] {
+                for after in [false, true] {
+                    for (how, send) in SENDS {
+                        let row = format!("{backend:?} {stack} split={split} after={after} {how}");
+                        // 0–1 is the only edge; proc 0 sends to proc 2.
+                        let cfg = Config::new(3)
+                            .backend(backend)
+                            .chunk(4)
+                            .sync_graph(&[(0, 1)]);
+                        let res = try_run(&wrap(cfg), move |ctx| {
+                            let neigh = |ctx: &mut Ctx| {
+                                if split {
+                                    ctx.sync_neigh_begin();
+                                    ctx.sync_end();
+                                } else {
+                                    ctx.sync_neigh();
+                                }
+                            };
+                            if after {
+                                neigh(ctx);
+                            }
+                            if ctx.pid() == 0 {
+                                send(ctx, 2);
+                            }
+                            if after {
+                                ctx.sync();
+                            } else {
+                                neigh(ctx);
+                            }
+                        });
+                        let step = usize::from(after);
+                        match res {
+                            Ok(out) if stack == "checked" => {
+                                let blamed: Vec<_> = (out.stats.check_reports.iter())
+                                    .map(|r| (r.kind, r.pid, r.step))
+                                    .collect();
+                                assert_eq!(
+                                    blamed,
+                                    [(CheckKind::GraphViolatingSend, 0, step)],
+                                    "{row}"
+                                );
+                            }
+                            Err(BspError::Transport(t)) if stack != "checked" => assert_eq!(
+                                (t.kind, t.pid, t.peer, t.step),
+                                (TransportErrorKind::GraphViolation, 0, Some(2), step),
+                                "{row}: {}",
+                                t.detail
+                            ),
+                            Err(e) => panic!("{row}: unexpected error {e}"),
+                            Ok(_) => panic!("{row}: violation not caught"),
+                        }
                     }
-                    ctx.sync();
-                } else {
-                    // The offending superstep closes with the relaxed
-                    // boundary itself.
-                    if ctx.pid() == 0 {
-                        ctx.send_pkt(2, Packet::ZERO);
-                    }
-                    ctx.sync_neigh();
                 }
-                while ctx.get_pkt().is_some() {}
-            });
-            match res {
-                Err(BspError::Transport(t)) => assert_eq!(
-                    t.kind,
-                    TransportErrorKind::GraphViolation,
-                    "{backend:?} after={after}: wrong kind ({})",
-                    t.detail
-                ),
-                Err(e) => panic!("{backend:?} after={after}: unexpected error {e}"),
-                Ok(_) => panic!("{backend:?} after={after}: violation not caught"),
             }
         }
     }
@@ -260,7 +308,6 @@ fn isolated_proc_and_self_edges() {
         edges: vec![(0, 1), (2, 2), (3, 3), (0, 1)],
         neigh: vec![true, true, false],
         split: vec![false, true, false],
-        eager: vec![true, false, true],
         // Step 0/1 (relaxed-adjacent): 0↔1 traffic plus self-sends on the
         // isolated processors. Step 2 is full-sandwiched on entry only —
         // step 1 is relaxed, so sends stay on-graph there too.
@@ -308,7 +355,6 @@ fn isolated_proc_and_self_edges() {
 /// the trailing full barrier instead and must be released there).
 #[test]
 fn peer_panic_poisons_split_phase_neighborhood_waiters() {
-    use green_bsp::{try_run, BspError};
     for backend in [
         BackendKind::Shared,
         BackendKind::MsgPass,
