@@ -171,7 +171,7 @@ impl CentralBarrier {
     fn wait_out(&self, gen: u64) {
         let done =
             |order| self.generation.0.load(order) != gen || self.poisoned.load(Ordering::Acquire);
-        if self.spin.spin(gen, || done(Ordering::Acquire)) {
+        if self.spin.spin(|| done(Ordering::Acquire)) {
             return;
         }
         let mut guard = self.lock.lock().expect(LOCK_CLEAN);

@@ -29,11 +29,10 @@
 //! When the checker is disabled the hot path pays a single predictable
 //! branch per operation.
 //!
-//! The deterministic seeded-interleaving model checker for the mailbox
-//! protocol itself lives in [`interleave`].
+//! The mailbox and barrier protocols themselves are model-checked over the
+//! real code by the loom suite (`crate::loom_tests`, DESIGN.md §13).
 
 pub(crate) mod audit;
-pub mod interleave;
 
 use crate::packet::Packet;
 use std::fmt;
@@ -68,12 +67,6 @@ pub enum CheckKind {
     /// The slab fabric violated the send/drain/barrier ordering its
     /// relaxed atomics rely on (a runtime bug, not a program bug).
     PhaseDiscipline,
-    /// A process mixed framed-message traffic ([`crate::message::send_msg_fragmented`])
-    /// with raw packet sends in the same superstep, or the fragmented
-    /// reassembler found a malformed inbox (missing header, missing
-    /// fragment, or length mismatch). The receiver cannot tell fragments
-    /// from raw packets, so decode results are undefined.
-    MessageFraming,
     /// A fault plan injected at least one recoverable fault but the
     /// hardened transport detected none of them: the detection machinery
     /// (checksums, sequence numbers, count verification) is not observing
@@ -117,7 +110,6 @@ impl fmt::Display for CheckKind {
             CheckKind::UndeliveredSend => "undelivered-send",
             CheckKind::DeliveryMismatch => "delivery-mismatch",
             CheckKind::PhaseDiscipline => "phase-discipline",
-            CheckKind::MessageFraming => "message-framing",
             CheckKind::FaultUndetected => "fault-undetected",
             CheckKind::GraphViolatingSend => "graph-violating-send",
             CheckKind::SplitMisuse => "split-misuse",
@@ -214,15 +206,6 @@ pub(crate) struct DrmaEvent {
     pub(crate) op: DrmaOp,
 }
 
-/// Which transport lanes a process used in a superstep, as a bitmask.
-/// Raw packet sends and fragmented-message sends share the 16-byte packet
-/// ring and are indistinguishable to the receiver; mixing them in one
-/// superstep is flagged as [`CheckKind::MessageFraming`]. The byte lane
-/// composes freely with either.
-pub(crate) const LANE_RAW: u8 = 1;
-pub(crate) const LANE_MSG: u8 = 2;
-pub(crate) const LANE_BYTES: u8 = 4;
-
 /// One send-site record: `count` packets to `dest` during superstep
 /// `step`, from the given source location.
 #[derive(Clone, Copy, Debug)]
@@ -254,10 +237,6 @@ pub(crate) struct ProcTrace {
     pub(crate) collectives: Vec<CollectiveEvent>,
     pub(crate) drma: Vec<DrmaEvent>,
     pub(crate) sites: Vec<SendSite>,
-    /// Per-superstep lane usage: `(step, mask)` with `mask` a union of
-    /// [`LANE_RAW`] / [`LANE_MSG`] / [`LANE_BYTES`]. Consecutive sends in
-    /// the same superstep are compressed into one entry.
-    pub(crate) lanes: Vec<(usize, u8)>,
     /// Every boundary crossed, in order, with its declared kind.
     pub(crate) boundaries: Vec<BoundaryEvent>,
     /// Checkpoint registrations: `(superstep, inside a split window)`.
@@ -325,18 +304,6 @@ impl CheckCtx {
             site,
             count,
         });
-    }
-
-    /// Record which lane a send used (compressing into the last entry when
-    /// it covers the same superstep).
-    pub(crate) fn record_lane(&mut self, step: usize, lane: u8) {
-        if let Some(last) = self.trace.lanes.last_mut() {
-            if last.0 == step {
-                last.1 |= lane;
-                return;
-            }
-        }
-        self.trace.lanes.push((step, lane));
     }
 }
 
@@ -596,35 +563,6 @@ fn check_drma_conflicts(traces: &[ProcTrace], sink: &ReportSink) {
     }
 }
 
-/// Flag supersteps in which a process used both the raw packet lane and
-/// the fragmented-message lane: the receiver's reassembler cannot tell the
-/// two apart, so decoding is undefined. (Byte-lane traffic composes freely
-/// with either and is never flagged.)
-fn check_lane_mixing(traces: &[ProcTrace], sink: &ReportSink) {
-    for (pid, t) in traces.iter().enumerate() {
-        for &(step, mask) in &t.lanes {
-            if mask & (LANE_RAW | LANE_MSG) == (LANE_RAW | LANE_MSG) {
-                report(
-                    sink,
-                    CheckReport {
-                        kind: CheckKind::MessageFraming,
-                        pid,
-                        step,
-                        related_step: None,
-                        detail: format!(
-                            "proc {} mixed raw packet sends with fragmented-message \
-                             sends in superstep {}; the receiver cannot distinguish \
-                             fragments from raw packets (use the byte lane, or keep \
-                             the lanes in separate supersteps)",
-                            pid, step
-                        ),
-                    },
-                );
-            }
-        }
-    }
-}
-
 /// Flag checkpoints registered inside a split-phase overlap window: the
 /// snapshot would capture a half-crossed boundary (sends already flushed,
 /// deliveries still pending), which a rollback cannot replay.
@@ -692,7 +630,6 @@ pub(crate) fn analyze(traces: &[ProcTrace], sink: &ReportSink) -> Vec<CheckRepor
     check_superstep_congruence(traces, sink);
     check_collective_congruence(traces, sink);
     check_drma_conflicts(traces, sink);
-    check_lane_mixing(traces, sink);
     check_ckpt_in_split(traces, sink);
     let mut reports = std::mem::take(&mut *sink.lock().unwrap());
     attach_send_sites(&mut reports, traces);
@@ -788,39 +725,6 @@ mod tests {
         let reports = analyze(&traces, &s);
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].kind, CheckKind::DrmaWriteWrite);
-    }
-
-    #[test]
-    fn lane_mixing_raw_and_msg_is_flagged() {
-        let mut t = ProcTrace::default();
-        t.lanes.push((0, LANE_RAW));
-        t.lanes.push((2, LANE_RAW | LANE_MSG));
-        let traces = vec![t, ProcTrace::default()];
-        // Same sync count so only the lane report fires.
-        let traces: Vec<ProcTrace> = traces
-            .into_iter()
-            .map(|mut t| {
-                t.syncs = 3;
-                t
-            })
-            .collect();
-        let s = sink();
-        let reports = analyze(&traces, &s);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].kind, CheckKind::MessageFraming);
-        assert_eq!(reports[0].pid, 0);
-        assert_eq!(reports[0].step, 2);
-    }
-
-    #[test]
-    fn byte_lane_composes_with_either_packet_lane() {
-        let mut t = ProcTrace::default();
-        t.lanes.push((0, LANE_RAW | LANE_BYTES));
-        t.lanes.push((1, LANE_MSG | LANE_BYTES));
-        t.lanes.push((2, LANE_BYTES));
-        let s = sink();
-        let reports = analyze(&[t], &s);
-        assert!(reports.is_empty(), "{:?}", reports);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::check::{
     report, BoundaryEvent, CheckCtx, CheckKind, CheckReport, CollectiveEvent, CollectiveKind,
-    DrmaEvent, DrmaOp, TrackedPkt, LANE_BYTES, LANE_MSG, LANE_RAW,
+    DrmaEvent, DrmaOp, TrackedPkt,
 };
 use crate::fault::{BspError, FaultCounters, TransportError, TransportErrorKind};
 use crate::packet::Packet;
@@ -215,10 +215,6 @@ pub struct Ctx {
     /// `sync_wait` at `sync_end`.
     pending_wait: Duration,
     pub(crate) log: Vec<LocalStep>,
-    next_msg_id: u16,
-    /// True while the legacy fragmentation layer is emitting its packets, so
-    /// lane accounting can tell message fragments from raw packets.
-    pub(crate) in_msg_send: bool,
     /// Per-process checker state; `None` on unchecked runs, so the hot path
     /// pays one predictable branch per operation.
     pub(crate) check: Option<Box<CheckCtx>>,
@@ -336,8 +332,6 @@ impl Ctx {
             pending_compute: Duration::ZERO,
             pending_wait: Duration::ZERO,
             log: Vec::new(),
-            next_msg_id: 0,
-            in_msg_send: false,
             check: None,
             ckpt: None,
             tile: None,
@@ -385,8 +379,6 @@ impl Ctx {
         self.pending_compute = Duration::ZERO;
         self.pending_wait = Duration::ZERO;
         self.log.clear();
-        self.next_msg_id = 0;
-        self.in_msg_send = false;
         self.check = None;
         self.ckpt = None;
         self.tile = None;
@@ -496,8 +488,6 @@ impl Ctx {
         self.sent_this_step += 1;
         if let Some(c) = &mut self.check {
             c.record_send(self.step, dest, Location::caller(), 1);
-            let lane = if self.in_msg_send { LANE_MSG } else { LANE_RAW };
-            c.record_lane(self.step, lane);
         }
         // The whole per-packet cost: one indexed 16-byte store and a length
         // bump. The packet is never passed on by reference, so once this is
@@ -572,8 +562,6 @@ impl Ctx {
         self.sent_this_step += pkts.len() as u64;
         if let Some(c) = &mut self.check {
             c.record_send(self.step, dest, Location::caller(), pkts.len() as u64);
-            let lane = if self.in_msg_send { LANE_MSG } else { LANE_RAW };
-            c.record_lane(self.step, lane);
         }
         let buf = &mut self.pkt_out[dest];
         if buf.len() + pkts.len() < self.chunk {
@@ -589,11 +577,10 @@ impl Ctx {
 
     /// Send `payload` to process `dest` as one variable-length byte-lane
     /// message; it arrives there in the next superstep and is read with
-    /// [`Ctx::recv_bytes`]. Unlike the legacy
-    /// [`crate::message::send_msg_fragmented`] discipline, the payload is not
-    /// chopped into 16-byte packets: the whole message is staged with one
-    /// `memcpy` behind an 8-byte `{src, len}` header, and that copy is the
-    /// only one on every backend — the staging buffer itself moves to the
+    /// [`Ctx::recv_bytes`]. The payload is not chopped into 16-byte packets:
+    /// the whole message is staged with one `memcpy` behind an 8-byte
+    /// `{src, len}` header, and that copy is the only one on every
+    /// backend — the staging buffer itself moves to the
     /// receiver at the boundary and is read in place. An empty payload is a
     /// valid message.
     #[inline]
@@ -611,9 +598,6 @@ impl Ctx {
             payload.len()
         );
         self.sent_bytes_this_step += (MSG_HDR + payload.len()) as u64;
-        if let Some(c) = &mut self.check {
-            c.record_lane(self.step, LANE_BYTES);
-        }
         let pid = self.pid;
         let buf = &mut self.byte_out[dest];
         buf.extend_from_slice(&(pid as u32).to_le_bytes());
@@ -637,9 +621,6 @@ impl Ctx {
             ) {
                 panic!("msg_writer between sync_begin and sync_end");
             }
-        }
-        if let Some(c) = &mut self.check {
-            c.record_lane(self.step, LANE_BYTES);
         }
         let buf = &mut self.byte_out[dest];
         let start = buf.len();
@@ -1051,12 +1032,5 @@ impl Ctx {
     /// blob, so call it once at the top of the program.
     pub fn restore_checkpoint(&mut self) -> Option<Vec<u8>> {
         self.ckpt.as_mut().and_then(|c| c.restored.take())
-    }
-
-    /// Fresh message id for the variable-length message layer.
-    pub(crate) fn alloc_msg_id(&mut self) -> u16 {
-        let id = self.next_msg_id;
-        self.next_msg_id = self.next_msg_id.wrapping_add(1);
-        id
     }
 }

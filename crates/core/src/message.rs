@@ -1,54 +1,23 @@
-//! Variable-length messages: the byte-lane shims and the legacy
-//! fragmentation layer.
+//! Variable-length messages: two shims over the byte lane.
 //!
 //! The paper's library fixed the packet size at 16 bytes; footnote 2 notes
 //! the authors were changing the system to allow packets of arbitrary
 //! length, expecting better readability but no significant performance
-//! change. This module's original answer was *fragmentation*: chop a
-//! message into 16-byte packets (a header carrying the byte length, then 8
-//! payload bytes per fragment) and reassemble at the receiver — paying
-//! 50% framing overhead and a per-fragment staging cost.
-//!
-//! [`send_msg`] / [`recv_msgs`] are now thin shims over the zero-copy
-//! byte lane ([`crate::Ctx::send_bytes`] / [`crate::Ctx::recv_bytes`]): one
-//! memcpy per message behind an 8-byte `{src, len}` header, delivered in
-//! bulk after the barrier (DESIGN.md §9). Existing callers get the fast
-//! path without changes. The original discipline survives as
-//! [`send_msg_fragmented`] / [`recv_msgs_fragmented`] so the
-//! `ablate_packet_size` bench and the cross-lane property tests can still
-//! measure exactly what the fixed-size discipline costs.
-//!
-//! # Fragmentation wire format
-//!
-//! Every fragment packet is `[u16 src | u16 msg_id | u32 seq | 8 payload
-//! bytes]`. `seq == 0` is the header; its payload carries the message length
-//! in bytes as a `u32`. Fragments `1..=ceil(len/8)` carry the body.
-//!
-//! # Fragmentation contract
-//!
-//! A superstep's packet traffic must be all-messages or all-raw-packets;
-//! the two cannot share a superstep because reassembly consumes the whole
-//! inbox. On a checked run ([`crate::Config::checked`]) a violation is
-//! reported as a structured
-//! [`CheckKind::MessageFraming`](crate::check::CheckKind) diagnostic (lane
-//! mixing is caught by the post-run trace analysis; malformed inboxes are
-//! caught during reassembly); on an unchecked run a malformed inbox still
-//! panics, as the original layer did. The byte lane has no such
-//! restriction — it composes freely with raw packet traffic.
+//! change. [`send_msg`] / [`recv_msgs`] are that interface, as thin shims
+//! over the zero-copy byte lane ([`crate::Ctx::send_bytes`] /
+//! [`crate::Ctx::recv_bytes`]): one memcpy per message behind an 8-byte
+//! `{src, len}` header, delivered in bulk after the barrier (DESIGN.md §9).
+//! Byte-lane messages compose freely with raw packet traffic in the same
+//! superstep. (What chopping a message into 16-byte packets cost instead is
+//! recorded in EXPERIMENTS.md "Ablations".)
 
-use crate::check::{report, CheckKind, CheckReport};
 use crate::context::Ctx;
-use crate::packet::Packet;
-
-/// Payload bytes carried per fragment packet.
-pub const FRAG_PAYLOAD: usize = 8;
 
 /// Send `bytes` to `dest` as a variable-length message; it can be collected
 /// with [`recv_msgs`] in the next superstep.
 ///
 /// Ships on the byte lane: one staged memcpy behind an 8-byte header,
-/// regardless of length (the legacy cost was `1 + ceil(len/8)` packets
-/// through the 16-byte fragmentation path — see [`send_msg_fragmented`]).
+/// regardless of length.
 pub fn send_msg(ctx: &mut Ctx, dest: usize, bytes: &[u8]) {
     ctx.send_bytes(dest, bytes);
 }
@@ -67,153 +36,11 @@ pub fn recv_msgs(ctx: &mut Ctx) -> Vec<(usize, Vec<u8>)> {
     out
 }
 
-/// Send `bytes` to `dest` through the legacy 16-byte fragmentation path.
-/// Costs `1 + ceil(len/8)` packets. Kept for the `ablate_packet_size`
-/// bench and for tests that compare the two lanes; new code should use
-/// [`send_msg`] (the byte lane).
-pub fn send_msg_fragmented(ctx: &mut Ctx, dest: usize, bytes: &[u8]) {
-    assert!(
-        bytes.len() <= u32::MAX as usize,
-        "message too large: {} bytes",
-        bytes.len()
-    );
-    let src = ctx.pid() as u16;
-    let id = ctx.alloc_msg_id();
-    // Mark the sends as message fragments so the checker's lane analysis
-    // can flag a superstep that also carries raw packets.
-    ctx.in_msg_send = true;
-    let mut header = Packet::ZERO;
-    header.put_u16(0, src).put_u16(2, id).put_u32(4, 0);
-    header.put_u32(8, bytes.len() as u32);
-    ctx.send_pkt(dest, header);
-    for (i, chunk) in bytes.chunks(FRAG_PAYLOAD).enumerate() {
-        let mut frag = Packet::ZERO;
-        frag.put_u16(0, src)
-            .put_u16(2, id)
-            .put_u32(4, (i + 1) as u32);
-        frag.0[8..8 + chunk.len()].copy_from_slice(chunk);
-        ctx.send_pkt(dest, frag);
-    }
-    ctx.in_msg_send = false;
-}
-
-/// File a framing violation: a structured diagnostic on a checked run, a
-/// panic (the original layer's behavior) otherwise.
-fn framing_violation(ctx: &mut Ctx, detail: String) {
-    let (pid, step) = (ctx.pid(), ctx.superstep());
-    match &mut ctx.check {
-        Some(c) => report(
-            &c.shared.sink,
-            CheckReport {
-                kind: CheckKind::MessageFraming,
-                pid,
-                step,
-                related_step: None,
-                detail,
-            },
-        ),
-        None => panic!("{}", detail),
-    }
-}
-
-/// Drain the packet inbox and reassemble every fragmented message delivered
-/// this superstep. Returns `(source pid, message bytes)` pairs sorted by
-/// source then by the sender's message order — deterministic by
-/// construction: fragments are bucketed per source pid, and every backend
-/// preserves a single sender's packet order.
-///
-/// A malformed inbox (missing header, missing fragment, or length
-/// mismatch) is reported as a [`CheckKind::MessageFraming`] diagnostic on a
-/// checked run (the broken message is skipped); on an unchecked run it
-/// panics, as the original layer did.
-pub fn recv_msgs_fragmented(ctx: &mut Ctx) -> Vec<(usize, Vec<u8>)> {
-    let p = ctx.nprocs();
-    // Per-source buckets, indexed by pid. Within a bucket the fragments sit
-    // in the sender's send order, so reassembly is a sequential scan.
-    let mut buckets: Vec<Vec<Packet>> = vec![Vec::new(); p];
-    let mut strays: Vec<u16> = Vec::new();
-    while let Some(pkt) = ctx.get_pkt() {
-        let src = pkt.get_u16(0);
-        if (src as usize) < p {
-            buckets[src as usize].push(pkt);
-        } else {
-            strays.push(src);
-        }
-    }
-    for src in strays {
-        framing_violation(
-            ctx,
-            format!(
-                "fragment claims source pid {} but the machine has {} proc(s) \
-                 (raw packets mixed into a message superstep?)",
-                src, p
-            ),
-        );
-    }
-    let mut out: Vec<(usize, Vec<u8>)> = Vec::new();
-    for (src, pkts) in buckets.into_iter().enumerate() {
-        let mut i = 0;
-        while i < pkts.len() {
-            let head = pkts[i];
-            let id = head.get_u16(2);
-            if head.get_u32(4) != 0 {
-                framing_violation(
-                    ctx,
-                    format!(
-                        "message ({},{}) missing header: fragment seq {} arrived \
-                         with no preceding header",
-                        src,
-                        id,
-                        head.get_u32(4)
-                    ),
-                );
-                i += 1;
-                continue;
-            }
-            let len = head.get_u32(8) as usize;
-            let nfrags = len.div_ceil(FRAG_PAYLOAD);
-            i += 1;
-            let mut bytes = Vec::with_capacity(len);
-            let mut ok = true;
-            for k in 0..nfrags {
-                let frag = pkts
-                    .get(i)
-                    .copied()
-                    .filter(|f| f.get_u16(2) == id && f.get_u32(4) == (k + 1) as u32);
-                let Some(frag) = frag else {
-                    framing_violation(
-                        ctx,
-                        format!(
-                            "message ({},{}) has {} fragment(s), expected {} \
-                             (fragment gap at seq {})",
-                            src,
-                            id,
-                            k,
-                            nfrags,
-                            k + 1
-                        ),
-                    );
-                    ok = false;
-                    break;
-                };
-                let take = FRAG_PAYLOAD.min(len - bytes.len());
-                bytes.extend_from_slice(&frag.0[8..8 + take]);
-                i += 1;
-            }
-            if ok {
-                out.push((src, bytes));
-            }
-        }
-    }
-    // Buckets were walked in ascending pid order and each bucket in send
-    // order, so `out` is already in the documented order.
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::{run, Config};
+    use crate::{BackendKind, NetSimParams};
 
     #[test]
     fn roundtrip_various_lengths() {
@@ -223,25 +50,6 @@ mod tests {
                 send_msg(ctx, 1 - ctx.pid(), &payload);
                 ctx.sync();
                 recv_msgs(ctx)
-            });
-            for (pid, msgs) in out.results.iter().enumerate() {
-                assert_eq!(msgs.len(), 1);
-                let (src, bytes) = &msgs[0];
-                assert_eq!(*src, 1 - pid);
-                let expect: Vec<u8> = (0..len).map(|i| (i * 7 + (1 - pid)) as u8).collect();
-                assert_eq!(*bytes, expect, "len={}", len);
-            }
-        }
-    }
-
-    #[test]
-    fn fragmented_roundtrip_various_lengths() {
-        for len in [0usize, 1, 7, 8, 9, 16, 63, 64, 65, 1000] {
-            let out = run(&Config::new(2), move |ctx| {
-                let payload: Vec<u8> = (0..len).map(|i| (i * 7 + ctx.pid()) as u8).collect();
-                send_msg_fragmented(ctx, 1 - ctx.pid(), &payload);
-                ctx.sync();
-                recv_msgs_fragmented(ctx)
             });
             for (pid, msgs) in out.results.iter().enumerate() {
                 assert_eq!(msgs.len(), 1);
@@ -277,40 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn fragmented_many_messages_ordered_by_source_and_send_order() {
-        let out = run(&Config::new(4), |ctx| {
-            let p = ctx.nprocs();
-            for dest in 0..p {
-                for k in 0..3u8 {
-                    send_msg_fragmented(ctx, dest, &[ctx.pid() as u8, k]);
-                }
-            }
-            ctx.sync();
-            recv_msgs_fragmented(ctx)
-        });
-        for msgs in out.results {
-            assert_eq!(msgs.len(), 12);
-            for (i, (src, bytes)) in msgs.iter().enumerate() {
-                assert_eq!(*src, i / 3);
-                assert_eq!(bytes[0] as usize, i / 3);
-                assert_eq!(bytes[1] as usize, i % 3);
-            }
-        }
-    }
-
-    #[test]
-    fn packet_cost_is_header_plus_fragments() {
-        let out = run(&Config::new(2), |ctx| {
-            if ctx.pid() == 0 {
-                send_msg_fragmented(ctx, 1, &[0u8; 17]); // 1 header + 3 fragments
-            }
-            ctx.sync();
-            let _ = recv_msgs_fragmented(ctx);
-        });
-        assert_eq!(out.stats.steps[0].max_sent, 4);
-    }
-
-    #[test]
     fn byte_lane_cost_is_header_plus_payload_bytes() {
         let out = run(&Config::new(2), |ctx| {
             if ctx.pid() == 0 {
@@ -328,98 +102,53 @@ mod tests {
     fn empty_message_is_just_a_header() {
         let out = run(&Config::new(2), |ctx| {
             if ctx.pid() == 0 {
-                send_msg_fragmented(ctx, 1, &[]);
-            }
-            ctx.sync();
-            recv_msgs_fragmented(ctx)
-        });
-        assert_eq!(out.results[1], vec![(0usize, Vec::new())]);
-        assert_eq!(out.stats.steps[0].max_sent, 1);
-    }
-
-    #[test]
-    fn lanes_agree_on_every_backend_shape() {
-        // The same message batch through both lanes must decode identically.
-        let prog_bytes = |ctx: &mut Ctx| {
-            let p = ctx.nprocs();
-            for dest in 0..p {
-                let payload: Vec<u8> = (0..(ctx.pid() * 13 + dest * 5) % 41)
-                    .map(|i| i as u8)
-                    .collect();
-                send_msg(ctx, dest, &payload);
+                send_msg(ctx, 1, &[]);
             }
             ctx.sync();
             recv_msgs(ctx)
+        });
+        assert_eq!(out.results[1], vec![(0usize, Vec::new())]);
+        assert_eq!(out.stats.steps[0].max_sent, 0);
+        assert_eq!(out.stats.steps[0].h_bytes(), 8);
+    }
+
+    #[test]
+    fn byte_lane_delivers_the_send_plan_on_every_backend() {
+        const P: usize = 4;
+        let payload = |src: usize, dest: usize, k: usize| -> Vec<u8> {
+            (0..(src * 13 + dest * 5 + k * 7) % 41)
+                .map(|i| (i + k) as u8)
+                .collect()
         };
-        let prog_frag = |ctx: &mut Ctx| {
-            let p = ctx.nprocs();
-            for dest in 0..p {
-                let payload: Vec<u8> = (0..(ctx.pid() * 13 + dest * 5) % 41)
-                    .map(|i| i as u8)
+        let netsim = BackendKind::NetSim(NetSimParams {
+            g_us: 0.0,
+            l_us: 0.0,
+            l_neigh_us: 0.0,
+            time_scale: 0.0,
+        });
+        for backend in [
+            BackendKind::Shared,
+            BackendKind::MsgPass,
+            BackendKind::TcpSim,
+            BackendKind::SeqSim,
+            netsim,
+        ] {
+            let out = run(&Config::new(P).backend(backend), move |ctx| {
+                for dest in 0..P {
+                    for k in 0..2 {
+                        send_msg(ctx, dest, &payload(ctx.pid(), dest, k));
+                    }
+                }
+                ctx.sync();
+                recv_msgs(ctx)
+            });
+            // Ascending source, then the sender's order.
+            for (pid, msgs) in out.results.iter().enumerate() {
+                let want: Vec<(usize, Vec<u8>)> = (0..P)
+                    .flat_map(|src| (0..2).map(move |k| (src, payload(src, pid, k))))
                     .collect();
-                send_msg_fragmented(ctx, dest, &payload);
+                assert_eq!(*msgs, want, "{backend:?} pid {pid}");
             }
-            ctx.sync();
-            recv_msgs_fragmented(ctx)
-        };
-        let a = run(&Config::new(4), prog_bytes);
-        let b = run(&Config::new(4), prog_frag);
-        assert_eq!(a.results, b.results);
-    }
-
-    #[test]
-    fn malformed_inbox_is_a_diagnostic_when_checked() {
-        // Proc 0 sends proc 1 a raw packet that parses as an orphan
-        // fragment (seq != 0); the checked reassembler must report, not
-        // panic, and also flag the lane mixing in the post-run analysis.
-        let out = run(&Config::new(2).checked(), |ctx| {
-            if ctx.pid() == 0 {
-                let mut fake = Packet::ZERO;
-                fake.put_u16(0, 0).put_u16(2, 9).put_u32(4, 3);
-                ctx.send_pkt(1, fake);
-                send_msg_fragmented(ctx, 1, &[1, 2, 3]);
-            }
-            ctx.sync();
-            if ctx.pid() == 1 {
-                let msgs = recv_msgs_fragmented(ctx);
-                // The well-formed message still decodes.
-                assert_eq!(msgs, vec![(0usize, vec![1, 2, 3])]);
-            }
-            ctx.sync();
-        });
-        assert!(
-            out.stats
-                .check_reports
-                .iter()
-                .any(|r| r.kind == CheckKind::MessageFraming && r.detail.contains("missing header")),
-            "{:?}",
-            out.stats.check_reports
-        );
-        assert!(
-            out.stats
-                .check_reports
-                .iter()
-                .any(|r| r.kind == CheckKind::MessageFraming && r.detail.contains("mixed")),
-            "{:?}",
-            out.stats.check_reports
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "BSP process panicked")]
-    fn malformed_inbox_panics_when_unchecked() {
-        // One sync total, so no process waits on a barrier after proc 1's
-        // reassembly panic (the panic surfaces through the runner's join).
-        let _ = run(&Config::new(2), |ctx| {
-            if ctx.pid() == 0 {
-                let mut fake = Packet::ZERO;
-                fake.put_u16(0, 0).put_u16(2, 9).put_u32(4, 3);
-                ctx.send_pkt(1, fake);
-            }
-            ctx.sync();
-            if ctx.pid() == 1 {
-                let _ = recv_msgs_fragmented(ctx);
-            }
-        });
+        }
     }
 }

@@ -299,7 +299,7 @@ impl NeighborSync {
         flush_pending(pending);
         if self
             .spin
-            .spin(gen, || all_met() || self.poisoned.load(Ordering::Acquire))
+            .spin(|| all_met() || self.poisoned.load(Ordering::Acquire))
         {
             return !self.poisoned.load(Ordering::Acquire);
         }

@@ -23,7 +23,7 @@ pub(crate) use loom::cell::UnsafeCell;
 pub(crate) use loom::hint::spin_loop;
 #[cfg(loom)]
 pub(crate) use loom::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+    fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
 };
 #[cfg(loom)]
 pub(crate) use loom::sync::{Condvar, Mutex};
@@ -34,7 +34,7 @@ pub(crate) use loom::thread::{current, park_timeout, yield_now, Thread};
 pub(crate) use std::hint::spin_loop;
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
+    fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
 };
 #[cfg(not(loom))]
 pub(crate) use std::sync::{Condvar, Mutex};
@@ -98,20 +98,12 @@ pub(crate) fn spin_wait(spins: &mut u32) {
 /// party it spins. With more parties than cores it calls `yield_now`
 /// instead: the thread waited for needs the core a spinner would burn, is
 /// usually runnable, and a wait that resolves in a yield costs no
-/// park/unpark pair. Either way the budget halves with every consecutive
-/// miss — waits that keep ending in a park mean the thread waited for is
-/// far behind, or other jobs hold the cores — and every [`PROBE`]-th round
-/// gets the full budget again, which brings threads that fell into waking
-/// each other (wake latency > the shrunken budget) back out of it.
+/// park/unpark pair.
 pub(crate) struct SpinBudget {
     /// [`FULL_BUDGET`], or what a test forces.
     full: u32,
     /// More parties than cores: yield, do not spin.
     yields: bool,
-    /// Consecutive waits that ended in a park. A heuristic shared by all
-    /// waiters of the primitive: Relaxed, lossy, and read-only both while
-    /// waits hit and once the budget has decayed to nothing.
-    misses: AtomicU32,
 }
 
 /// In ns: one futex park/unpark pair as `barrier.central.sync_us` measured
@@ -123,8 +115,6 @@ const FULL_BUDGET: u32 = 30_000;
 /// reach both the resolve-awake and the park path.
 #[cfg(loom)]
 const FULL_BUDGET: u32 = 1;
-
-const PROBE: u64 = 16;
 
 impl SpinBudget {
     pub(crate) fn new(parties: usize) -> Self {
@@ -140,39 +130,14 @@ impl SpinBudget {
         SpinBudget {
             full,
             yields: false,
-            misses: AtomicU32::new(0),
         }
     }
 
-    fn budget(&self, round: u64, misses: u32) -> u32 {
-        match round % PROBE {
-            0 => self.full,
-            _ => self.full.checked_shr(misses).unwrap_or(0),
-        }
-    }
-
-    /// Wait for `done()` without sleeping. `round` is the caller's boundary
-    /// count (it clocks the probe). `false` once the budget is spent: the
-    /// caller must park (re-checking `done` under its own wake-up protocol).
-    pub(crate) fn spin(&self, round: u64, done: impl Fn() -> bool) -> bool {
-        if done() {
-            return true;
-        }
-        let misses = self.misses.load(Ordering::Relaxed);
-        let budget = self.budget(round, misses);
-        if budget == 0 {
-            return false; // decayed: park without touching the clock or `misses`
-        }
-        if awake_for(budget, self.yields, &done) {
-            if misses != 0 {
-                self.misses.store(0, Ordering::Relaxed);
-            }
-            return true;
-        }
-        // A store, not an RMW: waiters missing the same boundary count once.
-        self.misses
-            .store(misses.saturating_add(1), Ordering::Relaxed);
-        false
+    /// Wait for `done()` without sleeping. `false` once the budget is spent:
+    /// the caller must park (re-checking `done` under its own wake-up
+    /// protocol).
+    pub(crate) fn spin(&self, done: impl Fn() -> bool) -> bool {
+        done() || awake_for(self.full, self.yields, &done)
     }
 }
 
@@ -219,64 +184,4 @@ fn awake_for(budget: u32, _yields: bool, done: &impl Fn() -> bool) -> bool {
         spin_loop();
         done()
     })
-}
-
-#[cfg(all(test, not(loom)))]
-mod tests {
-    use super::*;
-    use std::cell::Cell;
-
-    /// The whole policy, with a closure that counts its calls in place of a
-    /// condition: halve per miss, park untouched once decayed, full budget
-    /// on a probe round, reset on a hit, the same by yielding when oversubscribed.
-    #[test]
-    fn budget_halves_per_miss_probes_and_resets_on_a_hit() {
-        const FULL: u32 = 1 << 20; // 1 ms, 21 halvings: ~3 ms of spinning in all
-        let sb = SpinBudget::with_full(FULL);
-        let misses = || sb.misses.load(Ordering::Relaxed);
-        let calls = Cell::new(0u32);
-        let never = || {
-            calls.set(calls.get() + 1);
-            false
-        };
-
-        for k in 0..=20 {
-            assert_eq!(misses(), k);
-            assert_eq!(sb.budget(1, k), FULL >> k);
-            assert!(!sb.spin(1, never));
-        }
-        // Decayed: the one immediate check, then straight to park.
-        assert_eq!((misses(), sb.budget(1, 21)), (21, 0));
-        calls.set(0);
-        assert!(!sb.spin(1, never));
-        assert_eq!((calls.get(), misses()), (1, 21));
-
-        // A probe round spins the full budget whatever the misses...
-        assert_eq!(sb.budget(PROBE, 21), FULL);
-        assert!(!sb.spin(PROBE, never));
-        assert!(calls.get() > 2, "probe round did not spin");
-        // ...and a hit inside it brings every round back to full.
-        calls.set(0);
-        let fifth = || {
-            calls.set(calls.get() + 1);
-            calls.get() == 5
-        };
-        assert!(sb.spin(2 * PROBE, fifth));
-        assert_eq!((misses(), sb.budget(1, misses())), (0, FULL));
-        // An immediate hit is no evidence either way (the barrier's last
-        // arriver always gets one).
-        assert!(!sb.spin(1, never));
-        assert!(sb.spin(1, || true));
-        assert_eq!(misses(), 1);
-
-        // Oversubscribed, the same budget is spent yielding instead.
-        let sb = SpinBudget {
-            yields: true,
-            ..SpinBudget::with_full(FULL)
-        };
-        calls.set(0);
-        assert!(sb.spin(1, fifth));
-        assert!(!sb.spin(1, never));
-        assert_eq!(sb.misses.load(Ordering::Relaxed), 1);
-    }
 }

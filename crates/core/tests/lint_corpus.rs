@@ -16,7 +16,8 @@
 //! keep the original panic.
 
 use green_bsp::{
-    lint, run, BackendKind, CheckKind, CheckReport, Config, Ctx, Packet, PlanReport, SGI,
+    lint, run, BackendKind, CheckKind, CheckReport, Config, Ctx, NetSimParams, Packet, PlanReport,
+    SGI,
 };
 
 fn dump(reports: &[CheckReport]) -> String {
@@ -430,39 +431,48 @@ fn sync_neigh_as_sync_end_leaves_no_mode() {
 // Zero false positives: a correct program using every analyzed feature.
 // ---------------------------------------------------------------------------
 
+/// Ring graph; alternates full barriers, split-phase windows, and
+/// neighborhood rendezvous; packets, `send_bytes` and `msg_writer` share
+/// superstep 0; checkpoints on a legal boundary.
+fn all_features(ctx: &mut Ctx) {
+    let me = ctx.pid();
+    let p = ctx.nprocs();
+    let right = (me + 1) % p;
+    // Superstep 0: full exchange on both lanes, closed split-phase.
+    for dest in 0..p {
+        ctx.send_pkt(dest, Packet::two_u64(me as u64, 0));
+        ctx.send_bytes(dest, &[me as u8; 5]);
+        ctx.msg_writer(dest).put_u64(me as u64);
+    }
+    ctx.charge(8);
+    ctx.sync_begin();
+    ctx.sync_end();
+    let mut n = 0;
+    while ctx.get_pkt().is_some() {
+        n += 1;
+    }
+    assert_eq!(n, p);
+    let mut bytes = 0;
+    while let Some((_, payload)) = ctx.recv_bytes() {
+        bytes += payload.len();
+    }
+    assert_eq!(bytes, p * (5 + 8));
+    // Superstep 1: neighbor-only traffic, neighborhood rendezvous.
+    ctx.send_pkt(right, Packet::two_u64(me as u64, 1));
+    ctx.sync_neigh();
+    assert!(ctx.get_pkt().is_some());
+    // Superstep 2: checkpoint on a legal boundary, then finish.
+    ctx.save_checkpoint(&[me as u8]);
+    ctx.sync();
+}
+
 #[test]
 fn clean_program_with_all_features_lints_clean() {
-    // Ring graph; alternates full barriers, split-phase windows, and
-    // neighborhood rendezvous; checkpoints on a legal boundary. Nothing
-    // here should trip the analyzer.
+    // Nothing here should trip the analyzer, or the checker on any backend.
     let p = 4;
     let edges: Vec<(usize, usize)> = (0..p).map(|i| (i, (i + 1) % p)).collect();
     let cfg = Config::new(p).sync_graph(&edges);
-    let report = lint(&cfg, &SGI, |ctx| {
-        let me = ctx.pid();
-        let p = ctx.nprocs();
-        let right = (me + 1) % p;
-        // Superstep 0: full exchange, closed split-phase.
-        for dest in 0..p {
-            ctx.send_pkt(dest, Packet::two_u64(me as u64, 0));
-        }
-        ctx.charge(8);
-        ctx.sync_begin();
-        ctx.sync_end();
-        let mut n = 0;
-        while ctx.get_pkt().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, p);
-        // Superstep 1: neighbor-only traffic, neighborhood rendezvous.
-        ctx.send_pkt(right, Packet::two_u64(me as u64, 1));
-        ctx.sync_neigh();
-        assert!(ctx.get_pkt().is_some());
-        // Superstep 2: checkpoint on a legal boundary, then finish.
-        ctx.save_checkpoint(&[me as u8]);
-        ctx.sync();
-    })
-    .unwrap();
+    let report = lint(&cfg, &SGI, all_features).unwrap();
     assert!(report.is_clean(), "{}", dump(&report.findings));
     assert_eq!(report.boundaries.len(), 3);
     assert!(report.boundaries[0].split && !report.boundaries[0].neigh);
@@ -470,4 +480,25 @@ fn clean_program_with_all_features_lints_clean() {
     assert!(!report.boundaries[2].neigh && !report.boundaries[2].split);
     assert_eq!(report.steps[0].w_units, 8);
     assert!(report.predicted.total() > 0.0);
+
+    let netsim = BackendKind::NetSim(NetSimParams {
+        g_us: 0.0,
+        l_us: 0.0,
+        l_neigh_us: 0.0,
+        time_scale: 0.0,
+    });
+    for backend in [
+        BackendKind::Shared,
+        BackendKind::MsgPass,
+        BackendKind::TcpSim,
+        BackendKind::SeqSim,
+        netsim,
+    ] {
+        let out = run(&cfg.clone().backend(backend).checked(), all_features);
+        assert!(
+            out.stats.check_reports.is_empty(),
+            "{backend:?}:\n{}",
+            dump(&out.stats.check_reports)
+        );
+    }
 }

@@ -226,44 +226,36 @@ proptest! {
         }
     }
 
-    /// Random message batches round-trip identically on every backend, and
-    /// the byte lane agrees element-wise with the legacy 16-byte
-    /// fragmentation path (same sources, same order, same payloads).
+    /// On every backend the byte lane delivers exactly the `(source,
+    /// payload)` list computed from the generated send plan, by source then
+    /// send order.
     #[test]
-    fn byte_lane_and_fragmentation_agree_on_all_backends(
+    fn byte_lane_delivers_the_send_plan_on_all_backends(
         p in 1usize..=5,
         sizes in prop::collection::vec(msg_size(), 1..6),
     ) {
-        let run_lane = |backend: BackendKind, fragmented: bool| {
-            let sizes = sizes.clone();
-            run(&Config::new(p).backend(backend), move |ctx| {
-                let me = ctx.pid();
-                for (i, &len) in sizes.iter().enumerate() {
-                    let dest = (me + i) % ctx.nprocs();
-                    let payload: Vec<u8> =
-                        (0..len).map(|j| (j.wrapping_mul(31) ^ me ^ i) as u8).collect();
-                    if fragmented {
-                        green_bsp::message::send_msg_fragmented(ctx, dest, &payload);
-                    } else {
-                        green_bsp::message::send_msg(ctx, dest, &payload);
+        let payload = |src: usize, i: usize, len: usize| -> Vec<u8> {
+            (0..len).map(|j| (j.wrapping_mul(31) ^ src ^ i) as u8).collect()
+        };
+        let expected: Vec<Vec<(usize, Vec<u8>)>> = (0..p)
+            .map(|pid| {
+                let mut msgs = Vec::new();
+                for src in 0..p {
+                    for (i, &len) in sizes.iter().enumerate() {
+                        if (src + i) % p == pid {
+                            msgs.push((src, payload(src, i, len)));
+                        }
                     }
                 }
-                ctx.sync();
-                if fragmented {
-                    green_bsp::message::recv_msgs_fragmented(ctx)
-                } else {
-                    green_bsp::message::recv_msgs(ctx)
-                }
+                msgs
             })
-            .results
-        };
+            .collect();
         let netsim = BackendKind::NetSim(green_bsp::NetSimParams {
             g_us: 0.01,
             l_us: 1.0,
             l_neigh_us: 0.0,
             time_scale: 1.0,
         });
-        let reference = run_lane(BackendKind::Shared, false);
         for backend in [
             BackendKind::Shared,
             BackendKind::MsgPass,
@@ -271,10 +263,18 @@ proptest! {
             BackendKind::SeqSim,
             netsim,
         ] {
-            let bytes = run_lane(backend, false);
-            prop_assert_eq!(&reference, &bytes, "byte lane on {:?} diverged", backend);
-            let frag = run_lane(backend, true);
-            prop_assert_eq!(&reference, &frag, "fragmentation on {:?} diverged", backend);
+            let sizes = sizes.clone();
+            let got = run(&Config::new(p).backend(backend), move |ctx| {
+                let me = ctx.pid();
+                for (i, &len) in sizes.iter().enumerate() {
+                    let dest = (me + i) % ctx.nprocs();
+                    green_bsp::message::send_msg(ctx, dest, &payload(me, i, len));
+                }
+                ctx.sync();
+                green_bsp::message::recv_msgs(ctx)
+            })
+            .results;
+            prop_assert_eq!(&expected, &got, "byte lane on {:?} diverged", backend);
         }
     }
 

@@ -1,5 +1,5 @@
 //! `report check` — run the six paper applications under the BSP checker
-//! on every backend, and model-check the slab-mailbox protocol.
+//! on every backend.
 //!
 //! This is the harness face of `green_bsp::check`: each (application,
 //! backend) pair runs with [`Config::checked`] and must produce zero
@@ -9,12 +9,11 @@
 //! sweep also proves the byte-conservation ledger is false-positive-free).
 //! A lane-agreement sweep then re-runs the byte-lane-converted apps
 //! (nbody, ocean, sort) against their packet-marshalling variants on every
-//! backend and demands bit-identical results. Finally the
-//! seeded-interleaving model checker explores adversarial schedules of the
-//! mailbox reserve/deposit/swap protocol and the barrier flags.
+//! backend and demands bit-identical results. The slab-mailbox and barrier
+//! protocols themselves are model-checked over the real code by the loom
+//! suite (`crates/core/src/loom_tests.rs`, DESIGN.md §13), not here.
 
 use crate::apps::{prepare, submit_digest, App, SEED};
-use green_bsp::check::interleave::{self, Fault, ModelConfig};
 use green_bsp::{global, run, BackendKind, Config, JobHandle};
 use std::collections::VecDeque;
 
@@ -42,9 +41,6 @@ fn check_size(app: App) -> usize {
         _ => 400,
     }
 }
-
-/// Number of interleaving schedules explored per model configuration.
-pub const SCHEDULES: usize = 1000;
 
 /// Run the full checker suite; returns `true` when everything is clean.
 pub fn run_check(full: bool) -> bool {
@@ -123,76 +119,6 @@ pub fn run_check_opts(full: bool, sync_modes: bool) -> bool {
                     );
                 }
             }
-        }
-    }
-
-    eprintln!("== interleaving model check ({SCHEDULES} schedules per config) ==");
-    for cfg in [
-        ModelConfig::default(), // overflow path exercised
-        ModelConfig {
-            slab_cap: 64, // pure lock-free path
-            ..ModelConfig::default()
-        },
-        ModelConfig {
-            threads: 4,
-            supersteps: 4,
-            ..ModelConfig::default()
-        },
-        // The relaxed protocol: per-edge sense-reversing flags instead of
-        // the central barrier (DESIGN.md §12).
-        ModelConfig {
-            threads: 4,
-            neighborhood: true,
-            ..ModelConfig::default()
-        },
-    ] {
-        let out = interleave::explore(cfg, SCHEDULES, 0xB5B);
-        if out.violating_schedules == 0 {
-            eprintln!(
-                "  threads {} cap {:>3}: {} schedules, no violation",
-                cfg.threads, cfg.slab_cap, out.schedules
-            );
-        } else {
-            clean = false;
-            eprintln!(
-                "  threads {} cap {:>3}: {} of {} schedules VIOLATED: {}",
-                cfg.threads,
-                cfg.slab_cap,
-                out.violating_schedules,
-                out.schedules,
-                out.first_violation.as_deref().unwrap_or("?")
-            );
-        }
-    }
-    // Detection-power canary: the fault-injected protocol must be caught,
-    // otherwise a clean pass above proves nothing. PrematureDrain and
-    // GraphViolatingSend are the relaxed-mode canaries and run under the
-    // neighborhood-barrier model.
-    for fault in [
-        Fault::SkipBarrier,
-        Fault::WrongPhase,
-        Fault::PrematureDrain,
-        Fault::GraphViolatingSend,
-    ] {
-        let neighborhood = matches!(fault, Fault::PrematureDrain | Fault::GraphViolatingSend);
-        let out = interleave::explore(
-            ModelConfig {
-                fault,
-                neighborhood,
-                threads: if neighborhood { 4 } else { 3 },
-                ..ModelConfig::default()
-            },
-            SCHEDULES,
-            0xB5B,
-        );
-        if out.violating_schedules > 0 {
-            eprintln!(
-                "  fault {:?}: caught in {} of {} schedules (detection power ok)",
-                fault, out.violating_schedules, out.schedules
-            );
-        } else {
-            clean = false;
-            eprintln!("  fault {fault:?}: NOT DETECTED — the model checker is blind");
         }
     }
 

@@ -14,15 +14,11 @@
 pub mod apps;
 pub mod autotune;
 pub mod check;
-pub mod exchange;
 pub mod faults;
 pub mod lint;
 pub mod measure;
-pub mod message_bench;
 pub mod paper;
 pub mod resilience;
-pub mod runtime_bench;
-pub mod stream_bench;
 pub mod sync_bench;
 pub mod tables;
 
@@ -34,7 +30,7 @@ pub use measure::{measure, sweep, Measurement, Sweep};
 use green_bsp::{BackendKind, NetSimParams};
 
 /// The canonical backend sweep, used by every harness sweep (`report
-/// check` / `report faults` / `report bench_exchange` / the launch bench).
+/// check` / `report faults`).
 /// Order matters: the first four are the deterministic transports; NetSim
 /// sits last with zeroed `g`/`L`/`time_scale` so sweeps measure its
 /// bookkeeping, not injected model delays (sweeps that want real delays

@@ -1,25 +1,10 @@
 //! `report` — regenerate the paper's tables and figures.
 //!
-//! Usage: `report [all|fig1_1|fig2_1|fig3_1|fig3_2|c1..c6|autotune|bench_exchange|bench_message|bench_runtime|bench_stream|bench_sync|check|faults|lint|resilience] [--full] [--sync-modes]`
+//! Usage: [`USAGE`] (printed, with exit status 2, for an unknown subcommand).
 //!
-//! `bench_exchange` sweeps the raw exchange-fabric throughput (packets/sec,
-//! `p = 1..=8`, every backend) and writes `BENCH_exchange.json`.
-//!
-//! `bench_message` sweeps variable-length message throughput (payload
-//! bytes/sec, byte-lane vs. 16-byte fragmentation, `p = 1..=8` × three
-//! message sizes on the shared backend) and writes `BENCH_message.json`.
-//!
-//! `bench_runtime` measures the persistent executor's launch path
-//! (DESIGN.md §11): cold spawn-per-run vs warm pooled launches at `p = 4`
-//! on every backend, plus concurrent-submit throughput, and writes
-//! `BENCH_runtime.json`.
-//!
-//! `bench_stream` measures out-of-core tiled execution (DESIGN.md §14):
-//! the external sample sort and the tiled Jacobi ocean sweep at 1×/4×/8×
-//! input-to-tile-budget ratios against their in-core baselines, verifying
-//! every streamed point bit-identical and reporting the prefetch-wait
-//! fraction. Writes `BENCH_stream.json`; exits non-zero if any point is
-//! not bit-identical.
+//! Throughput, launch latency and streaming efficiency are measured by the
+//! perf ledger (`perf/run.sh`, compared across commits with `perf compare`),
+//! not here.
 //!
 //! `bench_sync` measures the relaxed-synchronization machinery (DESIGN.md
 //! §12): barrier-cost curves (full vs pairwise vs split-phase by `p`), the
@@ -35,8 +20,7 @@
 //! the seqsim prediction error exceeds its committed bound.
 //!
 //! `check` runs the six applications under the BSP phase-discipline checker
-//! on every backend and model-checks the slab-mailbox protocol over seeded
-//! adversarial interleavings; exits non-zero on any diagnostic.
+//! on every backend; exits non-zero on any diagnostic.
 //! `--sync-modes` adds a bulk-vs-relaxed agreement sweep (checked, every
 //! backend) on the relaxed-converted apps.
 //!
@@ -49,9 +33,8 @@
 //! `resilience` runs the adversarial kernel sweep (DESIGN.md §15):
 //! worker-abort self-healing, hang-with-deadline, cancel-storm,
 //! queue-overload, and retry-heal must each end in a structured error or a
-//! healed retry — never a hang — and the warm launch path must stay within
-//! noise of the committed `BENCH_runtime.json`. Writes
-//! `BENCH_resilience.json`; exits non-zero on any failure.
+//! healed retry — never a hang. Writes `BENCH_resilience.json`; exits
+//! non-zero on any failure.
 //!
 //! `faults` runs the fault-injection sweep (DESIGN.md §10): every app ×
 //! backend × recoverable fault class must heal to a bit-identical digest,
@@ -65,6 +48,8 @@
 use bsp_harness::apps::App;
 use bsp_harness::measure::{sweep, Sweep};
 use bsp_harness::tables;
+
+const USAGE: &str = "usage: report [all|fig1_1|fig2_1|fig3_1|fig3_2|c1|c2|c3|c4|c5|c6|autotune|bench_sync|check|faults|lint|resilience] [--full] [--sync-modes]";
 
 fn sizes_for(app: App, full: bool) -> &'static [usize] {
     if full {
@@ -137,62 +122,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "bench_exchange" => {
-            use bsp_harness::exchange;
-            let (volume, steps) = if full { (200_000, 16) } else { (50_000, 8) };
-            let procs: Vec<usize> = (1..=8).collect();
-            eprintln!("exchange throughput sweep (volume {volume}/proc/step, {steps} steps)...");
-            let points = exchange::sweep_exchange(&procs, volume, steps);
-            let json = exchange::to_json(&points);
-            std::fs::write("BENCH_exchange.json", &json).expect("write BENCH_exchange.json");
-            eprintln!("wrote BENCH_exchange.json ({} points)", points.len());
-        }
-        "bench_message" => {
-            use bsp_harness::message_bench;
-            let steps = if full { 64 } else { 16 };
-            let procs: Vec<usize> = (1..=8).collect();
-            eprintln!(
-                "message throughput sweep (byte-lane vs fragmentation, {steps} base steps)..."
-            );
-            let points = message_bench::sweep_messages(&procs, steps);
-            let json = message_bench::to_json(&points);
-            std::fs::write("BENCH_message.json", &json).expect("write BENCH_message.json");
-            eprintln!("wrote BENCH_message.json ({} points)", points.len());
-        }
-        "bench_runtime" => {
-            use bsp_harness::runtime_bench;
-            let (cold, warm, per_sub) = if full {
-                (400, 4000, 200)
-            } else {
-                (150, 1500, 50)
-            };
-            eprintln!("runtime launch bench (cold {cold} / warm {warm} iters, 8 submitters)...");
-            let bench = runtime_bench::sweep_runtime(cold, warm, per_sub);
-            let json = runtime_bench::to_json(&bench);
-            std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");
-            eprintln!(
-                "wrote BENCH_runtime.json (warm speedup {:.1}x, {:.0} jobs/s)",
-                bench.warm_speedup_shared, bench.jobs_per_sec
-            );
-        }
-        "bench_stream" => {
-            use bsp_harness::stream_bench;
-            eprintln!(
-                "streaming-efficiency sweep (external sort + tiled ocean, 1x/4x/8x budgets)..."
-            );
-            let bench = stream_bench::sweep_stream(full);
-            let json = stream_bench::to_json(&bench);
-            std::fs::write("BENCH_stream.json", &json).expect("write BENCH_stream.json");
-            eprintln!(
-                "wrote BENCH_stream.json ({} points, prefetch@4x {:.1}%, bit-identical: {})",
-                bench.points.len(),
-                bench.prefetch_frac_4x * 100.0,
-                bench.all_bit_identical
-            );
-            if !bench.all_bit_identical {
-                std::process::exit(1);
-            }
-        }
         "bench_sync" => {
             use bsp_harness::sync_bench;
             eprintln!("relaxed-synchronization bench (barrier curves, ocean, sort, checker)...");
@@ -250,7 +179,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown figure '{other}'");
-            eprintln!("usage: report [all|fig1_1|fig2_1|fig3_1|fig3_2|c1|c2|c3|c4|c5|c6|autotune|bench_exchange|bench_message|bench_runtime|bench_stream|bench_sync|check|faults|lint|resilience] [--full] [--sync-modes]");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     }

@@ -19,10 +19,9 @@
 //! 5. **retry-heal**: a transient injected panic is healed by the per-job
 //!    retry policy on attempt 2.
 //!
-//! The sweep also re-measures the warm launch path and compares it against
-//! the committed `BENCH_runtime.json` baseline (generous 3x noise bound,
-//! skipped when no baseline is committed) — the resilience machinery must
-//! not tax the plain lease/run/release path.
+//! Whether the resilience machinery taxes the plain lease/run/release path
+//! is not judged here: launch latency is gated by `perf compare` on the
+//! `jobs` workload (`exec.launch_p50_us`, `runner.setup_us`).
 //!
 //! `report resilience` writes the whole document to `BENCH_resilience.json`
 //! and exits non-zero if any scenario fails.
@@ -78,13 +77,7 @@ pub struct ResilienceBench {
     pub queue_full_rejections: usize,
     /// Queue-wait distribution through the saturated pool.
     pub queue_wait: WaitDist,
-    /// Warm launch mean re-measured by this sweep (shared backend, p = 4).
-    pub warm_mean_us: f64,
-    /// Warm launch mean from the committed `BENCH_runtime.json`, if any.
-    pub baseline_warm_us: Option<f64>,
-    /// `true` when within noise of the baseline (or no baseline to check).
-    pub warm_within_noise: bool,
-    /// All scenarios passed and the warm path is within noise.
+    /// All scenarios passed.
     pub all_pass: bool,
 }
 
@@ -423,48 +416,10 @@ fn retry_heal() -> (bool, String, u64) {
     }
 }
 
-/// Pull the committed warm launch mean (shared backend) out of
-/// `BENCH_runtime.json` without a JSON dependency: find the launch entry
-/// with `"mode": "warm"` and `"backend": "shared"` and read its `mean_us`.
-fn baseline_warm_us() -> Option<f64> {
-    let text = std::fs::read_to_string("BENCH_runtime.json").ok()?;
-    for line in text.lines() {
-        if line.contains("\"mode\": \"warm\"") && line.contains("\"backend\": \"shared\"") {
-            let key = "\"mean_us\": ";
-            let at = line.find(key)? + key.len();
-            let rest = &line[at..];
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-                .unwrap_or(rest.len());
-            return rest[..end].parse().ok();
-        }
-    }
-    None
-}
-
-/// Re-measure the warm lease/run/release path exactly as `bench_runtime`
-/// does (shared backend, `p = 4`, one-superstep jobs).
-fn measure_warm(iters: usize) -> f64 {
-    let rt = Runtime::new();
-    let cfg = Config::new(4);
-    rt.prewarm(&cfg);
-    let start = Instant::now();
-    for _ in 0..iters {
-        rt.try_run(&cfg, |ctx| {
-            ctx.sync();
-            ctx.pid() as u64
-        })
-        .expect("warm launch failed");
-    }
-    let mean = start.elapsed().as_secs_f64() * 1e6 / iters.max(1) as f64;
-    rt.shutdown();
-    mean
-}
-
-/// Run the full sweep. `full` scales the storm width, the saturation depth,
-/// and the warm-launch sample.
+/// Run the full sweep. `full` scales the storm width and the saturation
+/// depth.
 pub fn sweep_resilience(full: bool) -> ResilienceBench {
-    let (storm, waiters, warm_iters) = if full { (24, 64, 4000) } else { (12, 24, 1500) };
+    let (storm, waiters) = if full { (24, 64) } else { (12, 24) };
 
     let mut recovery_latency_ms = 0.0;
     let mut respawns = 0;
@@ -496,29 +451,8 @@ pub fn sweep_resilience(full: bool) -> ResilienceBench {
         (pass, detail)
     });
 
-    let warm_mean_us = measure_warm(warm_iters);
-    let baseline = baseline_warm_us();
-    let warm_within_noise = match baseline {
-        // Generous noise bound: CI machines differ; the guard is against a
-        // structural regression (an extra allocation or lock on the warm
-        // path), which shows up as a multiple, not a percentage.
-        Some(base) => warm_mean_us <= base * 3.0,
-        None => true,
-    };
-    match baseline {
-        Some(base) => eprintln!(
-            "  warm launch: {warm_mean_us:.1} us vs baseline {base:.1} us ({})",
-            if warm_within_noise {
-                "within noise"
-            } else {
-                "REGRESSED"
-            }
-        ),
-        None => eprintln!("  warm launch: {warm_mean_us:.1} us (no committed baseline, skipped)"),
-    }
-
     let scenarios = vec![s1, s2, s3, s4, s5];
-    let all_pass = scenarios.iter().all(|s| s.pass) && warm_within_noise;
+    let all_pass = scenarios.iter().all(|s| s.pass);
     ResilienceBench {
         scenarios,
         recovery_latency_ms,
@@ -528,9 +462,6 @@ pub fn sweep_resilience(full: bool) -> ResilienceBench {
         storm_max_resolve_ms,
         queue_full_rejections,
         queue_wait,
-        warm_mean_us,
-        baseline_warm_us: baseline,
-        warm_within_noise,
         all_pass,
     }
 }
@@ -567,13 +498,6 @@ pub fn to_json(b: &ResilienceBench) -> String {
         b.queue_wait.p95_us,
         b.queue_wait.max_us
     ));
-    s.push_str(&format!(
-        "  \"warm_launch\": {{\"mean_us\": {:.3}, \"baseline_mean_us\": {}, \"within_noise\": {}}},\n",
-        b.warm_mean_us,
-        b.baseline_warm_us
-            .map_or_else(|| "null".to_string(), |v| format!("{v:.3}")),
-        b.warm_within_noise
-    ));
     s.push_str(&format!("  \"all_pass\": {}\n}}\n", b.all_pass));
     s
 }
@@ -594,18 +518,5 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with("}\n"));
         assert!(j.contains("\"recovery_latency_ms\""));
         assert!(j.contains("\"all_pass\": true"));
-    }
-
-    #[test]
-    fn baseline_parser_reads_the_committed_document_shape() {
-        let doc = "  {\"mode\": \"warm\", \"backend\": \"shared\", \"p\": 4, \"iters\": 10, \
-                   \"secs\": 0.1, \"mean_us\": 12.345},";
-        let key = "\"mean_us\": ";
-        let at = doc.find(key).unwrap() + key.len();
-        let rest = &doc[at..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        assert_eq!(rest[..end].parse::<f64>().unwrap(), 12.345);
     }
 }

@@ -24,8 +24,8 @@
 //! only over how a cell is stored (`f64` in core, eight little-endian bytes
 //! in a tile). Every operand is the same `f64` regardless of where the tile
 //! boundary fell, so the streamed grid is bit-identical to the in-core
-//! sweep for any tile budget — the property the tests and
-//! `report bench_stream` verify.
+//! sweep for any tile budget — the property the tests and the perf
+//! ledger's `stream` workload verify.
 
 use green_bsp::collectives::allreduce_f64;
 use green_bsp::{run_stream, Config, RunStats, Runtime, StreamConfig, StreamError, TileStore};
