@@ -421,9 +421,10 @@ where
 /// Run `f` with the original spawn-per-run strategy: `p` freshly spawned
 /// OS threads and a freshly built transport fabric, no pool, no arena.
 ///
-/// This is the cold-start baseline the `runtime_launch` bench compares the
-/// persistent executor against; it is also useful when a caller wants a run
-/// that shares no state whatsoever with the rest of the process.
+/// This is the pool-free reference that the `exec_stress` and `resilience`
+/// test corpora compare pooled runs against, and the path a nested run (a
+/// BSP process launching its own run) takes; use it too when a run must
+/// share no state whatsoever with the rest of the process.
 pub fn run_unpooled<F, R>(cfg: &Config, f: F) -> Result<RunOutput<R>, BspError>
 where
     F: Fn(&mut Ctx) -> R + Sync,

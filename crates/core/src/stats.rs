@@ -168,7 +168,7 @@ pub struct RunStats {
     /// process's superstep skeleton.
     pub(crate) proc_traces: Vec<crate::check::ProcTrace>,
     /// Bytes read from spill stores by the streaming layer (tile loads,
-    /// edge files, bucket reads). Zero for in-core runs.
+    /// ghost rows, bucket reads). Zero for in-core runs.
     pub io_read_bytes: u64,
     /// Bytes written to spill stores by the streaming layer (tile
     /// write-back, spill appends). Zero for in-core runs.

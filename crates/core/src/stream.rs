@@ -107,9 +107,9 @@ pub struct StreamConfig {
     pub ring: usize,
     /// Record granularity in bytes; tiles split only on record boundaries.
     pub record: usize,
-    /// Directory for spill files created by the run's applications (bucket
-    /// spills, edge files). The streaming core itself only reads/writes the
-    /// stores it is handed.
+    /// Directory for spill files created by the run's applications (e.g.
+    /// external sort's bucket spills). The streaming core itself only
+    /// reads/writes the stores it is handed.
     pub spill_dir: PathBuf,
 }
 

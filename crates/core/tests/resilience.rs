@@ -98,6 +98,32 @@ fn cancel_mid_superstep_all_backends_both_lanes() {
 }
 
 #[test]
+fn cancel_storm_resolves_every_handle_cancelled() {
+    // Forever-jobs on both lanes, one running and the rest queued behind
+    // it: cancelling them all at once must resolve every handle, queued
+    // or mid-superstep.
+    let rt = Runtime::new();
+    let handles: Vec<_> = (0..12)
+        .map(|i| rt.submit(&Config::new(2), spin_prog(i % 2 == 1)))
+        .collect();
+    thread::sleep(Duration::from_millis(20));
+    for h in &handles {
+        h.cancel();
+    }
+    for (i, h) in handles.into_iter().enumerate() {
+        let err = h
+            .join_timeout(Duration::from_secs(15))
+            .unwrap_or_else(|| panic!("job {i} hung after cancel"))
+            .unwrap_err();
+        assert!(
+            matches!(err, BspError::Cancelled { .. }),
+            "job {i}: {err:?}"
+        );
+    }
+    rt.shutdown();
+}
+
+#[test]
 fn deadline_expiry_mid_superstep_all_backends_both_lanes() {
     for bytes in [false, true] {
         for (name, cfg) in five_backends(2) {
@@ -391,13 +417,16 @@ fn queue_watermark_rejects_and_then_readmits() {
             Duration::from_millis(5),
         )
         .is_err());
-    // ...but once the queue drains, admission reopens.
+    // ...but once the queue drains, admission reopens. `b` sat behind `a`
+    // on the single worker, and its stats say so.
     a.join_timeout(Duration::from_secs(15))
         .expect("job a hung")
         .unwrap();
-    b.join_timeout(Duration::from_secs(15))
+    let b_out = b
+        .join_timeout(Duration::from_secs(15))
         .expect("job b hung")
         .unwrap();
+    assert!(b_out.stats.queue_wait > Duration::ZERO);
     let c = rt
         .try_submit(&Config::new(1), SubmitOpts::default(), |ctx: &mut Ctx| {
             ctx.sync()

@@ -11,6 +11,7 @@
 //! The `report` binary prints any figure: `report fig2_1`, `report c4`,
 //! `report all`, with `--full` for the paper's complete problem sizes.
 
+pub mod ablate;
 pub mod apps;
 pub mod autotune;
 pub mod check;
@@ -18,7 +19,6 @@ pub mod faults;
 pub mod lint;
 pub mod measure;
 pub mod paper;
-pub mod resilience;
 pub mod sync_bench;
 pub mod tables;
 

@@ -30,11 +30,10 @@
 //! per-superstep `w + gh + L` cost predictions; exits non-zero on any
 //! finding.
 //!
-//! `resilience` runs the adversarial kernel sweep (DESIGN.md §15):
-//! worker-abort self-healing, hang-with-deadline, cancel-storm,
-//! queue-overload, and retry-heal must each end in a structured error or a
-//! healed retry — never a hang. Writes `BENCH_resilience.json`; exits
-//! non-zero on any failure.
+//! `ablate` times the three design ablations nothing else measures: the
+//! shortest-paths work factor on the host and on an emulated high-`L`
+//! machine, DRMA puts against message passing, and the chunked hand-off
+//! (median and min of k runs per cell).
 //!
 //! `faults` runs the fault-injection sweep (DESIGN.md §10): every app ×
 //! backend × recoverable fault class must heal to a bit-identical digest,
@@ -49,7 +48,7 @@ use bsp_harness::apps::App;
 use bsp_harness::measure::{sweep, Sweep};
 use bsp_harness::tables;
 
-const USAGE: &str = "usage: report [all|fig1_1|fig2_1|fig3_1|fig3_2|c1|c2|c3|c4|c5|c6|autotune|bench_sync|check|faults|lint|resilience] [--full] [--sync-modes]";
+const USAGE: &str = "usage: report [all|fig1_1|fig2_1|fig3_1|fig3_2|c1|c2|c3|c4|c5|c6|ablate|autotune|bench_sync|check|faults|lint] [--full] [--sync-modes]";
 
 fn sizes_for(app: App, full: bool) -> &'static [usize] {
     if full {
@@ -104,6 +103,7 @@ fn main() {
         "c4" => c_for(App::Nbody),
         "c5" => c_for(App::Sp),
         "c6" => c_for(App::Msp),
+        "ablate" => bsp_harness::ablate::run_ablate(full),
         "autotune" => {
             use bsp_harness::autotune;
             eprintln!("autotune sweep (profile → price grid → measure → score predictions)...");
@@ -145,22 +145,6 @@ fn main() {
         }
         "lint" => {
             if !bsp_harness::lint::run_lint(full) {
-                std::process::exit(1);
-            }
-        }
-        "resilience" => {
-            use bsp_harness::resilience;
-            eprintln!(
-                "resilience sweep (worker-abort, deadline, cancel-storm, overload, retry)..."
-            );
-            let bench = resilience::sweep_resilience(full);
-            let json = resilience::to_json(&bench);
-            std::fs::write("BENCH_resilience.json", &json).expect("write BENCH_resilience.json");
-            eprintln!(
-                "wrote BENCH_resilience.json (recovery {:.1} ms, storm max {:.1} ms, all_pass: {})",
-                bench.recovery_latency_ms, bench.storm_max_resolve_ms, bench.all_pass
-            );
-            if !bench.all_pass {
                 std::process::exit(1);
             }
         }

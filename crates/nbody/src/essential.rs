@@ -3,7 +3,7 @@
 //! that afterwards every processor has a local BH tree that contains all
 //! the data needed to compute the forces on its bodies."
 //!
-//! We use the Warren-Salmon conservative criterion: a cell's monopole
+//! We use the Warren-Salmon conservative rule: a cell's monopole
 //! summary is *essential* for a remote processor when the opening test
 //! `s/d < θ` holds with `d` the minimum distance from the cell to the whole
 //! remote region box, so the approximation is valid for every body the

@@ -194,7 +194,7 @@ impl<'a> Octree<'a> {
     }
 
     /// Gravitational acceleration at `pos` from all bodies except id
-    /// `skip_id`, using the θ opening criterion and Plummer softening `eps`.
+    /// `skip_id`, using the θ opening test and Plummer softening `eps`.
     pub fn accel(&self, pos: V3, skip_id: u32, theta: f64, eps: f64) -> V3 {
         self.accel_with_count(pos, skip_id, theta, eps).0
     }
