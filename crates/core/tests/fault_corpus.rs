@@ -9,7 +9,9 @@
 //! checkpoint-rollback must turn a transient panic back into a bit-identical
 //! success.
 
-use std::time::Duration;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use green_bsp::{
     try_run, BackendKind, BarrierKind, BspError, CheckKind, CheckpointPolicy, Config, Ctx,
@@ -274,6 +276,63 @@ fn persistent_fault_exhausts_retries() {
                 "{backend:?}: expected RetryExhausted, got {te}"
             ),
             other => panic!("{backend:?}: expected Transport error, got {other}"),
+        }
+    }
+}
+
+// -------------------------------------------------------------- liveness
+
+/// The channel transport's liveness backstop, on both schedules: under
+/// hardening, a process that stops posting mid-superstep (it sleeps far past
+/// the 50 ms superstep deadline inside its superstep) makes every other
+/// process fail with a structured `BspError` within 5 s — a pipe read
+/// blocked on a silent peer times out instead of hanging the run.
+#[test]
+fn silent_peer_fails_every_other_process_within_the_bound() {
+    const SILENT: usize = 1;
+    let bound = Duration::from_secs(5);
+    let tol = FaultTolerance {
+        superstep_deadline: Some(Duration::from_millis(50)),
+        ..FaultTolerance::default()
+    };
+    for backend in [BackendKind::MsgPass, BackendKind::TcpSim] {
+        let failed: Mutex<Vec<(usize, Duration, Option<BspError>)>> = Mutex::new(Vec::new());
+        let start = Instant::now();
+        let res = try_run(
+            &Config::new(3).backend(backend).tolerant(tol.clone()),
+            |ctx| {
+                ctx.sync();
+                if ctx.pid() == SILENT {
+                    // Silent until every peer has given up (or twice the
+                    // bound, so a transport that never gives up fails the
+                    // assertions below instead of hanging the test).
+                    while failed.lock().unwrap().len() < 2 && start.elapsed() < 2 * bound {
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                    ctx.sync();
+                    return;
+                }
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| ctx.sync())) {
+                    let err = payload.downcast_ref::<BspError>().cloned();
+                    failed
+                        .lock()
+                        .unwrap()
+                        .push((ctx.pid(), start.elapsed(), err));
+                    resume_unwind(payload);
+                }
+            },
+        );
+        assert!(res.is_err(), "{backend:?}: a silent peer cannot complete");
+        let mut failed = failed.into_inner().unwrap();
+        failed.sort_by_key(|f| f.0);
+        let pids: Vec<usize> = failed.iter().map(|f| f.0).collect();
+        assert_eq!(pids, [0, 2], "{backend:?}: every other process fails");
+        for (pid, after, err) in failed {
+            assert!(
+                after < bound,
+                "{backend:?}: proc {pid} failed after {after:?}"
+            );
+            assert!(err.is_some(), "{backend:?}: proc {pid} failed unstructured");
         }
     }
 }
