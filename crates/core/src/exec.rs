@@ -15,7 +15,8 @@
 //!   `p`-sized slice of the pool for its lifetime; slices are dispatched
 //!   atomically (all `p` slots at once, FIFO), so a job's processes always
 //!   run on `p` distinct workers and rendezvous-style backends (seqsim's
-//!   baton, tcpsim's staged exchange) cannot deadlock on a partial slice.
+//!   baton, the channel transport's staged exchange) cannot deadlock on a
+//!   partial slice.
 //! * **Transport arena** — after a clean run of a *plain* config (no
 //!   checker, no fault plan, no hardening) the job's transport endpoints
 //!   are reset in place ([`crate::context::ProcTransport::reset`]) and
@@ -33,24 +34,26 @@
 //!   [`crate::FaultKind::WorkerAbort`]) is quarantined and a replacement is
 //!   respawned; only the job on that slot fails, and [`PoolHealth`] counts
 //!   the lifecycle. Jobs are *cancellable* and *deadline-bounded*
-//!   ([`SubmitOpts`], [`JobHandle::cancel`], [`JobHandle::join_timeout`])
-//!   through a cooperative [`CancelToken`] checked at superstep boundaries,
-//!   *retryable* with exponential backoff ([`RetryPolicy`]), and *bounded*:
-//!   an admission watermark makes [`Runtime::try_submit`] return
-//!   [`QueueFull`] under overload. [`Runtime::shutdown`] fails still-queued
-//!   jobs with [`BspError::RuntimeShutdown`] instead of leaving their
-//!   handles to hang; [`Runtime::shutdown_drain`] completes them first.
+//!   ([`JobHandle::cancel`], [`CancelToken::deadline_in`] on a token
+//!   attached with [`Config::cancel_token`]) through a cooperative
+//!   [`CancelToken`] checked at superstep boundaries. A failed job is
+//!   healed, if at all, inside its run: checkpoint rollback
+//!   ([`crate::CheckpointPolicy`]) is the one recovery loop.
+//!   [`Runtime::shutdown`] fails still-queued jobs with
+//!   [`BspError::RuntimeShutdown`] instead of leaving their handles to
+//!   hang; [`Runtime::shutdown_drain`] completes them first.
 //!
 //! [`crate::run`] / [`crate::try_run`] are thin shims over a lazily
 //! initialized process-wide [`global`] runtime; existing call sites are
 //! unchanged. [`crate::run_unpooled`] keeps the old spawn-per-run path
-//! alive as the cold-start ablation baseline for `bench runtime_launch`.
+//! alive as the pool-free reference the test corpora compare against and
+//! the path a nested run takes.
 
 use crate::backend::BackendKind;
 use crate::barrier::BarrierKind;
 use crate::context::Ctx;
 use crate::fault::BspError;
-use crate::runner::{payload_to_error, run_pipeline, run_pipeline_with, Config, RunOutput};
+use crate::runner::{payload_to_error, run_pipeline, Config, RunOutput};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -203,10 +206,12 @@ struct TokenInner {
 /// [`BspError::Cancelled`] / [`BspError::DeadlineExceeded`] on every
 /// backend, releasing parked peers instead of hanging them.
 ///
-/// Tokens are attached automatically by [`Runtime::submit_with`] (so
-/// [`JobHandle::cancel`] works on every submitted job) or manually via
-/// [`Config::cancel_token`] for blocking [`crate::try_run`] calls. Cheap to
-/// clone (an `Arc` handle).
+/// Every job [`Runtime::submit`] queues carries one, so
+/// [`JobHandle::cancel`] works on it: the token attached with
+/// [`Config::cancel_token`] when the config has one (the caller's token and
+/// the handle's are then the same token), a fresh one otherwise. Blocking
+/// [`crate::try_run`] calls carry one only via [`Config::cancel_token`].
+/// Cheap to clone (an `Arc` handle).
 #[derive(Clone)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -274,13 +279,6 @@ impl CancelToken {
 // The runtime
 // ---------------------------------------------------------------------------
 
-/// Scheduler state: parked-worker accounting plus the FIFO job queue.
-///
-/// Invariant: `free` = (workers inside the wait loop) − (tasks in `ready`).
-/// [`pump`] moves a job's tasks to `ready` only when `free` covers all of
-/// them, claiming that many parked workers; since a worker pops at most one
-/// task before leaving the wait loop, a job's `p` tasks always land on `p`
-/// distinct workers.
 /// One queued job slice: the `p` slot tasks, plus an abort closure that
 /// fills every result-board slot with [`BspError::RuntimeShutdown`] so a
 /// slice abandoned by a fast [`Runtime::shutdown`] still unblocks its
@@ -289,24 +287,20 @@ impl CancelToken {
 struct JobSlice {
     tasks: Vec<Task>,
     abort: Task,
-    /// High-priority slices sit at the queue front and are never bypassed
-    /// by predicted-time ordering.
-    urgent: bool,
-    /// Cost-model estimate of the job's runtime, when it was planned by
-    /// the autotuner ([`crate::tune`]). Orders the normal-priority queue
-    /// shortest-predicted-first and feeds deadline admission.
-    predicted: Option<Duration>,
 }
 
+/// Scheduler state: parked-worker accounting plus the FIFO job queue.
+///
+/// Invariant: `free` = (workers inside the wait loop) − (tasks in `ready`).
+/// [`pump`] moves a job's tasks to `ready` only when `free` covers all of
+/// them, claiming that many parked workers; since a worker pops at most one
+/// task before leaving the wait loop, a job's `p` tasks always land on `p`
+/// distinct workers.
 struct Sched {
     ready: VecDeque<Task>,
     /// Pending jobs; each entry is a whole `p`-task slice, admitted
-    /// atomically. High-priority slices go to the front; among the rest,
-    /// slices with a cost-model prediction order shortest-predicted-first
-    /// and unpredicted slices keep strict submission-order FIFO behind
-    /// them (ties keep FIFO, so two equal or unpredicted slices never
-    /// reorder). A wide job at the head is never starved by narrow jobs
-    /// behind it.
+    /// atomically in submission order. A wide job at the head is never
+    /// starved by narrow jobs behind it.
     queue: VecDeque<JobSlice>,
     free: usize,
     spawned: usize,
@@ -330,7 +324,7 @@ fn pump(s: &mut Sched) -> bool {
 }
 
 /// A whole-job orchestration unit run on a coordinator thread: `run` is the
-/// job's pipeline (retry loop + merge), `abort` resolves its handle with
+/// job's pipeline (rollback loop + merge), `abort` resolves its handle with
 /// [`BspError::RuntimeShutdown`]. Exactly one of the two ever runs.
 struct CoordJob {
     run: Box<dyn FnOnce() + Send>,
@@ -419,13 +413,6 @@ const ARENA_PER_KEY: usize = 4;
 /// Max parked sets across all shapes.
 const ARENA_TOTAL: usize = 64;
 
-/// Submitted-job admission accounting: `pending` counts jobs submitted and
-/// not yet finished (or aborted); `limit` is the backpressure watermark.
-struct Admission {
-    pending: usize,
-    limit: usize,
-}
-
 struct PoolInner {
     sched: Mutex<Sched>,
     work_cv: Condvar,
@@ -435,8 +422,10 @@ struct PoolInner {
     arena_hits: AtomicU64,
     arena_misses: AtomicU64,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    admission: Mutex<Admission>,
-    admission_cv: Condvar,
+    /// Jobs submitted and not yet finished (or aborted); what
+    /// [`Runtime::shutdown_drain`] waits on.
+    pending: Mutex<usize>,
+    pending_cv: Condvar,
     /// Worker threads currently alive (spawned and not exited).
     live_workers: AtomicUsize,
     /// Worker slots quarantined after an abnormal thread death.
@@ -534,7 +523,7 @@ fn coord_loop(inner: &PoolInner) {
 }
 
 // ---------------------------------------------------------------------------
-// Submit options, retry policies, pool health
+// Pool health
 // ---------------------------------------------------------------------------
 
 /// Snapshot of the worker pool's self-healing state (see DESIGN.md §15).
@@ -548,85 +537,6 @@ pub struct PoolHealth {
     /// Replacement workers spawned by the self-healing path.
     pub respawns: u64,
 }
-
-/// Job priority class for [`SubmitOpts`]. `High` jobs jump the worker-slice
-/// queue (front-of-queue admission) instead of waiting FIFO.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Priority {
-    /// FIFO admission (the default).
-    #[default]
-    Normal,
-    /// Front-of-queue admission.
-    High,
-}
-
-/// Per-job retry policy: a failed job is re-submitted through the warm
-/// arena up to `max_attempts` total runs with exponential backoff between
-/// attempts. Cancellation, deadline expiry, and runtime shutdown are never
-/// retried. With `resume_from_checkpoint` and a
-/// [`crate::CheckpointPolicy`] on the config, a retried job restores from
-/// its last consistent checkpoint cut instead of superstep 0.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (minimum 1).
-    pub max_attempts: u32,
-    /// Backoff before attempt `n+1` is `backoff · 2ⁿ⁻¹`, capped at
-    /// `max_backoff`.
-    pub backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Restore checkpointed state across attempts (requires
-    /// [`crate::Config::tolerant`] with a checkpoint policy).
-    pub resume_from_checkpoint: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(100),
-            resume_from_checkpoint: true,
-        }
-    }
-}
-
-/// Options for [`Runtime::submit_with`]: a wall-clock deadline, a retry
-/// policy, and a priority class. `Default` reproduces plain
-/// [`Runtime::submit`] exactly.
-#[derive(Clone, Debug, Default)]
-pub struct SubmitOpts {
-    /// Fail the job with [`BspError::DeadlineExceeded`] if it has not
-    /// finished this long after submission (queue wait counts).
-    pub deadline: Option<Duration>,
-    /// Re-run failed attempts per this policy.
-    pub retry: Option<RetryPolicy>,
-    /// Worker-slice admission priority.
-    pub priority: Priority,
-    /// Cost-model estimate of the job's runtime (stamped automatically by
-    /// [`Runtime::submit_auto`], settable by hand). A predicted job's
-    /// slice is queued shortest-predicted-first within the normal
-    /// priority class, the estimate participates in deadline admission,
-    /// and the run scores it afterwards
-    /// ([`crate::RunStats::predicted_ms`]).
-    pub predicted: Option<Duration>,
-}
-
-/// The runtime's admission queue is at its watermark (see
-/// [`Runtime::set_queue_limit`]); the job was not submitted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueFull {
-    /// Jobs pending when admission was refused.
-    pub depth: usize,
-}
-
-impl std::fmt::Display for QueueFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "runtime queue full ({} jobs pending)", self.depth)
-    }
-}
-
-impl std::error::Error for QueueFull {}
 
 /// A persistent BSP executor: pinned worker pool + transport arena +
 /// concurrent job queue. Cheap to clone (a handle to shared state).
@@ -673,11 +583,8 @@ impl Runtime {
                 arena_hits: AtomicU64::new(0),
                 arena_misses: AtomicU64::new(0),
                 handles: Mutex::new(Vec::new()),
-                admission: Mutex::new(Admission {
-                    pending: 0,
-                    limit: usize::MAX,
-                }),
-                admission_cv: Condvar::new(),
+                pending: Mutex::new(0),
+                pending_cv: Condvar::new(),
                 live_workers: AtomicUsize::new(0),
                 quarantined: AtomicU64::new(0),
                 respawns: AtomicU64::new(0),
@@ -738,24 +645,13 @@ impl Runtime {
         self.inner.handles.lock().unwrap().extend(spawned);
     }
 
-    /// Enqueue a whole job slice (`tasks.len()` = the job's `p`). All slots
-    /// dispatch atomically. `urgent` slices jump to the front; a slice
-    /// with a cost-model `predicted` runtime inserts ahead of every
-    /// normal-priority slice with a strictly larger prediction
-    /// (shortest-predicted-job-first; unpredicted slices price at +∞, so
-    /// they keep submission-order FIFO among themselves and sit behind
-    /// every predicted slice). If the pool is already shut down, `abort`
-    /// runs instead on the calling thread, failing the slice's result
-    /// board with [`BspError::RuntimeShutdown`] — without this, the slice
-    /// would sit in a queue no worker will ever drain and its coordinator
-    /// would hang in `wait_take`.
-    pub(crate) fn execute(
-        &self,
-        tasks: Vec<Task>,
-        abort: Task,
-        urgent: bool,
-        predicted: Option<Duration>,
-    ) {
+    /// Enqueue a whole job slice (`tasks.len()` = the job's `p`) at the
+    /// back of the FIFO queue. All slots dispatch atomically. If the pool
+    /// is already shut down, `abort` runs instead on the calling thread,
+    /// failing the slice's result board with [`BspError::RuntimeShutdown`]
+    /// — without this, the slice would sit in a queue no worker will ever
+    /// drain and its coordinator would hang in `wait_take`.
+    pub(crate) fn execute(&self, tasks: Vec<Task>, abort: Task) {
         self.ensure_capacity(tasks.len());
         let mut s = self.inner.sched.lock().unwrap();
         if s.shutdown {
@@ -763,26 +659,7 @@ impl Runtime {
             abort();
             return;
         }
-        let slice = JobSlice {
-            tasks,
-            abort,
-            urgent,
-            predicted,
-        };
-        if urgent {
-            s.queue.push_front(slice);
-        } else {
-            let key = |j: &JobSlice| j.predicted.unwrap_or(Duration::MAX);
-            let mine = slice.predicted.unwrap_or(Duration::MAX);
-            // Strict `>` keeps ties (and the unpredicted ∞ class) FIFO;
-            // urgent slices are never bypassed.
-            let pos = s
-                .queue
-                .iter()
-                .position(|j| !j.urgent && key(j) > mine)
-                .unwrap_or(s.queue.len());
-            s.queue.insert(pos, slice);
-        }
+        s.queue.push_back(JobSlice { tasks, abort });
         if pump(&mut s) {
             drop(s);
             self.inner.work_cv.notify_all();
@@ -884,22 +761,10 @@ impl Runtime {
     /// `p`-slice. Results arrive in whatever order jobs finish; slices are
     /// *admitted* in submission order.
     ///
-    /// Equivalent to [`Runtime::submit_with`] with default [`SubmitOpts`]:
-    /// no deadline, no retry, normal priority. The handle is still
-    /// cancellable via [`JobHandle::cancel`].
+    /// The handle is cancellable via [`JobHandle::cancel`], which fires the
+    /// token attached with [`Config::cancel_token`] when there is one — so
+    /// a deadline armed on that token bounds the job, queue wait included.
     pub fn submit<F, R>(&self, cfg: &Config, f: F) -> JobHandle<R>
-    where
-        F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        self.submit_with(cfg, SubmitOpts::default(), f)
-    }
-
-    /// Submit a job with a deadline, retry policy, and/or priority class.
-    /// Blocks while the admission queue is at its watermark (see
-    /// [`Runtime::set_queue_limit`]); use [`Runtime::try_submit`] /
-    /// [`Runtime::submit_timeout`] for non-blocking admission.
-    pub fn submit_with<F, R>(&self, cfg: &Config, opts: SubmitOpts, f: F) -> JobHandle<R>
     where
         F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
         R: Send + 'static,
@@ -908,131 +773,9 @@ impl Runtime {
         // on a coordinator (where the panic would be reported through the
         // handle instead).
         assert!(cfg.nprocs > 0, "a BSP machine needs at least one process");
-        let mut a = self.inner.admission.lock().unwrap();
-        while a.pending >= a.limit {
-            a = self.inner.admission_cv.wait(a).unwrap();
-        }
-        a.pending += 1;
-        drop(a);
-        self.submit_admitted(cfg, opts, f)
-    }
-
-    /// Non-blocking [`Runtime::submit_with`]: fails immediately with
-    /// [`QueueFull`] when the admission queue is at its watermark.
-    pub fn try_submit<F, R>(
-        &self,
-        cfg: &Config,
-        opts: SubmitOpts,
-        f: F,
-    ) -> Result<JobHandle<R>, QueueFull>
-    where
-        F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        self.submit_timeout(cfg, opts, f, Duration::ZERO)
-    }
-
-    /// [`Runtime::submit_with`] that waits at most `wait` for the admission
-    /// queue to drop below its watermark, then fails with [`QueueFull`].
-    pub fn submit_timeout<F, R>(
-        &self,
-        cfg: &Config,
-        opts: SubmitOpts,
-        f: F,
-        wait: Duration,
-    ) -> Result<JobHandle<R>, QueueFull>
-    where
-        F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        assert!(cfg.nprocs > 0, "a BSP machine needs at least one process");
-        let deadline = Instant::now() + wait;
-        let mut a = self.inner.admission.lock().unwrap();
-        while a.pending >= a.limit {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(QueueFull { depth: a.pending });
-            }
-            let (g, timeout) = self.inner.admission_cv.wait_timeout(a, left).unwrap();
-            a = g;
-            if timeout.timed_out() && a.pending >= a.limit {
-                return Err(QueueFull { depth: a.pending });
-            }
-        }
-        a.pending += 1;
-        drop(a);
-        Ok(self.submit_admitted(cfg, opts, f))
-    }
-
-    /// Submit a job with the configuration the autotuner chose
-    /// ([`crate::tune::plan`] → [`Config::auto`]), with the predicted
-    /// runtime wired into scheduling: the slice is queued
-    /// shortest-predicted-first, the finished run records the prediction
-    /// for error scoring, and — when `opts.deadline` is set — admission
-    /// rejects the job up front with [`BspError::WouldMissDeadline`] if
-    /// the predicted completion time (this job's predicted runtime plus
-    /// the predicted backlog already queued for the pool) exceeds the
-    /// deadline. Queued slices *without* a prediction contribute zero to
-    /// the backlog estimate, so admission is optimistic in mixed
-    /// planned/unplanned workloads.
-    ///
-    /// The chosen candidate's `relaxed` flag is not applied automatically
-    /// (the tuner cannot conjure the sync graph); attach it by building
-    /// the config yourself via [`Config::auto`] + `Config::sync_graph` and
-    /// submitting with `opts.predicted` set.
-    pub fn submit_auto<F, R>(
-        &self,
-        plan: &crate::tune::TunePlan,
-        mut opts: SubmitOpts,
-        f: F,
-    ) -> Result<JobHandle<R>, BspError>
-    where
-        F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        let cfg = Config::auto(plan);
-        let predicted = plan.predicted();
-        opts.predicted = Some(predicted);
-        if let Some(deadline) = opts.deadline {
-            let backlog: Duration = {
-                let s = self.inner.sched.lock().unwrap();
-                s.queue.iter().filter_map(|j| j.predicted).sum()
-            };
-            let completion = backlog + predicted;
-            if completion > deadline {
-                return Err(BspError::WouldMissDeadline {
-                    predicted_ms: completion.as_secs_f64() * 1e3,
-                    deadline_ms: deadline.as_secs_f64() * 1e3,
-                });
-            }
-        }
-        Ok(self.submit_with(&cfg, opts, f))
-    }
-
-    /// Cap the number of submitted-but-unfinished jobs: past the watermark,
-    /// [`Runtime::submit`] blocks and [`Runtime::try_submit`] returns
-    /// [`QueueFull`]. The default is effectively unbounded.
-    pub fn set_queue_limit(&self, limit: usize) {
-        self.inner.admission.lock().unwrap().limit = limit.max(1);
-    }
-
-    /// Jobs submitted and not yet finished.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.admission.lock().unwrap().pending
-    }
-
-    /// The already-admitted tail of the submit family: builds the control
-    /// token, the retry loop, and the shutdown-abort closure, and hands the
-    /// pair to a coordinator.
-    fn submit_admitted<F, R>(&self, cfg: &Config, opts: SubmitOpts, f: F) -> JobHandle<R>
-    where
-        F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        let token = CancelToken::new();
-        if let Some(d) = opts.deadline {
-            token.deadline_in(d);
-        }
+        *self.inner.pending.lock().unwrap() += 1;
+        let mut cfg = cfg.clone();
+        let token = cfg.control.get_or_insert_with(CancelToken::new).clone();
         let state = Arc::new(HandleState {
             slot: Mutex::new(Slot::Pending),
             cv: Condvar::new(),
@@ -1041,63 +784,16 @@ impl Runtime {
         let abort_report = Arc::clone(&state);
         let rt = self.clone();
         let abort_rt = self.clone();
-        let mut cfg = cfg.clone();
-        cfg.control = Some(token.clone());
-        cfg.urgent = opts.priority == Priority::High;
-        cfg.predicted = opts.predicted.or(cfg.predicted);
-        let retry = opts.retry;
-        let tok = token.clone();
         let submitted = Instant::now();
         let run = Box::new(move || {
             let queue_wait = submitted.elapsed();
-            // Fault-injection state and the checkpoint store are shared
-            // across attempts: transient faults that already fired must not
-            // re-fire on a retry, and a resumed attempt restores from the
-            // last consistent checkpoint cut instead of superstep 0.
-            let shared = retry.map(|rp| {
-                crate::runner::PipelineShared::for_config(&cfg, rp.resume_from_checkpoint)
-            });
-            let max = retry.map_or(1, |r| r.max_attempts.max(1));
-            let mut attempt = 0u32;
-            let res = loop {
-                attempt += 1;
-                let r = if tok.is_cancelled() {
-                    Err(BspError::Cancelled { pid: 0, step: 0 })
-                } else if tok.deadline_exceeded() {
-                    Err(BspError::DeadlineExceeded { pid: 0, step: 0 })
-                } else {
-                    std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        run_pipeline_with(Some(&rt), &cfg, &f, shared.as_ref())
-                    }))
+            let res =
+                std::panic::catch_unwind(AssertUnwindSafe(|| run_pipeline(Some(&rt), &cfg, &f)))
                     .unwrap_or_else(|payload| Err(payload_to_error(0, payload)))
-                };
-                match r {
-                    Ok(mut out) => {
-                        out.stats.attempts = attempt as u64;
+                    .map(|mut out| {
                         out.stats.queue_wait = queue_wait;
-                        break Ok(out);
-                    }
-                    Err(e) => {
-                        let terminal = matches!(
-                            e,
-                            BspError::Cancelled { .. }
-                                | BspError::DeadlineExceeded { .. }
-                                | BspError::RuntimeShutdown
-                        );
-                        if terminal || attempt >= max {
-                            break Err(e);
-                        }
-                        if let Some(rp) = retry {
-                            let shift = (attempt - 1).min(16);
-                            let pause =
-                                rp.backoff.saturating_mul(1u32 << shift).min(rp.max_backoff);
-                            if !pause.is_zero() {
-                                std::thread::sleep(pause);
-                            }
-                        }
-                    }
-                }
-            };
+                        out
+                    });
             report.finish(res);
             job_done(&rt.inner);
         });
@@ -1151,8 +847,8 @@ impl Runtime {
 
     /// Lease + release one arena set for `cfg`, returning whether a warm
     /// set was available. This is the zero-allocation seam the allocation
-    /// test and the launch bench measure: after [`Runtime::prewarm`], a
-    /// full cycle touches no allocator.
+    /// test measures: after [`Runtime::prewarm`], a full cycle touches no
+    /// allocator.
     #[doc(hidden)]
     pub fn debug_lease_cycle(&self, cfg: &Config) -> bool {
         match self.lease(cfg) {
@@ -1211,22 +907,19 @@ impl Runtime {
     /// then [`Runtime::shutdown`]. New submissions racing the drain may
     /// still be aborted with [`BspError::RuntimeShutdown`].
     pub fn shutdown_drain(self) {
-        let mut a = self.inner.admission.lock().unwrap();
-        while a.pending > 0 {
-            a = self.inner.admission_cv.wait(a).unwrap();
+        let mut pending = self.inner.pending.lock().unwrap();
+        while *pending > 0 {
+            pending = self.inner.pending_cv.wait(pending).unwrap();
         }
-        drop(a);
+        drop(pending);
         self.shutdown();
     }
 }
 
-/// Mark one submitted job finished (or aborted) for admission accounting
-/// and wake watermark waiters and `shutdown_drain`.
+/// Mark one submitted job finished (or aborted) and wake `shutdown_drain`.
 fn job_done(inner: &PoolInner) {
-    let mut a = inner.admission.lock().unwrap();
-    a.pending -= 1;
-    drop(a);
-    inner.admission_cv.notify_all();
+    *inner.pending.lock().unwrap() -= 1;
+    inner.pending_cv.notify_all();
 }
 
 /// The process-wide runtime backing [`crate::run`] / [`crate::try_run`].
@@ -1265,8 +958,7 @@ impl<R> HandleState<R> {
     }
 }
 
-/// Handle to a job submitted with [`Runtime::submit`] /
-/// [`Runtime::submit_with`].
+/// Handle to a job submitted with [`Runtime::submit`].
 pub struct JobHandle<R> {
     shared: Arc<HandleState<R>>,
     token: CancelToken,

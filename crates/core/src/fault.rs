@@ -61,13 +61,13 @@ fn pkt_hash(pkt: &Packet) -> u64 {
 
 /// Order-insensitive checksum of a packet batch: wrapping sum of per-packet
 /// hashes, so per-source sums combine additively across the shared inbox.
-pub(crate) fn pkt_sum(pkts: &[Packet]) -> u64 {
+fn pkt_sum(pkts: &[Packet]) -> u64 {
     pkts.iter().fold(0u64, |s, p| s.wrapping_add(pkt_hash(p)))
 }
 
 /// xxhash-style sequential mixing hash — order-sensitive, so it also catches
 /// reordered byte-lane records, not just flipped bits.
-pub(crate) fn byte_hash(bytes: &[u8]) -> u64 {
+fn byte_hash(bytes: &[u8]) -> u64 {
     const PRIME1: u64 = 0x9E37_79B1_85EB_CA87;
     const PRIME2: u64 = 0xC2B2_AE3D_27D4_EB4F;
     let mut h = PRIME2 ^ (bytes.len() as u64);
@@ -97,12 +97,8 @@ pub enum TransportErrorKind {
     /// A peer's channel endpoint dropped mid-superstep (the peer panicked or
     /// exited early).
     ChannelClosed,
-    /// A frame's checksum did not match its contents.
-    ChecksumMismatch,
-    /// A frame arrived with a sequence number other than the current
-    /// superstep's.
-    SequenceGap,
-    /// No acknowledgement arrived within the per-superstep delivery timeout.
+    /// A hardened pipe read stalled past the delivery timeout: the peer went
+    /// silent mid-superstep.
     DeliveryTimeout,
     /// The retransmit budget was exhausted without reaching a verified
     /// superstep.
@@ -168,8 +164,8 @@ pub enum BspError {
         /// Context.
         detail: String,
     },
-    /// A structured transport failure (closed channel, checksum mismatch,
-    /// delivery timeout, retry exhaustion).
+    /// A structured transport failure (closed channel, delivery timeout,
+    /// retry exhaustion, graph violation).
     Transport(TransportError),
     /// The job was cancelled via [`crate::JobHandle::cancel`] (or a shared
     /// [`crate::CancelToken`]). The unwinding proc poisons its transport so
@@ -180,8 +176,9 @@ pub enum BspError {
         /// Superstep boundary at which it was observed.
         step: usize,
     },
-    /// The job's submit-time deadline passed before it finished. Observed
-    /// cooperatively at a superstep (or tile) boundary, like `Cancelled`.
+    /// The deadline armed on the job's [`crate::CancelToken`] passed before
+    /// it finished. Observed cooperatively at a superstep (or tile)
+    /// boundary, like `Cancelled`.
     DeadlineExceeded {
         /// Proc that observed the expired deadline.
         pid: usize,
@@ -192,18 +189,6 @@ pub enum BspError {
     /// [`crate::Runtime::shutdown`] fails queued jobs with this instead of
     /// leaving their handles to hang).
     RuntimeShutdown,
-    /// Deadline admission refused the job at submit time: its cost-model
-    /// prediction plus the predicted backlog already queued ahead of it
-    /// exceeds the requested deadline, so running it would only waste pool
-    /// slots (see [`crate::Runtime::submit_auto`]). The job never reached
-    /// the worker pool.
-    WouldMissDeadline {
-        /// Predicted completion time (queue backlog + job runtime) in
-        /// milliseconds from submission.
-        predicted_ms: f64,
-        /// The deadline budget that was requested, in milliseconds.
-        deadline_ms: f64,
-    },
 }
 
 impl fmt::Display for BspError {
@@ -231,16 +216,6 @@ impl fmt::Display for BspError {
                 write!(f, "proc {} deadline exceeded at superstep {}", pid, step)
             }
             BspError::RuntimeShutdown => write!(f, "runtime shut down before the job ran"),
-            BspError::WouldMissDeadline {
-                predicted_ms,
-                deadline_ms,
-            } => {
-                write!(
-                    f,
-                    "admission rejected: predicted completion {:.3}ms exceeds deadline {:.3}ms",
-                    predicted_ms, deadline_ms
-                )
-            }
         }
     }
 }

@@ -105,10 +105,7 @@ pub use cost::{
     cal_cache_stats, calibrate, calibrate_at, calibrate_with, l_neigh_us, predict,
     predict_from_stats, try_calibrate_with, CalCacheStats, Calibration, Prediction,
 };
-pub use exec::{
-    global, CancelToken, JobHandle, PoolHealth, Priority, QueueFull, RetryPolicy, Runtime,
-    SubmitOpts,
-};
+pub use exec::{global, CancelToken, JobHandle, PoolHealth, Runtime};
 pub use fault::{
     BspError, CheckpointPolicy, FaultCounters, FaultEvent, FaultKind, FaultPlan, FaultTolerance,
     TransportError, TransportErrorKind,

@@ -60,10 +60,10 @@ pub struct Config {
     pub sync_graph: Option<Arc<SyncGraph>>,
     /// Fault-tolerance settings. When set, the transport stack is hardened:
     /// a self-healing [`GuardedBackend`] wrapper checksums and retransmits
-    /// exchanges, msgpass/tcpsim verify frame sequence numbers and
-    /// checksums, tcpsim runs its ack/retry protocol, and (with a
-    /// [`crate::CheckpointPolicy`]) the runner rolls all processes back to
-    /// the last consistent checkpoint on an unrecovered failure.
+    /// exchanges, the channel transport's pipe reads time out on a silent
+    /// peer, and (with a [`crate::CheckpointPolicy`]) the runner rolls all
+    /// processes back to the last consistent checkpoint on an unrecovered
+    /// failure.
     pub tolerance: Option<FaultTolerance>,
     /// Tile coordinates stamped onto every [`Ctx`] of the run, surfaced via
     /// [`Ctx::tile`]. Set per tile job by the streaming driver
@@ -71,21 +71,11 @@ pub struct Config {
     /// transport set serves every tile.
     pub(crate) tile: Option<crate::stream::TileMeta>,
     /// Cooperative cancellation/deadline token stamped onto every [`Ctx`]
-    /// and checked at superstep boundaries (see DESIGN.md §15). Attached by
-    /// [`crate::Runtime::submit_with`] or [`Config::cancel_token`]; `None`
-    /// (the default) keeps the boundary hot path token-free.
+    /// and checked at superstep boundaries (see DESIGN.md §15). Attached
+    /// with [`Config::cancel_token`], or a fresh one by
+    /// [`crate::Runtime::submit`]; `None` (the default) keeps the boundary
+    /// hot path token-free.
     pub(crate) control: Option<crate::exec::CancelToken>,
-    /// Worker-slice admission priority: an urgent job's slice goes to the
-    /// front of the pool queue instead of FIFO. Set by
-    /// [`crate::exec::SubmitOpts::priority`].
-    pub(crate) urgent: bool,
-    /// Cost-model estimate of this run's wall time, set when the config
-    /// was planned by the autotuner ([`Config::auto`],
-    /// [`crate::exec::SubmitOpts::predicted`]). Orders the pool queue
-    /// shortest-predicted-first, lands in [`RunStats::predicted`], and is
-    /// scored against the measured wall clock after the run. Not part of
-    /// the arena shape key — predictions don't change the fabric.
-    pub(crate) predicted: Option<Duration>,
 }
 
 impl Config {
@@ -104,8 +94,6 @@ impl Config {
             tolerance: None,
             tile: None,
             control: None,
-            urgent: false,
-            predicted: None,
         }
     }
 
@@ -178,37 +166,13 @@ impl Config {
     /// [`crate::exec::CancelToken`]). The runner checks it at every
     /// superstep boundary; a fired token unwinds the run through the poison
     /// path into [`BspError::Cancelled`] / [`BspError::DeadlineExceeded`].
-    /// [`crate::Runtime::submit_with`] attaches one automatically when the
-    /// job requests a deadline; use this to share a token across direct
-    /// `try_run` calls.
+    /// A deadline is armed on the token
+    /// ([`crate::exec::CancelToken::deadline_in`]). [`crate::Runtime::submit`]
+    /// adopts it as the job's token, so `JobHandle::cancel` fires the very
+    /// token attached here.
     pub fn cancel_token(mut self, token: &crate::exec::CancelToken) -> Self {
         self.control = Some(token.clone());
         self
-    }
-
-    /// Build the configuration the autotuner chose: the argmin candidate's
-    /// backend, processor count, and hardening, with the predicted wall
-    /// time stamped on so the executor queues the job
-    /// shortest-predicted-first and the finished run scores the prediction
-    /// (see [`crate::tune`]).
-    ///
-    /// A `relaxed` candidate's sync graph is the caller's to attach
-    /// (`Config::auto(plan).sync_graph(..)`) — the tuner prices
-    /// neighborhood boundaries but cannot conjure the topology.
-    pub fn auto(plan: &crate::tune::TunePlan) -> Config {
-        let c = plan.chosen();
-        let mut cfg = Config::new(c.nprocs).backend(c.backend);
-        if c.hardened {
-            cfg = cfg.hardened();
-        }
-        cfg.predicted = Some(plan.predicted());
-        cfg
-    }
-
-    /// The predicted wall time stamped by [`Config::auto`] /
-    /// [`crate::exec::SubmitOpts::predicted`], if any.
-    pub fn predicted(&self) -> Option<Duration> {
-        self.predicted
     }
 }
 
@@ -434,35 +398,6 @@ where
     run_pipeline(None, cfg, &f)
 }
 
-/// State a retrying submit shares across job attempts (see DESIGN.md §15):
-/// the fired-fault ledger, so a transient injected fault does not re-fire
-/// on the retry, and the checkpoint store, so a retried hardened job
-/// resumes from its last consistent cut instead of from scratch.
-pub(crate) struct PipelineShared {
-    pub(crate) fstate: Option<Arc<FaultState>>,
-    pub(crate) store: Option<Arc<CheckpointStore>>,
-}
-
-impl PipelineShared {
-    /// Build the cross-attempt state for `cfg`. The store is created only
-    /// when the config actually checkpoints *and* the retry policy asked to
-    /// resume from it; otherwise each attempt gets a private store.
-    pub(crate) fn for_config(cfg: &Config, resume: bool) -> PipelineShared {
-        PipelineShared {
-            fstate: cfg
-                .fault_plan
-                .as_ref()
-                .map(|p| Arc::new(FaultState::new(p.events.len()))),
-            store: cfg
-                .tolerance
-                .as_ref()
-                .and_then(|t| t.checkpoint)
-                .filter(|_| resume)
-                .map(|_| Arc::new(CheckpointStore::new(cfg.nprocs))),
-        }
-    }
-}
-
 /// The full job pipeline: fault-state setup, the checkpoint-rollback loop,
 /// and per-incarnation execution via [`run_once`]. With a runtime, process
 /// slots run on its worker pool and plain-config transports are leased
@@ -476,54 +411,21 @@ pub(crate) fn run_pipeline<R>(
 where
     R: Send,
 {
-    run_pipeline_with(rt, cfg, f, None)
-}
-
-/// [`run_pipeline`] with optional cross-attempt shared state (fault ledger,
-/// checkpoint store) threaded in by the retrying submit path.
-pub(crate) fn run_pipeline_with<R>(
-    rt: Option<&exec::Runtime>,
-    cfg: &Config,
-    f: &(dyn Fn(&mut Ctx) -> R + Sync),
-    shared: Option<&PipelineShared>,
-) -> Result<RunOutput<R>, BspError>
-where
-    R: Send,
-{
     assert!(cfg.nprocs > 0, "a BSP machine needs at least one process");
     // Fired-event state is shared across rollback incarnations so a
     // transient fault injected before the rollback does not re-fire after it.
-    let fstate = shared.and_then(|s| s.fstate.clone()).or_else(|| {
-        cfg.fault_plan
-            .as_ref()
-            .map(|p| Arc::new(FaultState::new(p.events.len())))
-    });
+    let fstate = cfg
+        .fault_plan
+        .as_ref()
+        .map(|p| Arc::new(FaultState::new(p.events.len())));
     let policy = cfg.tolerance.as_ref().and_then(|t| t.checkpoint);
-    let external_store = shared.and_then(|s| s.store.clone());
-    let ckpt_store = policy.map(|_| {
-        external_store
-            .clone()
-            .unwrap_or_else(|| Arc::new(CheckpointStore::new(cfg.nprocs)))
-    });
+    let ckpt_store = policy.map(|_| Arc::new(CheckpointStore::new(cfg.nprocs)));
     let every = policy.map(|c| c.every_supersteps).unwrap_or(0);
     let max_rollbacks = cfg.tolerance.as_ref().map(|t| t.max_rollbacks).unwrap_or(0);
     let mut rolled_back = 0u64;
     let mut carried = FaultCounters::default();
     let mut recover_from: Option<Instant> = None;
     let mut restored: Vec<Option<Vec<u8>>> = (0..cfg.nprocs).map(|_| None).collect();
-    // A retry attempt entering with a shared store that already holds a
-    // consistent cut (from the failed previous attempt) resumes from it
-    // rather than re-running the prefix.
-    if external_store.is_some() {
-        if let Some(store) = ckpt_store.as_ref() {
-            if let Some(cs) = store.consistent_step() {
-                store.prune_above(cs);
-                for (pid, slot) in restored.iter_mut().enumerate() {
-                    *slot = store.blob(pid, cs);
-                }
-            }
-        }
-    }
     loop {
         let ckpt = ckpt_store.as_ref().map(|s| (every, s));
         match run_once(
@@ -899,7 +801,7 @@ where
             // only touches `board`, which `wait_take` below keeps alive on
             // this stack until every slot (including abort fills) is taken.
             let abort = unsafe { exec::erase_task(abort) };
-            rt.execute(tasks, abort, cfg.urgent, cfg.predicted);
+            rt.execute(tasks, abort);
             board
                 .wait_take()
                 .into_iter()
@@ -948,11 +850,7 @@ where
             // the poisoned barrier.
             BspError::Cancelled { .. }
             | BspError::DeadlineExceeded { .. }
-            | BspError::RuntimeShutdown
-            // Admission-time rejection; never produced inside a run, but
-            // ranked like the other deliberate terminations for
-            // completeness.
-            | BspError::WouldMissDeadline { .. } => 4,
+            | BspError::RuntimeShutdown => 4,
             BspError::ProcPanicked { .. } => 3,
             BspError::Transport(te) => match te.kind {
                 crate::fault::TransportErrorKind::ChannelClosed => 1,
@@ -1123,13 +1021,6 @@ where
             "green-bsp warning: {} byte-lane byte(s) sent after the last sync were never delivered",
             stats.undelivered_bytes
         );
-    }
-    // Planned runs: record the prediction on the stats and score it
-    // against the measured wall clock (see `crate::tune`). Plain configs
-    // skip entirely, keeping the warm launch path untouched.
-    if let Some(predicted) = cfg.predicted {
-        stats.predicted = predicted;
-        crate::tune::record_outcome(cfg.backend, predicted, wall);
     }
     Ok(RunOutput {
         results,

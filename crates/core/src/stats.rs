@@ -184,19 +184,9 @@ pub struct RunStats {
     /// quarantined slots; see [`crate::exec::PoolHealth`]). Default for
     /// unpooled and hand-built stats.
     pub pool: crate::exec::PoolHealth,
-    /// How many times the job ran before this result: 1 for a first-try
-    /// success, >1 when a [`crate::exec::RetryPolicy`] resubmitted it.
-    /// Zero for hand-built stats and runs outside `submit`.
-    pub attempts: u64,
     /// Time the job spent queued before admission (submit → coordinator
     /// pickup). Zero outside `submit`.
     pub queue_wait: Duration,
-    /// Cost-model prediction for this run's wall time, stamped when the job
-    /// was planned by the autotuner ([`crate::tune`], `Config::auto`,
-    /// `Runtime::submit_auto`). Zero for unplanned runs. Comparing this to
-    /// the measured wall clock is the per-job prediction-error metric fed
-    /// into [`crate::tune::error_summary`].
-    pub predicted: Duration,
 }
 
 impl RunStats {
@@ -365,9 +355,7 @@ impl RunStats {
             prefetch_wait: Duration::ZERO,
             tiles: 0,
             pool: crate::exec::PoolHealth::default(),
-            attempts: 0,
             queue_wait: Duration::ZERO,
-            predicted: Duration::ZERO,
         }
     }
 
@@ -421,12 +409,6 @@ impl RunStats {
     /// Teardown overhead in milliseconds (see [`RunStats::teardown`]).
     pub fn teardown_ms(&self) -> f64 {
         self.teardown.as_secs_f64() * 1e3
-    }
-
-    /// Planned wall time in milliseconds, zero for unplanned runs (see
-    /// [`RunStats::predicted`]).
-    pub fn predicted_ms(&self) -> f64 {
-        self.predicted.as_secs_f64() * 1e3
     }
 }
 

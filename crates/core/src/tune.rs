@@ -6,14 +6,12 @@
 //! [`RunStats`], from a [`crate::analyze::PlanReport`] skeleton, or built by
 //! hand), prices every candidate configuration in a feasibility-pruned grid
 //! (backend × p × hardening × sync mode) with *measured* `g`/`L` from
-//! [`crate::cost::calibrate_at`], and selects the argmin. The selection
-//! flows into execution via `Config::auto` / `Runtime::submit_auto`, which
-//! stamp the predicted wall time onto the run so the executor can order its
-//! queue shortest-predicted-first, admission can reject jobs that would
-//! miss their deadline ([`crate::BspError::WouldMissDeadline`]), and every
-//! completed run scores its own prediction ([`record_outcome`] /
+//! [`crate::cost::calibrate_at`], and selects the argmin
+//! ([`TunePlan::chosen`]). A caller runs the choice by building its
+//! [`crate::Config`] from the chosen candidate, and may score the
+//! prediction against the measured wall clock ([`record_outcome`] /
 //! [`error_summary`] — the paper's §4 predictive-accuracy question asked of
-//! our own scheduler on every job).
+//! our own tuner).
 
 use crate::backend::BackendKind;
 use crate::cost::{self, Calibration};
@@ -397,9 +395,8 @@ fn slot_name(slot: u8) -> &'static str {
 }
 
 /// Score one completed planned run: accumulate the relative error of its
-/// prediction into the process-wide histogram. Called by the runner for
-/// every run whose config carries a prediction; harnesses may also call it
-/// directly.
+/// prediction into the process-wide histogram. Harnesses call it with each
+/// run they measure (`report autotune`).
 pub fn record_outcome(backend: BackendKind, predicted: Duration, wall: Duration) {
     let w = wall.as_secs_f64();
     if w <= 0.0 {

@@ -1,5 +1,5 @@
-//! Resilient-kernel corpus (DESIGN.md §15): cancellation, deadlines, retry,
-//! self-healing workers, backpressure, and structured shutdown.
+//! Resilient-kernel corpus (DESIGN.md §15): cancellation, deadlines, FIFO
+//! admission, self-healing workers, and structured shutdown.
 //!
 //! Every scenario is bounded by `join_timeout` — a hang is a test failure
 //! with a message, never a stuck binary — and the long-running probe
@@ -8,8 +8,8 @@
 //! thread.
 
 use green_bsp::{
-    run_unpooled, BackendKind, BspError, CheckpointPolicy, Config, Ctx, FaultEvent, FaultKind,
-    FaultPlan, FaultTolerance, NetSimParams, Packet, Priority, RetryPolicy, Runtime, SubmitOpts,
+    run_unpooled, BackendKind, BspError, CancelToken, Config, Ctx, FaultEvent, FaultKind,
+    FaultPlan, NetSimParams, Packet, Runtime,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -128,11 +128,9 @@ fn deadline_expiry_mid_superstep_all_backends_both_lanes() {
     for bytes in [false, true] {
         for (name, cfg) in five_backends(2) {
             let rt = Runtime::new();
-            let opts = SubmitOpts {
-                deadline: Some(Duration::from_millis(15)),
-                ..SubmitOpts::default()
-            };
-            let h = rt.submit_with(&cfg, opts, spin_prog(bytes));
+            let token = CancelToken::new();
+            token.deadline_in(Duration::from_millis(15));
+            let h = rt.submit(&cfg.cancel_token(&token), spin_prog(bytes));
             let err = h
                 .join_timeout(Duration::from_secs(15))
                 .unwrap_or_else(|| panic!("{name} bytes={bytes}: overdue job hung"))
@@ -140,6 +138,12 @@ fn deadline_expiry_mid_superstep_all_backends_both_lanes() {
             assert!(
                 matches!(err, BspError::DeadlineExceeded { .. }),
                 "{name} bytes={bytes}: {err:?}"
+            );
+            // The handle controls the very token the caller attached.
+            h.cancel();
+            assert!(
+                token.is_cancelled(),
+                "{name}: cancel missed the caller's token"
             );
             rt.shutdown();
         }
@@ -254,194 +258,7 @@ fn worker_abort_quarantines_respawns_and_pool_heals() {
 }
 
 #[test]
-fn retry_heals_transient_panic_and_reports_attempts() {
-    // A transient injected panic kills attempt 1; the shared fired-fault
-    // ledger keeps it from re-firing, so attempt 2 succeeds cleanly.
-    let rt = Runtime::new();
-    let plan = FaultPlan::new(5).with(FaultEvent {
-        pid: 0,
-        step: 0,
-        dest: 0,
-        kind: FaultKind::Panic,
-    });
-    let opts = SubmitOpts {
-        retry: Some(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            resume_from_checkpoint: false,
-        }),
-        ..SubmitOpts::default()
-    };
-    let h = rt.submit_with(&Config::new(2).faults(plan), opts, exchange_prog);
-    let out = h
-        .join_timeout(Duration::from_secs(15))
-        .expect("retried job hung")
-        .expect("retry should heal the transient panic");
-    assert_eq!(out.stats.attempts, 2);
-    let reference = run_unpooled(&Config::new(2), exchange_prog)
-        .unwrap()
-        .results;
-    assert_eq!(out.results, reference);
-    rt.shutdown();
-}
-
-#[test]
-fn retry_exhaustion_surfaces_the_underlying_error() {
-    // A persistent panic fires on every attempt: the retry budget runs out
-    // and the last attempt's structured error comes back.
-    let rt = Runtime::new();
-    let plan = FaultPlan::new(6)
-        .with(FaultEvent {
-            pid: 0,
-            step: 0,
-            dest: 0,
-            kind: FaultKind::Panic,
-        })
-        .persistent();
-    let opts = SubmitOpts {
-        retry: Some(RetryPolicy {
-            max_attempts: 2,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
-            resume_from_checkpoint: false,
-        }),
-        ..SubmitOpts::default()
-    };
-    let h = rt.submit_with(&Config::new(2).faults(plan), opts, exchange_prog);
-    let err = h
-        .join_timeout(Duration::from_secs(15))
-        .expect("exhausted retry hung")
-        .unwrap_err();
-    assert!(matches!(err, BspError::ProcPanicked { .. }), "{err:?}");
-    rt.shutdown();
-}
-
-#[test]
-fn retry_resumes_from_last_consistent_checkpoint_cut() {
-    // Attempt 1 checkpoints every 2 supersteps and dies at superstep 5 with
-    // rollback disabled (max_rollbacks = 0); the retry path must restore
-    // both procs from the shared store's consistent cut, and the final
-    // result must be bit-identical to a clean serial run.
-    let restores = Arc::new(AtomicUsize::new(0));
-    let r2 = Arc::clone(&restores);
-    let prog = move |ctx: &mut Ctx| {
-        let mut acc = ctx.pid() as u64 + 1;
-        let mut start = 0usize;
-        if let Some(blob) = ctx.restore_checkpoint() {
-            r2.fetch_add(1, Ordering::Relaxed);
-            start = u64::from_le_bytes(blob[0..8].try_into().unwrap()) as usize;
-            acc = u64::from_le_bytes(blob[8..16].try_into().unwrap());
-        }
-        let next = (ctx.pid() + 1) % ctx.nprocs();
-        for step in start..8 {
-            if ctx.checkpoint_due() {
-                let mut blob = Vec::with_capacity(16);
-                blob.extend_from_slice(&(step as u64).to_le_bytes());
-                blob.extend_from_slice(&acc.to_le_bytes());
-                ctx.save_checkpoint(&blob);
-            }
-            ctx.send_pkt(next, Packet::two_u64(acc, 0));
-            ctx.sync();
-            acc = acc
-                .wrapping_mul(3)
-                .wrapping_add(ctx.get_pkt().expect("ring packet").as_two_u64().0);
-        }
-        acc
-    };
-    let reference = run_unpooled(&Config::new(2), prog.clone()).unwrap().results;
-    assert_eq!(restores.load(Ordering::Relaxed), 0);
-
-    let rt = Runtime::new();
-    let plan = FaultPlan::new(9).with(FaultEvent {
-        pid: 1,
-        step: 5,
-        dest: 0,
-        kind: FaultKind::Panic,
-    });
-    let tol = FaultTolerance {
-        max_retries: 4,
-        superstep_deadline: None,
-        checkpoint: Some(CheckpointPolicy {
-            every_supersteps: 2,
-        }),
-        max_rollbacks: 0,
-    };
-    let opts = SubmitOpts {
-        retry: Some(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-            resume_from_checkpoint: true,
-        }),
-        ..SubmitOpts::default()
-    };
-    let h = rt.submit_with(&Config::new(2).faults(plan).tolerant(tol), opts, prog);
-    let out = h
-        .join_timeout(Duration::from_secs(15))
-        .expect("checkpoint-resumed retry hung")
-        .expect("retry with checkpoint resume should succeed");
-    assert_eq!(out.stats.attempts, 2);
-    assert_eq!(out.results, reference);
-    // Both procs of attempt 2 restored from the cut.
-    assert_eq!(restores.load(Ordering::Relaxed), 2);
-    rt.shutdown();
-}
-
-#[test]
-fn queue_watermark_rejects_and_then_readmits() {
-    let rt = Runtime::new();
-    rt.set_queue_limit(2);
-    let blocker = |ctx: &mut Ctx| {
-        thread::sleep(Duration::from_millis(80));
-        ctx.sync();
-    };
-    let a = rt.submit(&Config::new(1), blocker);
-    let b = rt.submit(&Config::new(1), blocker);
-    assert_eq!(rt.queue_depth(), 2);
-    // At the watermark: non-blocking admission refuses with the depth.
-    let refused = rt.try_submit(&Config::new(1), SubmitOpts::default(), blocker);
-    match refused {
-        Err(q) => {
-            assert_eq!(q.depth, 2);
-            assert!(q.to_string().contains("queue full"), "{q}");
-        }
-        Ok(_) => panic!("try_submit must refuse at the watermark"),
-    }
-    // A bounded wait shorter than the jobs also refuses...
-    assert!(rt
-        .submit_timeout(
-            &Config::new(1),
-            SubmitOpts::default(),
-            blocker,
-            Duration::from_millis(5),
-        )
-        .is_err());
-    // ...but once the queue drains, admission reopens. `b` sat behind `a`
-    // on the single worker, and its stats say so.
-    a.join_timeout(Duration::from_secs(15))
-        .expect("job a hung")
-        .unwrap();
-    let b_out = b
-        .join_timeout(Duration::from_secs(15))
-        .expect("job b hung")
-        .unwrap();
-    assert!(b_out.stats.queue_wait > Duration::ZERO);
-    let c = rt
-        .try_submit(&Config::new(1), SubmitOpts::default(), |ctx: &mut Ctx| {
-            ctx.sync()
-        })
-        .expect("admission must reopen after the queue drains");
-    let out = c
-        .join_timeout(Duration::from_secs(15))
-        .expect("job c hung")
-        .unwrap();
-    assert!(out.stats.queue_wait < Duration::from_secs(15));
-    rt.shutdown();
-}
-
-#[test]
-fn high_priority_slice_jumps_the_queue() {
+fn slices_admit_in_submission_order() {
     let rt = Runtime::new();
     let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
     // Occupy the single worker slot so subsequent slices queue.
@@ -451,30 +268,28 @@ fn high_priority_slice_jumps_the_queue() {
     });
     thread::sleep(Duration::from_millis(20));
     let o1 = Arc::clone(&order);
-    let normal = rt.submit(&Config::new(1), move |ctx: &mut Ctx| {
-        o1.lock().unwrap().push("normal");
+    let first = rt.submit(&Config::new(1), move |ctx: &mut Ctx| {
+        o1.lock().unwrap().push("first");
         ctx.sync();
     });
-    // Give the normal job's slice time to reach the pool queue first.
+    // Give the first job's slice time to reach the pool queue first.
     thread::sleep(Duration::from_millis(40));
     let o2 = Arc::clone(&order);
-    let urgent = rt.submit_with(
-        &Config::new(1),
-        SubmitOpts {
-            priority: Priority::High,
-            ..SubmitOpts::default()
-        },
-        move |ctx: &mut Ctx| {
-            o2.lock().unwrap().push("urgent");
-            ctx.sync();
-        },
-    );
-    for (h, what) in [(long, "long"), (normal, "normal"), (urgent, "urgent")] {
-        h.join_timeout(Duration::from_secs(15))
-            .unwrap_or_else(|| panic!("{what} job hung"))
-            .unwrap();
-    }
-    assert_eq!(*order.lock().unwrap(), vec!["urgent", "normal"]);
+    let second = rt.submit(&Config::new(1), move |ctx: &mut Ctx| {
+        o2.lock().unwrap().push("second");
+        ctx.sync();
+    });
+    let outs: Vec<_> = [(long, "long"), (first, "first"), (second, "second")]
+        .into_iter()
+        .map(|(h, what)| {
+            h.join_timeout(Duration::from_secs(15))
+                .unwrap_or_else(|| panic!("{what} job hung"))
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(*order.lock().unwrap(), vec!["first", "second"]);
+    // `first` sat behind `long` on the single worker, and its stats say so.
+    assert!(outs[1].stats.queue_wait > Duration::ZERO);
     rt.shutdown();
 }
 
@@ -564,7 +379,6 @@ fn cancelled_job_leaves_concurrent_jobs_bit_identical() {
             .expect("survivor hung")
             .expect("survivors must complete");
         assert_eq!(out.results, reference);
-        assert_eq!(out.stats.attempts, 1);
         assert!(out.stats.pool.live_workers >= 2);
     }
     rt.shutdown();

@@ -4,8 +4,7 @@
 
 use green_bsp::exec::Runtime;
 use green_bsp::tune::{self, HProfile, TuneOpts};
-use green_bsp::{BackendKind, BspError, Calibration, Config, Packet, SubmitOpts};
-use std::time::Duration;
+use green_bsp::{BackendKind, BspError, Calibration, Config, Packet};
 
 /// A p-invariant BSP program: every process sums its strided share of
 /// `0..N` and a tree of packet exchanges reduces the partials; the global
@@ -84,14 +83,15 @@ fn every_selectable_candidate_reproduces_the_reference_bits() {
             "candidate {cand:?} silently changed the result"
         );
     }
-    // The chosen config runs through Config::auto and stamps its
-    // prediction onto the run's stats.
-    let auto = Config::auto(&plan);
-    assert!(auto.predicted().is_some());
-    let out = green_bsp::try_run(&auto, reduce_sum).unwrap();
+    // The chosen candidate runs as the config a caller builds from it.
+    let chosen = plan.chosen();
+    let mut cfg = Config::new(chosen.nprocs).backend(chosen.backend);
+    if chosen.hardened {
+        cfg = cfg.hardened();
+    }
+    let out = green_bsp::try_run(&cfg, reduce_sum).unwrap();
     let got = out.results.iter().fold(0u64, |acc, &r| acc.wrapping_add(r));
     assert_eq!(got, expect);
-    assert!(out.stats.predicted_ms() > 0.0);
 }
 
 #[test]
@@ -124,95 +124,4 @@ fn poisoned_calibration_probe_degrades_to_static_defaults() {
     let c = green_bsp::calibrate_with(&rt, BackendKind::Shared, 2);
     assert_eq!(c, Calibration::fallback(BackendKind::Shared, 2));
     assert!(c.g_us > 0.0 && c.l_us > 0.0);
-}
-
-fn deadline_admission_on(backend: BackendKind) {
-    let rt = Runtime::new();
-    // A profile predicting ~10s of serial work: any millisecond deadline
-    // must be rejected at admission, before the job touches the pool.
-    let heavy = HProfile {
-        s: 1,
-        h_total: 0,
-        h_bytes_total: 0,
-        w_secs: 10.0,
-        total_w_secs: 10.0,
-        ..HProfile::default()
-    };
-    let opts = TuneOpts {
-        backends: vec![backend],
-        max_procs: 2,
-        try_hardened: false,
-        try_relaxed: false,
-    };
-    let plan = tune::plan(&[(2, heavy)], &opts);
-    let err = match rt.submit_auto(
-        &plan,
-        SubmitOpts {
-            deadline: Some(Duration::from_millis(1)),
-            ..SubmitOpts::default()
-        },
-        |ctx| ctx.pid(),
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("a 10s prediction cannot meet a 1ms deadline"),
-    };
-    match err {
-        BspError::WouldMissDeadline {
-            predicted_ms,
-            deadline_ms,
-        } => {
-            assert!(
-                predicted_ms > deadline_ms,
-                "{predicted_ms} vs {deadline_ms}"
-            );
-            assert!((deadline_ms - 1.0).abs() < 1e-9);
-        }
-        other => panic!("expected WouldMissDeadline, got {other}"),
-    }
-    // With a generous deadline the same plan admits, runs (the job itself
-    // is trivial), and the run carries its prediction for scoring.
-    let handle = rt
-        .submit_auto(
-            &plan,
-            SubmitOpts {
-                deadline: Some(Duration::from_secs(120)),
-                ..SubmitOpts::default()
-            },
-            |ctx| ctx.pid(),
-        )
-        .expect("generous deadline must admit");
-    let out = handle.join().expect("planned job must finish");
-    assert!(out.stats.predicted_ms() > 0.0);
-    rt.shutdown();
-}
-
-#[test]
-fn deadline_admission_rejects_on_shared_backend() {
-    deadline_admission_on(BackendKind::Shared);
-}
-
-#[test]
-fn deadline_admission_rejects_on_seqsim_backend() {
-    deadline_admission_on(BackendKind::SeqSim);
-}
-
-#[test]
-fn planned_runs_feed_the_prediction_error_metric() {
-    let profiles = profiles_for(&[2]);
-    let opts = TuneOpts {
-        backends: vec![BackendKind::Shared],
-        max_procs: 2,
-        try_hardened: false,
-        try_relaxed: false,
-    };
-    let plan = tune::plan(&profiles, &opts);
-    let out = green_bsp::try_run(&Config::auto(&plan), reduce_sum).unwrap();
-    assert!(out.stats.predicted_ms() > 0.0);
-    let summary = tune::error_summary();
-    let shared = summary
-        .iter()
-        .find(|e| e.backend == "shared")
-        .expect("shared backend must have scored runs");
-    assert!(shared.count >= 1);
-    assert!(shared.median_rel_err.is_finite() && shared.median_rel_err >= 0.0);
 }

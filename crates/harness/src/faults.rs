@@ -3,9 +3,10 @@
 //!
 //! Five sweeps, all of which must hold for the run to pass:
 //!
-//! 1. **Fault-free hardened**: checksums, sequence numbers and ack/retry
-//!    enabled with no fault plan must be invisible — bit-identical digests,
-//!    all-zero fault counters (no false detections or recoveries).
+//! 1. **Fault-free hardened**: the guarded exchange's checksums, sequence
+//!    numbers and retransmit rounds enabled with no fault plan must be
+//!    invisible — bit-identical digests, all-zero fault counters (no false
+//!    detections or recoveries).
 //! 2. **Recoverable classes**: every app × backend × recoverable fault
 //!    class (drop, duplicate, reorder, corrupt, delay, straggler) completes
 //!    with a digest bit-identical to the fault-free run, and the counters
@@ -17,8 +18,8 @@
 //!    proves the relaxed program *structure* composes with recovery.
 //! 4. **Unrecoverable classes**: an injected proc panic surfaces as
 //!    [`BspError::ProcPanicked`] and a persistent corruption exhausts the
-//!    retry budget into `Transport(RetryExhausted)` — structured failures,
-//!    never hangs.
+//!    guarded exchange's retransmit budget into `Transport(RetryExhausted)`
+//!    — structured failures, never hangs.
 //! 5. **Checkpoint rollback**: a transient panic under a checkpoint policy
 //!    rolls back and still converges to the bit-identical digest.
 
