@@ -6,17 +6,20 @@
 //!
 //! 1. **bbox/load** — all-gather the local bounding box and body count;
 //!    everyone learns the universe box and the load imbalance.
-//! 2. **sample** — if the imbalance exceeds the threshold, ship position
-//!    samples to processor 0 (otherwise an empty superstep keeps the
-//!    script aligned; the paper likewise repartitions "only if the load
-//!    imbalance reaches a certain threshold").
+//! 2. **sample** — if the imbalance exceeds the threshold, ship at most
+//!    `sample_per_proc` position samples per processor to processor 0
+//!    (otherwise an empty superstep keeps the script aligned; the paper
+//!    likewise repartitions "only if the load imbalance reaches a certain
+//!    threshold").
 //! 3. **cuts** — processor 0 rebuilds the ORB cut tree from the samples and
 //!    broadcasts the `p − 1` cuts (empty when not repartitioning).
 //! 4. **migrate** — bodies whose ORB owner is elsewhere travel there.
-//! 5. **essential** — each pair of processors exchanges essential points;
-//!    then (superstep 6, no further communication) every processor builds
-//!    forces from its local BH tree plus the received points and
-//!    integrates one leapfrog step.
+//! 5. **essential** — each pair of processors exchanges essential points.
+//! 6. **forces** (local, no further communication) — the received points
+//!    form a second BH tree; one grouped walk over both trees
+//!    ([`Octree::accels`]: one interaction list per group of nearby local
+//!    bodies) gives every local force, the terms it evaluated are charged
+//!    as `W`, and each body takes one leapfrog kick-drift step.
 
 // Index-based loops below mirror the papers' formulas (loop variables
 // participate in index arithmetic); clippy's iterator suggestions obscure them.
@@ -187,61 +190,14 @@ pub fn nbody_sim_with(
         let ideal = global_n as f64 / p as f64;
         let rebalance = p > 1 && max_load > cfg.rebalance_threshold * ideal;
 
-        // ---- superstep 2: samples to processor 0 ----
+        // ---- supersteps 2–3: samples to processor 0, cuts back ----
         if rebalance {
-            let stride = (bodies.len() / cfg.sample_per_proc).max(1);
-            for (i, b) in bodies.iter().step_by(stride).enumerate() {
-                let key = (me * cfg.sample_per_proc + i) as u32;
-                ctx.send_pkt(0, Packet::tag_u32_f64(key, 0, b.pos.x));
-                ctx.send_pkt(0, Packet::tag_u32_f64(key, 1, b.pos.y));
-                ctx.send_pkt(0, Packet::tag_u32_f64(key, 2, b.pos.z));
-            }
-        }
-        ctx.sync();
-
-        // ---- superstep 3: processor 0 rebuilds and broadcasts the cuts ----
-        if rebalance && me == 0 {
-            let mut pts: std::collections::HashMap<u32, [f64; 3]> =
-                std::collections::HashMap::new();
-            let mut mask: std::collections::HashMap<u32, u8> = std::collections::HashMap::new();
-            while let Some(pkt) = ctx.get_pkt() {
-                let (key, axis, v) = pkt.as_tag_u32_f64();
-                pts.entry(key).or_insert([0.0; 3])[axis as usize] = v;
-                *mask.entry(key).or_insert(0) |= 1 << axis;
-            }
-            // Order the pool by sample key, not HashMap iteration order, so
-            // the ORB cuts are a pure function of the samples (determinism
-            // across runs, backends, and transport lanes).
-            let mut keyed: Vec<(u32, V3)> = pts
-                .iter()
-                .filter(|(k, _)| mask[k] == 0b111)
-                .map(|(&k, a)| (k, v3(a[0], a[1], a[2])))
-                .collect();
-            keyed.sort_unstable_by_key(|&(k, _)| k);
-            let sample: Vec<V3> = keyed.into_iter().map(|(_, v)| v).collect();
-            let new_cuts = OrbTree::build(&sample, p);
-            for dest in 0..p {
-                for (i, &(axis, coord)) in new_cuts.splits.iter().enumerate() {
-                    ctx.send_pkt(dest, Packet::tag_u32_f64(i as u32, axis as u32, coord));
-                }
-            }
-        } else {
-            while ctx.get_pkt().is_some() {}
-        }
-        ctx.sync();
-        if rebalance {
-            let mut splits = vec![(0u8, 0.0f64); p - 1];
-            let mut got = 0;
-            while let Some(pkt) = ctx.get_pkt() {
-                let (i, axis, coord) = pkt.as_tag_u32_f64();
-                splits[i as usize] = (axis as u8, coord);
-                got += 1;
-            }
-            assert_eq!(got, p - 1, "incomplete cut broadcast");
-            cuts = OrbTree { nparts: p, splits };
+            cuts = resample_cuts(ctx, &bodies, cfg.sample_per_proc);
             repartitions += 1;
         } else {
-            while ctx.get_pkt().is_some() {}
+            // Two empty supersteps keep the script aligned.
+            ctx.sync();
+            ctx.sync();
         }
 
         // ---- superstep 4: migrate strays to their ORB owners ----
@@ -357,7 +313,9 @@ pub fn nbody_sim_with(
         // Merge the essential points into a second BH tree, so remote
         // contributions are evaluated hierarchically too — the received
         // points form a locally essential tree, as in Warren-Salmon; a flat
-        // direct sum over them would make per-body work grow with p.
+        // direct sum over them would make per-body work grow with p. Each
+        // group of nearby local bodies walks both trees once and shares
+        // the interaction list.
         let remote_bodies: Vec<Body> = remote
             .iter()
             .map(|mp| Body {
@@ -368,23 +326,13 @@ pub fn nbody_sim_with(
             })
             .collect();
         let remote_tree = Octree::build(&remote_bodies);
-        let mut interactions = 0u64;
-        let accels: Vec<V3> = bodies
-            .iter()
-            .map(|b| {
-                let (local, c1) = tree.accel_with_count(b.pos, b.id, cfg.theta, cfg.eps);
-                let (far, c2) = remote_tree.accel_with_count(b.pos, b.id, cfg.theta, cfg.eps);
-                interactions += c1 + c2;
-                local + far
-            })
-            .collect();
-        ctx.charge(interactions + 20 * (bodies.len() + remote_bodies.len()) as u64);
+        let (accels, terms) = tree.accels(&[&tree, &remote_tree], cfg.theta, cfg.eps);
+        ctx.charge(terms + 20 * (bodies.len() + remote_bodies.len()) as u64);
         drop(tree);
         for (b, a) in bodies.iter_mut().zip(&accels) {
             b.vel += *a * cfg.dt;
             b.pos += b.vel * cfg.dt;
         }
-        let _ = iter;
     }
 
     SimOut {
@@ -393,6 +341,66 @@ pub fn nbody_sim_with(
         migrated_out,
         repartitions,
     }
+}
+
+/// Supersteps 2–3 of a repartition: every processor ships at most `spp`
+/// sample positions to processor 0, which builds the ORB cut tree over
+/// the pool and broadcasts its `p − 1` cuts. Returns the new cuts on every
+/// processor.
+fn resample_cuts(ctx: &mut Ctx, bodies: &[Body], spp: usize) -> OrbTree {
+    let p = ctx.nprocs();
+    send_samples(ctx, bodies, spp);
+    ctx.sync();
+    if ctx.pid() == 0 {
+        let new_cuts = OrbTree::build(&sample_pool(ctx, spp), p);
+        for dest in 0..p {
+            for (i, &(axis, coord)) in new_cuts.splits.iter().enumerate() {
+                ctx.send_pkt(dest, Packet::tag_u32_f64(i as u32, axis as u32, coord));
+            }
+        }
+    }
+    ctx.sync();
+    let mut splits = vec![(0u8, 0.0f64); p - 1];
+    let mut got = 0;
+    while let Some(pkt) = ctx.get_pkt() {
+        let (i, axis, coord) = pkt.as_tag_u32_f64();
+        splits[i as usize] = (axis as u8, coord);
+        got += 1;
+    }
+    assert_eq!(got, p - 1, "incomplete cut broadcast");
+    OrbTree { nparts: p, splits }
+}
+
+/// Send an evenly strided sample of at most `spp` body positions to
+/// processor 0, one packet per coordinate, keyed `pid·spp + i`. The
+/// stride is rounded up so the keys never reach the next processor's.
+fn send_samples(ctx: &mut Ctx, bodies: &[Body], spp: usize) {
+    let stride = bodies.len().div_ceil(spp).max(1);
+    let first = ctx.pid() * spp;
+    for (i, b) in bodies.iter().step_by(stride).enumerate() {
+        let key = (first + i) as u32;
+        ctx.send_pkt(0, Packet::tag_u32_f64(key, 0, b.pos.x));
+        ctx.send_pkt(0, Packet::tag_u32_f64(key, 1, b.pos.y));
+        ctx.send_pkt(0, Packet::tag_u32_f64(key, 2, b.pos.z));
+    }
+}
+
+/// Processor 0's sample pool: the complete points of [`send_samples`],
+/// in key order, so the ORB cuts are a pure function of the samples
+/// whatever order the packets arrived in.
+fn sample_pool(ctx: &mut Ctx, spp: usize) -> Vec<V3> {
+    let mut slots = vec![([0.0f64; 3], 0u8); ctx.nprocs() * spp];
+    while let Some(pkt) = ctx.get_pkt() {
+        let (key, axis, v) = pkt.as_tag_u32_f64();
+        let slot = &mut slots[key as usize];
+        slot.0[axis as usize] = v;
+        slot.1 |= 1 << axis;
+    }
+    slots
+        .iter()
+        .filter(|(_, mask)| *mask == 0b111)
+        .map(|(c, _)| v3(c[0], c[1], c[2]))
+        .collect()
 }
 
 /// Decoded checkpoint state (see [`encode_ckpt`]).
@@ -473,12 +481,9 @@ fn decode_ckpt(b: &[u8]) -> CkptState {
 /// One sequential Barnes-Hut step over all bodies (kick-drift), the
 /// 1-processor baseline.
 pub fn sequential_step(bodies: &mut [Body], cfg: &SimConfig) {
-    let accels: Vec<V3> = {
+    let accels = {
         let tree = Octree::build(bodies);
-        bodies
-            .iter()
-            .map(|b| tree.accel(b.pos, b.id, cfg.theta, cfg.eps))
-            .collect()
+        tree.accels(&[&tree], cfg.theta, cfg.eps).0
     };
     for (b, a) in bodies.iter_mut().zip(&accels) {
         b.vel += *a * cfg.dt;
@@ -670,5 +675,86 @@ mod tests {
         for r in &out.results {
             assert!(r.bodies.len() > n / 4, "still skewed: {}", r.bodies.len());
         }
+    }
+
+    #[test]
+    fn one_process_equals_sequential_step_bit_for_bit() {
+        let n = 700;
+        let cfg = SimConfig {
+            iters: 3,
+            ..SimConfig::default()
+        };
+        let mut seq = plummer(n, 19);
+        for _ in 0..cfg.iters {
+            sequential_step(&mut seq, &cfg);
+        }
+        let (par, _) = run_parallel(n, 1, &cfg, 19);
+        let bits = |bs: &[Body]| -> Vec<(u32, [u64; 7])> {
+            bs.iter()
+                .map(|b| {
+                    let f = [b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z, b.mass];
+                    (b.id, f.map(f64::to_bits))
+                })
+                .collect()
+        };
+        assert_eq!(bits(&par), bits(&seq));
+    }
+
+    /// A skewed p = 3 start in which every processor holds more than
+    /// `spp` bodies, and processor 0 so many that a rounded-down stride
+    /// would make it send more than `spp` samples (8 000 / 256 → 31 → 259).
+    fn skewed_parts(spp: usize) -> Vec<Vec<Body>> {
+        let bodies = plummer(8_000 + 1_000 + 300, 23);
+        let parts = vec![
+            bodies[..8_000].to_vec(),
+            bodies[8_000..9_000].to_vec(),
+            bodies[9_000..].to_vec(),
+        ];
+        assert!(parts.iter().all(|part| part.len() > spp));
+        parts
+    }
+
+    /// What [`send_samples`] means to send: each processor's strided
+    /// positions, at most `spp` of them, in processor order.
+    fn intended_pool(parts: &[Vec<Body>], spp: usize) -> Vec<V3> {
+        parts
+            .iter()
+            .flat_map(|part| {
+                let stride = part.len().div_ceil(spp);
+                let sample: Vec<V3> = part.iter().step_by(stride).map(|b| b.pos).collect();
+                assert!(sample.len() <= spp && sample.len() > spp / 2);
+                sample
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sample_pool_holds_exactly_the_intended_points() {
+        let spp = SimConfig::default().sample_per_proc;
+        let parts = skewed_parts(spp);
+        let out = run(&Config::new(3), |ctx| {
+            send_samples(ctx, &parts[ctx.pid()], spp);
+            ctx.sync();
+            if ctx.pid() == 0 {
+                sample_pool(ctx, spp)
+            } else {
+                Vec::new()
+            }
+        });
+        assert_eq!(out.results[0], intended_pool(&parts, spp));
+    }
+
+    #[test]
+    fn resampled_cuts_are_the_orb_of_the_pool() {
+        let spp = SimConfig::default().sample_per_proc;
+        let parts = skewed_parts(spp);
+        let want = OrbTree::build(&intended_pool(&parts, spp), 3);
+        let out = run(&Config::new(3), |ctx| {
+            resample_cuts(ctx, &parts[ctx.pid()], spp)
+        });
+        for cuts in &out.results {
+            assert_eq!(*cuts, want);
+        }
+        assert_eq!(out.stats.s(), 3);
     }
 }

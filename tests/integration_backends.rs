@@ -112,34 +112,52 @@ fn matmul_identical_on_every_backend() {
 }
 
 #[test]
-fn nbody_mass_conserved_on_every_backend() {
-    // N-body force sums fold in arrival order, so positions are only
-    // tolerance-equal across backends; conservation laws are exact.
+fn nbody_identical_on_every_backend() {
+    // Migrated bodies are re-sorted by id and remote points by value bits,
+    // so every force sum is a pure function of the input: trajectories
+    // agree bit for bit. Covered from a balanced start and from a skewed
+    // one (processor 0 holds everything), which repartitions and migrates.
     let n = 300;
     let bodies = plummer(n, 9);
     let p = 4;
     let (parts, cuts) = initial_partition(&bodies, p);
+    let mut skewed = vec![Vec::new(); p];
+    skewed[0] = bodies.clone();
     let cfg = SimConfig {
         iters: 2,
         ..SimConfig::default()
     };
-    for backend in backends() {
-        let out = run(&Config::new(p).backend(backend), |ctx| {
-            nbody_sim(ctx, parts[ctx.pid()].clone(), cuts.clone(), n, &cfg)
-        });
-        let count: usize = out.results.iter().map(|r| r.bodies.len()).sum();
-        assert_eq!(count, n, "backend {backend:?} lost bodies");
-        let mass: f64 = out
-            .results
-            .iter()
-            .flat_map(|r| r.bodies.iter().map(|b| b.mass))
-            .sum();
-        assert!((mass - 1.0).abs() < 1e-9, "backend {backend:?} lost mass");
-        assert_eq!(
-            out.stats.s(),
-            11,
-            "backend {backend:?}: 2 iterations = 11 supersteps"
-        );
+    for (start, rebalances) in [(&parts, false), (&skewed, true)] {
+        let mut reference = None;
+        for backend in backends() {
+            let out = run(&Config::new(p).backend(backend), |ctx| {
+                nbody_sim(ctx, start[ctx.pid()].clone(), cuts.clone(), n, &cfg)
+            });
+            assert_eq!(out.results[0].repartitions > 0, rebalances);
+            let mut state: Vec<(u32, [u64; 7])> = out
+                .results
+                .iter()
+                .flat_map(|r| &r.bodies)
+                .map(|b| {
+                    let f = [b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z, b.mass];
+                    (b.id, f.map(f64::to_bits))
+                })
+                .collect();
+            state.sort_unstable_by_key(|&(id, _)| id);
+            assert_eq!(state.len(), n, "backend {backend:?} lost bodies");
+            let mass: f64 = state.iter().map(|(_, f)| f64::from_bits(f[6])).sum();
+            assert!((mass - 1.0).abs() < 1e-9, "backend {backend:?} lost mass");
+            assert_eq!(
+                out.stats.s(),
+                11,
+                "backend {backend:?}: 2 iterations = 11 supersteps"
+            );
+            let key = (state, out.stats.s(), out.stats.h_total());
+            match &reference {
+                None => reference = Some(key),
+                Some(r) => assert_eq!(*r, key, "backend {backend:?} diverged"),
+            }
+        }
     }
 }
 
