@@ -5,40 +5,10 @@
 //! backend. Every scenario runs on all five backends and on the checked and
 //! hardened stacks.
 
-use green_bsp::{BackendKind, BspError, CancelToken, Config, Ctx, NetSimParams, Runtime, MSG_HDR};
+mod common;
 
-/// The five library implementations at `p` processes, then the wrapped
-/// stacks.
-fn stacks(p: usize) -> Vec<(&'static str, Config)> {
-    vec![
-        ("shared", Config::new(p)),
-        ("msgpass", Config::new(p).backend(BackendKind::MsgPass)),
-        ("tcpsim", Config::new(p).backend(BackendKind::TcpSim)),
-        ("seqsim", Config::new(p).backend(BackendKind::SeqSim)),
-        (
-            "netsim",
-            Config::new(p).backend(BackendKind::NetSim(NetSimParams {
-                g_us: 0.001,
-                l_us: 0.5,
-                l_neigh_us: 0.0,
-                time_scale: 1.0,
-            })),
-        ),
-        ("shared+checked", Config::new(p).checked()),
-        ("shared+hardened", Config::new(p).hardened()),
-        (
-            "tcpsim+hardened",
-            Config::new(p).backend(BackendKind::TcpSim).hardened(),
-        ),
-        (
-            "msgpass+hardened+checked",
-            Config::new(p)
-                .backend(BackendKind::MsgPass)
-                .hardened()
-                .checked(),
-        ),
-    ]
-}
+use common::{matches_seqsim, stacks};
+use green_bsp::{BspError, CancelToken, Ctx, Runtime, MSG_HDR};
 
 const SIZES: [usize; 8] = [0, 1, 7, 64, 1_000, 4_096, 65_536, 13];
 
@@ -108,22 +78,11 @@ fn delivery_is_ascending_source_then_send_order_and_matches_seqsim() {
             }
             seen
         };
-        let want = green_bsp::run(&Config::new(p).backend(BackendKind::SeqSim), program);
+        let want = matches_seqsim(p, |cfg| cfg, program);
         for (pid, seen) in want.results.iter().enumerate() {
             for (step, got) in seen.iter().enumerate() {
                 assert_eq!(got, &expected(p, pid, step), "seqsim p={p} pid={pid}");
             }
-        }
-        for (name, cfg) in stacks(p) {
-            let got = green_bsp::run(&cfg, program);
-            assert_eq!(got.results, want.results, "{name} p={p}");
-            assert_eq!(got.stats.total_bytes(), want.stats.total_bytes(), "{name}");
-            assert_eq!(
-                got.stats.h_bytes_total(),
-                want.stats.h_bytes_total(),
-                "{name}"
-            );
-            clean(name, "delivery", &got.stats.check_reports);
         }
     }
 }

@@ -6,6 +6,9 @@
 //! checker is that these misuses would otherwise corrupt results silently
 //! (see `green_bsp::check`).
 
+mod common;
+
+use common::matches_seqsim;
 use green_bsp::collectives::{allgather_f64, allgather_u64};
 use green_bsp::drma::Drma;
 use green_bsp::{run, BackendKind, CheckKind, CheckReport, Config, Packet};
@@ -318,22 +321,10 @@ fn clean_program(ctx: &mut green_bsp::Ctx) -> u64 {
 
 #[test]
 fn clean_programs_produce_zero_reports_on_all_backends() {
-    for backend in [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-        BackendKind::SeqSim,
-    ] {
-        for p in [1, 2, 4] {
-            let out = run(&Config::new(p).backend(backend).checked(), clean_program);
-            assert!(
-                out.stats.check_reports.is_empty(),
-                "false positive(s) on {backend:?} p={p}:\n{}",
-                dump(&out.stats.check_reports)
-            );
-            for r in &out.results {
-                assert_eq!(*r, (p as u64 - 1) * p as u64, "payload intact");
-            }
+    for p in [1, 2, 4] {
+        let out = matches_seqsim(p, Config::checked, clean_program);
+        for r in &out.results {
+            assert_eq!(*r, (p as u64 - 1) * p as u64, "payload intact");
         }
     }
 }

@@ -4,22 +4,16 @@
 //! executions, and concurrent checked jobs must raise zero cross-job
 //! diagnostics — a leased slice never observes another job's packets.
 
-use green_bsp::{run_unpooled, BackendKind, Config, Ctx, NetSimParams, Packet, Runtime};
+mod common;
+
+use common::backends;
+use green_bsp::{run_unpooled, Config, Ctx, Packet, Runtime};
 use proptest::prelude::*;
 
-/// All five library implementations (NetSim at zero modelled delay).
-const BACKENDS: [BackendKind; 5] = [
-    BackendKind::Shared,
-    BackendKind::MsgPass,
-    BackendKind::TcpSim,
-    BackendKind::SeqSim,
-    BackendKind::NetSim(NetSimParams {
-        g_us: 0.0,
-        l_us: 0.0,
-        l_neigh_us: 0.0,
-        time_scale: 0.0,
-    }),
-];
+/// Backend `bi` of [`backends`] at `p` processes: `(name, config)`.
+fn backend(bi: usize, p: usize) -> (&'static str, Config) {
+    backends(p).swap_remove(bi)
+}
 
 /// Deterministic mini-app parameterized by `seed`: every proc sends a
 /// seed-tagged batch to a few neighbours each superstep, drains its inbox
@@ -56,8 +50,8 @@ fn job_body(seed: u64, steps: usize) -> impl Fn(&mut Ctx) -> u64 + Send + Sync +
 }
 
 /// Serial spawn-per-run reference for one job.
-fn serial_reference(backend: BackendKind, p: usize, seed: u64, steps: usize) -> Vec<u64> {
-    run_unpooled(&Config::new(p).backend(backend), job_body(seed, steps))
+fn serial_reference(bi: usize, p: usize, seed: u64, steps: usize) -> Vec<u64> {
+    run_unpooled(&backend(bi, p).1, job_body(seed, steps))
         .expect("serial reference run failed")
         .results
 }
@@ -66,36 +60,35 @@ fn serial_reference(backend: BackendKind, p: usize, seed: u64, steps: usize) -> 
 fn ten_simultaneous_mixed_jobs_match_their_serial_runs() {
     // Two jobs per backend, proc counts 2..=4, distinct seeds: all ten are
     // submitted before any is joined, so they genuinely share the pool.
-    let jobs: Vec<(BackendKind, usize, u64)> = BACKENDS
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &b)| {
+    let jobs: Vec<(usize, usize, u64)> = (0..backends(1).len())
+        .flat_map(|i| {
             [
-                (b, 2 + i % 3, 0x5EED_0000 + i as u64),
-                (b, 4, 0xCAFE_0000 + i as u64),
+                (i, 2 + i % 3, 0x5EED_0000 + i as u64),
+                (i, 4, 0xCAFE_0000 + i as u64),
             ]
         })
         .collect();
     let steps = 4;
     let refs: Vec<Vec<u64>> = jobs
         .iter()
-        .map(|&(b, p, seed)| serial_reference(b, p, seed, steps))
+        .map(|&(bi, p, seed)| serial_reference(bi, p, seed, steps))
         .collect();
 
     let rt = Runtime::new();
     let handles: Vec<_> = jobs
         .iter()
-        .map(|&(b, p, seed)| rt.submit(&Config::new(p).backend(b), job_body(seed, steps)))
+        .map(|&(bi, p, seed)| rt.submit(&backend(bi, p).1, job_body(seed, steps)))
         .collect();
     assert_eq!(handles.len(), 10);
     for (i, handle) in handles.into_iter().enumerate() {
+        let (bi, p, _) = jobs[i];
+        let name = backend(bi, p).0;
         let out = handle
             .join()
-            .unwrap_or_else(|e| panic!("job {i} ({:?}, p={}) failed: {e}", jobs[i].0, jobs[i].1));
+            .unwrap_or_else(|e| panic!("job {i} ({name}, p={p}) failed: {e}"));
         assert_eq!(
             out.results, refs[i],
-            "job {i} ({:?}, p={}) diverged from its serial run",
-            jobs[i].0, jobs[i].1
+            "job {i} ({name}, p={p}) diverged from its serial run"
         );
     }
     rt.shutdown();
@@ -109,8 +102,7 @@ fn concurrent_checked_jobs_raise_no_cross_job_diagnostics() {
     let rt = Runtime::new();
     let handles: Vec<_> = (0..8u64)
         .map(|i| {
-            let backend = BACKENDS[i as usize % 4];
-            let cfg = Config::new(3).backend(backend).checked();
+            let cfg = backend(i as usize % 4, 3).1.checked();
             rt.submit(&cfg, job_body(0x1000 + i, 3))
         })
         .collect();
@@ -142,14 +134,8 @@ fn job_spanning_the_whole_pool_queues_and_completes() {
     let second = rt.submit(&Config::new(4), job_body(0xB, 6));
     let out2 = second.join().expect("queued job failed");
     let out1 = first.join().expect("pool-spanning job failed");
-    assert_eq!(
-        out1.results,
-        serial_reference(BackendKind::Shared, 4, 0xA, 6)
-    );
-    assert_eq!(
-        out2.results,
-        serial_reference(BackendKind::Shared, 4, 0xB, 6)
-    );
+    assert_eq!(out1.results, serial_reference(0, 4, 0xA, 6));
+    assert_eq!(out2.results, serial_reference(0, 4, 0xB, 6));
     rt.shutdown();
 }
 
@@ -163,7 +149,7 @@ proptest! {
     #[test]
     fn random_job_mixes_match_serial(
         jobs in prop::collection::vec(
-            (0usize..BACKENDS.len(), 1usize..=4, any::<u64>()),
+            (0..backends(1).len(), 1usize..=4, any::<u64>()),
             1..10,
         ),
         pool in 1usize..=4,
@@ -172,23 +158,22 @@ proptest! {
         let steps = 3;
         let refs: Vec<Vec<u64>> = jobs
             .iter()
-            .map(|&(bi, p, seed)| serial_reference(BACKENDS[bi], p, seed, steps))
+            .map(|&(bi, p, seed)| serial_reference(bi, p, seed, steps))
             .collect();
         let handles: Vec<_> = jobs
             .iter()
-            .map(|&(bi, p, seed)| {
-                rt.submit(&Config::new(p).backend(BACKENDS[bi]), job_body(seed, steps))
-            })
+            .map(|&(bi, p, seed)| rt.submit(&backend(bi, p).1, job_body(seed, steps)))
             .collect();
         for (i, handle) in handles.into_iter().enumerate() {
             let out = handle.join().expect("submitted job failed");
+            let (bi, p, _) = jobs[i];
             prop_assert_eq!(
                 &out.results,
                 &refs[i],
-                "job {} ({:?}, p={}) diverged",
+                "job {} ({}, p={}) diverged",
                 i,
-                BACKENDS[jobs[i].0],
-                jobs[i].1
+                backend(bi, p).0,
+                p
             );
         }
         rt.shutdown();

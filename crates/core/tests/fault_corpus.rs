@@ -9,34 +9,21 @@
 //! checkpoint-rollback must turn a transient panic back into a bit-identical
 //! success.
 
+mod common;
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use common::{backends, matches_seqsim};
 use green_bsp::{
     try_run, BackendKind, BarrierKind, BspError, CheckKind, CheckpointPolicy, Config, Ctx,
-    FaultEvent, FaultKind, FaultPlan, FaultTolerance, NetSimParams, Packet, RunStats,
-    TransportErrorKind,
+    FaultEvent, FaultKind, FaultPlan, FaultTolerance, Packet, RunStats, TransportErrorKind,
 };
 use proptest::prelude::*;
 
 /// Supersteps run by the digest app.
 const STEPS: usize = 5;
-
-fn all_backends() -> [BackendKind; 5] {
-    [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-        BackendKind::SeqSim,
-        BackendKind::NetSim(NetSimParams {
-            g_us: 0.01,
-            l_us: 1.0,
-            l_neigh_us: 0.0,
-            time_scale: 1.0,
-        }),
-    ]
-}
 
 fn encode_state(acc: u64, log: &[u64], step: usize) -> Vec<u8> {
     let mut v = Vec::with_capacity(16 + log.len() * 8);
@@ -120,31 +107,15 @@ fn reference(p: usize) -> Vec<Vec<u64>> {
 
 // ------------------------------------------------------------- fault-free
 
-/// Hardening with no fault plan must be invisible: bit-identical results,
-/// all-zero fault counters (no false detections, no recoveries), no check
-/// reports.
+/// Hardening with no fault plan must be invisible: bare and hardened, every
+/// stack reproduces the simulator's results with all-zero fault counters
+/// (no false detections, no recoveries) and no check reports.
 #[test]
 fn fault_free_hardened_run_is_invisible() {
     let p = 4;
-    let want = reference(p);
-    for backend in all_backends() {
-        let bare = digest(&Config::new(p).backend(backend))
-            .unwrap_or_else(|e| panic!("bare {backend:?}: {e}"));
-        assert_eq!(want, bare.0, "bare {backend:?} diverged");
-        let hard = digest(&Config::new(p).backend(backend).hardened())
-            .unwrap_or_else(|e| panic!("hardened {backend:?}: {e}"));
-        assert_eq!(want, hard.0, "hardened {backend:?} diverged");
-        assert!(
-            hard.1.faults.is_zero(),
-            "false fault activity on {backend:?}: {:?}",
-            hard.1.faults
-        );
-        assert!(
-            hard.1.check_reports.is_empty(),
-            "unexpected reports on {backend:?}: {:?}",
-            hard.1.check_reports
-        );
-    }
+    let bare = matches_seqsim(p, |cfg| cfg, digest_app);
+    let hardened = matches_seqsim(p, Config::hardened, digest_app);
+    assert_eq!(bare.results, hardened.results);
 }
 
 // ---------------------------------------------------- recoverable classes
@@ -169,21 +140,17 @@ fn each_recoverable_class_heals_bitwise() {
             superstep_deadline: (kind == FaultKind::Straggler).then_some(Duration::from_millis(30)),
             ..FaultTolerance::default()
         };
-        for backend in all_backends() {
-            let cfg = Config::new(p)
-                .backend(backend)
-                .faults(plan.clone())
-                .tolerant(tol.clone());
-            let (got, stats) =
-                digest(&cfg).unwrap_or_else(|e| panic!("{kind:?} on {backend:?}: {e}"));
-            assert_eq!(want, got, "{kind:?} on {backend:?} diverged");
+        for (name, cfg) in backends(p) {
+            let cfg = cfg.faults(plan.clone()).tolerant(tol.clone());
+            let (got, stats) = digest(&cfg).unwrap_or_else(|e| panic!("{kind:?} on {name}: {e}"));
+            assert_eq!(want, got, "{kind:?} on {name} diverged");
             assert!(
                 stats.faults.injected >= 1,
-                "{kind:?} on {backend:?}: fault never injected"
+                "{kind:?} on {name}: fault never injected"
             );
             assert!(
                 stats.faults.detected >= 1,
-                "{kind:?} on {backend:?}: fault injected but never detected"
+                "{kind:?} on {name}: fault injected but never detected"
             );
         }
     }
@@ -203,18 +170,17 @@ fn panic_fault_yields_structured_error_on_every_backend() {
         dest: 0,
         kind: FaultKind::Panic,
     });
-    for backend in all_backends() {
-        let err = digest(&Config::new(p).backend(backend).faults(plan.clone()))
-            .expect_err("panic fault must fail the run");
+    for (name, cfg) in backends(p) {
+        let err = digest(&cfg.faults(plan.clone())).expect_err("panic fault must fail the run");
         match err {
             BspError::ProcPanicked { pid, payload, .. } => {
-                assert_eq!(pid, 1, "wrong pid on {backend:?}");
+                assert_eq!(pid, 1, "wrong pid on {name}");
                 assert!(
                     payload.contains("injected fault"),
-                    "payload on {backend:?}: {payload}"
+                    "payload on {name}: {payload}"
                 );
             }
-            other => panic!("{backend:?}: expected ProcPanicked, got {other}"),
+            other => panic!("{name}: expected ProcPanicked, got {other}"),
         }
     }
 }
@@ -262,20 +228,15 @@ fn persistent_fault_exhausts_retries() {
         max_retries: 2,
         ..FaultTolerance::default()
     };
-    for backend in all_backends() {
-        let err = digest(
-            &Config::new(p)
-                .backend(backend)
-                .faults(plan.clone())
-                .tolerant(tol.clone()),
-        )
-        .expect_err("persistent corruption must exhaust retries");
+    for (name, cfg) in backends(p) {
+        let err = digest(&cfg.faults(plan.clone()).tolerant(tol.clone()))
+            .expect_err("persistent corruption must exhaust retries");
         match err {
             BspError::Transport(te) => assert!(
                 matches!(te.kind, TransportErrorKind::RetryExhausted),
-                "{backend:?}: expected RetryExhausted, got {te}"
+                "{name}: expected RetryExhausted, got {te}"
             ),
-            other => panic!("{backend:?}: expected Transport error, got {other}"),
+            other => panic!("{name}: expected Transport error, got {other}"),
         }
     }
 }
@@ -357,26 +318,15 @@ fn checkpoint_rollback_recovers_bitwise() {
         }),
         ..FaultTolerance::default()
     };
-    for backend in [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-    ] {
-        let (got, stats) = digest(
-            &Config::new(p)
-                .backend(backend)
-                .faults(plan.clone())
-                .tolerant(tol.clone()),
-        )
-        .unwrap_or_else(|e| panic!("rollback on {backend:?} failed: {e}"));
-        assert_eq!(want, got, "post-rollback digest on {backend:?} diverged");
-        assert!(
-            stats.faults.injected >= 1,
-            "{backend:?}: panic never injected"
-        );
+    // The shared and channel transports.
+    for (name, cfg) in backends(p).into_iter().take(3) {
+        let (got, stats) = digest(&cfg.faults(plan.clone()).tolerant(tol.clone()))
+            .unwrap_or_else(|e| panic!("rollback on {name} failed: {e}"));
+        assert_eq!(want, got, "post-rollback digest on {name} diverged");
+        assert!(stats.faults.injected >= 1, "{name}: panic never injected");
         assert_eq!(
             stats.faults.rolled_back, 1,
-            "{backend:?}: expected exactly one rollback"
+            "{name}: expected exactly one rollback"
         );
     }
 }
@@ -486,19 +436,15 @@ proptest! {
     ) {
         let want = reference(p);
         let plan = FaultPlan::seeded(seed, p, STEPS, n, &FaultKind::RECOVERABLE[..5]);
-        for backend in all_backends() {
-            let cfg = Config::new(p)
-                .backend(backend)
-                .faults(plan.clone())
-                .hardened();
-            let res = digest(&cfg);
+        for (name, cfg) in backends(p) {
+            let res = digest(&cfg.faults(plan.clone()).hardened());
             let err_msg = res.as_ref().err().map(ToString::to_string).unwrap_or_default();
-            prop_assert!(res.is_ok(), "seed {} on {:?}: {}", seed, backend, err_msg);
+            prop_assert!(res.is_ok(), "seed {} on {}: {}", seed, name, err_msg);
             let (got, stats) = res.unwrap();
-            prop_assert_eq!(&want, &got, "seed {} on {:?} diverged", seed, backend);
+            prop_assert_eq!(&want, &got, "seed {} on {} diverged", seed, name);
             prop_assert!(
                 stats.faults.injected >= 1,
-                "seed {} on {:?}: plan injected nothing", seed, backend
+                "seed {} on {}: plan injected nothing", seed, name
             );
         }
     }

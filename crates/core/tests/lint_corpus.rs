@@ -15,9 +15,11 @@
 //! checked runs degrade gracefully and file a diagnostic; unchecked runs
 //! keep the original panic.
 
+mod common;
+
+use common::backends;
 use green_bsp::{
-    lint, run, BackendKind, CheckKind, CheckReport, Config, Ctx, NetSimParams, Packet, PlanReport,
-    SGI,
+    lint, run, BackendKind, CheckKind, CheckReport, Config, Ctx, Packet, PlanReport, SGI,
 };
 
 fn dump(reports: &[CheckReport]) -> String {
@@ -378,21 +380,17 @@ fn unchecked_return_mid_window_panics() {
 /// `GraphViolatingSend` — and no boundary recorded as a neighborhood
 /// rendezvous.
 fn ignored_neigh_call_leaves_no_mode(program: fn(&mut Ctx)) {
-    let cfg = Config::new(3).sync_graph(&[(0, 1)]);
-    for backend in [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-        BackendKind::SeqSim,
-    ] {
-        let out = run(&cfg.clone().backend(backend).checked(), program);
+    let graph = [(0, 1)];
+    for (name, cfg) in backends(3) {
+        let out = run(&cfg.sync_graph(&graph).checked(), program);
         let reports = &out.stats.check_reports;
         let mut blamed: Vec<_> = reports.iter().map(|r| (r.kind, r.pid)).collect();
         blamed.sort_by_key(|&(_, pid)| pid);
         let want: Vec<_> = (0..3).map(|pid| (CheckKind::SplitMisuse, pid)).collect();
-        assert_eq!(blamed, want, "{backend:?}:\n{}", dump(reports));
+        assert_eq!(blamed, want, "{name}:\n{}", dump(reports));
     }
-    let skeleton = lint(&cfg, &SGI, program).expect("recording run completes");
+    let skeleton =
+        lint(&Config::new(3).sync_graph(&graph), &SGI, program).expect("recording run completes");
     assert!(
         skeleton.boundaries.iter().all(|b| !b.neigh),
         "{:?}",
@@ -481,23 +479,11 @@ fn clean_program_with_all_features_lints_clean() {
     assert_eq!(report.steps[0].w_units, 8);
     assert!(report.predicted.total() > 0.0);
 
-    let netsim = BackendKind::NetSim(NetSimParams {
-        g_us: 0.0,
-        l_us: 0.0,
-        l_neigh_us: 0.0,
-        time_scale: 0.0,
-    });
-    for backend in [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-        BackendKind::SeqSim,
-        netsim,
-    ] {
-        let out = run(&cfg.clone().backend(backend).checked(), all_features);
+    for (name, cfg) in backends(p) {
+        let out = run(&cfg.sync_graph(&edges).checked(), all_features);
         assert!(
             out.stats.check_reports.is_empty(),
-            "{backend:?}:\n{}",
+            "{name}:\n{}",
             dump(&out.stats.check_reports)
         );
     }

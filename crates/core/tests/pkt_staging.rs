@@ -2,28 +2,10 @@
 //! per destination and a transport only ever sees whole batches — at the
 //! chunk threshold, at a boundary, and when the program returns. Every scenario runs on all five backends.
 
-use green_bsp::{
-    BackendKind, BspError, CancelToken, CheckKind, Config, Ctx, NetSimParams, Packet, Runtime,
-};
+mod common;
 
-/// The five library implementations at `p` processes.
-fn five_backends(p: usize) -> Vec<(&'static str, Config)> {
-    vec![
-        ("shared", Config::new(p)),
-        ("msgpass", Config::new(p).backend(BackendKind::MsgPass)),
-        ("tcpsim", Config::new(p).backend(BackendKind::TcpSim)),
-        ("seqsim", Config::new(p).backend(BackendKind::SeqSim)),
-        (
-            "netsim",
-            Config::new(p).backend(BackendKind::NetSim(NetSimParams {
-                g_us: 0.001,
-                l_us: 0.5,
-                l_neigh_us: 0.0,
-                time_scale: 1.0,
-            })),
-        ),
-    ]
-}
+use common::{backends, matches_seqsim};
+use green_bsp::{BspError, CancelToken, CheckKind, Ctx, Packet, Runtime};
 
 /// A packet that names its sender, its superstep and its position.
 fn pkt(ctx: &Ctx, i: usize) -> Packet {
@@ -66,35 +48,14 @@ fn volumes_around_the_chunk_match_seqsim() {
     for chunk in [1usize, 7, 1000] {
         for n in [chunk - 1, chunk, chunk + 1, 3 * chunk + 1] {
             for interleaved in [false, true] {
-                let run = |cfg: &Config| {
-                    green_bsp::run(&cfg.clone().chunk(chunk), |ctx| {
-                        exchange(ctx, n, interleaved)
-                    })
-                };
-                let want = run(&Config::new(p).backend(BackendKind::SeqSim));
+                let want = matches_seqsim(
+                    p,
+                    |cfg| cfg.chunk(chunk),
+                    |ctx| exchange(ctx, n, interleaved),
+                );
                 let per_proc = if interleaved { p * n } else { n };
                 assert!(want.results.iter().all(|r| r.len() == per_proc));
-                let mut stacks = five_backends(p);
-                stacks.push(("shared+checked", Config::new(p).checked()));
-                stacks.push(("shared+hardened", Config::new(p).hardened()));
-                stacks.push((
-                    "msgpass+hardened+checked",
-                    Config::new(p)
-                        .backend(BackendKind::MsgPass)
-                        .hardened()
-                        .checked(),
-                ));
-                for (name, cfg) in stacks {
-                    let got = run(&cfg);
-                    let at = format!("{name} chunk={chunk} n={n} interleaved={interleaved}");
-                    assert_eq!(got.results, want.results, "{at}");
-                    assert_eq!(got.stats.total_pkts(), (p * per_proc) as u64, "{at}");
-                    assert!(
-                        got.stats.check_reports.is_empty(),
-                        "{at}: {:?}",
-                        got.stats.check_reports
-                    );
-                }
+                assert_eq!(want.stats.total_pkts(), (p * per_proc) as u64);
             }
         }
     }
@@ -102,7 +63,7 @@ fn volumes_around_the_chunk_match_seqsim() {
 
 #[test]
 fn packets_staged_before_sync_begin_arrive_at_sync_end() {
-    for (name, cfg) in five_backends(3) {
+    for (name, cfg) in backends(3) {
         let out = green_bsp::run(&cfg, |ctx| {
             let next = (ctx.pid() + 1) % ctx.nprocs();
             // Below the chunk: nothing has left the staging buffer when the
@@ -121,7 +82,7 @@ fn packets_staged_before_sync_begin_arrive_at_sync_end() {
 
 #[test]
 fn send_pkt_send_pkts_send_pkt_loses_and_duplicates_nothing() {
-    for (name, cfg) in five_backends(2) {
+    for (name, cfg) in backends(2) {
         // A batch that rides the staging buffer, one that fills it exactly,
         // and one that goes straight to the transport.
         for batch in [5usize, 13, 40] {
@@ -149,7 +110,7 @@ fn send_pkt_send_pkts_send_pkt_loses_and_duplicates_nothing() {
 
 #[test]
 fn sends_after_the_last_sync_surface_as_undelivered() {
-    for (name, cfg) in five_backends(2) {
+    for (name, cfg) in backends(2) {
         // Some of them have already been handed to the transport by the
         // chunk threshold, some are still staged when the program returns.
         let n = cfg.chunk + 3;
@@ -183,7 +144,7 @@ fn probe(ctx: &mut Ctx) -> usize {
 
 #[test]
 fn staged_packets_never_reach_the_next_job_on_the_arena_set() {
-    for (name, cfg) in five_backends(2) {
+    for (name, cfg) in backends(2) {
         let rt = Runtime::new();
         // Stage fewer than a chunk to the peer and more than a chunk to
         // self, so both the staging buffers and the transport hold leftovers.

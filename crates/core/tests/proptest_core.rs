@@ -3,7 +3,10 @@
 //! checksums) by every library implementation, and the recorded statistics
 //! must match the pattern exactly.
 
-use green_bsp::{run, BackendKind, Config, Packet};
+mod common;
+
+use common::{backends, matches_seqsim};
+use green_bsp::{run, Config, Ctx, Packet};
 use proptest::prelude::*;
 
 /// A randomly generated BSP program: `plan[step][src][dest]` packets are sent
@@ -79,12 +82,11 @@ fn execute_multiset(plan: &TrafficPlan, cfg: &Config) -> Vec<Vec<Vec<u64>>> {
     out.results
 }
 
-/// Execute the plan; per process return (received count, payload checksum)
+/// The plan as a program: per process, (received count, payload checksum)
 /// per superstep.
-fn execute(plan: &TrafficPlan, backend: BackendKind) -> Vec<Vec<(u64, u64)>> {
-    let cfg = Config::new(plan.nprocs).backend(backend);
+fn counted(plan: &TrafficPlan) -> impl Fn(&mut Ctx) -> Vec<(u64, u64)> + Sync {
     let plan = plan.clone();
-    let out = run(&cfg, move |ctx| {
+    move |ctx| {
         let me = ctx.pid();
         let mut log = Vec::new();
         for (step, matrix) in plan.plan.iter().enumerate() {
@@ -110,8 +112,7 @@ fn execute(plan: &TrafficPlan, backend: BackendKind) -> Vec<Vec<(u64, u64)>> {
             log.push((n, sum));
         }
         log
-    });
-    out.results
+    }
 }
 
 /// Message payload sizes spanning empty through 64 KiB, hitting the
@@ -124,15 +125,11 @@ fn msg_size() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every backend routes the same traffic to the same destinations with
-    /// identical payload multisets.
+    /// Every backend and wrapper stack routes the same traffic to the same
+    /// destinations with identical payload multisets.
     #[test]
     fn all_backends_route_identically(plan in traffic_plan()) {
-        let reference = execute(&plan, BackendKind::Shared);
-        for backend in [BackendKind::MsgPass, BackendKind::TcpSim, BackendKind::SeqSim] {
-            let got = execute(&plan, backend);
-            prop_assert_eq!(&reference, &got, "backend {:?} diverged", backend);
-        }
+        matches_seqsim(plan.nprocs, |cfg| cfg, counted(&plan));
     }
 
     /// With a tiny staging chunk and slab capacity, traffic whose volumes sit
@@ -141,16 +138,11 @@ proptest! {
     /// an identical multiset by every backend.
     #[test]
     fn boundary_volumes_deliver_identical_multisets(plan in boundary_plan()) {
-        let mk = |backend| {
-            Config::new(plan.nprocs)
-                .backend(backend)
-                .chunk(16)
-                .slab_cap(32)
-        };
-        let reference = execute_multiset(&plan, &mk(BackendKind::Shared));
-        for backend in [BackendKind::MsgPass, BackendKind::TcpSim, BackendKind::SeqSim] {
-            let got = execute_multiset(&plan, &mk(backend));
-            prop_assert_eq!(&reference, &got, "backend {:?} diverged", backend);
+        let tiny = |cfg: Config| cfg.chunk(16).slab_cap(32);
+        let reference = execute_multiset(&plan, &tiny(Config::new(plan.nprocs)));
+        for (name, cfg) in backends(plan.nprocs) {
+            let got = execute_multiset(&plan, &tiny(cfg));
+            prop_assert_eq!(&reference, &got, "{} diverged", name);
         }
     }
 
@@ -250,21 +242,9 @@ proptest! {
                 msgs
             })
             .collect();
-        let netsim = BackendKind::NetSim(green_bsp::NetSimParams {
-            g_us: 0.01,
-            l_us: 1.0,
-            l_neigh_us: 0.0,
-            time_scale: 1.0,
-        });
-        for backend in [
-            BackendKind::Shared,
-            BackendKind::MsgPass,
-            BackendKind::TcpSim,
-            BackendKind::SeqSim,
-            netsim,
-        ] {
+        for (name, cfg) in backends(p) {
             let sizes = sizes.clone();
-            let got = run(&Config::new(p).backend(backend), move |ctx| {
+            let got = run(&cfg, move |ctx| {
                 let me = ctx.pid();
                 for (i, &len) in sizes.iter().enumerate() {
                     let dest = (me + i) % ctx.nprocs();
@@ -274,7 +254,7 @@ proptest! {
                 green_bsp::message::recv_msgs(ctx)
             })
             .results;
-            prop_assert_eq!(&expected, &got, "byte lane on {:?} diverged", backend);
+            prop_assert_eq!(&expected, &got, "byte lane on {} diverged", name);
         }
     }
 

@@ -12,9 +12,11 @@
 //! processors (the empty-neighborhood case), and the edge lists carry
 //! self-edges, which `SyncGraph` must drop.
 
+mod common;
+
+use common::backends;
 use green_bsp::{
-    run, try_run, BackendKind, BspError, CheckKind, Config, Ctx, FaultPlan, NetSimParams, Packet,
-    TransportErrorKind,
+    run, try_run, BspError, CheckKind, Config, Ctx, FaultPlan, Packet, TransportErrorKind,
 };
 use proptest::prelude::*;
 
@@ -93,10 +95,8 @@ type LedgerRows = Vec<(u64, u64, u64, u64)>;
 
 /// Execute the plan. `relaxed = false` forces every boundary to a fused
 /// full barrier — the bulk-synchronous reference.
-fn execute(plan: &RelaxPlan, backend: BackendKind, relaxed: bool) -> (StepMultisets, LedgerRows) {
-    let cfg = Config::new(plan.nprocs)
-        .backend(backend)
-        .sync_graph(&plan.edges);
+fn execute(plan: &RelaxPlan, cfg: &Config, relaxed: bool) -> (StepMultisets, LedgerRows) {
+    let cfg = cfg.clone().sync_graph(&plan.edges);
     let plan = plan.clone();
     let out = run(&cfg, move |ctx| {
         let me = ctx.pid();
@@ -161,15 +161,6 @@ fn execute(plan: &RelaxPlan, backend: BackendKind, relaxed: bool) -> (StepMultis
     (out.results, ledger)
 }
 
-fn netsim() -> BackendKind {
-    BackendKind::NetSim(NetSimParams {
-        g_us: 0.01,
-        l_us: 2.0,
-        l_neigh_us: 0.0,
-        time_scale: 1.0,
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -178,18 +169,12 @@ proptest! {
     /// same program on the shared backend.
     #[test]
     fn relaxed_equals_bulk_on_every_backend(plan in relax_plan()) {
-        let reference = execute(&plan, BackendKind::Shared, false);
-        for backend in [
-            BackendKind::Shared,
-            BackendKind::MsgPass,
-            BackendKind::TcpSim,
-            BackendKind::SeqSim,
-            netsim(),
-        ] {
-            let bulk = execute(&plan, backend, false);
-            prop_assert_eq!(&reference, &bulk, "bulk on {:?} diverged", backend);
-            let relaxed = execute(&plan, backend, true);
-            prop_assert_eq!(&reference, &relaxed, "relaxed on {:?} diverged", backend);
+        let reference = execute(&plan, &Config::new(plan.nprocs), false);
+        for (name, cfg) in backends(plan.nprocs) {
+            let bulk = execute(&plan, &cfg, false);
+            prop_assert_eq!(&reference, &bulk, "bulk on {} diverged", name);
+            let relaxed = execute(&plan, &cfg, true);
+            prop_assert_eq!(&reference, &relaxed, "relaxed on {} diverged", name);
         }
     }
 }
@@ -229,23 +214,14 @@ fn graph_violating_send_fails_fast() {
         ("faulty", |cfg| cfg.faults(FaultPlan::new(1))),
         ("hardened", Config::hardened),
     ];
-    for backend in [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-        BackendKind::SeqSim,
-        netsim(),
-    ] {
+    for (name, cfg) in backends(3) {
         for (stack, wrap) in stacks {
             for split in [false, true] {
                 for after in [false, true] {
                     for (how, send) in SENDS {
-                        let row = format!("{backend:?} {stack} split={split} after={after} {how}");
+                        let row = format!("{name} {stack} split={split} after={after} {how}");
                         // 0–1 is the only edge; proc 0 sends to proc 2.
-                        let cfg = Config::new(3)
-                            .backend(backend)
-                            .chunk(4)
-                            .sync_graph(&[(0, 1)]);
+                        let cfg = cfg.clone().chunk(4).sync_graph(&[(0, 1)]);
                         let res = try_run(&wrap(cfg), move |ctx| {
                             let neigh = |ctx: &mut Ctx| {
                                 if split {
@@ -332,16 +308,10 @@ fn isolated_proc_and_self_edges() {
             ],
         ],
     };
-    let reference = execute(&plan, BackendKind::Shared, false);
-    for backend in [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-        BackendKind::SeqSim,
-        netsim(),
-    ] {
-        let relaxed = execute(&plan, backend, true);
-        assert_eq!(reference, relaxed, "{backend:?} diverged");
+    let reference = execute(&plan, &Config::new(plan.nprocs), false);
+    for (name, cfg) in backends(plan.nprocs) {
+        let relaxed = execute(&plan, &cfg, true);
+        assert_eq!(reference, relaxed, "{name} diverged");
     }
 }
 
@@ -355,20 +325,12 @@ fn isolated_proc_and_self_edges() {
 /// the trailing full barrier instead and must be released there).
 #[test]
 fn peer_panic_poisons_split_phase_neighborhood_waiters() {
-    for backend in [
-        BackendKind::Shared,
-        BackendKind::MsgPass,
-        BackendKind::TcpSim,
-        BackendKind::SeqSim,
-        netsim(),
-    ] {
+    for (name, cfg) in backends(3) {
         for mid_window in [false, true] {
             // Line graph 0–1–2: proc 1 waits on 2's rendezvous, proc 0 on
             // 1's, so the poison must propagate through a chain of
             // split-phase waiters, not just the victim's direct peer.
-            let cfg = Config::new(3)
-                .backend(backend)
-                .sync_graph(&[(0, 1), (1, 2)]);
+            let cfg = cfg.clone().sync_graph(&[(0, 1), (1, 2)]);
             let res = try_run(&cfg, move |ctx| {
                 if ctx.pid() == 2 {
                     if mid_window {
@@ -383,17 +345,14 @@ fn peer_panic_poisons_split_phase_neighborhood_waiters() {
             });
             match res {
                 Err(BspError::ProcPanicked { pid, payload, .. }) => {
-                    assert_eq!(
-                        pid, 2,
-                        "{backend:?} mid_window={mid_window}: wrong proc blamed"
-                    );
+                    assert_eq!(pid, 2, "{name} mid_window={mid_window}: wrong proc blamed");
                     assert!(
                         payload.contains("injected neighborhood fault"),
-                        "{backend:?} mid_window={mid_window}: payload {payload:?}"
+                        "{name} mid_window={mid_window}: payload {payload:?}"
                     );
                 }
-                Err(e) => panic!("{backend:?} mid_window={mid_window}: unexpected error {e}"),
-                Ok(_) => panic!("{backend:?} mid_window={mid_window}: panic not surfaced"),
+                Err(e) => panic!("{name} mid_window={mid_window}: unexpected error {e}"),
+                Ok(_) => panic!("{name} mid_window={mid_window}: panic not surfaced"),
             }
         }
     }

@@ -7,33 +7,17 @@
 //! the cancellation machinery degrades to a clear assertion, not a runaway
 //! thread.
 
+mod common;
+
+use common::backends;
 use green_bsp::{
-    run_unpooled, BackendKind, BspError, CancelToken, Config, Ctx, FaultEvent, FaultKind,
-    FaultPlan, NetSimParams, Packet, Runtime,
+    run_unpooled, BspError, CancelToken, Config, Ctx, FaultEvent, FaultKind, FaultPlan, Packet,
+    Runtime,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// The five library implementations, each exercised at `p` processes.
-fn five_backends(p: usize) -> Vec<(&'static str, Config)> {
-    vec![
-        ("shared", Config::new(p)),
-        ("msgpass", Config::new(p).backend(BackendKind::MsgPass)),
-        ("tcpsim", Config::new(p).backend(BackendKind::TcpSim)),
-        ("seqsim", Config::new(p).backend(BackendKind::SeqSim)),
-        (
-            "netsim",
-            Config::new(p).backend(BackendKind::NetSim(NetSimParams {
-                g_us: 0.05,
-                l_us: 0.5,
-                l_neigh_us: 0.0,
-                time_scale: 1.0,
-            })),
-        ),
-    ]
-}
 
 /// A long-running probe: supersteps forever (bounded by a 20 s escape hatch
 /// so a broken cancellation path fails the test instead of hanging it),
@@ -79,7 +63,7 @@ fn exchange_prog(ctx: &mut Ctx) -> Vec<u64> {
 #[test]
 fn cancel_mid_superstep_all_backends_both_lanes() {
     for bytes in [false, true] {
-        for (name, cfg) in five_backends(2) {
+        for (name, cfg) in backends(2) {
             let rt = Runtime::new();
             let h = rt.submit(&cfg, spin_prog(bytes));
             thread::sleep(Duration::from_millis(15));
@@ -126,7 +110,7 @@ fn cancel_storm_resolves_every_handle_cancelled() {
 #[test]
 fn deadline_expiry_mid_superstep_all_backends_both_lanes() {
     for bytes in [false, true] {
-        for (name, cfg) in five_backends(2) {
+        for (name, cfg) in backends(2) {
             let rt = Runtime::new();
             let token = CancelToken::new();
             token.deadline_in(Duration::from_millis(15));

@@ -1,13 +1,17 @@
 //! Uniform driver for the six applications: workload preparation (input
-//! generation and partitioning, which the paper treats as given) and BSP
-//! execution on a chosen backend and processor count.
+//! generation and partitioning, which the paper treats as given), one BSP
+//! program per application, and the hand-written variants the correctness
+//! sweeps run beside them.
 
 use crate::paper::PaperRow;
 use bsp_graph::{build_locals, geometric_graph, msp_run, mst_run, partition_kd, sp_run, Graph};
 use bsp_matmul::{cannon_run, skewed_blocks, Mat};
-use bsp_nbody::{initial_partition, nbody_sim, plummer, SimConfig};
-use bsp_ocean::{ocean_run, CycleMode, MgParams, OceanConfig};
-use green_bsp::{run, try_run, BackendKind, BspError, Config, JobHandle, RunStats, Runtime};
+use bsp_nbody::{initial_partition, nbody_sim_with, plummer, Body, OrbTree, SimConfig};
+use bsp_ocean::grid::ghost_graph;
+use bsp_ocean::{exchange_ghosts_with, ocean_run, CycleMode, Hierarchy, MgParams, OceanConfig};
+use bsp_sort::sample_sort_mode;
+use green_bsp::{run, BackendKind, Config, Ctx, RunStats};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The six applications of §3, in the paper's presentation order.
@@ -32,6 +36,13 @@ pub const SEED: u64 = 9_601_996; // SPAA 1996
 
 /// The paper's 25 simultaneous sources for MSP.
 pub const MSP_SOURCES: usize = 25;
+
+/// A BSP program whose every process returns a 64-bit digest of its full
+/// output bits (positions, distance labels, matrix entries, the ψ block),
+/// so a sweep can demand bit-identical results, not a matching scalar. It
+/// owns its partitioned input, so one program serves any number of runs,
+/// blocking or submitted.
+pub type Program = Arc<dyn Fn(&mut Ctx) -> u64 + Send + Sync>;
 
 impl App {
     /// All six applications.
@@ -93,6 +104,22 @@ impl App {
         }
     }
 
+    /// Problem size for the correctness sweeps (`report check`, `faults`,
+    /// `lint`): the smallest that still exercises every superstep pattern,
+    /// because checked, hardened and faulted runs pay for it many times
+    /// over; with `full`, the first quick size.
+    pub fn sweep_size(self, full: bool) -> usize {
+        if full {
+            return self.quick_sizes()[0];
+        }
+        match self {
+            App::Ocean => 34,
+            App::Nbody => 500,
+            App::Matmult => 48,
+            _ => 400,
+        }
+    }
+
     /// Processor counts the paper swept for this application.
     pub fn procs(self) -> &'static [usize] {
         match self {
@@ -110,6 +137,202 @@ impl App {
             App::Matmult => 576,
         }
     }
+
+    /// This application on `wl` at width `p`. The input is partitioned
+    /// here, once, outside any run (the paper assumes pre-partitioned
+    /// inputs), and the program owns the parts.
+    pub fn program(self, wl: &Workload, p: usize) -> Program {
+        let app = self;
+        match (app, wl) {
+            (App::Ocean, Workload::Ocean(ocfg)) => {
+                let ocfg = *ocfg;
+                Arc::new(move |ctx: &mut Ctx| ocean_digest(ctx, &ocfg))
+            }
+            (App::Nbody, Workload::Nbody(bodies)) => {
+                let (parts, cuts) = initial_partition(bodies, p);
+                nbody_program(parts, cuts, bodies.len(), SimConfig::default(), true)
+            }
+            (App::Mst | App::Sp | App::Msp, Workload::Graph(g)) => {
+                let owner = partition_kd(&g.pos, p);
+                let locals = build_locals(g, &owner, p);
+                let sources: Vec<u32> = (0..MSP_SOURCES)
+                    .map(|i| ((i * g.n) / MSP_SOURCES) as u32)
+                    .collect();
+                Arc::new(move |ctx: &mut Ctx| {
+                    let local = &locals[ctx.pid()];
+                    let work = bsp_graph::DEFAULT_WORK_FACTOR;
+                    match app {
+                        App::Mst => {
+                            let r = mst_run(ctx, local, &owner);
+                            mix(r.total_weight.to_bits(), r.total_edges)
+                        }
+                        App::Sp => fold_f64(0, &sp_run(ctx, local, 0, work).dist),
+                        _ => {
+                            let dist = msp_run(ctx, local, &sources, work).dist;
+                            fold_f64(0, dist.iter().flatten())
+                        }
+                    }
+                })
+            }
+            (App::Matmult, Workload::Mat(a, b)) => {
+                let blocks = skewed_blocks(a, b, p);
+                Arc::new(move |ctx: &mut Ctx| {
+                    let (ab, bb) = blocks[ctx.pid()].clone();
+                    fold_f64(0, &cannon_run(ctx, ab, bb).data)
+                })
+            }
+            _ => unreachable!("workload does not match app"),
+        }
+    }
+}
+
+/// The hand-written programs the correctness sweeps run beside the six
+/// applications. Each makes one transport choice (lane, boundary kind)
+/// differently from its [`Variant::canonical`] form and must produce the
+/// same digest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Variant {
+    /// Ocean at the sweep size, two steps of two fixed V-cycles; `relaxed`
+    /// makes every eligible boundary a neighborhood rendezvous over
+    /// [`ghost_graph`].
+    Ocean { relaxed: bool },
+    /// Sample sort of 1000 keys per process on the byte or packet lane,
+    /// with fused or split-phase boundaries.
+    Sort { bytes: bool, split: bool },
+    /// N-body at the sweep size for two iterations (migration and the
+    /// essential exchange both run) on the byte or packet lane.
+    Nbody { bytes: bool },
+    /// One ghost-ring exchange on ocean's finest level at the sweep size,
+    /// on the byte or packet lane.
+    Ghost { bytes: bool },
+}
+
+impl Variant {
+    /// The same program on the byte lane with fused, full boundaries.
+    pub fn canonical(self) -> Variant {
+        match self {
+            Variant::Ocean { .. } => Variant::Ocean { relaxed: false },
+            Variant::Sort { .. } => Variant::Sort {
+                bytes: true,
+                split: false,
+            },
+            Variant::Nbody { .. } => Variant::Nbody { bytes: true },
+            Variant::Ghost { .. } => Variant::Ghost { bytes: true },
+        }
+    }
+
+    /// Display name: the program, then what it does differently.
+    pub fn name(self) -> String {
+        let lane = |bytes: bool| if bytes { "" } else { "/pkts" };
+        match self {
+            Variant::Ocean { relaxed } => {
+                format!("ocean-mg{}", if relaxed { "/relaxed" } else { "" })
+            }
+            Variant::Sort { bytes, split } => {
+                format!("sort{}{}", lane(bytes), if split { "/split" } else { "" })
+            }
+            Variant::Nbody { bytes } => format!("nbody-2it{}", lane(bytes)),
+            Variant::Ghost { bytes } => format!("ghosts{}", lane(bytes)),
+        }
+    }
+
+    /// The configuration at width `p` this program needs: relaxed ocean's
+    /// neighborhood boundaries run over the ghost graph.
+    pub fn config(self, p: usize) -> Config {
+        match self {
+            Variant::Ocean { relaxed: true } => Config::new(p).sync_graph(&ghost_graph(p)),
+            _ => Config::new(p),
+        }
+    }
+
+    /// This variant at width `p`, sized like the applications' sweeps.
+    pub fn program(self, p: usize, full: bool) -> Program {
+        let grid_n = App::Ocean.sweep_size(full) - 2;
+        match self {
+            Variant::Ocean { relaxed } => {
+                let ocfg = OceanConfig {
+                    steps: 2,
+                    mg: MgParams {
+                        relaxed,
+                        mode: CycleMode::Fixed(2),
+                        ..MgParams::default()
+                    },
+                    ..OceanConfig::new(grid_n)
+                };
+                Arc::new(move |ctx: &mut Ctx| ocean_digest(ctx, &ocfg))
+            }
+            Variant::Sort { bytes, split } => Arc::new(move |ctx: &mut Ctx| {
+                let me = ctx.pid() as u64;
+                let keys = (0..1000u64)
+                    .map(|i| i.wrapping_mul(me * 2 + 7) ^ SEED)
+                    .collect();
+                sample_sort_mode(ctx, keys, bytes, split)
+                    .into_iter()
+                    .fold(0, mix)
+            }),
+            Variant::Nbody { bytes } => {
+                let n = App::Nbody.sweep_size(full);
+                let (parts, cuts) = initial_partition(&plummer(n, SEED), p);
+                let sim = SimConfig {
+                    iters: 2,
+                    ..SimConfig::default()
+                };
+                nbody_program(parts, cuts, n, sim, bytes)
+            }
+            Variant::Ghost { bytes } => Arc::new(move |ctx: &mut Ctx| {
+                let h = Hierarchy::new(ctx.pid(), ctx.nprocs(), grid_n, 8);
+                let l = h.levels[0];
+                let mut f = l.zeros();
+                for i in 1..=l.rows {
+                    for j in 1..=l.cols {
+                        let (gi, gj) = (l.r0 + i - 1, l.c0 + j - 1);
+                        f[l.at(i, j)] = ((gi * grid_n + gj) as f64 * 0.9173).cos();
+                    }
+                }
+                exchange_ghosts_with(ctx, &h, 0, &mut f, bytes);
+                fold_f64(0, &f)
+            }),
+        }
+    }
+}
+
+/// Mix one 64-bit value into a running digest (order-sensitive).
+fn mix(acc: u64, bits: u64) -> u64 {
+    (acc.rotate_left(21) ^ bits).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Mix a sequence of floats into `acc`, bit for bit.
+fn fold_f64<'a>(acc: u64, xs: impl IntoIterator<Item = &'a f64>) -> u64 {
+    xs.into_iter().fold(acc, |d, x| mix(d, x.to_bits()))
+}
+
+/// Ocean's two global scalars, then this process's block of ψ.
+fn ocean_digest(ctx: &mut Ctx, ocfg: &OceanConfig) -> u64 {
+    let r = ocean_run(ctx, ocfg);
+    let head = mix(r.kinetic_energy.to_bits(), r.psi_integral.to_bits());
+    fold_f64(head, &r.psi_block.4)
+}
+
+/// N-body from pre-partitioned bodies, digested over the id-keyed
+/// physical state.
+fn nbody_program(
+    parts: Vec<Vec<Body>>,
+    cuts: OrbTree,
+    n: usize,
+    sim: SimConfig,
+    byte_lane: bool,
+) -> Program {
+    Arc::new(move |ctx: &mut Ctx| {
+        let start = parts[ctx.pid()].clone();
+        let mut r = nbody_sim_with(ctx, start, cuts.clone(), n, &sim, byte_lane);
+        // Migration order is transport-dependent; the digest must only see
+        // the (id-keyed) physical state.
+        r.bodies.sort_by_key(|b| b.id);
+        r.bodies.iter().fold(0, |d, b| {
+            let state = [b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z, b.mass];
+            fold_f64(mix(d, u64::from(b.id)), &state)
+        })
+    })
 }
 
 /// A prepared (but not yet partitioned) input.
@@ -159,77 +382,9 @@ pub fn prepare(app: App, size: usize) -> Workload {
 /// paper assumes pre-partitioned inputs. Returns the run statistics and
 /// host wall time.
 pub fn execute(app: App, wl: &Workload, p: usize, backend: BackendKind) -> (RunStats, Duration) {
-    execute_cfg(app, wl, &Config::new(p).backend(backend))
-}
-
-/// Like [`execute`], but with a caller-supplied [`Config`] — used by
-/// `report check` to run the applications under the BSP checker
-/// ([`Config::checked`]). `cfg.nprocs` selects the processor count.
-pub fn execute_cfg(app: App, wl: &Workload, cfg: &Config) -> (RunStats, Duration) {
-    let p = cfg.nprocs;
-    match (app, wl) {
-        (App::Ocean, Workload::Ocean(ocfg)) => {
-            let out = run(cfg, |ctx| {
-                let r = ocean_run(ctx, ocfg);
-                r.kinetic_energy
-            });
-            (out.stats, out.wall)
-        }
-        (App::Nbody, Workload::Nbody(bodies)) => {
-            let (parts, cuts) = initial_partition(bodies, p);
-            let sim = SimConfig::default();
-            let n = bodies.len();
-            let out = run(cfg, |ctx| {
-                let r = nbody_sim(ctx, parts[ctx.pid()].clone(), cuts.clone(), n, &sim);
-                r.bodies.len()
-            });
-            (out.stats, out.wall)
-        }
-        (App::Mst, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            let out = run(cfg, |ctx| {
-                mst_run(ctx, &locals[ctx.pid()], &owner).total_weight
-            });
-            (out.stats, out.wall)
-        }
-        (App::Sp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            let out = run(cfg, |ctx| {
-                sp_run(ctx, &locals[ctx.pid()], 0, bsp_graph::DEFAULT_WORK_FACTOR)
-                    .dist
-                    .len()
-            });
-            (out.stats, out.wall)
-        }
-        (App::Msp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            let sources: Vec<u32> = (0..MSP_SOURCES)
-                .map(|i| ((i * g.n) / MSP_SOURCES) as u32)
-                .collect();
-            let out = run(cfg, |ctx| {
-                msp_run(
-                    ctx,
-                    &locals[ctx.pid()],
-                    &sources,
-                    bsp_graph::DEFAULT_WORK_FACTOR,
-                )
-                .pops
-            });
-            (out.stats, out.wall)
-        }
-        (App::Matmult, Workload::Mat(a, b)) => {
-            let blocks = skewed_blocks(a, b, p);
-            let out = run(cfg, |ctx| {
-                let (ab, bb) = blocks[ctx.pid()].clone();
-                cannon_run(ctx, ab, bb).data[0]
-            });
-            (out.stats, out.wall)
-        }
-        _ => unreachable!("workload does not match app"),
-    }
+    let program = app.program(wl, p);
+    let out = run(&Config::new(p).backend(backend), &*program);
+    (out.stats, out.wall)
 }
 
 /// Measure the app's communication profile at width `p` for the tuner
@@ -251,185 +406,6 @@ pub fn h_profile(app: App, wl: &Workload, p: usize) -> green_bsp::HProfile {
         .min_by(|a, b| a.1.cmp(&b.1))
         .expect("three profile runs");
     green_bsp::HProfile::from_stats(&best.0)
-}
-
-/// Mix one 64-bit value into a running digest (order-sensitive).
-fn mix(acc: u64, bits: u64) -> u64 {
-    (acc.rotate_left(21) ^ bits).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Like [`execute_cfg`], but fault-aware: runs under [`green_bsp::try_run`]
-/// (so injected panics and transport failures come back as structured
-/// [`BspError`]s) and reduces each process's application result to a 64-bit
-/// digest over the full output bits — positions, distance labels, matrix
-/// entries — so the fault sweep can demand bit-identical recovery, not just
-/// a matching scalar.
-pub fn try_execute_digest(
-    app: App,
-    wl: &Workload,
-    cfg: &Config,
-) -> Result<(Vec<u64>, RunStats), BspError> {
-    let p = cfg.nprocs;
-    let out = match (app, wl) {
-        (App::Ocean, Workload::Ocean(ocfg)) => try_run(cfg, |ctx| {
-            let r = ocean_run(ctx, ocfg);
-            mix(r.kinetic_energy.to_bits(), r.psi_integral.to_bits())
-        })?,
-        (App::Nbody, Workload::Nbody(bodies)) => {
-            let (parts, cuts) = initial_partition(bodies, p);
-            let sim = SimConfig::default();
-            let n = bodies.len();
-            try_run(cfg, |ctx| {
-                let mut r = nbody_sim(ctx, parts[ctx.pid()].clone(), cuts.clone(), n, &sim);
-                // Migration order is transport-dependent; the digest must
-                // only see the (id-keyed) physical state.
-                r.bodies.sort_by_key(|b| b.id);
-                let mut d = 0u64;
-                for b in &r.bodies {
-                    d = mix(d, u64::from(b.id));
-                    for v in [b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z, b.mass] {
-                        d = mix(d, v.to_bits());
-                    }
-                }
-                d
-            })?
-        }
-        (App::Mst, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            try_run(cfg, |ctx| {
-                let r = mst_run(ctx, &locals[ctx.pid()], &owner);
-                mix(r.total_weight.to_bits(), r.total_edges)
-            })?
-        }
-        (App::Sp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            try_run(cfg, |ctx| {
-                sp_run(ctx, &locals[ctx.pid()], 0, bsp_graph::DEFAULT_WORK_FACTOR)
-                    .dist
-                    .iter()
-                    .fold(0u64, |d, &x| mix(d, x.to_bits()))
-            })?
-        }
-        (App::Msp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            let sources: Vec<u32> = (0..MSP_SOURCES)
-                .map(|i| ((i * g.n) / MSP_SOURCES) as u32)
-                .collect();
-            try_run(cfg, |ctx| {
-                msp_run(
-                    ctx,
-                    &locals[ctx.pid()],
-                    &sources,
-                    bsp_graph::DEFAULT_WORK_FACTOR,
-                )
-                .dist
-                .iter()
-                .flatten()
-                .fold(0u64, |d, &x| mix(d, x.to_bits()))
-            })?
-        }
-        (App::Matmult, Workload::Mat(a, b)) => {
-            let blocks = skewed_blocks(a, b, p);
-            try_run(cfg, |ctx| {
-                let (ab, bb) = blocks[ctx.pid()].clone();
-                cannon_run(ctx, ab, bb)
-                    .data
-                    .iter()
-                    .fold(0u64, |d, &x| mix(d, x.to_bits()))
-            })?
-        }
-        _ => unreachable!("workload does not match app"),
-    };
-    Ok((out.results, out.stats))
-}
-
-/// Like [`try_execute_digest`], but submitted to a persistent [`Runtime`]
-/// via [`Runtime::submit`] so a sweep can keep several (app, backend)
-/// cells in flight on one worker pool. The closure owns clones of the
-/// partitioned inputs (submission outlives the caller's borrows); the
-/// digest math is identical to [`try_execute_digest`], so results from the
-/// two paths are directly comparable.
-pub fn submit_digest(rt: &Runtime, app: App, wl: &Workload, cfg: &Config) -> JobHandle<u64> {
-    let p = cfg.nprocs;
-    match (app, wl) {
-        (App::Ocean, Workload::Ocean(ocfg)) => {
-            let ocfg = *ocfg;
-            rt.submit(cfg, move |ctx| {
-                let r = ocean_run(ctx, &ocfg);
-                mix(r.kinetic_energy.to_bits(), r.psi_integral.to_bits())
-            })
-        }
-        (App::Nbody, Workload::Nbody(bodies)) => {
-            let (parts, cuts) = initial_partition(bodies, p);
-            let sim = SimConfig::default();
-            let n = bodies.len();
-            rt.submit(cfg, move |ctx| {
-                let mut r = nbody_sim(ctx, parts[ctx.pid()].clone(), cuts.clone(), n, &sim);
-                // Migration order is transport-dependent; the digest must
-                // only see the (id-keyed) physical state.
-                r.bodies.sort_by_key(|b| b.id);
-                let mut d = 0u64;
-                for b in &r.bodies {
-                    d = mix(d, u64::from(b.id));
-                    for v in [b.pos.x, b.pos.y, b.pos.z, b.vel.x, b.vel.y, b.vel.z, b.mass] {
-                        d = mix(d, v.to_bits());
-                    }
-                }
-                d
-            })
-        }
-        (App::Mst, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            rt.submit(cfg, move |ctx| {
-                let r = mst_run(ctx, &locals[ctx.pid()], &owner);
-                mix(r.total_weight.to_bits(), r.total_edges)
-            })
-        }
-        (App::Sp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            rt.submit(cfg, move |ctx| {
-                sp_run(ctx, &locals[ctx.pid()], 0, bsp_graph::DEFAULT_WORK_FACTOR)
-                    .dist
-                    .iter()
-                    .fold(0u64, |d, &x| mix(d, x.to_bits()))
-            })
-        }
-        (App::Msp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            let sources: Vec<u32> = (0..MSP_SOURCES)
-                .map(|i| ((i * g.n) / MSP_SOURCES) as u32)
-                .collect();
-            rt.submit(cfg, move |ctx| {
-                msp_run(
-                    ctx,
-                    &locals[ctx.pid()],
-                    &sources,
-                    bsp_graph::DEFAULT_WORK_FACTOR,
-                )
-                .dist
-                .iter()
-                .flatten()
-                .fold(0u64, |d, &x| mix(d, x.to_bits()))
-            })
-        }
-        (App::Matmult, Workload::Mat(a, b)) => {
-            let blocks = skewed_blocks(a, b, p);
-            rt.submit(cfg, move |ctx| {
-                let (ab, bb) = blocks[ctx.pid()].clone();
-                cannon_run(ctx, ab, bb)
-                    .data
-                    .iter()
-                    .fold(0u64, |d, &x| mix(d, x.to_bits()))
-            })
-        }
-        _ => unreachable!("workload does not match app"),
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! compute, so its error isolates model quality from scheduler noise.
 
 use crate::apps::{self, App};
-use green_bsp::{cal_cache_stats, tune, BackendKind, Config, TuneOpts};
+use green_bsp::{cal_cache_stats, run, try_run, tune, BackendKind, Config, TuneOpts};
 use std::time::Duration;
 
 /// Walls per candidate; the minimum is the candidate's measured time
@@ -136,10 +136,11 @@ const GRID_BACKENDS: [BackendKind; 4] = [
 /// slowdown of the host then degrades one *round*, spread fairly across
 /// the grid, instead of poisoning whichever candidate it landed on.
 fn measure_grid_ms(app: App, wl: &apps::Workload, cfgs: &[Config]) -> Vec<f64> {
+    let programs: Vec<apps::Program> = cfgs.iter().map(|c| app.program(wl, c.nprocs)).collect();
     let mut best = vec![f64::INFINITY; cfgs.len()];
     for _ in 0..MEASURE_REPS {
         for (i, cfg) in cfgs.iter().enumerate() {
-            let (_, wall) = apps::execute_cfg(app, wl, cfg);
+            let wall = run(cfg, &*programs[i]).wall;
             best[i] = best[i].min(wall.as_secs_f64() * 1e3);
         }
     }
@@ -198,13 +199,12 @@ fn tune_app(app: App, size: usize) -> AppPoint {
 
     // Tuning must never change results: the pick's digest must match the
     // sequential reference at the same width.
-    let chosen_cfg = Config::new(chosen.nprocs).backend(chosen.backend);
-    let ref_cfg = Config::new(chosen.nprocs).backend(BackendKind::SeqSim);
-    let bit_identical = match (
-        apps::try_execute_digest(app, &wl, &chosen_cfg),
-        apps::try_execute_digest(app, &wl, &ref_cfg),
-    ) {
-        (Ok((got, _)), Ok((want, _))) => got == want,
+    let program = app.program(&wl, chosen.nprocs);
+    let digest = |backend| {
+        try_run(&Config::new(chosen.nprocs).backend(backend), &*program).map(|o| o.results)
+    };
+    let bit_identical = match (digest(chosen.backend), digest(BackendKind::SeqSim)) {
+        (Ok(got), Ok(want)) => got == want,
         _ => false,
     };
 

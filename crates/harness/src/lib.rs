@@ -14,27 +14,24 @@
 pub mod ablate;
 pub mod apps;
 pub mod autotune;
-pub mod check;
-pub mod faults;
 pub mod lint;
 pub mod measure;
+pub mod oracle;
 pub mod paper;
 pub mod sync_bench;
 pub mod tables;
 
-pub use apps::{
-    execute, execute_cfg, h_profile, prepare, submit_digest, try_execute_digest, App, Workload,
-};
+pub use apps::{execute, h_profile, prepare, App, Program, Variant, Workload};
 pub use measure::{measure, sweep, Measurement, Sweep};
 
 use green_bsp::{BackendKind, NetSimParams};
 
-/// The canonical backend sweep, used by every harness sweep (`report
-/// check` / `report faults`).
-/// Order matters: the first four are the deterministic transports; NetSim
-/// sits last with zeroed `g`/`L`/`time_scale` so sweeps measure its
-/// bookkeeping, not injected model delays (sweeps that want real delays
-/// build their own `NetSimParams`).
+/// The canonical backend list: the backend axis of the identity matrix
+/// behind `report check` / `report faults` ([`oracle`]) and of the
+/// cross-backend integration tests. Order matters: the first four are the
+/// deterministic transports; NetSim sits last with zeroed `g`/`L`/
+/// `time_scale` so sweeps measure its bookkeeping, not injected model
+/// delays (sweeps that want real delays build their own `NetSimParams`).
 pub const ALL_BACKENDS: [(&str, BackendKind); 5] = [
     ("shared", BackendKind::Shared),
     ("msgpass", BackendKind::MsgPass),

@@ -13,92 +13,8 @@
 //! the sweep prints each plan's `T_i = w_i + g·h_i + L` prediction on the
 //! paper's SGI machine.
 
-use crate::apps::{prepare, App, Workload, MSP_SOURCES, SEED};
-use bsp_graph::{build_locals, msp_run, mst_run, partition_kd, sp_run};
-use bsp_matmul::{cannon_run, skewed_blocks};
-use bsp_nbody::{initial_partition, nbody_sim, SimConfig};
-use bsp_ocean::grid::ghost_graph;
-use bsp_ocean::{ocean_run, CycleMode, MgParams, OceanConfig};
-use green_bsp::{lint, BspError, Config, Machine, PlanReport, SGI};
-
-/// Problem size per app for the lint sweep: the recording run is
-/// sequential and checked, so these are the smallest sizes that still
-/// exercise every superstep pattern (same spirit as `report check`).
-fn lint_size(app: App) -> (usize, usize) {
-    match app {
-        App::Ocean => (34, 66),
-        App::Nbody => (500, 1_000),
-        App::Matmult => (48, 144),
-        _ => (400, 2_500),
-    }
-}
-
-/// Record and analyze one application's superstep plan. The analyzer
-/// forces the checked sequential recorder internally, so `cfg` only
-/// contributes the process count and (for relaxed plans) the sync graph.
-pub fn lint_app(
-    app: App,
-    wl: &Workload,
-    cfg: &Config,
-    machine: &Machine,
-) -> Result<PlanReport, BspError> {
-    let p = cfg.nprocs;
-    match (app, wl) {
-        (App::Ocean, Workload::Ocean(ocfg)) => {
-            lint(cfg, machine, |ctx| ocean_run(ctx, ocfg).kinetic_energy)
-        }
-        (App::Nbody, Workload::Nbody(bodies)) => {
-            let (parts, cuts) = initial_partition(bodies, p);
-            let sim = SimConfig::default();
-            let n = bodies.len();
-            lint(cfg, machine, |ctx| {
-                nbody_sim(ctx, parts[ctx.pid()].clone(), cuts.clone(), n, &sim)
-                    .bodies
-                    .len()
-            })
-        }
-        (App::Mst, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            lint(cfg, machine, |ctx| {
-                mst_run(ctx, &locals[ctx.pid()], &owner).total_weight
-            })
-        }
-        (App::Sp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            lint(cfg, machine, |ctx| {
-                sp_run(ctx, &locals[ctx.pid()], 0, bsp_graph::DEFAULT_WORK_FACTOR)
-                    .dist
-                    .len()
-            })
-        }
-        (App::Msp, Workload::Graph(g)) => {
-            let owner = partition_kd(&g.pos, p);
-            let locals = build_locals(g, &owner, p);
-            let sources: Vec<u32> = (0..MSP_SOURCES)
-                .map(|i| ((i * g.n) / MSP_SOURCES) as u32)
-                .collect();
-            lint(cfg, machine, |ctx| {
-                msp_run(
-                    ctx,
-                    &locals[ctx.pid()],
-                    &sources,
-                    bsp_graph::DEFAULT_WORK_FACTOR,
-                )
-                .pops
-            })
-        }
-        (App::Matmult, Workload::Mat(a, b)) => {
-            let blocks = skewed_blocks(a, b, p);
-            lint(cfg, machine, |ctx| {
-                let (ab, bb) = blocks[ctx.pid()].clone();
-                cannon_run(ctx, ab, bb).data[0]
-            })
-        }
-        _ => unreachable!("workload does not match app"),
-    }
-}
+use crate::apps::{prepare, App, Variant};
+use green_bsp::{lint, BspError, Config, PlanReport, SGI};
 
 /// Print one sweep cell's verdict; returns `false` on any finding.
 fn report_cell(name: &str, variant: &str, report: Result<PlanReport, BspError>) -> bool {
@@ -158,67 +74,44 @@ pub fn run_lint(full: bool) -> bool {
         machine.name
     );
     for app in App::ALL {
-        let (quick, big) = lint_size(app);
-        let size = if full { big } else { quick };
-        let wl = prepare(app, size);
-        clean &= report_cell(
-            app.name(),
-            "bulk",
-            lint_app(app, &wl, &Config::new(p), machine),
-        );
+        let program = app.program(&prepare(app, app.sweep_size(full)), p);
+        let report = lint(&Config::new(p), machine, &*program);
+        clean &= report_cell(app.name(), "bulk", report);
     }
 
     eprintln!("== relaxed plans (neighborhood / split-phase skeletons) ==");
     // Ocean with every eligible boundary relaxed over the ghost graph: the
     // plan's neighborhood boundaries must be congruent and every send must
-    // respect the graph.
-    {
-        let (quick, big) = lint_size(App::Ocean);
-        let size = if full { big } else { quick };
-        let ocfg = OceanConfig {
-            steps: 2,
-            mg: MgParams {
-                relaxed: true,
-                mode: CycleMode::Fixed(2),
-                ..MgParams::default()
+    // respect the graph. Sample sort with split-phase boundaries: the split
+    // windows must pair up and stay free of sends.
+    let relaxed = [
+        (Variant::Ocean { relaxed: true }, "relaxed"),
+        (
+            Variant::Sort {
+                bytes: true,
+                split: true,
             },
-            ..OceanConfig::new(size - 2)
-        };
-        let cfg = Config::new(p).sync_graph(&ghost_graph(p));
-        clean &= report_cell(
-            "ocean",
-            "relaxed",
-            lint_app(App::Ocean, &Workload::Ocean(ocfg), &cfg, machine),
-        );
-    }
-    // Sample sort with split-phase boundaries: the split windows must pair
-    // up and stay free of sends.
-    {
-        use bsp_sort::sample_sort_mode;
-        let report = lint(&Config::new(p), machine, move |ctx| {
-            let me = ctx.pid() as u64;
-            let keys: Vec<u64> = (0..1000u64)
-                .map(|i| i.wrapping_mul(me * 2 + 7) ^ SEED)
-                .collect();
-            sample_sort_mode(ctx, keys, true, true).len()
-        });
-        clean &= report_cell("sort", "split", report);
+            "split",
+        ),
+    ];
+    for (v, label) in relaxed {
+        let report = lint(&v.config(p), machine, &*v.program(p, full));
+        clean &= report_cell(&v.canonical().name(), label, report);
     }
 
     // Cost showcase: the full per-superstep table for Cannon's algorithm,
     // whose regular skeleton (2√p − 1 supersteps, fixed block h-relation)
     // makes the W / gH / LS split easy to eyeball.
     {
-        let (quick, big) = lint_size(App::Matmult);
-        let size = if full { big } else { quick };
-        let wl = prepare(App::Matmult, size);
-        if let Ok(report) = lint_app(App::Matmult, &wl, &Config::new(p), machine) {
+        let size = App::Matmult.sweep_size(full);
+        let program = App::Matmult.program(&prepare(App::Matmult, size), p);
+        if let Ok(report) = lint(&Config::new(p), machine, &*program) {
             eprintln!("== matmult (size {size}) plan on {} ==", machine.name);
             eprint!("{report}");
         }
         // The same plan priced with the measured local parameters: the
         // skeleton (W, h, S per step) is identical; only g and L differ.
-        if let Ok(report) = lint_app(App::Matmult, &wl, &Config::new(p), &local) {
+        if let Ok(report) = lint(&Config::new(p), &local, &*program) {
             eprintln!(
                 "== matmult (size {size}) plan on calibrated local (g = {:.3}, L = {:.1}) ==",
                 cal.g_us, cal.l_us

@@ -19,10 +19,11 @@
 //! `BENCH_autotune.json`; exits non-zero if any pick changes result bits or
 //! the seqsim prediction error exceeds its committed bound.
 //!
-//! `check` runs the six applications under the BSP phase-discipline checker
-//! on every backend; exits non-zero on any diagnostic.
-//! `--sync-modes` adds a bulk-vs-relaxed agreement sweep (checked, every
-//! backend) on the relaxed-converted apps.
+//! `check` runs the identity matrix's checker families (DESIGN.md §8): the
+//! six applications under the BSP phase-discipline checker on every
+//! deterministic backend, the packet-lane, relaxed and split-phase variants,
+//! and the streamed applications; every row must reproduce the sequential
+//! simulator's digest with zero diagnostics, or the command exits non-zero.
 //!
 //! `lint` records each application's superstep plan on the checked
 //! sequential simulator and statically analyzes it (boundary congruence,
@@ -35,11 +36,12 @@
 //! machine, DRMA puts against message passing, and the chunked hand-off
 //! (median and min of k runs per cell).
 //!
-//! `faults` runs the fault-injection sweep (DESIGN.md §10): every app ×
-//! backend × recoverable fault class must heal to a bit-identical digest,
-//! unrecoverable classes must fail with structured errors, and
-//! checkpoint-rollback must recover a transient panic; exits non-zero on
-//! any violation.
+//! `faults` runs the matrix's fault families (DESIGN.md §10): every app ×
+//! backend bare, hardened and under each recoverable fault class must
+//! reproduce the sequential simulator's digest, unrecoverable classes must
+//! fail with structured errors, and checkpoint-rollback must recover a
+//! transient panic; it prints the total injected/detected/rolled-back counts
+//! and exits non-zero on any violation.
 //!
 //! Default sizes are reduced for quick runs; `--full` sweeps the paper's
 //! complete problem sizes (several minutes).
@@ -48,7 +50,7 @@ use bsp_harness::apps::App;
 use bsp_harness::measure::{sweep, Sweep};
 use bsp_harness::tables;
 
-const USAGE: &str = "usage: report [all|fig1_1|fig2_1|fig3_1|fig3_2|c1|c2|c3|c4|c5|c6|ablate|autotune|bench_sync|check|faults|lint] [--full] [--sync-modes]";
+const USAGE: &str = "usage: report [all|fig1_1|fig2_1|fig3_1|fig3_2|c1|c2|c3|c4|c5|c6|ablate|autotune|bench_sync|check|faults|lint] [--full]";
 
 fn sizes_for(app: App, full: bool) -> &'static [usize] {
     if full {
@@ -70,7 +72,6 @@ fn sweep_app(app: App, full: bool) -> Sweep {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    let sync_modes = args.iter().any(|a| a == "--sync-modes");
     let what = args
         .iter()
         .find(|a| !a.starts_with("--"))
@@ -134,12 +135,12 @@ fn main() {
             );
         }
         "check" => {
-            if !bsp_harness::check::run_check_opts(full, sync_modes) {
+            if !bsp_harness::oracle::run_check(full) {
                 std::process::exit(1);
             }
         }
         "faults" => {
-            if !bsp_harness::faults::run_faults(full) {
+            if !bsp_harness::oracle::run_faults(full) {
                 std::process::exit(1);
             }
         }

@@ -4,12 +4,14 @@
 //! and `STREAM_SPILL_DIR` pointing at a job tmpdir, streaming an input
 //! twice the budget through both out-of-core apps and comparing against
 //! their in-core counterparts byte for byte. Without the env vars it runs
-//! the same proof at a 1 MiB budget, quick enough for `cargo test`.
+//! the same proof at a 1 MiB budget, quick enough for `cargo test`. Both
+//! tests read one shared run of [`stream_identity`], the function behind
+//! `report check`'s streamed rows.
 
-use bsp_ocean::tiled::{initial_grid, jacobi_in_core, tiled_jacobi};
-use bsp_sort::external_sample_sort;
-use green_bsp::{Config, Runtime, StreamConfig, TileStore};
+use bsp_harness::oracle::stream_identity;
+use green_bsp::{Config, RunStats, Runtime};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 fn tile_budget() -> usize {
     std::env::var("STREAM_TILE_BYTES")
@@ -18,78 +20,41 @@ fn tile_budget() -> usize {
         .unwrap_or(1 << 20)
 }
 
-fn spill_dir(tag: &str) -> PathBuf {
-    let base = std::env::var("STREAM_SPILL_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| std::env::temp_dir());
-    let d = base.join(format!("stream-identity-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&d).expect("create spill dir");
-    d
+/// `(bit-identical, stats)` for external sort, then tiled ocean.
+fn streamed() -> &'static [(bool, RunStats); 2] {
+    static RUN: OnceLock<[(bool, RunStats); 2]> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let base = std::env::var("STREAM_SPILL_DIR")
+            .map(PathBuf::from)
+            .unwrap_or_else(|_| std::env::temp_dir());
+        let dir = base.join(format!("stream-identity-{}", std::process::id()));
+        let rt = Runtime::new();
+        let got = stream_identity(&rt, &Config::new(4), tile_budget(), &dir);
+        rt.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        got
+    })
 }
 
 #[test]
 fn external_sort_is_bit_identical_at_the_configured_budget() {
+    let (identical, stats) = &streamed()[0];
     let budget = tile_budget();
-    let dir = spill_dir("sort");
-    let nkeys = (2 * budget / 8) as u64; // input = 2× the tile budget
-    let bytes: Vec<u8> = (0..nkeys)
-        .flat_map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes())
-        .collect();
-    let input = TileStore::create_in(&dir, "in.keys").unwrap();
-    input.write_all(&bytes).unwrap();
-    let output = TileStore::create_in(&dir, "out.keys").unwrap();
-
-    let rt = Runtime::new();
-    let sc = StreamConfig::new(budget).record(8).spill_dir(&dir);
-    let res = external_sample_sort(&rt, &Config::new(4), &sc, &input, &output).unwrap();
-
-    let mut want: Vec<u64> = bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    want.sort_unstable();
-    let want_bytes: Vec<u8> = want.iter().flat_map(|k| k.to_le_bytes()).collect();
-    assert_eq!(
-        output.read_to_vec().unwrap(),
-        want_bytes,
+    assert!(
+        identical,
         "external sort at a {budget}-byte tile budget is not bit-identical"
     );
-    assert!(res.stats.tiles >= 2, "input did not exceed one tile");
-    rt.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stats.tiles >= 2, "input did not exceed one tile");
 }
 
 #[test]
 fn tiled_ocean_is_bit_identical_at_the_configured_budget() {
+    let (identical, stats) = &streamed()[1];
     let budget = tile_budget();
-    let dir = spill_dir("ocean");
-    // Grid ≈ 2× the tile budget: n² · 8 ≥ 2 · budget.
-    let n = ((2 * budget / 8) as f64).sqrt().ceil() as usize;
-    let sweeps = 2;
-    let u0 = initial_grid(n);
-    let grid_bytes: Vec<u8> = u0.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let ping = TileStore::create_in(&dir, "ping.grid").unwrap();
-    ping.write_all(&grid_bytes).unwrap();
-    let pong = TileStore::create_in(&dir, "pong.grid").unwrap();
-    pong.write_all(&vec![0u8; n * n * 8]).unwrap();
-
-    let rt = Runtime::new();
-    let sc = StreamConfig::new(budget).spill_dir(&dir);
-    let res = tiled_jacobi(&rt, &Config::new(4), &sc, n, &ping, &pong, sweeps).unwrap();
     assert!(
-        res.stats.tiles as usize >= 2 * sweeps,
-        "grid did not exceed one tile"
+        identical,
+        "tiled ocean at a {budget}-byte tile budget is not bit-identical"
     );
-
-    let mut want = u0;
-    jacobi_in_core(n, &mut want, sweeps);
-    let want_bytes: Vec<u8> = want.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let got = if res.result_in_pong { &pong } else { &ping };
-    assert_eq!(
-        got.read_to_vec().unwrap(),
-        want_bytes,
-        "tiled ocean (n = {n}) at a {budget}-byte tile budget is not bit-identical"
-    );
-    rt.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
+    // Two sweeps, each over a grid larger than one tile.
+    assert!(stats.tiles >= 4, "grid did not exceed one tile");
 }
