@@ -22,10 +22,10 @@
 //!   perfect matching and the lower-numbered process of a pair transmits
 //!   first. The pipes hold one batch, like a socket with a full window.
 //!
-//! Buffers travel with the batch and come back: the allocation a batch
-//! arrived in becomes the replacement for the next one posted to that peer
-//! (packets), or the receiver's inbox segment whose dead predecessor does
-//! (bytes), so a steady exchange allocates nothing on either lane.
+//! Buffers travel with the batch and come back: a batch's buffers become
+//! the receiver's inbox segments, and the dead segments they replace are
+//! what the next hand-over to that peer gives back to the context, so a
+//! steady exchange allocates nothing on either lane.
 //!
 //! A *neighborhood* boundary (DESIGN.md §12) trades batches only along the
 //! registered sync graph's edges — the empty batch still *is* the
@@ -106,14 +106,10 @@ enum Plan {
 pub(crate) struct ChannelProc {
     pid: usize,
     plan: Plan,
-    /// Per-destination output buffers.
+    /// Per-destination packets and byte-lane records, taken over from the
+    /// context whole ([`hand_over`]); between boundaries an empty entry
+    /// keeps the dead inbox segment that the next hand-over gives back.
     out: Vec<Vec<Packet>>,
-    /// `spare[peer]`: the emptied buffer `peer`'s last batch arrived in —
-    /// the next replacement for `out[peer]`.
-    spare: Vec<Vec<Packet>>,
-    /// Per-destination byte-lane records, taken over from the context whole
-    /// ([`hand_over`]); between boundaries an empty entry keeps the dead
-    /// inbox segment that the next hand-over gives back.
     out_bytes: Vec<Vec<u8>>,
     /// `senders[dest]` / `receivers[src]`: one bounded pipe per ordered
     /// pair of distinct processes.
@@ -177,7 +173,6 @@ impl ChannelProc {
                 pid,
                 plan: plan.clone(),
                 out: vec![Vec::new(); nprocs],
-                spare: vec![Vec::new(); nprocs],
                 out_bytes: vec![Vec::new(); nprocs],
                 senders: std::mem::take(&mut tx[pid]),
                 receivers: rx.iter_mut().map(|row| row[pid].take()).collect(),
@@ -216,11 +211,10 @@ impl ChannelProc {
     }
 
     /// Take everything queued for `dest` as one (possibly empty) batch. The
-    /// batch surrenders its allocations to the receiver; the buffer
-    /// `dest`'s last batch arrived in takes the packet buffer's place, and
-    /// [`ChannelProc::accept`] refills the byte entry the same way.
+    /// batch surrenders its allocations to the receiver;
+    /// [`ChannelProc::accept`] refills the emptied entries.
     fn take_batch(&mut self, dest: usize) -> Batch {
-        let pkts = std::mem::replace(&mut self.out[dest], std::mem::take(&mut self.spare[dest]));
+        let pkts = std::mem::take(&mut self.out[dest]);
         let bytes = std::mem::take(&mut self.out_bytes[dest]);
         self.counters.lock_acquisitions += 1; // pipe send
         self.counters.pkts_moved += pkts.len() as u64;
@@ -269,18 +263,20 @@ impl ChannelProc {
         }
     }
 
-    /// Deliver a received batch: the packets are appended to `inbox`, the
-    /// byte records become the (dead, cleared) inbox segment `seg`. The two
-    /// allocations that leave circulation on this side stay here, both
-    /// empty: the packet buffer the batch arrived in — the next replacement
-    /// for `out[src]` — and the dead segment, which the next byte hand-over
-    /// for `src` gives back to the context.
-    fn accept(&mut self, src: usize, mut batch: Batch, inbox: &mut Vec<Packet>, seg: &mut Vec<u8>) {
+    /// Deliver a received batch: its buffers become `src`'s (dead,
+    /// cleared) inbox segments, and the dead segments stay here, empty, for
+    /// the next hand-overs to `src` to give back to the context.
+    fn accept(
+        &mut self,
+        src: usize,
+        mut batch: Batch,
+        inbox: &mut [Vec<Packet>],
+        bytes: &mut [Vec<u8>],
+    ) {
         self.counters.lock_acquisitions += 1; // pipe receive
-        inbox.extend_from_slice(&batch.pkts);
-        batch.pkts.clear();
-        std::mem::swap(seg, &mut batch.bytes);
-        (self.spare[src], self.out_bytes[src]) = (batch.pkts, batch.bytes);
+        std::mem::swap(&mut inbox[src], &mut batch.pkts);
+        std::mem::swap(&mut bytes[src], &mut batch.bytes);
+        (self.out[src], self.out_bytes[src]) = (batch.pkts, batch.bytes);
     }
 
     /// All-to-all: post one batch to every peer of a boundary in `mode` (a
@@ -297,8 +293,8 @@ impl ChannelProc {
 }
 
 impl ProcTransport for ChannelProc {
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
-        self.out[dest].extend_from_slice(pkts);
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
+        hand_over(&mut self.out[dest], buf);
     }
 
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
@@ -321,7 +317,7 @@ impl ProcTransport for ChannelProc {
         &mut self,
         step: usize,
         mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     ) {
         let me = self.pid;
@@ -331,26 +327,26 @@ impl ProcTransport for ChannelProc {
             self.post_all(step, mode);
         }
         // Every segment is dead; the ones no batch replaces stay empty.
+        for seg in inbox.iter_mut() {
+            seg.clear();
+        }
         for seg in byte_inbox.iter_mut() {
             seg.clear();
         }
-        // Self-delivery heads the inbox (`append` keeps the packet buffer's
-        // allocation; the byte records trade places with the dead segment).
+        // Self-delivery: both buffers trade places with the dead segments.
         self.counters.pkts_moved += self.out[me].len() as u64;
         self.counters.bytes_moved += (self.out[me].len() * PACKET_SIZE) as u64;
-        inbox.append(&mut self.out[me]);
+        std::mem::swap(&mut self.out[me], &mut inbox[me]);
         std::mem::swap(&mut self.out_bytes[me], &mut byte_inbox[me]);
         match self.plan.clone() {
             Plan::AllToAll => {
-                // Wait for one batch from every peer, in pid order
-                // (deterministic inbox layout; the BSP contract lets packets
-                // arrive in any order).
-                for (src, seg) in byte_inbox.iter_mut().enumerate() {
+                // Wait for one batch from every peer, in pid order.
+                for src in 0..inbox.len() {
                     if !self.meets(mode, src) {
                         continue;
                     }
                     let batch = self.recv_batch(src, step);
-                    self.accept(src, batch, inbox, seg);
+                    self.accept(src, batch, inbox, byte_inbox);
                 }
             }
             // Staged conversation: in each round talk to exactly one
@@ -376,7 +372,7 @@ impl ProcTransport for ChannelProc {
                         self.post(partner, step, batch);
                         got
                     };
-                    self.accept(partner, got, inbox, &mut byte_inbox[partner]);
+                    self.accept(partner, got, inbox, byte_inbox);
                 }
             }
         }

@@ -1,11 +1,16 @@
 //! The library implementations. A transport is an exchange schedule and
 //! nothing else: staging, the boundary's mode and the sync-graph discipline
-//! all live in [`crate::Ctx`], which hands every transport whole batches and
-//! tells it, per boundary, which rendezvous to run.
+//! all live in [`crate::Ctx`], which hands every transport one buffer per
+//! destination, lane and superstep and tells it, per boundary, which
+//! rendezvous to run. Every transport delivers one segment per source, so
+//! traffic arrives by ascending source, then send order, on all of them.
 //!
 //! * [`shared`] — the SGI Challenge shared-memory version (Appendix B.1):
-//!   double-buffered input buffers, chunked lock amortization, explicit
-//!   barrier at superstep boundaries.
+//!   one double-buffered slot per ordered pair, into which each sender
+//!   swaps a whole superstep's traffic per destination (the paper's
+//!   1000-packet lock amortization taken to its limit), and an explicit
+//!   barrier at superstep boundaries. Packets and byte-lane records move
+//!   through the same grid.
 //! * [`channel`] — a distinct output buffer per pair of processes, traded
 //!   over per-pair pipes at the boundary, where synchronization is implicit
 //!   in the trade. One transport, two schedules: the NEC Cenju MPI
@@ -28,8 +33,9 @@ pub(crate) mod shared;
 /// Which library implementation to run a program on.
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum BackendKind {
-    /// Shared-memory version (default): direct writes into the destination's
-    /// double-buffered input buffer, plus an explicit barrier.
+    /// Shared-memory version (default): whole buffers swapped into the
+    /// destination's double-buffered per-pair slots, plus an explicit
+    /// barrier.
     #[default]
     Shared,
     /// Message-passing version: per-pair buffers exchanged at the boundary.

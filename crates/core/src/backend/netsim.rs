@@ -94,9 +94,9 @@ fn precise_delay(us: f64) {
 }
 
 impl ProcTransport for NetSimProc {
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
-        self.sent_this_step += pkts.len() as u64;
-        self.inner.send_batch(dest, pkts);
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
+        self.sent_this_step += buf.len() as u64;
+        self.inner.send_pkts(dest, buf);
     }
 
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
@@ -122,14 +122,11 @@ impl ProcTransport for NetSimProc {
         &mut self,
         step: usize,
         mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     ) {
         let par = step & 1;
         let pid = self.inner.pid;
-        // Record how much this process received: the packet inbox grows
-        // across the inner exchange, the byte segments are replaced by it.
-        let before = inbox.len();
         // Contribute our send count before the inner barrier...
         self.st.slots[par].fetch_max(self.sent_this_step, Ordering::AcqRel);
         self.sent_this_step = 0;
@@ -137,8 +134,9 @@ impl ProcTransport for NetSimProc {
         // ...and our receive count before the second barrier. (recv counts
         // are only known after delivery, so h is finalized here.) Byte-lane
         // receives are charged in packet-equivalents, like sends.
+        let pkts_recvd: usize = inbox.iter().map(Vec::len).sum();
         let byte_recvd: usize = byte_inbox.iter().map(Vec::len).sum();
-        let recvd = (inbox.len() - before) as u64 + byte_recvd.div_ceil(PACKET_SIZE) as u64;
+        let recvd = (pkts_recvd + byte_recvd.div_ceil(PACKET_SIZE)) as u64;
         self.st.slots[par].fetch_max(recvd, Ordering::AcqRel);
         self.st.barrier2.wait(pid);
         if self.st.barrier2.is_poisoned() {

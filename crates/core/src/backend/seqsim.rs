@@ -9,12 +9,11 @@
 //! scheduler preemption from sibling BSP processes — which is what the
 //! paper's `W` (work depth) and total-work columns report.
 //!
-//! Message delivery reuses the double-buffered phase discipline of the
-//! shared-memory backend (and, for the byte lane, its [`ByteGrid`]): a
-//! process finishing superstep `s` deposits its traffic in phase
-//! `(s+1) mod 2` and, when the baton comes back around, it drains that
-//! phase. The baton order guarantees every process finished superstep `s`
-//! before any process starts `s + 1`.
+//! Message delivery reuses the shared-memory backend's [`Grid`] and its
+//! double-buffered phase discipline: traffic handed over during superstep
+//! `s` is deposited in phase `(s+1) mod 2` and, when the baton comes back
+//! around, the owner collects that phase. The baton order guarantees every
+//! process finished superstep `s` before any process starts `s + 1`.
 
 //! Relaxed boundaries (DESIGN.md §12) are trivial here: with one process
 //! running at a time, the baton already gives every boundary full-barrier
@@ -22,20 +21,19 @@
 //! The *graph discipline* is still enforced, by the context as on every
 //! backend (`Ctx::check_graph`), so the simulator stays a faithful oracle.
 
-use super::super::context::{hand_over, ProcTransport};
+use super::super::context::ProcTransport;
 use super::super::packet::{Packet, PACKET_SIZE};
-use super::shared::ByteGrid;
+use super::shared::Grid;
 use crate::relax::SyncMode;
 use crate::stats::TransportCounters;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 pub(crate) struct SeqState {
-    /// `bufs[dest][phase]` — no locking needed beyond the baton, but Mutex
-    /// keeps the code uniform and the cost is one uncontended lock.
-    bufs: Vec<[Mutex<Vec<Packet>>; 2]>,
-    /// Byte-lane records, one slot per `(dest, src, phase)`.
-    bytes: ByteGrid,
+    /// Both lanes, one slot per `(dest, src, phase)` — no locking needed
+    /// beyond the baton, but the slot locks are never contended.
+    pkts: Grid<Packet>,
+    bytes: Grid<u8>,
     baton: Mutex<BatonState>,
     cv: Condvar,
     /// Set when a process dies holding the baton; wakes every waiter so the
@@ -51,10 +49,8 @@ struct BatonState {
 impl SeqState {
     pub(crate) fn new(nprocs: usize) -> Arc<Self> {
         Arc::new(SeqState {
-            bufs: (0..nprocs)
-                .map(|_| [Mutex::new(Vec::new()), Mutex::new(Vec::new())])
-                .collect(),
-            bytes: ByteGrid::new(nprocs),
+            pkts: Grid::new(nprocs),
+            bytes: Grid::new(nprocs),
             baton: Mutex::new(BatonState {
                 current: 0,
                 done: vec![false; nprocs],
@@ -108,8 +104,8 @@ impl SeqState {
 pub(crate) struct SeqProc {
     st: Arc<SeqState>,
     pid: usize,
-    out: Vec<Vec<Packet>>,
-    out_bytes: Vec<Vec<u8>>,
+    /// Superstep currently executing (so a deposit knows its target phase).
+    cur_step: usize,
     counters: TransportCounters,
 }
 
@@ -120,8 +116,7 @@ impl SeqProc {
             .map(|pid| SeqProc {
                 st: Arc::clone(&st),
                 pid,
-                out: vec![Vec::new(); nprocs],
-                out_bytes: vec![Vec::new(); nprocs],
+                cur_step: 0,
                 counters: TransportCounters::default(),
             })
             .collect()
@@ -135,43 +130,39 @@ impl ProcTransport for SeqProc {
         self.st.wait_for_baton(self.pid);
     }
 
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
-        self.out[dest].extend_from_slice(pkts);
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
+        // Only this process runs, so the hand-over goes straight into the
+        // destination's slot.
+        self.counters.lock_acquisitions += 1;
+        self.counters.pkts_moved += buf.len() as u64;
+        self.counters.bytes_moved += (buf.len() * PACKET_SIZE) as u64;
+        let phase = (self.cur_step + 1) & 1;
+        self.st.pkts.deposit(dest, self.pid, phase, buf);
     }
 
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
+        self.counters.lock_acquisitions += 1;
         self.counters.bytes_moved += buf.len() as u64;
-        hand_over(&mut self.out_bytes[dest], buf);
+        let phase = (self.cur_step + 1) & 1;
+        self.st.bytes.deposit(dest, self.pid, phase, buf);
     }
 
     fn exchange(
         &mut self,
         step: usize,
         _mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     ) {
         // The baton serializes everything, so a neighborhood boundary is
         // delivered identically to a full one.
+        debug_assert_eq!(step, self.cur_step);
         let phase = (step + 1) & 1;
-        for (dest, batch) in self.out.iter_mut().enumerate() {
-            if !batch.is_empty() {
-                self.counters.lock_acquisitions += 1;
-                self.counters.pkts_moved += batch.len() as u64;
-                self.counters.bytes_moved += (batch.len() * PACKET_SIZE) as u64;
-                self.st.bufs[dest][phase].lock().unwrap().append(batch);
-            }
-        }
-        for (dest, buf) in self.out_bytes.iter_mut().enumerate() {
-            if !buf.is_empty() {
-                self.counters.lock_acquisitions += 1;
-                self.st.bytes.deposit(dest, self.pid, phase, buf);
-            }
-        }
         self.st.pass_baton(self.pid);
         self.st.wait_for_baton(self.pid);
-        inbox.append(&mut self.st.bufs[self.pid][phase].lock().unwrap());
+        self.st.pkts.collect(self.pid, phase, inbox);
         self.st.bytes.collect(self.pid, phase, byte_inbox);
+        self.cur_step = step + 1;
     }
 
     fn finish(&mut self) {
@@ -194,18 +185,11 @@ impl ProcTransport for SeqProc {
         if self.st.poisoned.load(Ordering::Acquire) {
             return false;
         }
-        for buf in &mut self.out {
-            buf.clear();
-        }
-        for buf in &mut self.out_bytes {
-            buf.clear();
-        }
-        // Each endpoint clears its own inbound phase buffers; a full sweep
-        // over the group covers the whole shared state.
-        for buf in &self.st.bufs[self.pid] {
-            buf.lock().unwrap().clear();
-        }
+        // Each endpoint clears its own inbound slots; a full sweep over the
+        // group covers the whole shared state.
+        self.st.pkts.clear(self.pid);
         self.st.bytes.clear(self.pid);
+        self.cur_step = 0;
         let mut b = self.st.baton.lock().unwrap();
         b.done[self.pid] = false;
         if self.pid == 0 {

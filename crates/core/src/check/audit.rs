@@ -1,16 +1,15 @@
 //! Runtime shadow-state validators: the checked transport wrapper, the
-//! packet-conservation ledger, and the slab-fabric phase-discipline audit.
+//! packet-conservation ledger, and the grid's phase-discipline audit.
 //!
 //! [`CheckedBackend`] wraps any [`ProcTransport`] and verifies, at every
 //! superstep boundary, that the number of packets the transport delivered
 //! to this process equals the sum of what every process sent to it during
 //! the superstep — exact conservation, checked independently on all four
-//! backends. [`PhaseAudit`] mirrors every slab-mailbox push and drain
-//! against the protocol the relaxed atomics in
-//! [`crate::backend::shared`] rely on (send in step `s` → drain in the
-//! window right after the barrier ending `s` → next touch in step
-//! `s + 2`) and reports any ordering violation as a
-//! [`CheckKind::PhaseDiscipline`] diagnostic.
+//! backends. [`PhaseAudit`] mirrors every deposit into and collect from
+//! the shared-memory grid ([`crate::backend::shared`]) against the phase
+//! discipline it relies on (send in step `s` → collect in the window right
+//! after the barrier ending `s` → next touch in step `s + 2`) and reports
+//! any ordering violation as a [`CheckKind::PhaseDiscipline`] diagnostic.
 
 use super::{report, CheckKind, CheckReport, CheckShared, ReportSink};
 use crate::context::ProcTransport;
@@ -25,7 +24,7 @@ use std::sync::Arc;
 /// destination right after. The synchronization that every backend
 /// performs inside `exchange` (barrier, channel receives, baton, staged
 /// pipes) provides the happens-before edge that makes the relaxed adds
-/// visible to the reader — the same argument as the slab fabric itself.
+/// visible to the reader — the same argument as the grid itself.
 pub(crate) struct DeliveryLedger {
     sent: Vec<[AtomicU64; 2]>,
 }
@@ -58,8 +57,8 @@ impl DeliveryLedger {
 
 // ---------------------------------------------------------------------------
 
-/// Shadow state for one mailbox (one destination × one phase).
-struct MailboxShadow {
+/// Shadow state for one destination's grid slots of one phase.
+struct GridShadow {
     /// `1 + s` where `s` is the superstep whose boundary window last
     /// drained this phase; 0 when never drained.
     last_drain: AtomicU64,
@@ -67,12 +66,13 @@ struct MailboxShadow {
     draining: AtomicBool,
 }
 
-/// Shadow-state validator for the slab fabric's phase discipline.
+/// Shadow-state validator for the grid's phase discipline.
 ///
-/// The relaxed atomics in [`crate::backend::shared::Mailbox`] are sound
-/// only if every drain of a phase is barrier-separated from every push to
-/// that phase. The audit re-derives that ordering from first principles on
-/// every operation:
+/// The slot locks of [`crate::backend::shared::Grid`] are uncontended only
+/// if every collect (drain) of a phase is barrier-separated from every
+/// deposit (push) to that phase; a violation would not corrupt anything,
+/// but it would deliver traffic a superstep early or late. The audit
+/// re-derives that ordering from first principles on every operation:
 ///
 /// * a push during superstep `s` must target phase `(s + 1) mod 2`;
 /// * when it does, the phase's previous drain must have been the boundary
@@ -83,10 +83,10 @@ struct MailboxShadow {
 ///   `(s + 1) mod 2`, must not be reentered, and must follow the drain at
 ///   boundary `s - 2` exactly.
 ///
-/// All audit state uses `SeqCst`, so a protocol violation that the relaxed
-/// fabric would turn into silent corruption is observed reliably here.
+/// All audit state uses `SeqCst`, so a protocol violation is observed
+/// reliably here.
 pub(crate) struct PhaseAudit {
-    boxes: Vec<[MailboxShadow; 2]>,
+    boxes: Vec<[GridShadow; 2]>,
     sink: ReportSink,
 }
 
@@ -96,11 +96,11 @@ impl PhaseAudit {
             boxes: (0..nprocs)
                 .map(|_| {
                     [
-                        MailboxShadow {
+                        GridShadow {
                             last_drain: AtomicU64::new(0),
                             draining: AtomicBool::new(false),
                         },
-                        MailboxShadow {
+                        GridShadow {
                             last_drain: AtomicU64::new(0),
                             draining: AtomicBool::new(false),
                         },
@@ -237,8 +237,8 @@ impl ProcTransport for Box<dyn ProcTransport> {
     fn on_start(&mut self) {
         (**self).on_start()
     }
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
-        (**self).send_batch(dest, pkts)
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
+        (**self).send_pkts(dest, buf)
     }
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
         (**self).send_bytes(dest, buf)
@@ -247,7 +247,7 @@ impl ProcTransport for Box<dyn ProcTransport> {
         &mut self,
         step: usize,
         mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     ) {
         (**self).exchange(step, mode, inbox, byte_inbox)
@@ -312,9 +312,9 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
         self.inner.on_start()
     }
 
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
-        self.sent_to[dest] += pkts.len() as u64;
-        self.inner.send_batch(dest, pkts);
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
+        self.sent_to[dest] += buf.len() as u64;
+        self.inner.send_pkts(dest, buf);
     }
 
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
@@ -332,7 +332,7 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
         &mut self,
         step: usize,
         _mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     ) {
         debug_assert_eq!(step, self.step, "transport driven out of order");
@@ -348,13 +348,13 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
             self.shared.ledger_bytes.add(dest, phase, *n);
             *n = 0;
         }
-        let before = inbox.len();
         // Whatever the program declared, the inner transport crosses at
         // full strength: the ledger's cross-process happens-before argument
         // (publish before the boundary, read after it) needs every sender
         // ordered before this reader, not just the graph neighbors.
         self.inner.exchange(step, SyncMode::Full, inbox, byte_inbox);
-        let delivered = (inbox.len() - before) as u64;
+        // Both lanes' segments are replaced, not appended to.
+        let delivered = inbox.iter().map(|seg| seg.len() as u64).sum::<u64>();
         let expected = self.shared.ledger.take(self.pid, phase);
         if delivered != expected {
             report(
@@ -372,7 +372,6 @@ impl<B: ProcTransport> ProcTransport for CheckedBackend<B> {
                 },
             );
         }
-        // The byte segments are replaced, not appended to.
         let bytes_delivered = byte_inbox.iter().map(|seg| seg.len() as u64).sum::<u64>();
         let bytes_expected = self.shared.ledger_bytes.take(self.pid, phase);
         if bytes_delivered != bytes_expected {
@@ -444,7 +443,7 @@ mod tests {
             // Both procs push to each other during `step`...
             a.on_push(0, 1, phase, step);
             a.on_push(1, 0, phase, step);
-            // ...then each owner drains its own mailbox at the boundary.
+            // ...then each owner collects its own slots at the boundary.
             for owner in 0..2 {
                 a.on_drain_start(owner, phase, step);
                 a.on_drain_end(owner, phase);

@@ -15,21 +15,22 @@
 //! 3. **DRMA conflict freedom** — no two processes write the same
 //!    registered cells in one superstep, and no process reads cells
 //!    another writes in that superstep.
-//! 4. **Phase discipline** — the slab mailboxes of the shared backend rely
-//!    on a strict "send in step `s`, drain right after the barrier ending
-//!    `s`, next touch in step `s + 2`" ordering; the relaxed atomics in
-//!    [`crate::backend::shared`] are sound *only* under that ordering.
+//! 4. **Phase discipline** — the per-pair grid of the shared backend
+//!    relies on a strict "send in step `s`, collect right after the barrier
+//!    ending `s`, next touch in step `s + 2`" ordering; only under it does
+//!    [`crate::backend::shared`] deliver each superstep's traffic in the
+//!    next one, with its slot locks uncontended.
 //!
 //! Enabling the checker ([`crate::Config::checked`]) wraps every backend
 //! in a [`CheckedBackend`](audit) that verifies per-superstep packet
-//! conservation, attaches a shadow-state [`audit::PhaseAudit`] to the slab
-//! fabric, records per-process call traces, and reports every violation as
+//! conservation, attaches a shadow-state [`audit::PhaseAudit`] to the
+//! grid, records per-process call traces, and reports every violation as
 //! a structured [`CheckReport`] in [`crate::RunStats::check_reports`] —
 //! with proc id, superstep, and (for sends) the originating call site.
 //! When the checker is disabled the hot path pays a single predictable
 //! branch per operation.
 //!
-//! The mailbox and barrier protocols themselves are model-checked over the
+//! The grid and barrier protocols themselves are model-checked over the
 //! real code by the loom suite (`crate::loom_tests`, DESIGN.md §13).
 
 pub(crate) mod audit;
@@ -64,8 +65,8 @@ pub enum CheckKind {
     /// what all processes sent to this destination (conservation violated
     /// — a runtime bug, not a program bug).
     DeliveryMismatch,
-    /// The slab fabric violated the send/drain/barrier ordering its
-    /// relaxed atomics rely on (a runtime bug, not a program bug).
+    /// The grid violated the send/collect/barrier ordering its phase
+    /// discipline relies on (a runtime bug, not a program bug).
     PhaseDiscipline,
     /// A fault plan injected at least one recoverable fault but the
     /// hardened transport detected none of them: the detection machinery
@@ -75,7 +76,7 @@ pub enum CheckKind {
     /// A superstep adjacent to a neighborhood boundary sent traffic to a
     /// process outside the registered sync graph. Without an intervening
     /// full barrier there is no happens-before edge ordering that traffic
-    /// against the destination's slab maintenance, so the send is illegal
+    /// against the destination's collect, so the send is illegal
     /// even if it happens to arrive (see DESIGN.md §12).
     GraphViolatingSend,
     /// A split-phase window was misused: a send or `sync` between

@@ -186,9 +186,9 @@ pub fn broadcast_pkts_two_phase(ctx: &mut Ctx, root: usize, data: &[Packet]) -> 
     out
 }
 
-/// Gather packet sequences at `root`; returns `Some(packets)` (arbitrary
-/// order, callers label their data) at the root, `None` elsewhere.
-/// One superstep.
+/// Gather packet sequences at `root`; returns `Some(packets)` at the root —
+/// its own `data` first, then every other process's by ascending pid, each
+/// in send order — and `None` elsewhere. One superstep.
 pub fn gather_pkts(ctx: &mut Ctx, root: usize, data: &[Packet]) -> Option<Vec<Packet>> {
     ctx.record_collective(CollectiveKind::GatherPkts);
     let me = ctx.pid();

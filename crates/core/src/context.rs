@@ -25,30 +25,27 @@ use std::time::{Duration, Instant};
 /// buffers with no alignment padding.
 pub const MSG_HDR: usize = 8;
 
-/// Backend-specific per-process transport. Implementations deliver packets
-/// sent in superstep `s` at the beginning of superstep `s + 1`.
+/// Backend-specific per-process transport. Implementations deliver traffic
+/// sent in superstep `s` at the beginning of superstep `s + 1`, one inbox
+/// segment per source on both lanes.
 pub(crate) trait ProcTransport: Send {
     /// Called once before the user function runs (e.g. the sequential
     /// simulator blocks here until it is this process's turn).
     fn on_start(&mut self) {}
 
-    /// Queue a non-empty batch of packets for delivery to `dest` at the
-    /// start of the next superstep. This is the packet lane's only entry
-    /// point: [`Ctx`] stages single packets per destination and hands over
-    /// whole chunks ([`crate::Config::chunk`]), so a transport pays one
-    /// reservation or one buffer extend per call, never per packet. Repeated
-    /// calls for one destination in one superstep accumulate.
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]);
+    /// Take over a non-empty buffer of packets for `dest`, in send order,
+    /// and leave `buf` empty. The buffer is *moved*, not copied: a
+    /// transport holding nothing for `dest` yet swaps allocations with the
+    /// caller ([`hand_over`]), so `buf` comes back as a recycled
+    /// allocation. [`Ctx`] calls this at most once per destination per
+    /// superstep, with the whole superstep's staged packets; only a fault
+    /// injector's duplicated or delayed buffer arrives as a second call and
+    /// is appended.
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>);
 
-    /// Take over a non-empty buffer of byte-lane records (complete
-    /// `[src|len|payload]` frames, packed back to back) for `dest` and leave
-    /// `buf` empty. The buffer is *moved*, not copied: a transport holding
-    /// nothing for `dest` yet swaps allocations with the caller
-    /// ([`hand_over`]), so `buf` comes back as a recycled allocation.
-    /// [`Ctx`] calls this at most once per destination per superstep, with
-    /// the whole superstep's staged traffic; only a fault injector's
-    /// duplicated or delayed buffer arrives as a second call and is
-    /// appended.
+    /// [`send_pkts`](ProcTransport::send_pkts) for the byte lane: a buffer
+    /// of byte-lane records (complete `[src|len|payload]` frames, packed
+    /// back to back), handed over the same way.
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>);
 
     /// First half of a split-phase boundary for superstep `step`: flush
@@ -61,15 +58,15 @@ pub(crate) trait ProcTransport: Send {
     /// overlap-free) implementation of the pair.
     fn exchange_begin(&mut self, _step: usize, _mode: SyncMode) {}
 
-    /// Complete superstep `step` (0-based): flush queued packets, perform
+    /// Complete superstep `step` (0-based): flush queued traffic, perform
     /// the synchronization `mode` asks for — the p-wide barrier, or a
     /// rendezvous with this process's sync-graph neighbors only, which any
-    /// transport may strengthen to the barrier — and append the packets
-    /// addressed to this process during `step` to `inbox`. Which
-    /// destinations a superstep may send to is [`Ctx`]'s business
-    /// (`Ctx::check_graph`), not the transport's. The byte lane is delivered by
-    /// *replacing* `byte_inbox`: on return `byte_inbox[src]` holds exactly
-    /// the records `src` sent here during `step` — whole records, in `src`'s
+    /// transport may strengthen to the barrier — and deliver what was
+    /// addressed to this process during `step`. Which destinations a
+    /// superstep may send to is [`Ctx`]'s business (`Ctx::check_graph`),
+    /// not the transport's. Both lanes are delivered by *replacing* their
+    /// segments: on return `inbox[src]` and `byte_inbox[src]` hold exactly
+    /// the packets and records `src` sent here during `step` — in `src`'s
     /// send order, empty if it sent none. What the segments held on entry
     /// (the previous superstep's deliveries, dead by now) are the
     /// allocations the transport recycles. When an
@@ -80,7 +77,7 @@ pub(crate) trait ProcTransport: Send {
         &mut self,
         step: usize,
         mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     );
 
@@ -89,8 +86,8 @@ pub(crate) trait ProcTransport: Send {
     /// superstep-alignment contract instead.
     fn finish(&mut self);
 
-    /// Hot-path counters accumulated over the run (lock acquisitions, slab
-    /// reservations, spills, volume). Collected into [`crate::RunStats`].
+    /// Hot-path counters accumulated over the run (lock acquisitions,
+    /// volume). Collected into [`crate::RunStats`].
     fn counters(&self) -> TransportCounters {
         TransportCounters::default()
     }
@@ -123,18 +120,17 @@ pub(crate) trait ProcTransport: Send {
     }
 }
 
-/// Move `buf`'s records behind whatever `held` already has and leave `buf`
+/// Move `buf`'s traffic behind whatever `held` already has and leave `buf`
 /// empty. When `held` is empty — every hand-over but a fault injector's
 /// duplicated or delayed buffer — the two allocations are swapped and
 /// nothing is copied.
 #[inline]
-pub(crate) fn hand_over(held: &mut Vec<u8>, buf: &mut Vec<u8>) {
+pub(crate) fn hand_over<T>(held: &mut Vec<T>, buf: &mut Vec<T>) {
     if held.is_empty() {
         std::mem::swap(held, buf);
     } else {
-        held.extend_from_slice(buf);
+        held.append(buf);
     }
-    buf.clear();
 }
 
 /// Per-process checkpoint plumbing, present only when the run has a
@@ -160,27 +156,24 @@ pub struct Ctx {
     pid: usize,
     nprocs: usize,
     pub(crate) transport: Box<dyn ProcTransport>,
-    /// Current superstep's delivered packets. Swapped with `spare` at every
-    /// `sync` so both buffers' allocations persist for the whole run.
-    inbox: Vec<Packet>,
-    /// The other inbox buffer of the double-buffer pair.
-    spare: Vec<Packet>,
-    inbox_pos: usize,
-    /// Per-destination packet staging: [`Ctx::send_pkt`] appends here and
-    /// the transport sees a whole chunk at a time ([`Ctx::flush_pkts`]).
-    /// Buffers start empty and grow as packets are staged — at most one
-    /// chunk each — so a destination never sent to costs nothing.
+    /// Per-destination packet staging: [`Ctx::send_pkt`] appends here for
+    /// the whole superstep. At the boundary the transport takes each
+    /// buffer whole and leaves a recycled one in its place (DESIGN.md §7),
+    /// so a destination never sent to costs nothing.
     pkt_out: Vec<Vec<Packet>>,
-    /// Staged packets per destination that trigger a hand-off to the
-    /// transport ([`crate::Config::chunk`]).
-    chunk: usize,
+    /// Packets delivered this superstep, one segment per source pid. The
+    /// next `exchange` replaces every segment and recycles the allocations.
+    inbox: Vec<Vec<Packet>>,
+    /// Read cursor: segment, and offset into it.
+    pkt_seg: usize,
+    pkt_pos: usize,
+    /// Delivered packets not yet read, over all segments.
+    pkt_unread: usize,
     /// Per-destination byte-lane staging: framed records accumulated during
-    /// the superstep. At `sync` the transport takes each buffer whole and
-    /// leaves a recycled one in its place (see DESIGN.md §9).
+    /// the superstep, handed over like `pkt_out` (see DESIGN.md §9).
     byte_out: Vec<Vec<u8>>,
     /// Byte-lane records delivered this superstep, one segment per source
-    /// pid. The next `exchange` replaces every segment and recycles the
-    /// allocations.
+    /// pid, replaced like `inbox`.
     byte_inbox: Vec<Vec<u8>>,
     /// Read cursor: segment, and record-granular offset into it.
     byte_seg: usize,
@@ -204,10 +197,6 @@ pub struct Ctx {
     /// discipline covers both supersteps adjacent to a neighborhood
     /// boundary ([`Ctx::check_graph`]).
     last_mode: SyncMode,
-    /// Destinations whose traffic already went to the transport this
-    /// superstep. Written per hand-over, never per packet; what is still
-    /// staged at the boundary is read off the staging buffers.
-    sent_to: Vec<bool>,
     /// Compute time accumulated up to `sync_begin`, completed by the
     /// overlap window's time at `sync_end`.
     pending_compute: Duration,
@@ -302,7 +291,6 @@ impl Ctx {
     pub(crate) fn new(
         pid: usize,
         nprocs: usize,
-        chunk: usize,
         graph: Option<Arc<SyncGraph>>,
         transport: Box<dyn ProcTransport>,
     ) -> Self {
@@ -310,11 +298,11 @@ impl Ctx {
             pid,
             nprocs,
             transport,
-            inbox: Vec::new(),
-            spare: Vec::new(),
-            inbox_pos: 0,
             pkt_out: vec![Vec::new(); nprocs],
-            chunk: chunk.max(1),
+            inbox: vec![Vec::new(); nprocs],
+            pkt_seg: 0,
+            pkt_pos: 0,
+            pkt_unread: 0,
             byte_out: vec![Vec::new(); nprocs],
             byte_inbox: vec![Vec::new(); nprocs],
             byte_seg: 0,
@@ -328,7 +316,6 @@ impl Ctx {
             split: None,
             graph,
             last_mode: SyncMode::Full,
-            sent_to: vec![false; nprocs],
             pending_compute: Duration::ZERO,
             pending_wait: Duration::ZERO,
             log: Vec::new(),
@@ -354,17 +341,17 @@ impl Ctx {
         if !self.transport.reset() {
             return false;
         }
-        self.inbox.clear();
-        self.spare.clear();
-        self.inbox_pos = 0;
-        // Packets staged after the job's last sync die here, like every
+        // Traffic staged after the job's last sync dies here, like every
         // other leftover of the previous job; the capacity stays.
-        for buf in &mut self.pkt_out {
+        for buf in self.pkt_out.iter_mut().chain(&mut self.inbox) {
             buf.clear();
         }
         for buf in self.byte_out.iter_mut().chain(&mut self.byte_inbox) {
             buf.clear();
         }
+        self.pkt_seg = 0;
+        self.pkt_pos = 0;
+        self.pkt_unread = 0;
         self.byte_seg = 0;
         self.byte_pos = 0;
         self.byte_unread = 0;
@@ -375,7 +362,6 @@ impl Ctx {
         self.step_start = Instant::now();
         self.split = None;
         self.last_mode = SyncMode::Full;
-        self.sent_to.fill(false);
         self.pending_compute = Duration::ZERO;
         self.pending_wait = Duration::ZERO;
         self.log.clear();
@@ -492,63 +478,43 @@ impl Ctx {
         // The whole per-packet cost: one indexed 16-byte store and a length
         // bump. The packet is never passed on by reference, so once this is
         // inlined the caller builds it straight into the staging buffer.
-        let buf = &mut self.pkt_out[dest];
-        buf.push(pkt);
-        if buf.len() >= self.chunk {
-            self.flush_pkts(dest);
-        }
-    }
-
-    /// Hand `dest`'s staged packets to the transport as one batch. Out of
-    /// line: it runs once per chunk, and keeping it out of `send_pkt` keeps
-    /// the inlined per-packet path to a handful of instructions.
-    #[inline(never)]
-    fn flush_pkts(&mut self, dest: usize) {
-        let buf = &mut self.pkt_out[dest];
-        if !buf.is_empty() {
-            self.sent_to[dest] = true;
-            self.transport.send_batch(dest, buf);
-            buf.clear();
-        }
+        self.pkt_out[dest].push(pkt);
     }
 
     /// Cross the boundary: retire the previous superstep's deliveries and
-    /// let the transport deliver this one's.
+    /// let the transport deliver this one's. The transport trades every
+    /// dead segment of both lanes for the buffer its traffic arrived in.
     fn deliver(&mut self, mode: SyncMode) {
-        // Swap the double-buffered packet inboxes: the buffer delivered into
-        // keeps its allocation from two supersteps ago, so a steady traffic
-        // level reallocates neither buffer. The byte segments need no spare:
-        // the transport trades each for the buffer its records arrived in.
-        std::mem::swap(&mut self.inbox, &mut self.spare);
-        self.inbox.clear();
-        self.inbox_pos = 0;
         self.transport
             .exchange(self.step, mode, &mut self.inbox, &mut self.byte_inbox);
+        self.pkt_seg = 0;
+        self.pkt_pos = 0;
+        self.pkt_unread = self.inbox.iter().map(Vec::len).sum();
         self.byte_seg = 0;
         self.byte_pos = 0;
         self.byte_unread = self.byte_inbox.iter().map(Vec::len).sum();
     }
 
-    /// Hand everything still staged — both lanes, every destination — to
-    /// the transport (packet buffers are cleared and keep their allocation,
-    /// byte buffers are traded for recycled ones). Every boundary flavor
-    /// starts here, so a transport's `exchange` or `exchange_begin` never
-    /// has to ask for staged traffic.
+    /// Hand everything staged — both lanes, every destination — to the
+    /// transport, one buffer per destination and lane, each traded for a
+    /// recycled one. Every boundary flavor starts here, so a transport's
+    /// `exchange` or `exchange_begin` never has to ask for staged traffic,
+    /// and nothing reaches a transport before `check_graph` has seen it.
     fn flush_staged(&mut self) {
         for dest in 0..self.nprocs {
-            self.flush_pkts(dest);
+            if !self.pkt_out[dest].is_empty() {
+                self.transport.send_pkts(dest, &mut self.pkt_out[dest]);
+            }
             if !self.byte_out[dest].is_empty() {
-                self.sent_to[dest] = true;
                 self.transport.send_bytes(dest, &mut self.byte_out[dest]);
             }
         }
     }
 
     /// Send a whole batch of packets to process `dest`; equivalent to calling
-    /// [`Ctx::send_pkt`] once per packet. A batch that fits under the chunk
-    /// rides the staging buffer (better hand-off amortization); a larger one
-    /// goes straight to the transport, skipping the staging copy.
-    /// Collectives and the DRMA layer route their bulk traffic through this.
+    /// [`Ctx::send_pkt`] once per packet: the batch is appended to the
+    /// staging buffer with one copy. Collectives and the DRMA layer route
+    /// their bulk traffic through this.
     #[inline]
     #[track_caller]
     pub fn send_pkts(&mut self, dest: usize, pkts: &[Packet]) {
@@ -563,16 +529,7 @@ impl Ctx {
         if let Some(c) = &mut self.check {
             c.record_send(self.step, dest, Location::caller(), pkts.len() as u64);
         }
-        let buf = &mut self.pkt_out[dest];
-        if buf.len() + pkts.len() < self.chunk {
-            buf.extend_from_slice(pkts);
-        } else {
-            // Staged packets leave first: one sender's packets to one
-            // destination keep their send order.
-            self.flush_pkts(dest);
-            self.sent_to[dest] = true;
-            self.transport.send_batch(dest, pkts);
-        }
+        self.pkt_out[dest].extend_from_slice(pkts);
     }
 
     /// Send `payload` to process `dest` as one variable-length byte-lane
@@ -668,17 +625,22 @@ impl Ctx {
         self.byte_unread
     }
 
-    /// Get the next packet sent to this process in the previous superstep, in
-    /// arbitrary order; `None` when there are no further packets (the paper's
-    /// `bspGetPkt`).
+    /// Get the next packet sent to this process in the previous superstep;
+    /// `None` when there are no further packets (the paper's `bspGetPkt`).
+    /// Packets arrive by ascending source pid, and from one sender in that
+    /// sender's send order, on every backend — the order
+    /// [`Ctx::recv_bytes`] delivers the byte lane in.
     #[inline]
     pub fn get_pkt(&mut self) -> Option<Packet> {
-        if self.inbox_pos < self.inbox.len() {
-            let p = self.inbox[self.inbox_pos];
-            self.inbox_pos += 1;
-            Some(p)
-        } else {
-            None
+        loop {
+            let seg = self.inbox.get(self.pkt_seg)?;
+            if let Some(&p) = seg.get(self.pkt_pos) {
+                self.pkt_pos += 1;
+                self.pkt_unread -= 1;
+                return Some(p);
+            }
+            self.pkt_seg += 1;
+            self.pkt_pos = 0;
         }
     }
 
@@ -708,7 +670,7 @@ impl Ctx {
     /// paper's auxiliary "number of unreceived packets").
     #[inline]
     pub fn pkts_remaining(&self) -> usize {
-        self.inbox.len() - self.inbox_pos
+        self.pkt_unread
     }
 
     /// Barrier-synchronize all processes and deliver the packets sent during
@@ -844,9 +806,7 @@ impl Ctx {
             .expect("neighborhood synchronization requires Config::sync_graph");
         let (pid, step) = (self.pid, self.step);
         for dest in 0..self.nprocs {
-            let sent = self.sent_to[dest]
-                || !self.pkt_out[dest].is_empty()
-                || !self.byte_out[dest].is_empty();
+            let sent = !self.pkt_out[dest].is_empty() || !self.byte_out[dest].is_empty();
             if !sent || dest == pid || graph.is_neighbor(pid, dest) {
                 continue;
             }
@@ -908,10 +868,9 @@ impl Ctx {
     fn close_step(&mut self, mode: SyncMode, compute: Duration, sync_wait: Duration, split: bool) {
         let closed = self.step;
         self.last_mode = mode;
-        self.sent_to.fill(false);
         self.log.push(LocalStep {
             sent: self.sent_this_step,
-            recv: self.inbox.len() as u64,
+            recv: self.pkt_unread as u64,
             sent_bytes: self.sent_bytes_this_step,
             recv_bytes: self.byte_unread as u64,
             compute,
@@ -951,7 +910,7 @@ impl Ctx {
     /// the collective contract (the caller must have drained its inbox; see
     /// [`crate::collectives`]). No-op on unchecked runs.
     pub(crate) fn record_collective(&mut self, kind: CollectiveKind) {
-        let pending = (self.inbox.len() - self.inbox_pos) + self.byte_unread;
+        let pending = self.pkt_unread + self.byte_unread;
         let (pid, step) = (self.pid, self.step);
         if let Some(c) = &mut self.check {
             if pending > 0 {

@@ -5,7 +5,7 @@
 //! not once per *program launch*: the BSP processes exist for the life of
 //! the job and successive supersteps reuse them. The original runner here
 //! did the opposite — every [`crate::run`] spawned `p` OS threads and built
-//! a fresh transport fabric, so the launch path (thread spawn + slab
+//! a fresh transport fabric, so the launch path (thread spawn + fabric
 //! allocation) dominated short jobs and polluted the cost model's
 //! superstep-0 column. This module restores the paper's economics:
 //!
@@ -21,7 +21,7 @@
 //!   checker, no fault plan, no hardening) the job's transport endpoints
 //!   are reset in place ([`crate::context::ProcTransport::reset`]) and
 //!   parked in a keyed arena. The next job with the same shape pops the
-//!   set back out: mailbox slabs, channel rings, and staging buffers keep
+//!   set back out: grid slots, channel pipes, and staging buffers keep
 //!   their capacity, and the warm launch path performs **zero heap
 //!   allocation**. Reset happens at *release* time so a warm lease is a
 //!   pure pop.
@@ -352,8 +352,6 @@ struct ArenaKey {
     net_bits: [u64; 4],
     nprocs: usize,
     barrier: u8,
-    chunk: usize,
-    slab_cap: usize,
     /// Canonical hash of the registered sync graph (0 = none): a leased set
     /// must carry the same neighborhood topology the config asks for.
     graph_hash: u64,
@@ -387,8 +385,6 @@ impl ArenaKey {
             net_bits,
             nprocs: cfg.nprocs,
             barrier,
-            chunk: cfg.chunk,
-            slab_cap: cfg.slab_cap,
             graph_hash: cfg.sync_graph.as_ref().map_or(0, |g| g.edge_hash()),
         }
     }
@@ -1094,7 +1090,7 @@ mod tests {
                         got
                     })
                     .unwrap();
-                // Exactly one message per process per run: a stale slab
+                // Exactly one message per process per run: a stale slot
                 // from an unreset parked set would surface as extras.
                 for (pid, got) in out.results.iter().enumerate() {
                     let prev = (pid + out.results.len() - 1) % out.results.len();

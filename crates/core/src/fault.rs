@@ -50,9 +50,9 @@ use std::time::{Duration, Instant};
 
 const SEED0: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Per-packet hash for the order-insensitive fast-lane checksum. Kept to a
-/// rotate+add+xor so the hardened send path stays within noise of the bare
-/// one (the fast lane moves hundreds of millions of packets per second).
+/// Per-packet hash for the fast-lane checksum. Kept to a rotate+add+xor so
+/// the hardened send path stays within noise of the bare one (the fast lane
+/// moves hundreds of millions of packets per second).
 #[inline]
 fn pkt_hash(pkt: &Packet) -> u64 {
     let (a, b) = pkt.as_two_u64();
@@ -60,7 +60,7 @@ fn pkt_hash(pkt: &Packet) -> u64 {
 }
 
 /// Order-insensitive checksum of a packet batch: wrapping sum of per-packet
-/// hashes, so per-source sums combine additively across the shared inbox.
+/// hashes, so a source's sum accumulates across its hand-overs.
 fn pkt_sum(pkts: &[Packet]) -> u64 {
     pkts.iter().fold(0u64, |s, p| s.wrapping_add(pkt_hash(p)))
 }
@@ -634,14 +634,6 @@ fn records(segs: &[Vec<u8>]) -> impl Iterator<Item = (usize, &[u8])> {
     })
 }
 
-fn mask_all(p: usize) -> u64 {
-    if p >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << p) - 1
-    }
-}
-
 // -------------------------------------------------------- fault injection
 
 /// How long an injected straggler sleeps inside the exchange.
@@ -657,8 +649,9 @@ pub(crate) struct FaultyBackend<B: ProcTransport> {
     plan: Arc<FaultPlan>,
     state: Arc<FaultState>,
     meta: Arc<RoundMeta>,
-    /// Delayed traffic: `new` fills during the current round's sends, `old`
-    /// is flushed at the next exchange, giving exactly one round of delay.
+    /// Delayed traffic: `new` fills during the current round's hand-overs,
+    /// `old` is flushed at the next exchange, giving exactly one round of
+    /// delay.
     stash_pkts_old: Vec<(usize, Vec<Packet>)>,
     stash_pkts_new: Vec<(usize, Vec<Packet>)>,
     stash_bytes_old: Vec<(usize, Vec<u8>)>,
@@ -724,20 +717,21 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
         self.inner.on_start();
     }
 
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
         match self.event_for(dest, true) {
             // `injected` is counted once per event at the frame site
             // (send_bytes) — every dest gets a frame even when the packet
-            // batch is empty — so the batch action here is uncounted.
-            Some((_, FaultKind::Drop)) => {}
+            // buffer is empty — so the packet action here is uncounted.
+            Some((_, FaultKind::Drop)) => buf.clear(),
             Some((_, FaultKind::Duplicate)) => {
-                self.inner.send_batch(dest, pkts);
-                self.inner.send_batch(dest, pkts);
+                let mut twin = buf.clone();
+                self.inner.send_pkts(dest, buf);
+                self.inner.send_pkts(dest, &mut twin);
             }
             Some((_, FaultKind::Delay)) => {
-                self.stash_pkts_new.push((dest, pkts.to_vec()));
+                self.stash_pkts_new.push((dest, std::mem::take(buf)));
             }
-            _ => self.inner.send_batch(dest, pkts),
+            _ => self.inner.send_pkts(dest, buf),
         }
     }
 
@@ -787,12 +781,12 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
         &mut self,
         step: usize,
         mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     ) {
         // Traffic delayed in the previous round arrives in this one.
-        for (dest, pkts) in self.stash_pkts_old.drain(..) {
-            self.inner.send_batch(dest, &pkts);
+        for (dest, mut pkts) in self.stash_pkts_old.drain(..) {
+            self.inner.send_pkts(dest, &mut pkts);
         }
         for (dest, mut b) in self.stash_bytes_old.drain(..) {
             self.inner.send_bytes(dest, &mut b);
@@ -867,9 +861,10 @@ impl<B: ProcTransport> ProcTransport for FaultyBackend<B> {
 // ------------------------------------------------------- guarded exchange
 
 /// The hardening layer: checksummed, sequence-numbered frames on every
-/// exchange, verified on receipt and healed by status/retransmit rounds on
-/// the inner transport's own collective exchange primitive. Sits between
-/// the context (or `CheckedBackend`) and the injector.
+/// exchange, verified per source on receipt and healed by
+/// status/retransmit rounds on the inner transport's own collective
+/// exchange primitive. Sits between the context (or `CheckedBackend`) and
+/// the injector.
 pub(crate) struct GuardedBackend<B: ProcTransport> {
     inner: B,
     pid: usize,
@@ -886,10 +881,13 @@ pub(crate) struct GuardedBackend<B: ProcTransport> {
     out_pkts: Vec<Vec<Packet>>,
     out_sums: Vec<u64>,
     out_bytes: Vec<Vec<u8>>,
+    /// The copy of `out_pkts[dest]` the data round hands to the inner
+    /// transport (which takes the buffer it is given).
+    pkt_copy: Vec<Packet>,
     /// Scratch inboxes for one inner round (allocations circulate with the
-    /// inner transport's across rounds): packets, and one byte segment per
-    /// source. A frame is one record, so it never straddles a segment.
-    round_pkts: Vec<Packet>,
+    /// inner transport's across rounds), one segment per source on both
+    /// lanes. A frame is one record, so it never straddles a segment.
+    round_pkts: Vec<Vec<Packet>>,
     round_bytes: Vec<Vec<u8>>,
     frame: Vec<u8>,
     pkt_scratch: Vec<u8>,
@@ -920,7 +918,8 @@ impl<B: ProcTransport> GuardedBackend<B> {
             out_pkts: vec![Vec::new(); nprocs],
             out_sums: vec![0; nprocs],
             out_bytes: vec![Vec::new(); nprocs],
-            round_pkts: Vec::new(),
+            pkt_copy: Vec::new(),
+            round_pkts: vec![Vec::new(); nprocs],
             round_bytes: vec![Vec::new(); nprocs],
             frame: Vec::new(),
             pkt_scratch: Vec::new(),
@@ -930,7 +929,6 @@ impl<B: ProcTransport> GuardedBackend<B> {
 
     /// Run one inner round and leave its traffic in `round_pkts`/`round_bytes`.
     fn inner_round(&mut self) {
-        self.round_pkts.clear();
         let step = self.inner_step;
         self.inner.exchange(
             step,
@@ -939,6 +937,59 @@ impl<B: ProcTransport> GuardedBackend<B> {
             &mut self.round_bytes,
         );
         self.inner_step += 1;
+        if self.round_pkts.iter().any(|seg| !seg.is_empty()) {
+            // Fast-lane packets outside a data round are a delayed batch:
+            // dropped here and re-requested from the source.
+            self.counters.detected += 1;
+        }
+    }
+
+    /// Verify the data round's delivery from `src`: exactly one CTRL frame
+    /// of this superstep, an intact payload — moved into `bytes` — and a
+    /// packet segment matching the frame's count and checksum. Every
+    /// anomaly counts as detected; `false` means `src` must retransmit.
+    fn verify_source(
+        &mut self,
+        src: usize,
+        seq: u64,
+        pkts: &[Packet],
+        bytes: &mut Vec<u8>,
+    ) -> bool {
+        let seg = &self.round_bytes[src];
+        let (mut pos, mut seen, mut clean) = (0usize, false, true);
+        while let Some(rec) = next_record(seg, &mut pos) {
+            let Some((h, payload)) = decode_frame(rec) else {
+                clean = false;
+                self.counters.detected += 1;
+                continue;
+            };
+            if h.kind != KIND_CTRL || h.seq != seq || h.src != src {
+                self.counters.detected += 1; // stale or misrouted frame
+            } else if seen {
+                self.counters.detected += 1; // duplicate frame
+            } else if payload.len() as u64 != h.nbytes || byte_hash(payload) != h.byte_sum {
+                seen = true;
+                clean = false;
+                self.counters.detected += 1; // corrupt/reordered payload
+            } else {
+                seen = true;
+                bytes.extend_from_slice(payload);
+                if pkts.len() as u64 != h.npkts || pkt_sum(pkts) != h.pkt_sum {
+                    clean = false;
+                    self.counters.detected += 1; // lost/duplicated packets
+                }
+            }
+        }
+        if pos != seg.len() {
+            clean = false;
+            self.counters.detected += 1; // malformed record tail
+        }
+        if !seen {
+            // Every peer owes us a CTRL frame each data round (including
+            // ourselves); an absent one was dropped or delayed in flight.
+            self.counters.detected += 1;
+        }
+        seen && clean
     }
 }
 
@@ -947,9 +998,9 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         self.inner.on_start();
     }
 
-    fn send_batch(&mut self, dest: usize, pkts: &[Packet]) {
-        self.out_sums[dest] = self.out_sums[dest].wrapping_add(pkt_sum(pkts));
-        self.out_pkts[dest].extend_from_slice(pkts);
+    fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
+        self.out_sums[dest] = self.out_sums[dest].wrapping_add(pkt_sum(buf));
+        hand_over(&mut self.out_pkts[dest], buf);
     }
 
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
@@ -970,7 +1021,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         &mut self,
         step: usize,
         _mode: SyncMode,
-        inbox: &mut Vec<Packet>,
+        inbox: &mut [Vec<Packet>],
         byte_inbox: &mut [Vec<u8>],
     ) {
         debug_assert_eq!(step, self.step, "guarded transport driven out of order");
@@ -983,8 +1034,10 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         // ---- data round: packets on the fast lane, one CTRL frame per peer.
         for dest in 0..p {
             if !self.out_pkts[dest].is_empty() {
-                let (inner, pkts) = (&mut self.inner, &self.out_pkts[dest]);
-                inner.send_batch(dest, pkts);
+                let mut copy = std::mem::take(&mut self.pkt_copy);
+                copy.extend_from_slice(&self.out_pkts[dest]);
+                self.inner.send_pkts(dest, &mut copy);
+                self.pkt_copy = copy;
             }
             self.frame.clear();
             let mut frame = std::mem::take(&mut self.frame);
@@ -1004,9 +1057,9 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
         let t0 = Instant::now();
         // The data round exchanges straight into the app inbox: in the clean
         // case (the overwhelmingly common one) the fast-lane packets are
-        // verified in place and never copied again. On a verify failure the
-        // tail is truncated and rebuilt from retransmitted DATA frames.
-        let base_pkts = inbox.len();
+        // verified in place and never copied again. A source that fails
+        // verification has its segment rebuilt from a retransmitted DATA
+        // frame.
         self.inner.exchange(
             self.inner_step,
             SyncMode::Full,
@@ -1021,71 +1074,16 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
             }
         }
 
-        // ---- verify: headers, per-src payloads, then the whole fast lane.
-        // A verified payload goes straight into its source's (dead, hence
-        // cleared) inbox segment; `bytes_ok` has a bit per segment filled.
-        for seg in byte_inbox.iter_mut() {
-            seg.clear();
-        }
-        let mut hdrs: Vec<Option<(u64, u64)>> = vec![None; p];
-        let mut bytes_ok: u64 = 0;
-        let mut dirty = false;
-        for (src, seg) in self.round_bytes.iter().enumerate() {
-            let mut pos = 0usize;
-            while let Some(rec) = next_record(seg, &mut pos) {
-                match decode_frame(rec) {
-                    None => {
-                        dirty = true;
-                        self.counters.detected += 1;
-                    }
-                    Some((h, payload)) => {
-                        if h.kind != KIND_CTRL || h.seq != seq || h.src != src {
-                            self.counters.detected += 1; // stale or misrouted frame
-                        } else if hdrs[src].is_some() {
-                            self.counters.detected += 1; // duplicate frame
-                        } else {
-                            hdrs[src] = Some((h.npkts, h.pkt_sum));
-                            if payload.len() as u64 == h.nbytes && byte_hash(payload) == h.byte_sum
-                            {
-                                byte_inbox[src].extend_from_slice(payload);
-                                bytes_ok |= 1u64 << src;
-                            } else {
-                                self.counters.detected += 1; // corrupt/reordered payload
-                            }
-                        }
-                    }
-                }
-            }
-            if pos != seg.len() {
-                dirty = true; // malformed record tail
-                self.counters.detected += 1;
+        // ---- verify per source: a verified payload goes straight into its
+        // source's (dead, hence cleared) inbox segment; `need` has a bit per
+        // source that must retransmit.
+        let mut need: u64 = 0;
+        for (src, (pkts, bytes)) in inbox.iter().zip(byte_inbox.iter_mut()).enumerate() {
+            bytes.clear();
+            if !self.verify_source(src, seq, pkts, bytes) {
+                need |= 1u64 << src;
             }
         }
-        // Every peer owes us a CTRL frame each data round (including
-        // ourselves); absent ones were dropped or delayed in flight.
-        let missing = hdrs.iter().filter(|h| h.is_none()).count() as u64;
-        self.counters.detected += missing;
-        let mut fast_ok = !dirty && hdrs.iter().all(Option::is_some);
-        if fast_ok {
-            let want_n: u64 = hdrs.iter().map(|h| h.unwrap().0).sum();
-            let want_sum = hdrs.iter().fold(0u64, |s, h| s.wrapping_add(h.unwrap().1));
-            let got = &inbox[base_pkts..];
-            if got.len() as u64 != want_n || pkt_sum(got) != want_sum {
-                fast_ok = false;
-                self.counters.detected += 1;
-            }
-        }
-        if !fast_ok {
-            // All-or-nothing: drop the unattributable fast-lane tail and
-            // rebuild it per source from self-verifying DATA frames.
-            inbox.truncate(base_pkts);
-        }
-        // The fast-lane inbox is all-or-nothing: its packets carry no source
-        // attribution, so any global mismatch means a full per-src rebuild
-        // from self-verifying DATA frames.
-        let mut need_full: u64 = if fast_ok { 0 } else { mask_all(p) };
-        let mut need_bytes: u64 = if fast_ok { mask_all(p) & !bytes_ok } else { 0 };
-        let mut re_pkts: Vec<Vec<Packet>> = vec![Vec::new(); p];
 
         // ---- recovery: status round, then retransmit rounds until every
         // proc reports clean. Status masks make the round count a global
@@ -1097,9 +1095,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
             // leak into this superstep's status/retransmit rounds.
             self.meta.app_step.store(step, Ordering::Relaxed);
             self.meta.round.store(ROUND_STATUS, Ordering::Relaxed);
-            let mut mine = [0u8; 16];
-            mine[..8].copy_from_slice(&need_full.to_le_bytes());
-            mine[8..].copy_from_slice(&need_bytes.to_le_bytes());
+            let mine = need.to_le_bytes();
             for dest in 0..p {
                 self.frame.clear();
                 let mut frame = std::mem::take(&mut self.frame);
@@ -1108,25 +1104,18 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 self.frame = frame;
             }
             self.inner_round();
-            if !self.round_pkts.is_empty() {
-                // Fast-lane packets outside a data round are a delayed batch:
-                // dropped here and re-requested from the source.
-                self.counters.detected += 1;
-            }
-            let mut stat: Vec<Option<(u64, u64)>> = vec![None; p];
+            let mut stat: Vec<Option<u64>> = vec![None; p];
             for (src, rec) in records(&self.round_bytes) {
                 match decode_frame(rec) {
                     Some((h, payload))
                         if h.kind == KIND_STATUS
                             && h.seq == seq
                             && h.src == src
-                            && payload.len() == 16
+                            && payload.len() == 8
                             && byte_hash(payload) == h.byte_sum =>
                     {
                         if stat[src].is_none() {
-                            let f = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                            let b = u64::from_le_bytes(payload[8..].try_into().unwrap());
-                            stat[src] = Some((f, b));
+                            stat[src] = Some(u64::from_le_bytes(payload.try_into().unwrap()));
                         } else {
                             self.counters.detected += 1;
                         }
@@ -1135,8 +1124,8 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 }
             }
             let all_known = stat.iter().all(Option::is_some);
-            let global_need = stat.iter().flatten().fold(0u64, |a, &(f, b)| a | f | b);
-            if all_known && global_need == 0 && need_full == 0 && need_bytes == 0 {
+            let global_need = stat.iter().flatten().fold(0u64, |a, &n| a | n);
+            if all_known && global_need == 0 && need == 0 {
                 break;
             }
             retries += 1;
@@ -1154,28 +1143,18 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
             }
             self.counters.retried += 1;
 
-            // ---- retransmit round: serve every peer that asked.
+            // ---- retransmit round: serve every peer that asked (or whose
+            // status was lost, conservatively) with a self-verifying DATA
+            // frame of its records and packets.
             self.meta.round.store(ROUND_RETRANS, Ordering::Relaxed);
             let mybit = 1u64 << me;
             for (q, st) in stat.iter().enumerate() {
-                let (wants_full, wants_bytes) = match st {
-                    Some((f, b)) => (f & mybit != 0, b & mybit != 0),
-                    // Status lost (persistent injection): resend conservatively.
-                    None => (true, false),
-                };
-                if !wants_full && !wants_bytes {
+                if st.is_some_and(|n| n & mybit == 0) {
                     continue;
                 }
-                let (npk, psum) = if wants_full {
-                    (self.out_pkts[q].len() as u64, self.out_sums[q])
-                } else {
-                    (0, 0)
-                };
                 self.pkt_scratch.clear();
-                if wants_full {
-                    for pkt in &self.out_pkts[q] {
-                        self.pkt_scratch.extend_from_slice(&pkt.0);
-                    }
+                for pkt in &self.out_pkts[q] {
+                    self.pkt_scratch.extend_from_slice(&pkt.0);
                 }
                 self.frame.clear();
                 let mut frame = std::mem::take(&mut self.frame);
@@ -1184,8 +1163,8 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                     me,
                     KIND_DATA,
                     seq,
-                    npk,
-                    psum,
+                    self.out_pkts[q].len() as u64,
+                    self.out_sums[q],
                     &self.out_bytes[q],
                     &self.pkt_scratch,
                 );
@@ -1193,9 +1172,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 self.frame = frame;
             }
             self.inner_round();
-            if !self.round_pkts.is_empty() {
-                self.counters.detected += 1;
-            }
             for (src, rec) in records(&self.round_bytes) {
                 let Some((h, payload)) = decode_frame(rec) else {
                     self.counters.detected += 1;
@@ -1211,36 +1187,26 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                     self.counters.detected += 1;
                     continue;
                 }
-                let srcbit = 1u64 << src;
-                let app = &payload[..h.nbytes as usize];
-                if need_full & srcbit != 0 {
-                    let mut pkts = Vec::with_capacity(h.npkts as usize);
-                    for c in payload[h.nbytes as usize..].chunks_exact(PACKET_SIZE) {
-                        pkts.push(Packet(c.try_into().unwrap()));
-                    }
-                    if pkt_sum(&pkts) != h.pkt_sum {
-                        self.counters.detected += 1;
-                        continue;
-                    }
-                    re_pkts[src] = pkts;
-                    need_full &= !srcbit;
-                } else if need_bytes & srcbit != 0 {
-                    need_bytes &= !srcbit;
-                } else {
-                    // A frame we did not ask for (late duplicate).
+                if need & (1u64 << src) == 0 {
+                    continue; // a frame we did not ask for (late duplicate)
+                }
+                let (app, raw) = payload.split_at(h.nbytes as usize);
+                let pkts = &mut inbox[src];
+                pkts.clear();
+                pkts.extend(
+                    raw.chunks_exact(PACKET_SIZE)
+                        .map(|c| Packet(c.try_into().unwrap())),
+                );
+                if pkt_sum(pkts) != h.pkt_sum {
+                    self.counters.detected += 1;
                     continue;
                 }
                 byte_inbox[src].clear();
                 byte_inbox[src].extend_from_slice(app);
+                need &= !(1u64 << src);
             }
         }
 
-        // ---- assemble the verified superstep for the context.
-        if !fast_ok {
-            for pkts in &mut re_pkts {
-                inbox.append(pkts);
-            }
-        }
         for d in 0..p {
             self.out_pkts[d].clear();
             self.out_sums[d] = 0;

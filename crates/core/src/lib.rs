@@ -89,9 +89,9 @@ pub mod stream;
 pub(crate) mod sync_shim;
 pub mod tune;
 
-// Loom-gated exhaustive interleaving tests for the lock-free core. A unit
-// (not integration) test module because it drives the pub(crate)
-// mailboxes directly. Selected by the CI `analysis` job via
+// Loom-gated exhaustive interleaving tests for the synchronization core. A unit
+// (not integration) test module because it drives the pub(crate) grid,
+// barriers and rendezvous directly. Selected by the CI `analysis` job via
 // `RUSTFLAGS="--cfg loom" cargo test -p green-bsp --lib loom_`.
 #[cfg(all(test, loom))]
 mod loom_tests;

@@ -1,4 +1,4 @@
-//! Loom-gated exhaustive model checking of the lock-free core.
+//! Loom-gated exhaustive model checking of the synchronization core.
 //!
 //! Compiled and run only under `RUSTFLAGS="--cfg loom"` (CI job
 //! `analysis`):
@@ -22,84 +22,86 @@
 //! must then fail with "data race detected" — CI asserts that run's
 //! failure.
 //!
-//! What these tests deliberately do NOT claim: the slab memcpys in
-//! `Mailbox::push` go through a raw `AtomicPtr` and are invisible to the
-//! cell tracker, so the mailbox tests assert *value* invariants
-//! (conservation, cursor reset, overflow bookkeeping) across all
-//! interleavings rather than race freedom of the copies themselves —
-//! that's what the Miri and TSan CI slices cover.
+//! The grid test models the shared-memory transport's one fabric
+//! (`backend::shared::Grid`) the way a superstep uses it — deposit, barrier,
+//! collect — and asserts the exact per-source sequence every process
+//! receives in every interleaving. Its slots and deposit counts go through
+//! the shim's `Mutex` and atomics, so the model also checks that the slot
+//! locks never deadlock and that no collect skips a deposit.
 
-use crate::backend::shared::Mailbox;
+use crate::backend::shared::Grid;
 use crate::barrier::{Barrier, BarrierKind, CentralBarrier};
 use crate::packet::Packet;
 use crate::relax::NeighborSync;
-use crate::stats::TransportCounters;
 use crate::sync_shim::{SpinBudget, UnsafeCell};
 use loom::thread;
 use std::sync::Arc;
 
-fn pkt(v: u64) -> Packet {
-    Packet::two_u64(v, v)
+// ---- the grid: deposit, barrier, collect -----------------------------
+
+/// What `src` sends `dest` in superstep `step`: `src + 1` packets, so every
+/// segment has its own length, to half the destinations — some
+/// destinations hear from one source only, some from none.
+fn traffic(src: usize, dest: usize, step: usize) -> Vec<Packet> {
+    let n = if (src + dest + step) % 2 == 0 {
+        src + 1
+    } else {
+        0
+    };
+    (0..n as u64)
+        .map(|i| Packet::two_u64(((src * 10 + dest) * 10 + step) as u64, i))
+        .collect()
 }
 
-fn drain_values(mb: &Mailbox) -> Vec<u64> {
-    let mut inbox = Vec::new();
-    let mut c = TransportCounters::default();
-    mb.drain(&mut inbox, &mut c);
-    let mut vals: Vec<u64> = inbox.iter().map(|p| p.as_two_u64().0).collect();
-    vals.sort_unstable();
-    vals
-}
-
-// ---- slab mailbox: reservation/swap protocol -------------------------
-
-#[test]
-fn loom_mailbox_conservation_p2() {
-    loom::model(|| {
-        let mb = Arc::new(Mailbox::new(8));
-        let m2 = mb.clone();
-        let h = thread::spawn(move || {
-            let mut c = TransportCounters::default();
-            m2.push(&[pkt(1), pkt(2)], &mut c);
-        });
-        {
-            let mut c = TransportCounters::default();
-            mb.push(&[pkt(3), pkt(4), pkt(5)], &mut c);
-        }
-        h.join().unwrap();
-        // The join edge is the stand-in for the barrier ending the step:
-        // the drain window is ordered after both pushes.
-        assert_eq!(drain_values(&mb), vec![1, 2, 3, 4, 5]);
-        // Cursor reset: a second drain of the same phase sees nothing.
-        assert_eq!(drain_values(&mb), Vec::<u64>::new());
-    });
-}
-
-#[test]
-fn loom_mailbox_overflow_conservation_p3() {
-    // Slab of 2 packets, 3 senders × 2 packets: every interleaving spills
-    // at least one reservation, and some split a reservation across the
-    // slab/overflow boundary. Conservation must hold in all of them.
-    loom::model(|| {
-        let mb = Arc::new(Mailbox::new(2));
-        let hs: Vec<_> = (0..2u64)
-            .map(|i| {
-                let m2 = mb.clone();
-                thread::spawn(move || {
-                    let mut c = TransportCounters::default();
-                    m2.push(&[pkt(10 + i), pkt(20 + i)], &mut c);
-                })
+/// `p` processes run `steps` supersteps over one grid and one barrier: each
+/// deposits its non-empty traffic into the destination's slot of the
+/// superstep's write phase (as `Ctx` hands over only non-empty buffers),
+/// crosses the barrier, and collects its own slots. Every inbox segment
+/// must be exactly its source's traffic, in send order.
+fn check_grid(p: usize, steps: usize) {
+    loom::model(move || {
+        let grid = Arc::new(Grid::<Packet>::new(p));
+        let bar: Arc<dyn Barrier> = BarrierKind::Central.build(p).into();
+        let run = move |pid: usize, grid: &Grid<Packet>, bar: &dyn Barrier| {
+            let mut inbox = vec![Vec::new(); p];
+            for step in 0..steps {
+                let phase = (step + 1) & 1;
+                for dest in 0..p {
+                    let mut buf = traffic(pid, dest, step);
+                    if !buf.is_empty() {
+                        grid.deposit(dest, pid, phase, &mut buf);
+                    }
+                }
+                bar.wait(pid);
+                grid.collect(pid, phase, &mut inbox);
+                for (src, seg) in inbox.iter().enumerate() {
+                    assert_eq!(seg, &traffic(src, pid, step));
+                }
+            }
+        };
+        let hs: Vec<_> = (1..p)
+            .map(|pid| {
+                let (grid, bar) = (grid.clone(), bar.clone());
+                thread::spawn(move || run(pid, &grid, &*bar))
             })
             .collect();
-        {
-            let mut c = TransportCounters::default();
-            mb.push(&[pkt(30), pkt(31)], &mut c);
-        }
+        run(0, &grid, &*bar);
         for h in hs {
             h.join().unwrap();
         }
-        assert_eq!(drain_values(&mb), vec![10, 11, 20, 21, 30, 31]);
     });
+}
+
+#[test]
+fn loom_grid_delivers_per_source_sequence_p2() {
+    // Two supersteps: the second writes the other phase while the first
+    // phase's slots hold the dead segments the collect traded in.
+    check_grid(2, 2);
+}
+
+#[test]
+fn loom_grid_delivers_per_source_sequence_p3() {
+    check_grid(3, 1);
 }
 
 // ---- barriers: publication across superstep boundaries ----------------

@@ -23,17 +23,14 @@ pub fn send_msg(ctx: &mut Ctx, dest: usize, bytes: &[u8]) {
 }
 
 /// Drain the byte lane and collect every message delivered this superstep.
-/// Returns `(source pid, message bytes)` pairs sorted by source then by the
-/// sender's message order.
+/// Returns `(source pid, message bytes)` pairs in delivery order: by source,
+/// then by the sender's message order.
 pub fn recv_msgs(ctx: &mut Ctx) -> Vec<(usize, Vec<u8>)> {
-    let mut out: Vec<(usize, Vec<u8>)> = Vec::new();
-    while let Some((src, payload)) = ctx.recv_bytes() {
-        out.push((src, payload.to_vec()));
-    }
-    // Every backend preserves per-sender arrival order, so a stable sort by
-    // source yields the documented (source, send-order) ordering.
-    out.sort_by_key(|&(src, _)| src);
-    out
+    std::iter::from_fn(|| {
+        ctx.recv_bytes()
+            .map(|(src, payload)| (src, payload.to_vec()))
+    })
+    .collect()
 }
 
 #[cfg(test)]

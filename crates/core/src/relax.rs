@@ -222,7 +222,7 @@ impl NeighborSync {
 
     /// Publish generation `gen` on every out-edge `src → dst` for
     /// `dst ∈ dsts`. Release ordering: everything `src` wrote before the
-    /// signal (its deposits, its slab cursors) is visible to a `dst`
+    /// signal (its deposits into the grid) is visible to a `dst`
     /// that acquires the flag.
     ///
     /// `pending` is the caller-owned deferred-wake buffer: wakes this

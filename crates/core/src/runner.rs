@@ -4,7 +4,7 @@
 use crate::backend::channel::ChannelProc;
 use crate::backend::netsim::{NetSimProc, NetSimState};
 use crate::backend::seqsim::SeqProc;
-use crate::backend::shared::{SharedProc, SharedState, DEFAULT_CHUNK, DEFAULT_SLAB_CAP};
+use crate::backend::shared::{SharedProc, SharedState};
 use crate::backend::BackendKind;
 use crate::barrier::BarrierKind;
 use crate::check::audit::CheckedBackend;
@@ -31,20 +31,10 @@ pub struct Config {
     pub backend: BackendKind,
     /// Barrier used by barrier-based backends.
     pub barrier: BarrierKind,
-    /// Packets [`Ctx::send_pkt`] stages per destination before handing them
-    /// to the transport as one batch, on every backend (one slab
-    /// reservation on shared memory, one buffer extend elsewhere; the paper
-    /// uses 1000).
-    pub chunk: usize,
-    /// Initial per-(destination, phase) packet slab capacity in packets
-    /// (shared-memory backend). Traffic beyond this spills to a locked
-    /// overflow once, then the slab grows at the superstep boundary. The
-    /// byte lane has no slab to size: its buffers move (DESIGN.md §9).
-    pub slab_cap: usize,
     /// Run under the BSP checker (see [`crate::check`]): packet-lifetime
     /// tracking, superstep/collective congruence, DRMA conflict detection,
     /// per-superstep packet conservation, and (shared-memory backends) the
-    /// slab phase-discipline audit. Diagnostics land in
+    /// grid phase-discipline audit. Diagnostics land in
     /// [`RunStats::check_reports`].
     pub check: bool,
     /// Deterministic fault-injection plan: a [`FaultyBackend`] wrapper is
@@ -79,15 +69,12 @@ pub struct Config {
 }
 
 impl Config {
-    /// Default configuration: shared-memory backend, central barrier,
-    /// 1000-packet chunks.
+    /// Default configuration: shared-memory backend, central barrier.
     pub fn new(nprocs: usize) -> Self {
         Config {
             nprocs,
             backend: BackendKind::default(),
             barrier: BarrierKind::default(),
-            chunk: DEFAULT_CHUNK,
-            slab_cap: DEFAULT_SLAB_CAP,
             check: false,
             sync_graph: None,
             fault_plan: None,
@@ -106,19 +93,6 @@ impl Config {
     /// Select the barrier implementation.
     pub fn barrier(mut self, barrier: BarrierKind) -> Self {
         self.barrier = barrier;
-        self
-    }
-
-    /// Set the per-destination staging chunk size (every backend).
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
-    }
-
-    /// Set the shared-memory packet slab capacity (packets per
-    /// destination per phase; the byte lane is not sized by it).
-    pub fn slab_cap(mut self, slab_cap: usize) -> Self {
-        self.slab_cap = slab_cap.max(1);
         self
     }
 
@@ -197,13 +171,8 @@ fn build_transports(
     let tol = cfg.tolerance.as_ref();
     let bare: Vec<Box<dyn ProcTransport>> = match cfg.backend {
         BackendKind::Shared => {
-            let st = SharedState::with_audit(
-                p,
-                cfg.barrier.build(p),
-                cfg.slab_cap,
-                audit,
-                cfg.sync_graph.clone(),
-            );
+            let st =
+                SharedState::with_audit(p, cfg.barrier.build(p), audit, cfg.sync_graph.clone());
             (0..p)
                 .map(|pid| Box::new(SharedProc::new(st.clone(), pid)) as Box<dyn ProcTransport>)
                 .collect()
@@ -220,13 +189,8 @@ fn build_transports(
             .map(|t| Box::new(t) as Box<dyn ProcTransport>)
             .collect(),
         BackendKind::NetSim(params) => {
-            let shared = SharedState::with_audit(
-                p,
-                cfg.barrier.build(p),
-                cfg.slab_cap,
-                audit,
-                cfg.sync_graph.clone(),
-            );
+            let shared =
+                SharedState::with_audit(p, cfg.barrier.build(p), audit, cfg.sync_graph.clone());
             let ns = NetSimState::new(cfg.barrier.build(p));
             (0..p)
                 .map(|pid| {
@@ -518,7 +482,7 @@ enum SlotOutcome<R> {
 /// Quiescence gate for worker-side arena resets. `Ctx::reset_for_reuse`
 /// touches state peers may still be using after *this* slot's last barrier
 /// — a late peer can flush post-last-sync packets into this endpoint's
-/// mailboxes, and a seqsim reset rewinds the shared baton peers are still
+/// grid slots, and a seqsim reset rewinds the shared baton peers are still
 /// waiting on. So every slot first *arrives* (its own work is done), then
 /// waits for the whole group before resetting. The waits are bounded by
 /// the job's own slot skew: every peer is past its last blocking operation
@@ -716,7 +680,7 @@ where
         None => build_transports(cfg, shared.as_ref(), fstate)
             .into_iter()
             .enumerate()
-            .map(|(pid, t)| Ctx::new(pid, nprocs, cfg.chunk, cfg.sync_graph.clone(), t))
+            .map(|(pid, t)| Ctx::new(pid, nprocs, cfg.sync_graph.clone(), t))
             .collect(),
     };
     // Streaming runs: stamp the tile coordinates on every slot (a `Copy`,
@@ -1208,95 +1172,32 @@ mod tests {
 
     #[test]
     fn large_volume_exceeding_chunk_size() {
-        // Force multiple chunk hand-offs from the context's staging.
-        let cfg = Config::new(2).chunk(16);
-        let out = run(&cfg, |ctx| {
-            let n = 10_000u64;
-            for i in 0..n {
+        // Ten times the paper's 1000-packet chunk in one superstep: the
+        // staging buffer takes it all and moves whole, in send order.
+        let out = run(&Config::new(2), |ctx| {
+            for i in 0..10_000u64 {
                 ctx.send_pkt(1 - ctx.pid(), Packet::two_u64(i, 0));
             }
             ctx.sync();
-            let mut sum = 0u64;
-            while let Some(p) = ctx.get_pkt() {
-                sum += p.as_two_u64().0;
-            }
-            sum
+            std::iter::from_fn(|| ctx.get_pkt())
+                .map(|p| p.as_two_u64().0)
+                .collect::<Vec<u64>>()
         });
-        let expect = (0..10_000u64).sum::<u64>();
-        assert_eq!(out.results, vec![expect, expect]);
-        // One slab reservation per 16-packet chunk, per process.
+        let expect: Vec<u64> = (0..10_000).collect();
+        assert_eq!(out.results, vec![expect.clone(), expect]);
+        // One deposit and one filled slot collected per process.
         let t = out.stats.transport_total();
-        assert_eq!(t.slab_reservations, 2 * 10_000 / 16, "{:?}", t);
+        assert_eq!(
+            (t.lock_acquisitions, t.pkts_moved),
+            (2 * 2, 2 * 10_000),
+            "{t:?}"
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one process")]
     fn zero_procs_rejected() {
         let _ = run(&Config::new(0), |_ctx| ());
-    }
-
-    #[test]
-    fn tiny_slab_overflows_and_still_delivers() {
-        // Slab capacity far below the traffic level: every flush spills, the
-        // slab grows at the boundary, and nothing is lost or duplicated.
-        let cfg = Config::new(3).chunk(7).slab_cap(4);
-        let out = run(&cfg, |ctx| {
-            let p = ctx.nprocs();
-            let me = ctx.pid() as u64;
-            let mut seen: Vec<u64> = Vec::new();
-            for step in 0..4u64 {
-                for dest in 0..p {
-                    for i in 0..50u64 {
-                        ctx.send_pkt(dest, Packet::two_u64(me * 1000 + step * 100 + i, 0));
-                    }
-                }
-                ctx.sync();
-                while let Some(pkt) = ctx.get_pkt() {
-                    seen.push(pkt.as_two_u64().0);
-                }
-            }
-            seen.sort_unstable();
-            seen
-        });
-        let p = 3u64;
-        for r in &out.results {
-            assert_eq!(r.len(), (p * 4 * 50) as usize);
-            let mut expect: Vec<u64> = (0..p)
-                .flat_map(|src| {
-                    (0..4u64).flat_map(move |s| (0..50u64).map(move |i| src * 1000 + s * 100 + i))
-                })
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(r, &expect);
-        }
-        let t = out.stats.transport_total();
-        assert!(t.overflow_spills > 0, "tiny slab must spill: {:?}", t);
-        assert_eq!(t.pkts_moved, p * p * 4 * 50);
-    }
-
-    #[test]
-    fn in_capacity_shared_run_takes_no_locks() {
-        let out = run(&Config::new(4), |ctx| {
-            for dest in 0..ctx.nprocs() {
-                for i in 0..100u64 {
-                    ctx.send_pkt(dest, Packet::two_u64(i, 0));
-                }
-            }
-            ctx.sync();
-            while ctx.get_pkt().is_some() {}
-        });
-        let t = out.stats.transport_total();
-        assert_eq!(
-            t.lock_acquisitions, 0,
-            "slab path must be lock-free: {:?}",
-            t
-        );
-        assert!(t.slab_reservations > 0);
-        assert_eq!(t.overflow_spills, 0);
-        assert_eq!(
-            t.bytes_moved,
-            t.pkts_moved * crate::packet::PACKET_SIZE as u64
-        );
     }
 
     #[test]
@@ -1330,7 +1231,6 @@ mod tests {
                     while let Some(pkt) = ctx.get_pkt() {
                         seen.push(pkt.as_two_u64());
                     }
-                    seen.sort_unstable();
                     seen
                 });
                 let looped = run(&cfg, |ctx| {
@@ -1345,7 +1245,6 @@ mod tests {
                     while let Some(pkt) = ctx.get_pkt() {
                         seen.push(pkt.as_two_u64());
                     }
-                    seen.sort_unstable();
                     seen
                 });
                 assert_eq!(batched.results, looped.results, "backend {:?}", cfg.backend);
@@ -1476,40 +1375,5 @@ mod tests {
                 out.stats.check_reports
             );
         }
-    }
-
-    #[test]
-    fn slab_growth_makes_second_burst_lock_free() {
-        // Superstep 0 overflows a small slab; the owner grows it at the
-        // boundary; superstep 1's identical burst must spill nowhere.
-        let cfg = Config::new(2).slab_cap(8).chunk(4);
-        let out = run(&cfg, |ctx| {
-            for _ in 0..4 {
-                for i in 0..200u64 {
-                    ctx.send_pkt(1 - ctx.pid(), Packet::two_u64(i, 0));
-                }
-                ctx.sync();
-                let mut n = 0;
-                while ctx.get_pkt().is_some() {
-                    n += 1;
-                }
-                assert_eq!(n, 200);
-            }
-        });
-        let t = out.stats.transport_total();
-        // Phase discipline: two mailboxes per dest, so exactly the first TWO
-        // bursts (one per phase) spill — 48 of the 50 four-packet flushes
-        // each, per proc — and the grown slabs absorb supersteps 2 and 3.
-        assert_eq!(t.overflow_spills, 2 * 2 * 48, "{:?}", t);
-        let grown_free = run(&Config::new(2).slab_cap(1024), |ctx| {
-            for _ in 0..4 {
-                for i in 0..200u64 {
-                    ctx.send_pkt(1 - ctx.pid(), Packet::two_u64(i, 0));
-                }
-                ctx.sync();
-                while ctx.get_pkt().is_some() {}
-            }
-        });
-        assert_eq!(grown_free.stats.transport_total().overflow_spills, 0);
     }
 }

@@ -44,18 +44,15 @@ pub struct LocalStep {
 /// collected after the program finishes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportCounters {
-    /// Mutex/channel-lock operations taken on the hot path (shared-memory
-    /// overflow locks, byte-lane slot hand-overs that moved records,
-    /// channel sends/receives). The slab mailbox design drives this to ~0
-    /// for in-capacity packet traffic.
+    /// Mutex/channel-lock operations taken on the hot path: grid slot
+    /// hand-overs (one per deposit, one per filled slot collected) and
+    /// channel sends/receives.
     pub lock_acquisitions: u64,
-    /// Lock-free chunk reservations (`fetch_add` on a packet mailbox
-    /// cursor). The byte lane makes none.
-    pub slab_reservations: u64,
-    /// Batches that overran the slab and spilled to the locked overflow.
+    /// Always 0: every hand-over swaps a whole buffer into a per-pair
+    /// slot, which cannot overflow. Kept only because the benchmark ledger
+    /// still reports it.
     pub overflow_spills: u64,
-    /// Slab buffers regrown at a superstep boundary after an overflow (each
-    /// regrow makes the next burst of the same size lock-free).
+    /// Always 0, like `overflow_spills`: no slot is ever regrown.
     pub slab_regrows: u64,
     /// Packets this transport moved into destination buffers.
     pub pkts_moved: u64,
@@ -68,7 +65,6 @@ impl TransportCounters {
     /// Accumulate `other` into `self`.
     pub fn add(&mut self, other: &TransportCounters) {
         self.lock_acquisitions += other.lock_acquisitions;
-        self.slab_reservations += other.slab_reservations;
         self.overflow_spills += other.overflow_spills;
         self.slab_regrows += other.slab_regrows;
         self.pkts_moved += other.pkts_moved;

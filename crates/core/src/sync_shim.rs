@@ -1,5 +1,5 @@
 //! Synchronization-primitive shim: the single import point for every
-//! atomic, lock, and thread primitive used by the lock-free core
+//! atomic, lock, and thread primitive used by the synchronization core
 //! (`barrier`, `relax`, `backend::shared`).
 //!
 //! Under a normal build each name re-exports the `std` item it always
@@ -10,21 +10,18 @@
 //! interleavings and happens-before structure of the real runtime code,
 //! not a transcription of it.
 //!
-//! The only non-re-export is [`UnsafeCell`]: std's lacks the
-//! `with`/`with_mut` closure API that loom uses to observe accesses, so
-//! the non-loom arm defines a `#[repr(transparent)]` wrapper providing
-//! those methods as `#[inline]` pass-throughs (plus `get` for the raw
-//! pointer). See DESIGN.md §13 for the layering and the per-primitive
-//! proof obligations discharged under the loom cfg.
+//! The loom arm also exports loom's `UnsafeCell`, which the model-checked
+//! tests use as the payload whose accesses the happens-before clocks
+//! judge; the runtime itself holds no `UnsafeCell`. See DESIGN.md
+//! §13 for the layering and the per-primitive proof obligations
+//! discharged under the loom cfg.
 
 #[cfg(loom)]
 pub(crate) use loom::cell::UnsafeCell;
 #[cfg(loom)]
 pub(crate) use loom::hint::spin_loop;
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
-};
+pub(crate) use loom::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[cfg(loom)]
 pub(crate) use loom::sync::{Condvar, Mutex};
 #[cfg(loom)]
@@ -33,43 +30,11 @@ pub(crate) use loom::thread::{current, park_timeout, yield_now, Thread};
 #[cfg(not(loom))]
 pub(crate) use std::hint::spin_loop;
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{
-    fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
-};
+pub(crate) use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
 pub(crate) use std::sync::{Condvar, Mutex};
 #[cfg(not(loom))]
 pub(crate) use std::thread::{current, park_timeout, yield_now, Thread};
-
-/// Transparent `std::cell::UnsafeCell` wrapper exposing loom's
-/// closure-based access API. `with`/`with_mut` compile to the raw pointer
-/// the closure body dereferences — same codegen as calling
-/// `UnsafeCell::get` directly — while giving the loom build a hook to
-/// check every access against the happens-before clocks.
-#[cfg(not(loom))]
-#[repr(transparent)]
-#[derive(Debug, Default)]
-pub(crate) struct UnsafeCell<T: ?Sized>(std::cell::UnsafeCell<T>);
-
-#[cfg(not(loom))]
-impl<T> UnsafeCell<T> {
-    pub(crate) fn new(t: T) -> Self {
-        Self(std::cell::UnsafeCell::new(t))
-    }
-
-    /// Present for API parity with the loom arm; the mailboxes only need
-    /// `with_mut` today.
-    #[allow(dead_code)]
-    #[inline(always)]
-    pub(crate) fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-        f(self.0.get())
-    }
-
-    #[inline(always)]
-    pub(crate) fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-        f(self.0.get())
-    }
-}
 
 /// Spin-then-yield backoff used by the flag/tree/dissemination barriers.
 /// Lives here (rather than `barrier`) because its two halves are exactly

@@ -1,12 +1,10 @@
 //! Proof of the §11 zero-allocation claim: once a transport set is parked
 //! in the runtime's arena, a warm lease/release cycle touches the heap
 //! zero times — it is a hash probe, a `Vec::pop`, per-endpoint cursor
-//! resets, and a push back into retained capacity — and a warm job's packet
-//! lane (stage, hand off a chunk, cross the boundary, drain) touches it
-//! zero times too: the arena keeps the staging capacity like every other
-//! `Ctx` buffer. So does its byte lane, where no buffer stays put: the
-//! staging buffer travels to the receiver and a recycled one comes back
-//! (DESIGN.md §9), and the arena keeps every buffer of that circulation.
+//! resets, and a push back into retained capacity — and a warm job's two
+//! lanes touch it zero times too. On both, no buffer stays put: the staging
+//! buffer travels to the receiver and a recycled one comes back (DESIGN.md
+//! §7 and §9), and the arena keeps every buffer of that circulation.
 //!
 //! This file is its own test binary on purpose: `#[global_allocator]` is
 //! process-wide, and a single `#[test]` keeps the counter free of
@@ -91,51 +89,16 @@ fn warm_lease_release_cycle_allocates_nothing() {
         "warm lease/release path allocated {delta} time(s) over 32 cycles"
     );
 
-    // The packet lane of a warm job, below and above one chunk per
-    // destination. Each process counts its own thread's allocations over
-    // three supersteps of send / sync / drain; the empty superstep in front
-    // takes the one allocation a job always makes at its first boundary
-    // (its superstep log) out of the window.
-    for per_dest in [cfg.chunk - 1, 2 * cfg.chunk + 500] {
-        for run in 0..4 {
-            let out = rt
-                .try_run(&cfg, |ctx| {
-                    ctx.sync();
-                    let before = thread_allocs();
-                    for step in 0..3u64 {
-                        for dest in 0..ctx.nprocs() {
-                            for i in 0..per_dest as u64 {
-                                ctx.send_pkt(dest, Packet::two_u64(step, i));
-                            }
-                        }
-                        ctx.sync();
-                        let mut got = 0;
-                        while ctx.get_pkt().is_some() {
-                            got += 1;
-                        }
-                        assert_eq!(got, per_dest * ctx.nprocs());
-                    }
-                    thread_allocs() - before
-                })
-                .expect("exchange job");
-            if run > 0 {
-                assert_eq!(
-                    out.results,
-                    vec![0; cfg.nprocs],
-                    "run {run} at {per_dest} packets per destination allocated on the packet lane"
-                );
-            }
-        }
-    }
-
-    // The byte lane of a warm job. Four supersteps a run, because four
-    // buffers circulate per ordered pair on shared memory (staging, two
-    // phase slots, inbox segment): the first run sizes all four, and from
-    // the second run on the lane allocates nothing. The first superstep,
-    // outside the window, takes the job's one allocation (its superstep
-    // log). `volume(me, dest)` is `(messages, bytes each)` per superstep.
+    // The two lanes of a warm job. Four supersteps a run, because four
+    // buffers circulate per ordered pair and lane on shared memory
+    // (staging, two phase slots, inbox segment): the first run sizes all
+    // four, and from the second run on neither lane allocates. The first
+    // superstep, outside the window, takes the job's one allocation (its
+    // superstep log). `volume(me, dest)` is `(messages, bytes each)` per
+    // superstep; `pkts · (1 + dest)` packets go to each destination.
     type Volume = fn(usize, usize) -> (usize, usize);
-    let traffic: [(&str, Volume); 3] = [
+    let traffic: [(&str, Volume); 4] = [
+        ("packets only", |_, _| (0, 0)),
         ("a storm of 64 B messages", |_, _| (2_000, 64)),
         ("one 64 KiB message", |_, _| (1, 65_536)),
         ("asymmetric volumes", |me, dest| {
@@ -171,23 +134,25 @@ fn warm_lease_release_cycle_allocates_nothing() {
         thread_allocs() - before
     };
     for (what, volume) in traffic {
-        for run in 0..4 {
-            let out = rt
-                .try_run(&cfg, |ctx| lane_job(ctx, volume, 0))
-                .expect("byte exchange job");
-            if run > 0 {
-                assert_eq!(
-                    out.results,
-                    vec![0; cfg.nprocs],
-                    "run {run} of {what} allocated on the byte lane"
-                );
+        for pkts in [0, 999, 2_500] {
+            for run in 0..4 {
+                let out = rt
+                    .try_run(&cfg, |ctx| lane_job(ctx, volume, pkts))
+                    .expect("exchange job");
+                if run > 0 {
+                    assert_eq!(
+                        out.results,
+                        vec![0; cfg.nprocs],
+                        "run {run} of {what} and {pkts} packets allocated"
+                    );
+                }
             }
         }
     }
 
     // The channel backends ship the buffers themselves, so theirs circulate
-    // between the two processes of a pair (six per pair on the byte lane,
-    // four on the packet lane, changing direction as they go): a few runs
+    // between the two processes of a pair (six per pair and lane, changing
+    // direction as they go): a few runs
     // size them all, then neither lane allocates. What is left is the
     // channels' own bookkeeping — an unbounded `mpsc` channel allocates a
     // block per 31 sends, and a blocked receiver now and then grows a
@@ -197,7 +162,7 @@ fn warm_lease_release_cycle_allocates_nothing() {
         let cfg = Config::new(4).backend(backend);
         for run in 0..8 {
             let out = rt
-                .try_run(&cfg, |ctx| lane_job(ctx, traffic[2].1, 300))
+                .try_run(&cfg, |ctx| lane_job(ctx, traffic[3].1, 300))
                 .expect("channel exchange job");
             if run > 3 {
                 assert!(

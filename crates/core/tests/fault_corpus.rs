@@ -47,9 +47,9 @@ fn decode_state(b: &[u8]) -> (u64, Vec<u64>, usize) {
 
 /// A deterministic multi-superstep program exercising both the packet lane
 /// and the byte lane. Per superstep it folds everything received into a
-/// running digest (sorting first, so the digest is insensitive to arrival
-/// order — which legitimately differs between the fast path and a
-/// retransmit rebuild). Checkpoint-aware: resumes mid-run after a rollback.
+/// running digest in delivery order, so a healed superstep must deliver the
+/// very sequence a clean one does. Checkpoint-aware: resumes mid-run after
+/// a rollback.
 fn digest_app(ctx: &mut Ctx) -> Vec<u64> {
     let (me, p) = (ctx.pid(), ctx.nprocs());
     let (mut acc, mut log, start) = match ctx.restore_checkpoint() {
@@ -63,6 +63,7 @@ fn digest_app(ctx: &mut Ctx) -> Vec<u64> {
         for dest in 0..p {
             let tag = ((step as u64) << 32) | ((me as u64) << 16) | dest as u64;
             ctx.send_pkt(dest, Packet::two_u64(acc ^ tag, tag));
+            ctx.send_pkt(dest, Packet::two_u64(tag, acc));
         }
         let nb = (step * 7 + me * 3) % 23;
         let payload: Vec<u8> = (0..nb)
@@ -71,22 +72,13 @@ fn digest_app(ctx: &mut Ctx) -> Vec<u64> {
         ctx.send_bytes((me + step + 1) % p, &payload);
         ctx.sync();
 
-        let mut pkts: Vec<(u64, u64)> = Vec::new();
         while let Some(pkt) = ctx.get_pkt() {
-            pkts.push(pkt.as_two_u64());
-        }
-        pkts.sort_unstable();
-        let mut recs: Vec<(usize, Vec<u8>)> = Vec::new();
-        while let Some((src, b)) = ctx.recv_bytes() {
-            recs.push((src, b.to_vec()));
-        }
-        recs.sort();
-        for (a, b) in pkts {
+            let (a, b) = pkt.as_two_u64();
             acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ a ^ b.rotate_left(17);
         }
-        for (src, b) in recs {
+        while let Some((src, b)) = ctx.recv_bytes() {
             acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (src as u64) << 8;
-            for byte in b {
+            for &byte in b {
                 acc = acc.wrapping_mul(31).wrapping_add(u64::from(byte));
             }
         }

@@ -1,10 +1,14 @@
-//! The packet-staging seam (DESIGN.md §7): `Ctx::send_pkt` stages packets
-//! per destination and a transport only ever sees whole batches — at the
-//! chunk threshold, at a boundary, and when the program returns. Every scenario runs on all five backends.
+//! The packet lane end to end (DESIGN.md §7): `Ctx::send_pkt` stages
+//! packets per destination for the whole superstep, and a transport sees
+//! one buffer per destination — at a boundary, and when the program
+//! returns. Delivery is one segment per source pid: ascending source, then
+//! send order, on every backend and wrapper stack.
 
 mod common;
 
 use common::{backends, matches_seqsim};
+use green_bsp::collectives::gather_pkts;
+use green_bsp::drma::Drma;
 use green_bsp::{BspError, CancelToken, CheckKind, Ctx, Packet, Runtime};
 
 /// A packet that names its sender, its superstep and its position.
@@ -15,14 +19,11 @@ fn pkt(ctx: &Ctx, i: usize) -> Packet {
     )
 }
 
-/// Everything delivered this superstep, sorted (arrival order is free).
+/// Everything delivered this superstep, in delivery order.
 fn drain(ctx: &mut Ctx) -> Vec<(u64, u64)> {
-    let mut got = Vec::new();
-    while let Some(p) = ctx.get_pkt() {
-        got.push(p.as_two_u64());
-    }
-    got.sort_unstable();
-    got
+    std::iter::from_fn(|| ctx.get_pkt())
+        .map(|p| p.as_two_u64())
+        .collect()
 }
 
 /// `n` packets to the next process, or `n` to every process interleaved
@@ -43,19 +44,97 @@ fn exchange(ctx: &mut Ctx, n: usize, interleaved: bool) -> Vec<(u64, u64)> {
 }
 
 #[test]
-fn volumes_around_the_chunk_match_seqsim() {
+fn volumes_match_seqsim() {
     let p = 3;
-    for chunk in [1usize, 7, 1000] {
-        for n in [chunk - 1, chunk, chunk + 1, 3 * chunk + 1] {
-            for interleaved in [false, true] {
-                let want = matches_seqsim(
-                    p,
-                    |cfg| cfg.chunk(chunk),
-                    |ctx| exchange(ctx, n, interleaved),
+    for n in [0usize, 1, 1_000, 3_001] {
+        for interleaved in [false, true] {
+            let want = matches_seqsim(p, |cfg| cfg, |ctx| exchange(ctx, n, interleaved));
+            let per_proc = if interleaved { p * n } else { n };
+            assert!(want.results.iter().all(|r| r.len() == per_proc));
+            assert_eq!(want.stats.total_pkts(), (p * per_proc) as u64);
+        }
+    }
+}
+
+/// What `src` sends `dest` in `step`, in send order: up to eight packets,
+/// and some pairs silent.
+fn script(src: usize, dest: usize, step: usize) -> Vec<(u64, u64)> {
+    let n = (src * 3 + dest * 5 + step * 7) % 9;
+    let tag = ((src as u64) << 32) | step as u64;
+    (0..n).map(|i| (tag, (dest * 100 + i) as u64)).collect()
+}
+
+/// What `dest` must receive after `step`, in delivery order.
+fn expected(p: usize, dest: usize, step: usize) -> Vec<(u64, u64)> {
+    (0..p).flat_map(|src| script(src, dest, step)).collect()
+}
+
+fn packets(script: &[(u64, u64)]) -> Vec<Packet> {
+    script.iter().map(|&(a, b)| Packet::two_u64(a, b)).collect()
+}
+
+#[test]
+fn delivery_is_ascending_source_then_send_order_on_every_stack() {
+    const STEPS: usize = 3;
+    for p in [1usize, 3, 4] {
+        let program = |ctx: &mut Ctx| {
+            let (p, me) = (ctx.nprocs(), ctx.pid());
+            let mut seen = Vec::new();
+            for step in 0..STEPS {
+                // Three passes over the destinations — single packets, one
+                // batch, single packets — so every destination's traffic is
+                // interleaved with every other's.
+                let out: Vec<Vec<Packet>> = (0..p).map(|d| packets(&script(me, d, step))).collect();
+                let third = |s: &[Packet], k: usize| s.len() * k / 3;
+                for (dest, s) in out.iter().enumerate() {
+                    for &pkt in &s[..third(s, 1)] {
+                        ctx.send_pkt(dest, pkt);
+                    }
+                }
+                for (dest, s) in out.iter().enumerate() {
+                    ctx.send_pkts(dest, &s[third(s, 1)..third(s, 2)]);
+                }
+                for (dest, s) in out.iter().enumerate() {
+                    for &pkt in &s[third(s, 2)..] {
+                        ctx.send_pkt(dest, pkt);
+                    }
+                }
+                ctx.sync();
+                assert_eq!(ctx.pkts_remaining(), expected(p, me, step).len());
+                seen.push(drain(ctx));
+                // A gather at process 0 hands back the root's own packets,
+                // then everyone else's in the same order.
+                let gathered = gather_pkts(ctx, 0, &out[0]);
+                seen.push(gathered.iter().flatten().map(|p| p.as_two_u64()).collect());
+                // A DRMA put round: every process writes its slot of every
+                // region, in one batch per destination.
+                let mut d = Drma::new(vec![vec![0.0; 2 * p]]);
+                for dest in 0..p {
+                    d.put(dest, 0, 2 * me, &[me as f64, step as f64]);
+                }
+                d.sync_put(ctx);
+                seen.push(d.region(0).iter().map(|&v| (v as u64, 0)).collect());
+            }
+            seen
+        };
+        let want = matches_seqsim(p, |cfg| cfg, program);
+        for (pid, seen) in want.results.iter().enumerate() {
+            for (step, got) in seen.chunks(3).enumerate() {
+                assert_eq!(
+                    got[0],
+                    expected(p, pid, step),
+                    "p={p} pid={pid} step={step}"
                 );
-                let per_proc = if interleaved { p * n } else { n };
-                assert!(want.results.iter().all(|r| r.len() == per_proc));
-                assert_eq!(want.stats.total_pkts(), (p * per_proc) as u64);
+                let gathered = if pid == 0 {
+                    expected(p, 0, step)
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(got[1], gathered, "p={p} pid={pid} step={step}: gather");
+                let region: Vec<(u64, u64)> = (0..p)
+                    .flat_map(|src| [(src as u64, 0), (step as u64, 0)])
+                    .collect();
+                assert_eq!(got[2], region, "p={p} pid={pid} step={step}: drma");
             }
         }
     }
@@ -66,8 +145,7 @@ fn packets_staged_before_sync_begin_arrive_at_sync_end() {
     for (name, cfg) in backends(3) {
         let out = green_bsp::run(&cfg, |ctx| {
             let next = (ctx.pid() + 1) % ctx.nprocs();
-            // Below the chunk: nothing has left the staging buffer when the
-            // boundary opens.
+            // Nothing has left the staging buffer when the boundary opens.
             for i in 0..10 {
                 ctx.send_pkt(next, pkt(ctx, i));
             }
@@ -83,10 +161,9 @@ fn packets_staged_before_sync_begin_arrive_at_sync_end() {
 #[test]
 fn send_pkt_send_pkts_send_pkt_loses_and_duplicates_nothing() {
     for (name, cfg) in backends(2) {
-        // A batch that rides the staging buffer, one that fills it exactly,
-        // and one that goes straight to the transport.
+        // Batches of several sizes between single packets.
         for batch in [5usize, 13, 40] {
-            let out = green_bsp::run(&cfg.clone().chunk(16), |ctx| {
+            let out = green_bsp::run(&cfg, |ctx| {
                 let peer = 1 - ctx.pid();
                 for i in 0..3 {
                     ctx.send_pkt(peer, pkt(ctx, i));
@@ -111,9 +188,8 @@ fn send_pkt_send_pkts_send_pkt_loses_and_duplicates_nothing() {
 #[test]
 fn sends_after_the_last_sync_surface_as_undelivered() {
     for (name, cfg) in backends(2) {
-        // Some of them have already been handed to the transport by the
-        // chunk threshold, some are still staged when the program returns.
-        let n = cfg.chunk + 3;
+        // All of them are still staged when the program returns.
+        let n = 1_003;
         let out = green_bsp::run(&cfg, |ctx| {
             ctx.sync();
             for i in 0..n {
@@ -146,8 +222,8 @@ fn probe(ctx: &mut Ctx) -> usize {
 fn staged_packets_never_reach_the_next_job_on_the_arena_set() {
     for (name, cfg) in backends(2) {
         let rt = Runtime::new();
-        // Stage fewer than a chunk to the peer and more than a chunk to
-        // self, so both the staging buffers and the transport hold leftovers.
+        // Stage a few packets to the peer and many to self: leftovers in
+        // the staging buffers, handed to the transport as the job ends.
         let stage = |ctx: &mut Ctx| {
             ctx.sync();
             for i in 0..10 {

@@ -1,12 +1,13 @@
 //! Property-based tests for the Green BSP runtime: random traffic patterns
-//! must be routed identically (as multisets, with exact counts and payload
-//! checksums) by every library implementation, and the recorded statistics
-//! must match the pattern exactly.
+//! must be routed identically (as exact sequences — ascending source, then
+//! send order — with exact counts and payload checksums) by every library
+//! implementation, and the recorded statistics must match the pattern
+//! exactly.
 
 mod common;
 
 use common::{backends, matches_seqsim};
-use green_bsp::{run, Config, Ctx, Packet};
+use green_bsp::{run, BackendKind, Config, Ctx, Packet};
 use proptest::prelude::*;
 
 /// A randomly generated BSP program: `plan[step][src][dest]` packets are sent
@@ -24,16 +25,13 @@ fn traffic_plan() -> impl Strategy<Value = TrafficPlan> {
     })
 }
 
-/// Volumes that exercise the transport's edge cases for a chunk size of 16
-/// and a slab capacity of 32: empty, single, either side of the staging
-/// chunk boundary, and enough to overflow the slab (which then grows at the
-/// superstep boundary — both the pre- and post-growth paths get traffic).
+/// Per-pair volumes from empty and single up to a few dozen packets.
 fn boundary_volume() -> impl Strategy<Value = u8> {
     const VOLS: [u8; 12] = [0, 1, 2, 15, 16, 17, 31, 32, 33, 60, 64, 70];
     (0usize..VOLS.len()).prop_map(|i| VOLS[i])
 }
 
-/// A traffic plan whose per-pair volumes sit on chunk/slab boundaries.
+/// A traffic plan whose per-pair volumes are drawn from [`boundary_volume`].
 fn boundary_plan() -> impl Strategy<Value = TrafficPlan> {
     (1usize..=5).prop_flat_map(|p| {
         let step = prop::collection::vec(prop::collection::vec(boundary_volume(), p), p);
@@ -41,9 +39,9 @@ fn boundary_plan() -> impl Strategy<Value = TrafficPlan> {
     })
 }
 
-/// Execute the plan; per process return the full sorted multiset of payloads
-/// per superstep.
-fn execute_multiset(plan: &TrafficPlan, cfg: &Config) -> Vec<Vec<Vec<u64>>> {
+/// Execute the plan; per process return every payload per superstep, in
+/// delivery order.
+fn execute_sequence(plan: &TrafficPlan, cfg: &Config) -> Vec<Vec<Vec<u64>>> {
     let plan = plan.clone();
     let out = green_bsp::run(cfg, move |ctx| {
         let me = ctx.pid();
@@ -74,7 +72,6 @@ fn execute_multiset(plan: &TrafficPlan, cfg: &Config) -> Vec<Vec<Vec<u64>>> {
             while let Some(pkt) = ctx.get_pkt() {
                 got.push(pkt.as_two_u64().0);
             }
-            got.sort_unstable();
             log.push(got);
         }
         log
@@ -126,22 +123,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every backend and wrapper stack routes the same traffic to the same
-    /// destinations with identical payload multisets.
+    /// destinations with identical payload sums.
     #[test]
     fn all_backends_route_identically(plan in traffic_plan()) {
         matches_seqsim(plan.nprocs, |cfg| cfg, counted(&plan));
     }
 
-    /// With a tiny staging chunk and slab capacity, traffic whose volumes sit
-    /// exactly on the chunk and slab boundaries (forcing overflow spills and
-    /// barrier-time slab growth in the shared backend) is still delivered as
-    /// an identical multiset by every backend.
+    /// Traffic mixing `send_pkts` batches with single `send_pkt`s is
+    /// delivered as the identical sequence by every backend: ascending
+    /// source, then send order.
     #[test]
     fn boundary_volumes_deliver_identical_multisets(plan in boundary_plan()) {
-        let tiny = |cfg: Config| cfg.chunk(16).slab_cap(32);
-        let reference = execute_multiset(&plan, &tiny(Config::new(plan.nprocs)));
+        let reference = execute_sequence(&plan, &Config::new(plan.nprocs).backend(BackendKind::SeqSim));
         for (name, cfg) in backends(plan.nprocs) {
-            let got = execute_multiset(&plan, &tiny(cfg));
+            let got = execute_sequence(&plan, &cfg);
             prop_assert_eq!(&reference, &got, "{} diverged", name);
         }
     }

@@ -2,7 +2,7 @@
 //! driven through relaxed synchronization (neighborhood barriers,
 //! split-phase boundaries — DESIGN.md §12) must be bit-identical to the
 //! same traffic under bulk synchronization, on every backend.
-//! "Bit-identical" covers the delivered payload multisets *and* the
+//! "Bit-identical" covers the delivered payload sequences *and* the
 //! packet/byte ledgers (per-superstep `total_pkts`, `h`, `total_bytes`).
 //!
 //! Plans are generated so the adjacent-boundary rule holds by
@@ -88,14 +88,14 @@ fn relax_plan() -> impl Strategy<Value = RelaxPlan> {
     })
 }
 
-/// Per-proc, per-step sorted payload multisets.
-type StepMultisets = Vec<Vec<Vec<u64>>>;
+/// Per-proc, per-step payloads in delivery order.
+type StepSequences = Vec<Vec<Vec<u64>>>;
 /// Per-step ledger rows `(total_pkts, h, total_bytes, h_bytes)`.
 type LedgerRows = Vec<(u64, u64, u64, u64)>;
 
 /// Execute the plan. `relaxed = false` forces every boundary to a fused
 /// full barrier — the bulk-synchronous reference.
-fn execute(plan: &RelaxPlan, cfg: &Config, relaxed: bool) -> (StepMultisets, LedgerRows) {
+fn execute(plan: &RelaxPlan, cfg: &Config, relaxed: bool) -> (StepSequences, LedgerRows) {
     let cfg = cfg.clone().sync_graph(&plan.edges);
     let plan = plan.clone();
     let out = run(&cfg, move |ctx| {
@@ -147,7 +147,6 @@ fn execute(plan: &RelaxPlan, cfg: &Config, relaxed: bool) -> (StepMultisets, Led
                 assert_eq!(from as usize, src, "byte-lane source mismatch");
                 got.push(u64::MAX - ((s as u64) << 32 | (src as u64) << 16 | count as u64));
             }
-            got.sort_unstable();
             log.push(got);
         }
         log
@@ -189,19 +188,11 @@ proptest! {
 fn graph_violating_send_fails_fast() {
     type Send = fn(&mut Ctx, usize);
     type Wrap = fn(Config) -> Config;
-    /// The ways traffic reaches a transport (under `Config::chunk(4)`).
-    const SENDS: [(&str, Send); 5] = [
+    /// The ways traffic reaches the staging buffers.
+    const SENDS: [(&str, Send); 4] = [
         ("send_pkt", |ctx, dest| ctx.send_pkt(dest, Packet::ZERO)),
-        // Above the chunk: handed to the transport directly, never staged.
         ("send_pkts", |ctx, dest| {
             ctx.send_pkts(dest, &[Packet::ZERO; 9])
-        }),
-        // Two full chunks: all of it left mid-superstep, nothing is staged
-        // when the boundary looks.
-        ("flushed", |ctx, dest| {
-            for _ in 0..8 {
-                ctx.send_pkt(dest, Packet::ZERO);
-            }
         }),
         ("send_bytes", |ctx, dest| {
             ctx.send_bytes(dest, b"off the graph")
@@ -221,7 +212,7 @@ fn graph_violating_send_fails_fast() {
                     for (how, send) in SENDS {
                         let row = format!("{name} {stack} split={split} after={after} {how}");
                         // 0–1 is the only edge; proc 0 sends to proc 2.
-                        let cfg = cfg.clone().chunk(4).sync_graph(&[(0, 1)]);
+                        let cfg = cfg.clone().sync_graph(&[(0, 1)]);
                         let res = try_run(&wrap(cfg), move |ctx| {
                             let neigh = |ctx: &mut Ctx| {
                                 if split {

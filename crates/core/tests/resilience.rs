@@ -41,8 +41,8 @@ fn spin_prog(bytes: bool) -> impl Fn(&mut Ctx) -> u32 + Send + Sync + Clone + 's
     }
 }
 
-/// A short deterministic job: total exchange, everyone returns the sorted
-/// sources it saw. Used as the "surviving concurrent job" whose results
+/// A short deterministic job: total exchange, everyone returns what it saw
+/// in delivery order. Used as the "surviving concurrent job" whose results
 /// must stay bit-identical to a serial reference.
 fn exchange_prog(ctx: &mut Ctx) -> Vec<u64> {
     let me = ctx.pid() as u64;
@@ -56,7 +56,6 @@ fn exchange_prog(ctx: &mut Ctx) -> Vec<u64> {
     while let Some(p) = ctx.get_pkt() {
         seen.push(p.as_two_u64().0);
     }
-    seen.sort_unstable();
     seen
 }
 

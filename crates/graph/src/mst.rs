@@ -474,8 +474,8 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
     }
     ctx.sync();
 
-    // Fold per-processor totals in pid order: every backend and every run
-    // produces bit-identical results.
+    // Fold per-processor totals in pid order — the order they arrive in —
+    // so every backend and every run produces bit-identical results.
     let mut totals: Vec<(u32, u32, f64)> = vec![(ctx.pid() as u32, my_count, my_weight)];
     if ctx.pid() == 0 {
         // Sequential assembly: Kruskal over the component graph.
@@ -488,7 +488,6 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
                 _ => unreachable!("unexpected tag {tag} in mixed phase"),
             }
         }
-        totals.sort_unstable_by_key(|&(pid, _, _)| pid);
         let others_count: u64 = totals.iter().map(|&(_, c, _)| c as u64).sum();
         let others_weight: f64 = totals.iter().map(|&(_, _, w)| w).sum();
         edges.sort_unstable_by(|x, y| {

@@ -1,9 +1,8 @@
-//! `report ablate` — the three design ablations no other instrument
-//! measures: the shortest-paths work factor (§3.4), Oxford-style DRMA puts
-//! against Green BSP message passing (§1.3), and the chunked hand-off to the
-//! transport (Appendix B.1's 1000-packet amortisation). Every wall-time
-//! cell is the median and min of `k` runs; the exact quantities beside them
-//! (`S`, stencil cells, packet totals) are what the unit test pins.
+//! `report ablate` — the two design ablations no other instrument
+//! measures: the shortest-paths work factor (§3.4) and Oxford-style DRMA
+//! puts against Green BSP message passing (§1.3). Every wall-time cell is
+//! the median and min of `k` runs; the exact quantities beside them (`S`,
+//! stencil cells) are what the unit test pins.
 
 use crate::apps::SEED;
 use bsp_graph::{build_locals, geometric_graph, partition_kd, sp_run, LocalGraph};
@@ -13,9 +12,6 @@ use std::time::Duration;
 
 /// Work factors swept: from a boundary every 25 queue pops to almost none.
 const WORK_FACTORS: [usize; 4] = [25, 200, 2_000, 20_000];
-
-/// `Config::chunk` values swept, from one hand-off per packet up.
-const CHUNKS: [usize; 5] = [1, 10, 100, 1_000, 10_000];
 
 /// The emulated high-latency machine the work factor should be raised for.
 const HIGH_L: NetSimParams = NetSimParams {
@@ -95,28 +91,7 @@ fn stencil(p: usize, drma: bool) -> RunOutput<Vec<f64>> {
     })
 }
 
-/// One superstep in which every process sends `per_pair` packets to every
-/// other, handed to the transport `chunk` at a time. Each process returns
-/// an order-free checksum of what it received.
-fn exchange(p: usize, chunk: usize, per_pair: usize) -> RunOutput<u64> {
-    run(&Config::new(p).chunk(chunk), move |ctx| {
-        let me = ctx.pid();
-        for dest in (0..ctx.nprocs()).filter(|&d| d != me) {
-            for i in 0..per_pair {
-                ctx.send_pkt(dest, Packet::two_u64(i as u64, me as u64));
-            }
-        }
-        ctx.sync();
-        let mut sum = 0u64;
-        while let Some(pkt) = ctx.get_pkt() {
-            let (i, src) = pkt.as_two_u64();
-            sum = sum.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ src);
-        }
-        sum
-    })
-}
-
-/// Print the three tables; `full` takes more runs per cell.
+/// Print the two tables; `full` takes more runs per cell.
 pub fn run_ablate(full: bool) {
     let k = if full { 51 } else { 21 };
     let p = 4;
@@ -148,15 +123,6 @@ pub fn run_ablate(full: bool) {
         let (msg, msg_min) = median_min(k, || stencil(p, false).wall);
         println!("{p:>7} | {puts:>8.1} [{puts_min:>7.1}] | {msg:>8.1} [{msg_min:>7.1}]");
     }
-
-    let per_pair = 8_000;
-    println!("\nChunked hand-off (App. B.1): p = {p}, {per_pair} packets per ordered pair");
-    println!("{:>7} | {:>18} | {:>10}", "chunk", "exchange", "packets");
-    for chunk in CHUNKS {
-        let pkts = exchange(p, chunk, per_pair).stats.total_pkts();
-        let (us, us_min) = median_min(k, || exchange(p, chunk, per_pair).wall);
-        println!("{chunk:>7} | {us:>8.1} [{us_min:>7.1}] | {pkts:>10}");
-    }
     println!();
 }
 
@@ -184,15 +150,5 @@ mod tests {
             };
             assert_eq!(bits(true), bits(false), "p = {p}");
         }
-
-        let runs: Vec<_> = CHUNKS
-            .iter()
-            .map(|&c| {
-                let out = exchange(4, c, 300);
-                (out.stats.total_pkts(), out.results)
-            })
-            .collect();
-        assert_eq!(runs[0].0, 4 * 3 * 300);
-        assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
     }
 }

@@ -296,17 +296,9 @@ pub fn nbody_sim_with(
                 remote.push(MassPoint::from_packet(pkt));
             }
         }
-        // Remote points arrive in backend-dependent order; sort by value
-        // bits so the remote BH tree — and hence every force sum — is a
-        // pure function of the point multiset on both lanes.
-        remote.sort_unstable_by_key(|mp| {
-            (
-                mp.pos.x.to_bits(),
-                mp.pos.y.to_bits(),
-                mp.pos.z.to_bits(),
-                mp.mass.to_bits(),
-            )
-        });
+        // Remote points arrive by ascending source, each source's in send
+        // order, on every backend and both lanes: the remote BH tree — and
+        // hence every force sum — is the same on all of them.
         essential_recv += remote.len() as u64;
 
         // ---- superstep 6 (local): forces + leapfrog kick-drift ----
