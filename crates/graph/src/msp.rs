@@ -17,8 +17,9 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::partition::LocalGraph;
-use crate::util::{MinEntry, OrdF64};
+use crate::util::heap_key;
 use green_bsp::{Ctx, Packet};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// Result of a distributed multi-source run on one processor.
@@ -63,7 +64,8 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
     // in the paper; here a distance, a cached border distance, and a heap.
     let mut dist: Vec<Vec<f64>> = vec![vec![f64::INFINITY; nh]; k];
     let mut border_cache: Vec<Vec<f64>> = vec![vec![f64::INFINITY; nb]; k];
-    let mut heaps: Vec<BinaryHeap<MinEntry<u32>>> = (0..k).map(|_| BinaryHeap::new()).collect();
+    let mut heaps: Vec<BinaryHeap<Reverse<(u64, u32)>>> =
+        (0..k).map(|_| BinaryHeap::new()).collect();
     let mut pops = 0u64;
     let mut relaxations = 0u64;
 
@@ -71,10 +73,7 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
         if let Some(lid) = lg.lid(s) {
             if lg.is_home(lid) {
                 dist[inst][lid as usize] = 0.0;
-                heaps[inst].push(MinEntry {
-                    dist: OrdF64(0.0),
-                    item: lid,
-                });
+                heaps[inst].push(heap_key(0.0, lid));
             }
         }
     }
@@ -88,13 +87,10 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
             let bc_inst = &mut border_cache[inst];
             let heap = &mut heaps[inst];
             while budget > 0 {
-                let Some(MinEntry {
-                    dist: OrdF64(d),
-                    item: u,
-                }) = heap.pop()
-                else {
+                let Some(Reverse((bits, u))) = heap.pop() else {
                     break;
                 };
+                let d = f64::from_bits(bits);
                 if d > d_inst[u as usize] {
                     continue;
                 }
@@ -106,10 +102,7 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
                     if lg.is_home(v) {
                         if nd < d_inst[v as usize] {
                             d_inst[v as usize] = nd;
-                            heap.push(MinEntry {
-                                dist: OrdF64(nd),
-                                item: v,
-                            });
+                            heap.push(heap_key(nd, v));
                         }
                     } else {
                         let bi = v as usize - nh;
@@ -147,10 +140,7 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
                     let lid = lg.lid(id).expect("update for a node we do not own");
                     if val < dist[inst][lid as usize] {
                         dist[inst][lid as usize] = val;
-                        heaps[inst].push(MinEntry {
-                            dist: OrdF64(val),
-                            item: lid,
-                        });
+                        heaps[inst].push(heap_key(val, lid));
                     }
                 }
                 _ => unreachable!("unexpected tag {tag}"),
@@ -195,8 +185,9 @@ mod tests {
             for inst in 0..k {
                 for (h, &d) in r.dist[inst].iter().enumerate() {
                     let gid = locals[pid].home[h];
-                    assert!(
-                        (d - expect[inst][gid as usize]).abs() < 1e-9,
+                    assert_eq!(
+                        d.to_bits(),
+                        expect[inst][gid as usize].to_bits(),
                         "p={p} inst={inst} node {gid}: {d} vs {}",
                         expect[inst][gid as usize]
                     );

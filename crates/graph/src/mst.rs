@@ -27,6 +27,7 @@
 
 use crate::partition::LocalGraph;
 use crate::unionfind::UnionFind;
+use crate::util::edge_key;
 use green_bsp::{Ctx, Packet};
 use std::collections::{HashMap, HashSet};
 
@@ -137,12 +138,7 @@ impl<'a> MstState<'a> {
                 }
             }
         }
-        edges.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap()
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
+        edges.sort_unstable_by_key(edge_key);
         let mut uf = UnionFind::new(nh);
         let mut weights = Vec::new();
         for (w, a, b) in edges {
@@ -466,7 +462,7 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
     // order-dependent) sequence the weights were recorded in.
     let my_weight: f64 = {
         let mut ws = st.weights.clone();
-        ws.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        ws.sort_unstable_by_key(|w| w.to_bits());
         ws.iter().sum()
     };
     if ctx.pid() != 0 {
@@ -490,12 +486,7 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
         }
         let others_count: u64 = totals.iter().map(|&(_, c, _)| c as u64).sum();
         let others_weight: f64 = totals.iter().map(|&(_, _, w)| w).sum();
-        edges.sort_unstable_by(|x, y| {
-            x.0.partial_cmp(&y.0)
-                .unwrap()
-                .then(x.1.cmp(&y.1))
-                .then(x.2.cmp(&y.2))
-        });
+        edges.sort_unstable_by_key(edge_key);
         // Union-find over labels via dense renumbering.
         let mut dense: HashMap<u32, u32> = HashMap::new();
         for &(_, a, b) in &edges {
@@ -572,27 +563,24 @@ mod tests {
         }
         // The multiset of edge weights matches Kruskal's exactly (the MST is
         // unique for distinct weights).
-        let mut ours: Vec<f64> = out
+        let mut ours: Vec<u64> = out
             .results
             .iter()
-            .flat_map(|r| r.local_weights.iter().copied())
+            .flat_map(|r| r.local_weights.iter().map(|w| w.to_bits()))
             .collect();
-        ours.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut theirs: Vec<f64> = kedges
+        ours.sort_unstable();
+        let mut theirs: Vec<u64> = kedges
             .iter()
             .map(|&(u, v)| {
                 g.neighbors(u)
                     .iter()
                     .find(|&&(x, _)| x == v)
-                    .map(|&(_, w)| w)
+                    .map(|&(_, w)| w.to_bits())
                     .unwrap()
             })
             .collect();
-        theirs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(ours.len(), theirs.len());
-        for (a, b) in ours.iter().zip(theirs.iter()) {
-            assert!((a - b).abs() < 1e-12, "weight multiset differs: {a} vs {b}");
-        }
+        theirs.sort_unstable();
+        assert_eq!(ours, theirs, "n={n} p={p}: weight multiset differs");
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! processors compute the same sum.
 
 use crate::partition::LocalGraph;
-use crate::util::{MinEntry, OrdF64};
+use crate::util::heap_key;
 use green_bsp::{Ctx, Packet};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// The work factor used for the paper-style experiments: maximum non-stale
@@ -68,17 +69,14 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
     let nh = lg.n_home();
     let mut dist = vec![f64::INFINITY; nh];
     let mut border_cache = vec![f64::INFINITY; lg.border_gid.len()];
-    let mut heap: BinaryHeap<MinEntry<u32>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     let mut pops = 0u64;
     let mut relaxations = 0u64;
 
     if let Some(lid) = lg.lid(source) {
         if lg.is_home(lid) {
             dist[lid as usize] = 0.0;
-            heap.push(MinEntry {
-                dist: OrdF64(0.0),
-                item: lid,
-            });
+            heap.push(heap_key(0.0, lid));
         }
     }
 
@@ -88,13 +86,10 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
         let mut pending: HashMap<u32, f64> = HashMap::new(); // border lid -> best dist
         let mut budget = work_factor;
         while budget > 0 {
-            let Some(MinEntry {
-                dist: OrdF64(d),
-                item: u,
-            }) = heap.pop()
-            else {
+            let Some(Reverse((bits, u))) = heap.pop() else {
                 break;
             };
+            let d = f64::from_bits(bits);
             if d > dist[u as usize] {
                 continue; // stale entry: free to discard
             }
@@ -106,10 +101,7 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
                 if lg.is_home(v) {
                     if nd < dist[v as usize] {
                         dist[v as usize] = nd;
-                        heap.push(MinEntry {
-                            dist: OrdF64(nd),
-                            item: v,
-                        });
+                        heap.push(heap_key(nd, v));
                     }
                 } else {
                     let bi = v as usize - nh;
@@ -148,10 +140,7 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
                     debug_assert!(lg.is_home(lid));
                     if val < dist[lid as usize] {
                         dist[lid as usize] = val;
-                        heap.push(MinEntry {
-                            dist: OrdF64(val),
-                            item: lid,
-                        });
+                        heap.push(heap_key(val, lid));
                     }
                 }
                 _ => unreachable!("unexpected tag {tag}"),
@@ -189,8 +178,9 @@ mod tests {
         for (pid, r) in out.results.iter().enumerate() {
             for (h, &d) in r.dist.iter().enumerate() {
                 let gid = locals[pid].home[h];
-                assert!(
-                    (d - expect[gid as usize]).abs() < 1e-9,
+                assert_eq!(
+                    d.to_bits(),
+                    expect[gid as usize].to_bits(),
                     "n={n} p={p} wf={wf} node {gid}: {d} vs {}",
                     expect[gid as usize]
                 );

@@ -1,6 +1,9 @@
 //! Property-based tests: for random graph sizes, seeds, processor counts,
 //! and work factors, the distributed algorithms must agree exactly with
-//! their sequential baselines.
+//! their sequential baselines: sp and msp distances bit for bit with
+//! Dijkstra's (with positive weights the label-correcting fixed point is
+//! Dijkstra's float labels), mst's edge count exactly. mst's total weight
+//! is summed in a different order than Kruskal's, so it keeps a tolerance.
 
 use bsp_graph::gen::geometric_graph;
 use bsp_graph::msp::msp_run;
@@ -57,7 +60,7 @@ proptest! {
         for (pid, r) in out.results.iter().enumerate() {
             for (h, &d) in r.dist.iter().enumerate() {
                 let gid = locals[pid].home[h] as usize;
-                prop_assert!((d - expect[gid]).abs() < 1e-9,
+                prop_assert_eq!(d.to_bits(), expect[gid].to_bits(),
                     "node {}: {} vs {}", gid, d, expect[gid]);
             }
         }
@@ -82,7 +85,8 @@ proptest! {
             for (pid, r) in out.results.iter().enumerate() {
                 for (h, &d) in r.dist[inst].iter().enumerate() {
                     let gid = locals[pid].home[h] as usize;
-                    prop_assert!((d - expect[gid]).abs() < 1e-9);
+                    prop_assert_eq!(d.to_bits(), expect[gid].to_bits(),
+                        "instance {} node {}: {} vs {}", inst, gid, d, expect[gid]);
                 }
             }
         }
