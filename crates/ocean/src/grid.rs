@@ -263,43 +263,72 @@ pub fn exchange_ghosts_overlap<F: FnOnce(&mut [f64])>(
     apply_boundary(hier, lvl, field);
 }
 
+/// Bytes of a byte-lane ghost strip's header: `u32 side | u32 level |
+/// u32 start`, followed by the strip's cells as `f64`s.
+const STRIP_HDR: usize = 12;
+
+/// Post one boundary strip to `dest`: the cells `vals`, read straight from
+/// the field, placed on the receiver's `side` from global index `g0` on.
+fn send_strip(
+    ctx: &mut Ctx,
+    byte_lane: bool,
+    dest: usize,
+    side: u32,
+    lvl: usize,
+    g0: usize,
+    vals: impl Iterator<Item = f64>,
+) {
+    if byte_lane {
+        let mut w = ctx.msg_writer(dest);
+        w.put_u32(side);
+        w.put_u32(lvl as u32);
+        w.put_u32(g0 as u32);
+        for v in vals {
+            w.put_f64(v);
+        }
+    } else {
+        for (k, v) in vals.enumerate() {
+            ctx.send_pkt(dest, ghost_pkt(side, g0 + k, lvl, v));
+        }
+    }
+}
+
+/// Split a byte-lane ghost strip into `(side, level, start, cells)`.
+///
+/// Every message this lane carries during a ghost exchange was written by
+/// [`send_strip`] (the exchange's contract: no other traffic in flight),
+/// which always writes the three header words, so `payload` holds at least
+/// [`STRIP_HDR`] bytes. Each header `try_into` then converts a range of
+/// exactly four bytes into `[u8; 4]`, and each cell's converts one of
+/// `chunks_exact(8)`'s 8-byte chunks into `[u8; 8]`: none can fail.
+fn parse_strip(payload: &[u8]) -> (u32, u32, usize, impl Iterator<Item = f64> + '_) {
+    let word = |k: usize| u32::from_le_bytes(payload[4 * k..4 * k + 4].try_into().unwrap());
+    let cells = payload[STRIP_HDR..]
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()));
+    (word(0), word(1), word(2) as usize, cells)
+}
+
 /// Post this block's boundary strips (edges + corners) to the grid
 /// neighbours. First half of [`exchange_ghosts_mode`].
 fn ghost_send(ctx: &mut Ctx, hier: &Hierarchy, lvl: usize, field: &[f64], byte_lane: bool) {
     let l = hier.levels[lvl];
-    // One edge strip per neighbour: (dest, placement side on the receiver,
-    // first global index along the side, the strip's field indices).
-    let send_strip = |ctx: &mut Ctx, dest: usize, side: u32, g0: usize, idxs: &[usize]| {
-        if byte_lane {
-            let mut w = ctx.msg_writer(dest);
-            w.put_u32(side);
-            w.put_u32(lvl as u32);
-            w.put_u32(g0 as u32);
-            for &ix in idxs {
-                w.put_f64(field[ix]);
-            }
-        } else {
-            for (k, &ix) in idxs.iter().enumerate() {
-                ctx.send_pkt(dest, ghost_pkt(side, g0 + k, lvl, field[ix]));
-            }
-        }
-    };
+    let w = l.cols + 2;
+    // Edge rows are contiguous; edge columns stride by the row width.
+    let row = |i: usize| field[l.at(i, 1)..][..l.cols].iter().copied();
+    let col = |j: usize| field[l.at(1, j)..].iter().step_by(w).take(l.rows).copied();
     // Send edge rows/columns; the side says where the *receiver* places them.
     if let Some(up) = hier.neighbor(-1, 0) {
-        let idxs: Vec<usize> = (1..=l.cols).map(|j| l.at(1, j)).collect();
-        send_strip(ctx, up, PLACE_BOTTOM, l.c0, &idxs);
+        send_strip(ctx, byte_lane, up, PLACE_BOTTOM, lvl, l.c0, row(1));
     }
     if let Some(down) = hier.neighbor(1, 0) {
-        let idxs: Vec<usize> = (1..=l.cols).map(|j| l.at(l.rows, j)).collect();
-        send_strip(ctx, down, PLACE_TOP, l.c0, &idxs);
+        send_strip(ctx, byte_lane, down, PLACE_TOP, lvl, l.c0, row(l.rows));
     }
     if let Some(left) = hier.neighbor(0, -1) {
-        let idxs: Vec<usize> = (1..=l.rows).map(|i| l.at(i, 1)).collect();
-        send_strip(ctx, left, PLACE_RIGHT, l.r0, &idxs);
+        send_strip(ctx, byte_lane, left, PLACE_RIGHT, lvl, l.r0, col(1));
     }
     if let Some(right) = hier.neighbor(0, 1) {
-        let idxs: Vec<usize> = (1..=l.rows).map(|i| l.at(i, l.cols)).collect();
-        send_strip(ctx, right, PLACE_LEFT, l.r0, &idxs);
+        send_strip(ctx, byte_lane, right, PLACE_LEFT, lvl, l.r0, col(l.cols));
     }
     // Corners, needed by the bilinear prolongation: my corner interior cell
     // goes to the diagonal neighbour's opposite corner ghost.
@@ -311,8 +340,26 @@ fn ghost_send(ctx: &mut Ctx, hier: &Hierarchy, lvl: usize, field: &[f64], byte_l
     ];
     for (dr, dc, i, j, place) in corners {
         if let Some(diag) = hier.neighbor(dr, dc) {
-            send_strip(ctx, diag, place, 0, &[l.at(i, j)]);
+            let cell = std::iter::once(field[l.at(i, j)]);
+            send_strip(ctx, byte_lane, diag, place, lvl, 0, cell);
         }
+    }
+}
+
+/// Where the ghost cell for global index `g` on `side` sits in the field,
+/// and the stride to the next cell of a strip along that side.
+fn ghost_slot(l: &Level, side: u32, g: usize) -> (usize, usize) {
+    let w = l.cols + 2;
+    match side {
+        PLACE_TOP => (l.at(0, g - l.c0 + 1), 1),
+        PLACE_BOTTOM => (l.at(l.rows + 1, g - l.c0 + 1), 1),
+        PLACE_LEFT => (l.at(1 + g - l.r0, 0), w),
+        PLACE_RIGHT => (l.at(1 + g - l.r0, l.cols + 1), w),
+        PLACE_TL => (l.at(0, 0), 1),
+        PLACE_TR => (l.at(0, l.cols + 1), 1),
+        PLACE_BL => (l.at(l.rows + 1, 0), 1),
+        PLACE_BR => (l.at(l.rows + 1, l.cols + 1), 1),
+        _ => unreachable!(),
     }
 }
 
@@ -321,40 +368,24 @@ fn ghost_send(ctx: &mut Ctx, hier: &Hierarchy, lvl: usize, field: &[f64], byte_l
 /// been crossed.
 fn ghost_drain(ctx: &mut Ctx, hier: &Hierarchy, lvl: usize, field: &mut [f64], byte_lane: bool) {
     let l = hier.levels[lvl];
-    // Index-directed placement: each incoming value names its ghost cell,
-    // so arrival order is irrelevant on both lanes.
-    let place = |field: &mut [f64], side: u32, g: usize, v: f64| match side {
-        PLACE_TOP => field[l.at(0, g - l.c0 + 1)] = v,
-        PLACE_BOTTOM => field[l.at(l.rows + 1, g - l.c0 + 1)] = v,
-        PLACE_LEFT => field[l.at(1 + g - l.r0, 0)] = v,
-        PLACE_RIGHT => field[l.at(1 + g - l.r0, l.cols + 1)] = v,
-        PLACE_TL => field[l.at(0, 0)] = v,
-        PLACE_TR => field[l.at(0, l.cols + 1)] = v,
-        PLACE_BL => field[l.at(l.rows + 1, 0)] = v,
-        PLACE_BR => field[l.at(l.rows + 1, l.cols + 1)] = v,
-        _ => unreachable!(),
-    };
+    // Index-directed placement: each strip or packet names its ghost
+    // cells, so arrival order is irrelevant on both lanes.
     if byte_lane {
+        // The payload borrows `ctx`, not `field`, so cells are placed
+        // straight from it as they are parsed.
         while let Some((_src, payload)) = ctx.recv_bytes() {
-            let side = u32::from_le_bytes(payload[0..4].try_into().unwrap());
-            let level = u32::from_le_bytes(payload[4..8].try_into().unwrap());
+            let (side, level, g0, cells) = parse_strip(payload);
             debug_assert_eq!(level as usize, lvl, "ghost strip for wrong level");
-            let g0 = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-            // recv_bytes borrows ctx, so the strip is copied out before
-            // placement; strips are short (≤ one block side).
-            let vals: Vec<f64> = payload[12..]
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            for (k, &v) in vals.iter().enumerate() {
-                place(field, side, g0 + k, v);
+            let (at, stride) = ghost_slot(&l, side, g0);
+            for (k, v) in cells.enumerate() {
+                field[at + k * stride] = v;
             }
         }
     } else {
         while let Some(pkt) = ctx.get_pkt() {
             let (tag, level, v) = pkt.as_tag_u32_f64();
             debug_assert_eq!(level as usize, lvl, "ghost packet for wrong level");
-            place(field, tag >> 28, (tag & 0x0FFF_FFFF) as usize, v);
+            field[ghost_slot(&l, tag >> 28, (tag & 0x0FFF_FFFF) as usize).0] = v;
         }
     }
 }
