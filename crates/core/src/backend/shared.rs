@@ -38,7 +38,6 @@
 use super::super::barrier::Barrier;
 use super::super::context::{hand_over, ProcTransport};
 use super::super::packet::{Packet, PACKET_SIZE};
-use crate::check::audit::PhaseAudit;
 use crate::fault::BspError;
 use crate::pad::CachePadded;
 use crate::relax::{NeighborSync, SyncGraph, SyncMode};
@@ -147,9 +146,6 @@ pub(crate) struct SharedState {
     /// The byte lane, under the same phase discipline.
     pub(crate) bytes: Grid<u8>,
     pub(crate) barrier: Box<dyn Barrier>,
-    /// Shadow-state phase-discipline validator; attached on checked runs
-    /// only, so the unchecked hot path pays one predictable branch.
-    pub(crate) audit: Option<Arc<PhaseAudit>>,
     /// Neighborhood-rendezvous state; present iff the run registered a
     /// sync graph ([`crate::Config::sync_graph`]).
     pub(crate) relax: Option<RelaxShared>,
@@ -162,22 +158,15 @@ pub(crate) struct RelaxShared {
 }
 
 impl SharedState {
-    #[cfg(test)]
-    pub(crate) fn new(nprocs: usize, barrier: Box<dyn Barrier>) -> Arc<Self> {
-        Self::with_audit(nprocs, barrier, None, None)
-    }
-
-    pub(crate) fn with_audit(
+    pub(crate) fn new(
         nprocs: usize,
         barrier: Box<dyn Barrier>,
-        audit: Option<Arc<PhaseAudit>>,
         graph: Option<Arc<SyncGraph>>,
     ) -> Arc<Self> {
         Arc::new(SharedState {
             pkts: Grid::new(nprocs),
             bytes: Grid::new(nprocs),
             barrier,
-            audit,
             relax: graph.map(|graph| RelaxShared {
                 neigh: NeighborSync::new(nprocs),
                 graph,
@@ -223,9 +212,8 @@ impl SharedProc {
     }
 
     /// Collect this process's slots of both lanes for the phase that
-    /// superstep `step + 1` reads, replacing every inbox segment. One audit
-    /// window covers both: they share the same barrier-separated slot of
-    /// the phase discipline.
+    /// superstep `step + 1` reads, replacing every inbox segment. Both
+    /// lanes share the phase discipline's barrier-separated slots.
     pub(crate) fn drain_own(
         &mut self,
         step: usize,
@@ -233,25 +221,15 @@ impl SharedProc {
         byte_inbox: &mut [Vec<u8>],
     ) {
         let phase = (step + 1) & 1;
-        if let Some(a) = &self.st.audit {
-            a.on_drain_start(self.pid, phase, step);
-        }
         self.counters.lock_acquisitions += self.st.pkts.collect(self.pid, phase, inbox)
             + self.st.bytes.collect(self.pid, phase, byte_inbox);
-        if let Some(a) = &self.st.audit {
-            a.on_drain_end(self.pid, phase);
-        }
     }
 
-    /// Open a deposit into `dest`'s slot: audit it and count its lock.
-    /// Returns the phase this superstep writes.
-    fn deposit_phase(&mut self, dest: usize) -> usize {
-        let phase = (self.cur_step + 1) & 1;
-        if let Some(a) = &self.st.audit {
-            a.on_push(self.pid, dest, phase, self.cur_step);
-        }
+    /// Open a deposit: count its slot lock and return the phase this
+    /// superstep writes.
+    fn deposit_phase(&mut self) -> usize {
         self.counters.lock_acquisitions += 1;
-        phase
+        (self.cur_step + 1) & 1
     }
 
     /// Announce this process's arrival at the boundary `mode` names without
@@ -282,13 +260,13 @@ impl ProcTransport for SharedProc {
         // nothing is copied.
         self.counters.pkts_moved += buf.len() as u64;
         self.counters.bytes_moved += (buf.len() * PACKET_SIZE) as u64;
-        let phase = self.deposit_phase(dest);
+        let phase = self.deposit_phase();
         self.st.pkts.deposit(dest, self.pid, phase, buf);
     }
 
     fn send_bytes(&mut self, dest: usize, buf: &mut Vec<u8>) {
         self.counters.bytes_moved += buf.len() as u64;
-        let phase = self.deposit_phase(dest);
+        let phase = self.deposit_phase();
         self.st.bytes.deposit(dest, self.pid, phase, buf);
     }
 
@@ -464,7 +442,7 @@ mod tests {
 
     #[test]
     fn shared_proc_counters_flow_through_exchange() {
-        let st = SharedState::new(2, BarrierKind::Central.build(2));
+        let st = SharedState::new(2, BarrierKind::Central.build(2), None);
         // Single-threaded double-endpoint dance: each proc hands its peer
         // one superstep of packets, then both hit the barrier via two
         // threads.

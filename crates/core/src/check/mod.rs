@@ -1,5 +1,5 @@
-//! BSP phase-discipline checking: machine-checked diagnostics for the
-//! invariants the library's safety contract leaves implicit.
+//! BSP contract checking: machine-checked diagnostics for the invariants
+//! the library's safety contract leaves implicit.
 //!
 //! The Green BSP contract has four rules that nothing in the runtime
 //! enforced until now — a misuse compiles, runs, and silently corrupts
@@ -15,20 +15,19 @@
 //! 3. **DRMA conflict freedom** — no two processes write the same
 //!    registered cells in one superstep, and no process reads cells
 //!    another writes in that superstep.
-//! 4. **Phase discipline** — the per-pair grid of the shared backend
-//!    relies on a strict "send in step `s`, collect right after the barrier
-//!    ending `s`, next touch in step `s + 2`" ordering; only under it does
-//!    [`crate::backend::shared`] deliver each superstep's traffic in the
-//!    next one, with its slot locks uncontended.
+//! 4. **Delivery** — what `src` sends `dest` during superstep `s` is
+//!    exactly what `dest` receives from `src` at the start of `s + 1`: one
+//!    segment per source, in send order, on every backend. The runtime
+//!    keeps this rule, not the program; a breach is a transport bug.
 //!
 //! Enabling the checker ([`crate::Config::checked`]) wraps every backend
-//! in a [`CheckedBackend`](audit) that verifies per-superstep packet
-//! conservation, attaches a shadow-state [`audit::PhaseAudit`] to the
-//! grid, records per-process call traces, and reports every violation as
-//! a structured [`CheckReport`] in [`crate::RunStats::check_reports`] —
-//! with proc id, superstep, and (for sends) the originating call site.
-//! When the checker is disabled the hot path pays a single predictable
-//! branch per operation.
+//! in a [`CheckedBackend`](audit) that compares, per superstep,
+//! destination and source, the length and digest of each lane sent with
+//! what arrived; it also records per-process call traces, and reports
+//! every violation as a structured [`CheckReport`] in
+//! [`crate::RunStats::check_reports`] — with proc id, superstep, and (for
+//! sends) the originating call site. When the checker is disabled the hot
+//! path pays a single predictable branch per operation.
 //!
 //! The grid and barrier protocols themselves are model-checked over the
 //! real code by the loom suite (`crate::loom_tests`, DESIGN.md §13).
@@ -61,13 +60,10 @@ pub enum CheckKind {
     /// Packets were sent after the program's last `sync`; they have no
     /// delivery boundary and can never arrive.
     UndeliveredSend,
-    /// A transport delivered a different number of packets than the sum of
-    /// what all processes sent to this destination (conservation violated
-    /// — a runtime bug, not a program bug).
+    /// What arrived at this destination from one source in one superstep
+    /// differs — in length, content or order, on either lane — from what
+    /// that source sent it (a runtime bug, not a program bug).
     DeliveryMismatch,
-    /// The grid violated the send/collect/barrier ordering its phase
-    /// discipline relies on (a runtime bug, not a program bug).
-    PhaseDiscipline,
     /// A fault plan injected at least one recoverable fault but the
     /// hardened transport detected none of them: the detection machinery
     /// (checksums, sequence numbers, count verification) is not observing
@@ -110,7 +106,6 @@ impl fmt::Display for CheckKind {
             CheckKind::DrmaReadWrite => "drma-read-write",
             CheckKind::UndeliveredSend => "undelivered-send",
             CheckKind::DeliveryMismatch => "delivery-mismatch",
-            CheckKind::PhaseDiscipline => "phase-discipline",
             CheckKind::FaultUndetected => "fault-undetected",
             CheckKind::GraphViolatingSend => "graph-violating-send",
             CheckKind::SplitMisuse => "split-misuse",
@@ -248,19 +243,13 @@ pub(crate) struct ProcTrace {
 pub(crate) struct CheckShared {
     pub(crate) sink: ReportSink,
     pub(crate) ledger: audit::DeliveryLedger,
-    /// Byte-lane conservation ledger: counts bytes instead of packets.
-    pub(crate) ledger_bytes: audit::DeliveryLedger,
-    pub(crate) audit: Arc<audit::PhaseAudit>,
 }
 
 impl CheckShared {
     pub(crate) fn new(nprocs: usize) -> Arc<CheckShared> {
-        let sink: ReportSink = Arc::new(Mutex::new(Vec::new()));
         Arc::new(CheckShared {
-            sink: Arc::clone(&sink),
+            sink: Arc::new(Mutex::new(Vec::new())),
             ledger: audit::DeliveryLedger::new(nprocs),
-            ledger_bytes: audit::DeliveryLedger::new(nprocs),
-            audit: Arc::new(audit::PhaseAudit::new(nprocs, sink)),
         })
     }
 }

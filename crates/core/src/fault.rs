@@ -23,8 +23,8 @@
 //! ```text
 //! off  0  u32 magic          off 24  u64 npkts
 //! off  4  u32 kind           off 32  u64 nbytes (app payload length)
-//! off  8  u64 src            off 40  u64 pkt_sum  (order-insensitive)
-//! off 16  u64 seq (superstep)off 48  u64 byte_sum (order-sensitive)
+//! off  8  u64 src            off 40  u64 pkt_digest (packets, in order)
+//! off 16  u64 seq (superstep)off 48  u64 byte_sum   (payload, in order)
 //! off 56  u64 hdr_sum — xxhash-style hash of bytes 0..56
 //! off 64  payload: app records, then (DATA frames) serialized packets
 //! ```
@@ -39,55 +39,13 @@
 //! retransmit rounds, which is how retry-budget exhaustion is exercised.
 
 use crate::context::{hand_over, ProcTransport};
+use crate::digest::{byte_hash, fixed, pkt_digest};
 use crate::packet::{Packet, PACKET_SIZE};
 use crate::relax::SyncMode;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------- checksums
-
-const SEED0: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Per-packet hash for the fast-lane checksum. Kept to a rotate+add+xor so
-/// the hardened send path stays within noise of the bare one (the fast lane
-/// moves hundreds of millions of packets per second).
-#[inline]
-fn pkt_hash(pkt: &Packet) -> u64 {
-    let (a, b) = pkt.as_two_u64();
-    a.rotate_left(1).wrapping_add(b ^ SEED0)
-}
-
-/// Order-insensitive checksum of a packet batch: wrapping sum of per-packet
-/// hashes, so a source's sum accumulates across its hand-overs.
-fn pkt_sum(pkts: &[Packet]) -> u64 {
-    pkts.iter().fold(0u64, |s, p| s.wrapping_add(pkt_hash(p)))
-}
-
-/// xxhash-style sequential mixing hash — order-sensitive, so it also catches
-/// reordered byte-lane records, not just flipped bits.
-fn byte_hash(bytes: &[u8]) -> u64 {
-    const PRIME1: u64 = 0x9E37_79B1_85EB_CA87;
-    const PRIME2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-    let mut h = PRIME2 ^ (bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let v = u64::from_le_bytes(c.try_into().unwrap());
-        h = (h ^ v.wrapping_mul(PRIME1))
-            .rotate_left(27)
-            .wrapping_mul(PRIME1)
-            .wrapping_add(PRIME2);
-    }
-    for &b in chunks.remainder() {
-        h = (h ^ (b as u64).wrapping_mul(PRIME1))
-            .rotate_left(11)
-            .wrapping_mul(PRIME2);
-    }
-    h ^= h >> 29;
-    h = h.wrapping_mul(PRIME1);
-    h ^ (h >> 32)
-}
 
 // ------------------------------------------------------------------ errors
 
@@ -475,8 +433,18 @@ impl CheckpointStore {
         }
     }
 
+    /// `pid`'s snapshots. No critical section here can panic — they
+    /// compare, push, remove past a checked length and clone — so the lock
+    /// is never poisoned; the guard is taken either way, since a poisoned
+    /// list would still be whole.
+    fn slot(&self, pid: usize) -> MutexGuard<'_, Vec<Snapshot>> {
+        self.slots[pid]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn save(&self, pid: usize, step: usize, data: Vec<u8>) {
-        let mut s = self.slots[pid].lock().unwrap();
+        let mut s = self.slot(pid);
         s.retain(|(st, _)| *st != step);
         s.push((step, data));
         if s.len() > 2 {
@@ -486,40 +454,17 @@ impl CheckpointStore {
 
     /// Largest superstep for which *every* proc holds a snapshot.
     pub(crate) fn consistent_step(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let s = slot.lock().unwrap();
-            let my_max = s.iter().map(|(st, _)| *st).collect::<Vec<_>>();
-            if i == 0 {
-                best = my_max.iter().copied().max();
-            } else {
-                best = best.filter(|b| my_max.contains(b)).or_else(|| {
-                    let prev = self.slots[..i]
-                        .iter()
-                        .map(|sl| {
-                            sl.lock()
-                                .unwrap()
-                                .iter()
-                                .map(|(st, _)| *st)
-                                .collect::<Vec<_>>()
-                        })
-                        .collect::<Vec<_>>();
-                    my_max
-                        .iter()
-                        .copied()
-                        .filter(|st| prev.iter().all(|p| p.contains(st)))
-                        .max()
-                });
-            }
-        }
-        best
+        let held: Vec<Vec<usize>> = (0..self.slots.len())
+            .map(|pid| self.slot(pid).iter().map(|(st, _)| *st).collect())
+            .collect();
+        let first = held.first()?;
+        (first.iter().copied())
+            .filter(|st| held.iter().all(|h| h.contains(st)))
+            .max()
     }
 
     pub(crate) fn blob(&self, pid: usize, step: usize) -> Option<Vec<u8>> {
-        self.slots[pid]
-            .lock()
-            .unwrap()
-            .iter()
+        (self.slot(pid).iter())
             .find(|(st, _)| *st == step)
             .map(|(_, d)| d.clone())
     }
@@ -527,8 +472,8 @@ impl CheckpointStore {
     /// Drop snapshots newer than `step` so the next incarnation cannot
     /// restore past the rollback point.
     pub(crate) fn prune_above(&self, step: usize) {
-        for slot in &self.slots {
-            slot.lock().unwrap().retain(|(st, _)| *st <= step);
+        for pid in 0..self.slots.len() {
+            self.slot(pid).retain(|(st, _)| *st <= step);
         }
     }
 }
@@ -547,24 +492,16 @@ struct FrameHdr {
     seq: u64,
     npkts: u64,
     nbytes: u64,
-    pkt_sum: u64,
+    pkt_digest: u64,
     byte_sum: u64,
 }
 
 /// Append one complete byte-lane record `[src|len|frame]` carrying a guarded
-/// frame with payload `a ++ b` to `buf`.
-#[allow(clippy::too_many_arguments)] // mirrors the 8 header fields verbatim
-fn encode_frame(
-    buf: &mut Vec<u8>,
-    me: usize,
-    kind: u32,
-    seq: u64,
-    npkts: u64,
-    psum: u64,
-    a: &[u8],
-    b: &[u8],
-) {
-    let total = FRAME_HDR + a.len() + b.len();
+/// frame: the count and digest of `pkts` in the header, then the payload —
+/// `app`, followed in a DATA frame by the packets themselves.
+fn encode_frame(buf: &mut Vec<u8>, me: usize, kind: u32, seq: u64, pkts: &[Packet], app: &[u8]) {
+    let raw = if kind == KIND_DATA { pkts.len() } else { 0 };
+    let total = FRAME_HDR + app.len() + raw * PACKET_SIZE;
     buf.extend_from_slice(&(me as u32).to_le_bytes());
     buf.extend_from_slice(&(total as u32).to_le_bytes());
     let fstart = buf.len();
@@ -572,13 +509,15 @@ fn encode_frame(
     buf.extend_from_slice(&kind.to_le_bytes());
     buf.extend_from_slice(&(me as u64).to_le_bytes());
     buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&npkts.to_le_bytes());
-    buf.extend_from_slice(&(a.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&psum.to_le_bytes());
+    buf.extend_from_slice(&(pkts.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&(app.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&pkt_digest(pkts).to_le_bytes());
     buf.extend_from_slice(&0u64.to_le_bytes()); // byte_sum, patched below
     buf.extend_from_slice(&0u64.to_le_bytes()); // hdr_sum, patched below
-    buf.extend_from_slice(a);
-    buf.extend_from_slice(b);
+    buf.extend_from_slice(app);
+    for pkt in &pkts[..raw] {
+        buf.extend_from_slice(&pkt.0);
+    }
     let bsum = byte_hash(&buf[fstart + FRAME_HDR..]);
     buf[fstart + 48..fstart + 56].copy_from_slice(&bsum.to_le_bytes());
     let hsum = byte_hash(&buf[fstart..fstart + 56]);
@@ -591,8 +530,8 @@ fn decode_frame(rec: &[u8]) -> Option<(FrameHdr, &[u8])> {
     if rec.len() < FRAME_HDR {
         return None;
     }
-    let u32at = |o: usize| u32::from_le_bytes(rec[o..o + 4].try_into().unwrap());
-    let u64at = |o: usize| u64::from_le_bytes(rec[o..o + 8].try_into().unwrap());
+    let u32at = |o: usize| u32::from_le_bytes(fixed(&rec[o..]));
+    let u64at = |o: usize| u64::from_le_bytes(fixed(&rec[o..]));
     if u32at(0) != FRAME_MAGIC || u64at(56) != byte_hash(&rec[..56]) {
         return None;
     }
@@ -603,7 +542,7 @@ fn decode_frame(rec: &[u8]) -> Option<(FrameHdr, &[u8])> {
             seq: u64at(16),
             npkts: u64at(24),
             nbytes: u64at(32),
-            pkt_sum: u64at(40),
+            pkt_digest: u64at(40),
             byte_sum: u64at(48),
         },
         &rec[FRAME_HDR..],
@@ -616,7 +555,7 @@ fn next_record<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     if *pos + 8 > buf.len() {
         return None;
     }
-    let len = u32::from_le_bytes(buf[*pos + 4..*pos + 8].try_into().unwrap()) as usize;
+    let len = u32::from_le_bytes(fixed(&buf[*pos + 4..])) as usize;
     let body = *pos + 8;
     if body + len > buf.len() {
         return None;
@@ -879,7 +818,6 @@ pub(crate) struct GuardedBackend<B: ProcTransport> {
     /// Per-dest staging, retained until the superstep verifies clean so
     /// retransmits can be served.
     out_pkts: Vec<Vec<Packet>>,
-    out_sums: Vec<u64>,
     out_bytes: Vec<Vec<u8>>,
     /// The copy of `out_pkts[dest]` the data round hands to the inner
     /// transport (which takes the buffer it is given).
@@ -890,7 +828,6 @@ pub(crate) struct GuardedBackend<B: ProcTransport> {
     round_pkts: Vec<Vec<Packet>>,
     round_bytes: Vec<Vec<u8>>,
     frame: Vec<u8>,
-    pkt_scratch: Vec<u8>,
     counters: FaultCounters,
 }
 
@@ -916,13 +853,11 @@ impl<B: ProcTransport> GuardedBackend<B> {
             step: 0,
             inner_step: 0,
             out_pkts: vec![Vec::new(); nprocs],
-            out_sums: vec![0; nprocs],
             out_bytes: vec![Vec::new(); nprocs],
             pkt_copy: Vec::new(),
             round_pkts: vec![Vec::new(); nprocs],
             round_bytes: vec![Vec::new(); nprocs],
             frame: Vec::new(),
-            pkt_scratch: Vec::new(),
             counters: FaultCounters::default(),
         }
     }
@@ -974,7 +909,7 @@ impl<B: ProcTransport> GuardedBackend<B> {
             } else {
                 seen = true;
                 bytes.extend_from_slice(payload);
-                if pkts.len() as u64 != h.npkts || pkt_sum(pkts) != h.pkt_sum {
+                if pkts.len() as u64 != h.npkts || pkt_digest(pkts) != h.pkt_digest {
                     clean = false;
                     self.counters.detected += 1; // lost/duplicated packets
                 }
@@ -999,7 +934,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
     }
 
     fn send_pkts(&mut self, dest: usize, buf: &mut Vec<Packet>) {
-        self.out_sums[dest] = self.out_sums[dest].wrapping_add(pkt_sum(buf));
         hand_over(&mut self.out_pkts[dest], buf);
     }
 
@@ -1046,10 +980,8 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 me,
                 KIND_CTRL,
                 seq,
-                self.out_pkts[dest].len() as u64,
-                self.out_sums[dest],
+                &self.out_pkts[dest],
                 &self.out_bytes[dest],
-                &[],
             );
             self.inner.send_bytes(dest, &mut frame);
             self.frame = frame;
@@ -1099,7 +1031,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
             for dest in 0..p {
                 self.frame.clear();
                 let mut frame = std::mem::take(&mut self.frame);
-                encode_frame(&mut frame, me, KIND_STATUS, seq, 0, 0, &mine, &[]);
+                encode_frame(&mut frame, me, KIND_STATUS, seq, &[], &mine);
                 self.inner.send_bytes(dest, &mut frame);
                 self.frame = frame;
             }
@@ -1115,7 +1047,7 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                             && byte_hash(payload) == h.byte_sum =>
                     {
                         if stat[src].is_none() {
-                            stat[src] = Some(u64::from_le_bytes(payload.try_into().unwrap()));
+                            stat[src] = Some(u64::from_le_bytes(fixed(payload)));
                         } else {
                             self.counters.detected += 1;
                         }
@@ -1152,10 +1084,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 if st.is_some_and(|n| n & mybit == 0) {
                     continue;
                 }
-                self.pkt_scratch.clear();
-                for pkt in &self.out_pkts[q] {
-                    self.pkt_scratch.extend_from_slice(&pkt.0);
-                }
                 self.frame.clear();
                 let mut frame = std::mem::take(&mut self.frame);
                 encode_frame(
@@ -1163,10 +1091,8 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                     me,
                     KIND_DATA,
                     seq,
-                    self.out_pkts[q].len() as u64,
-                    self.out_sums[q],
+                    &self.out_pkts[q],
                     &self.out_bytes[q],
-                    &self.pkt_scratch,
                 );
                 self.inner.send_bytes(q, &mut frame);
                 self.frame = frame;
@@ -1193,11 +1119,8 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
                 let (app, raw) = payload.split_at(h.nbytes as usize);
                 let pkts = &mut inbox[src];
                 pkts.clear();
-                pkts.extend(
-                    raw.chunks_exact(PACKET_SIZE)
-                        .map(|c| Packet(c.try_into().unwrap())),
-                );
-                if pkt_sum(pkts) != h.pkt_sum {
+                pkts.extend(raw.chunks_exact(PACKET_SIZE).map(|c| Packet(fixed(c))));
+                if pkt_digest(pkts) != h.pkt_digest {
                     self.counters.detected += 1;
                     continue;
                 }
@@ -1209,7 +1132,6 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
 
         for d in 0..p {
             self.out_pkts[d].clear();
-            self.out_sums[d] = 0;
             self.out_bytes[d].clear();
         }
         self.step += 1;
@@ -1238,13 +1160,30 @@ impl<B: ProcTransport> ProcTransport for GuardedBackend<B> {
 mod tests {
     use super::*;
 
+    /// A transport that is never driven: `verify_source` only reads the
+    /// guard's own round buffers.
+    struct Idle;
+
+    impl ProcTransport for Idle {
+        fn send_pkts(&mut self, _: usize, _: &mut Vec<Packet>) {}
+        fn send_bytes(&mut self, _: usize, _: &mut Vec<u8>) {}
+        fn exchange(&mut self, _: usize, _: SyncMode, _: &mut [Vec<Packet>], _: &mut [Vec<u8>]) {}
+        fn finish(&mut self) {}
+    }
+
     #[test]
-    fn pkt_sum_is_order_insensitive_and_content_sensitive() {
-        let a = Packet::two_u64(1, 2);
-        let b = Packet::two_u64(3, 4);
-        assert_eq!(pkt_sum(&[a, b]), pkt_sum(&[b, a]));
-        assert_ne!(pkt_sum(&[a, b]), pkt_sum(&[a, a]));
-        assert_ne!(pkt_sum(&[a]), pkt_sum(&[a, Packet::ZERO]));
+    fn verify_source_rejects_reordered_packets() {
+        let (a, b) = (Packet::two_u64(1, 2), Packet::two_u64(3, 4));
+        let tol = FaultTolerance::default();
+        let mut g = GuardedBackend::new(Idle, 0, 2, &tol, RoundMeta::new());
+        // Proc 1's intact CTRL frame for superstep 5 was encoded for [a, b].
+        encode_frame(&mut g.round_bytes[1], 1, KIND_CTRL, 5, &[a, b], b"rec");
+        let mut bytes = Vec::new();
+        assert!(g.verify_source(1, 5, &[a, b], &mut bytes));
+        assert_eq!((bytes.as_slice(), g.counters.detected), (&b"rec"[..], 0));
+        // The same packets in the other order are a bad delivery.
+        assert!(!g.verify_source(1, 5, &[b, a], &mut Vec::new()));
+        assert_eq!(g.counters.detected, 1);
     }
 
     #[test]
@@ -1263,13 +1202,14 @@ mod tests {
     #[test]
     fn frame_roundtrips_and_detects_corruption() {
         let mut buf = Vec::new();
-        encode_frame(&mut buf, 3, KIND_CTRL, 7, 11, 0xABCD, b"payload-bytes", b"");
+        let pkts = [Packet::two_u64(11, 0), Packet::ZERO];
+        encode_frame(&mut buf, 3, KIND_CTRL, 7, &pkts, b"payload-bytes");
         let mut pos = 0;
         let rec = next_record(&buf, &mut pos).expect("one record");
         assert_eq!(pos, buf.len());
         let (h, payload) = decode_frame(rec).expect("valid frame");
-        assert_eq!((h.kind, h.src, h.seq, h.npkts), (KIND_CTRL, 3, 7, 11));
-        assert_eq!(h.pkt_sum, 0xABCD);
+        assert_eq!((h.kind, h.src, h.seq, h.npkts), (KIND_CTRL, 3, 7, 2));
+        assert_eq!(h.pkt_digest, pkt_digest(&pkts));
         assert_eq!(payload, b"payload-bytes");
         assert_eq!(byte_hash(payload), h.byte_sum);
         // Flip one header bit: the frame must become untrustworthy.

@@ -75,6 +75,7 @@ pub mod check;
 pub mod collectives;
 pub mod context;
 pub mod cost;
+pub(crate) mod digest;
 pub mod drma;
 pub mod exec;
 pub mod fault;

@@ -33,9 +33,8 @@ pub struct Config {
     pub barrier: BarrierKind,
     /// Run under the BSP checker (see [`crate::check`]): packet-lifetime
     /// tracking, superstep/collective congruence, DRMA conflict detection,
-    /// per-superstep packet conservation, and (shared-memory backends) the
-    /// grid phase-discipline audit. Diagnostics land in
-    /// [`RunStats::check_reports`].
+    /// and a per-(superstep, destination, source) delivery digest on both
+    /// lanes. Diagnostics land in [`RunStats::check_reports`].
     pub check: bool,
     /// Deterministic fault-injection plan: a [`FaultyBackend`] wrapper is
     /// interposed on every process and replays the plan's events at
@@ -167,12 +166,10 @@ fn build_transports(
     fstate: Option<&Arc<FaultState>>,
 ) -> Vec<Box<dyn ProcTransport>> {
     let p = cfg.nprocs;
-    let audit = check.map(|c| Arc::clone(&c.audit));
     let tol = cfg.tolerance.as_ref();
     let bare: Vec<Box<dyn ProcTransport>> = match cfg.backend {
         BackendKind::Shared => {
-            let st =
-                SharedState::with_audit(p, cfg.barrier.build(p), audit, cfg.sync_graph.clone());
+            let st = SharedState::new(p, cfg.barrier.build(p), cfg.sync_graph.clone());
             (0..p)
                 .map(|pid| Box::new(SharedProc::new(st.clone(), pid)) as Box<dyn ProcTransport>)
                 .collect()
@@ -189,8 +186,7 @@ fn build_transports(
             .map(|t| Box::new(t) as Box<dyn ProcTransport>)
             .collect(),
         BackendKind::NetSim(params) => {
-            let shared =
-                SharedState::with_audit(p, cfg.barrier.build(p), audit, cfg.sync_graph.clone());
+            let shared = SharedState::new(p, cfg.barrier.build(p), cfg.sync_graph.clone());
             let ns = NetSimState::new(cfg.barrier.build(p));
             (0..p)
                 .map(|pid| {

@@ -11,7 +11,9 @@ mod common;
 use common::matches_seqsim;
 use green_bsp::collectives::{allgather_f64, allgather_u64};
 use green_bsp::drma::Drma;
-use green_bsp::{run, BackendKind, CheckKind, CheckReport, Config, Packet};
+use green_bsp::{
+    run, BackendKind, CheckKind, CheckReport, Config, FaultEvent, FaultKind, FaultPlan, Packet,
+};
 
 /// Find all reports of one kind, failing loudly with the full list.
 fn of_kind(reports: &[CheckReport], kind: CheckKind) -> Vec<&CheckReport> {
@@ -340,8 +342,8 @@ fn burst_size(seed: u64, pid: usize, step: u64) -> u64 {
     32 + x % 200
 }
 
-/// Satellite stress test: seeded irregular bursts must deliver every
-/// packet, in send order per source, and stay clean under the phase audit.
+/// Seeded irregular bursts must deliver every packet, in send order per
+/// source, and stay clean under the checker's per-source delivery digest.
 #[test]
 fn seeded_bursts_stay_audit_clean_and_conserved() {
     const SEED: u64 = 0x05EE_DB57;
@@ -370,7 +372,87 @@ fn seeded_bursts_stay_audit_clean_and_conserved() {
     });
     assert!(
         out.stats.check_reports.is_empty(),
-        "phase audit false positive under bursts:\n{}",
+        "delivery check false positive under bursts:\n{}",
         dump(&out.stats.check_reports)
     );
+}
+
+// ---------------------------------------------------------------------------
+// The delivery check: a transport that loses, doubles or delays one
+// source's traffic is reported at that (superstep, destination, source).
+// ---------------------------------------------------------------------------
+
+/// What `src` sends `dest` in superstep `step`: a length that depends on
+/// all three, on both lanes.
+fn delivery_traffic(ctx: &mut green_bsp::Ctx, step: usize) {
+    let src = ctx.pid();
+    for dest in 0..ctx.nprocs() {
+        let tag = ((src * 10 + dest) * 10 + step) as u64;
+        for i in 0..1 + (src + dest + step) % 3 {
+            ctx.send_pkt(dest, Packet::two_u64(tag, i as u64));
+        }
+        ctx.send_bytes(dest, &tag.to_le_bytes());
+    }
+}
+
+#[test]
+fn injected_delivery_faults_are_reported_per_source() {
+    // (pid, step, dest) of each fault; the checker reports at
+    // (superstep, destination, source).
+    let event = |pid, step, dest, kind| FaultEvent {
+        pid,
+        step,
+        dest,
+        kind,
+    };
+    let plan = FaultPlan::new(7)
+        .with(event(1, 1, 2, FaultKind::Drop))
+        .with(event(2, 2, 0, FaultKind::Duplicate))
+        .with(event(3, 0, 1, FaultKind::Delay));
+    let mut want = vec![(1, 2, 1), (2, 0, 2), (0, 1, 3), (1, 1, 3)];
+    want.sort();
+    let backends = [
+        ("shared", BackendKind::Shared),
+        ("msgpass", BackendKind::MsgPass),
+        ("tcpsim", BackendKind::TcpSim),
+        ("seqsim", BackendKind::SeqSim),
+    ];
+    for (name, backend) in backends {
+        let cfg = Config::new(4)
+            .backend(backend)
+            .checked()
+            .faults(plan.clone());
+        let out = run(&cfg, |ctx| {
+            for step in 0..4 {
+                delivery_traffic(ctx, step);
+                ctx.sync();
+                while ctx.get_pkt().is_some() {}
+                while ctx.recv_bytes().is_some() {}
+            }
+        });
+        let reports = &out.stats.check_reports;
+        let mut got: Vec<(usize, usize, usize)> = of_kind(reports, CheckKind::DeliveryMismatch)
+            .iter()
+            .map(|r| {
+                let src = (r.detail.strip_prefix("from proc "))
+                    .and_then(|s| s.split(':').next())
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or_else(|| panic!("{name}: no source in {r}"));
+                (r.step, r.pid, src)
+            })
+            .collect();
+        got.sort();
+        assert_eq!(got, want, "{name}:\n{}", dump(reports));
+        // No hardening layer is in the stack, so the runner files its one
+        // fault-undetected summary; nothing else may appear.
+        assert_eq!(
+            (
+                of_kind(reports, CheckKind::FaultUndetected).len(),
+                reports.len()
+            ),
+            (1, got.len() + 1),
+            "{name}:\n{}",
+            dump(reports)
+        );
+    }
 }

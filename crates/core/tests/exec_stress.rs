@@ -93,7 +93,7 @@ fn ten_simultaneous_mixed_jobs_match_their_serial_runs() {
 fn concurrent_checked_jobs_raise_no_cross_job_diagnostics() {
     // Eight simultaneous checked jobs on the deterministic backends: any
     // packet crossing between jobs (a stale arena slot, a mis-leased
-    // slice) shows up as a phase-discipline or conservation diagnostic.
+    // slice) shows up as a delivery-mismatch diagnostic.
     let rt = Runtime::new();
     let handles: Vec<_> = (0..8u64)
         .map(|i| {

@@ -20,7 +20,7 @@
 //! the seqsim prediction error exceeds its committed bound.
 //!
 //! `check` runs the identity matrix's checker families (DESIGN.md §8): the
-//! six applications under the BSP phase-discipline checker on every
+//! six applications under the BSP contract checker on every
 //! deterministic backend, the packet-lane, relaxed and split-phase variants,
 //! and the streamed applications; every row must reproduce the sequential
 //! simulator's digest with zero diagnostics, or the command exits non-zero.
@@ -31,10 +31,10 @@
 //! per-superstep `w + gh + L` cost predictions; exits non-zero on any
 //! finding.
 //!
-//! `ablate` times the three design ablations nothing else measures: the
+//! `ablate` times the two design ablations nothing else measures: the
 //! shortest-paths work factor on the host and on an emulated high-`L`
-//! machine, DRMA puts against message passing, and the chunked hand-off
-//! (median and min of k runs per cell).
+//! machine, and DRMA puts against message passing (median and min of k
+//! runs per cell).
 //!
 //! `faults` runs the matrix's fault families (DESIGN.md §10): every app ×
 //! backend bare, hardened and under each recoverable fault class must
