@@ -25,10 +25,13 @@
 //!   their capacity, and the warm launch path performs **zero heap
 //!   allocation**. Reset happens at *release* time so a warm lease is a
 //!   pure pop.
-//! * **Concurrent jobs** — [`Runtime::submit`] enqueues a job and returns
-//!   a [`JobHandle`]; a small pool of coordinator threads runs each job's
-//!   orchestration (rollback loop, merge) off the caller's thread, so a
-//!   harness sweep can keep many jobs in flight on one pool.
+//! * **Concurrent jobs** — [`Runtime::submit`] builds a job's first
+//!   incarnation on the caller's thread, enqueues its slice and returns a
+//!   [`JobHandle`]. The rest of the job — merge, arena park, rollback
+//!   decision, relaunch, handle resolution — runs on the worker whose slot
+//!   finishes each incarnation last, as its result board's completion. No
+//!   thread blocks on a submitted job, so a harness sweep can keep many
+//!   jobs in flight on one pool.
 //! * **Resilient kernel** (DESIGN.md §15) — the pool is *self-healing*: a
 //!   worker thread that dies (a panic escaping the runner, or an injected
 //!   [`crate::FaultKind::WorkerAbort`]) is quarantined and a replacement is
@@ -53,12 +56,27 @@ use crate::backend::BackendKind;
 use crate::barrier::BarrierKind;
 use crate::context::Ctx;
 use crate::fault::BspError;
-use crate::runner::{payload_to_error, run_pipeline, Config, RunOutput};
+use crate::runner::{run_pipeline, submit_pipeline, Config, RunOutput};
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Lock one of this module's mutexes. Poisoning is unreachable: no
+/// critical section here runs user code — they move queue entries,
+/// counters and already-built values — a board's completion runs after its
+/// lock is released, and the only panics under a lock are `JobHandle`'s
+/// misuse panics, which leave the guarded slot whole. So the guard is
+/// taken either way.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on `cv` with a guard from [`lock`]; unpoisonable for the same reason.
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
 
 // ---------------------------------------------------------------------------
 // Tasks and the result board
@@ -73,11 +91,12 @@ pub(crate) type Task = Box<dyn FnOnce() + Send>;
 /// # Safety
 ///
 /// The caller must not let any borrow captured by `task` die before the
-/// task has finished running. [`crate::runner`] guarantees this by blocking
-/// on [`Board::wait_take`] — which returns only after every slot task has
-/// called [`Board::fill`] — before the borrowed locals (the user function,
-/// the checker state, the board itself) go out of scope. This is the
-/// classic scoped-thread-pool argument.
+/// task has finished running. [`crate::runner`]'s blocking path guarantees
+/// this by blocking on [`Board::wait_take`] — which returns only after
+/// every slot task has called [`Board::fill`] — before the borrowed user
+/// function goes out of scope. This is the classic scoped-thread-pool
+/// argument. Submitted jobs own everything their tasks capture and need no
+/// erasure.
 pub(crate) unsafe fn erase_task<'a>(task: Box<dyn FnOnce() + Send + 'a>) -> Task {
     // SAFETY: `Box<dyn FnOnce + Send + 'a>` and `Box<dyn FnOnce + Send>`
     // are both fat pointers with identical layout; only the lifetime bound
@@ -85,13 +104,18 @@ pub(crate) unsafe fn erase_task<'a>(task: Box<dyn FnOnce() + Send + 'a>) -> Task
     unsafe { std::mem::transmute(task) }
 }
 
+/// What a board runs, with every outcome, instead of waking a waiter.
+pub(crate) type Completion<T> = Box<dyn FnOnce(Vec<Option<T>>) + Send>;
+
 /// A fixed-size result board: each of a job's `p` slot tasks fills exactly
-/// one slot, and the submitting thread blocks until the last fill.
+/// one slot. The last fill either wakes the thread blocked in
+/// [`Board::wait_take`] or, when the board has a completion, runs it.
 pub(crate) struct Board<T> {
     slots: Mutex<Vec<Option<T>>>,
     remaining: AtomicUsize,
     done: Mutex<bool>,
     done_cv: Condvar,
+    then: Mutex<Option<Completion<T>>>,
 }
 
 impl<T> Board<T> {
@@ -101,27 +125,44 @@ impl<T> Board<T> {
             remaining: AtomicUsize::new(n),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
+            then: Mutex::new(None),
         })
     }
 
-    /// Deposit slot `idx`'s outcome. The final deposit latches `done` and
+    /// Settle the board with `then` instead of a waiter. Set it before the
+    /// slot tasks are dispatched.
+    pub(crate) fn then(&self, then: Completion<T>) {
+        *lock(&self.then) = Some(then);
+    }
+
+    /// Deposit slot `idx`'s outcome. The final deposit takes the completion
+    /// out of its lock and runs it on this thread, or latches `done` and
     /// wakes the waiter. Slot tasks wrap their body in `catch_unwind`, so a
-    /// fill always happens and the waiter cannot hang.
+    /// fill always happens and the board always settles.
     pub(crate) fn fill(&self, idx: usize, val: T) {
-        self.slots.lock().unwrap()[idx] = Some(val);
+        lock(&self.slots)[idx] = Some(val);
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *self.done.lock().unwrap() = true;
-            self.done_cv.notify_all();
+            let then = lock(&self.then).take();
+            match then {
+                Some(then) => {
+                    let outcomes = std::mem::take(&mut *lock(&self.slots));
+                    then(outcomes);
+                }
+                None => {
+                    *lock(&self.done) = true;
+                    self.done_cv.notify_all();
+                }
+            }
         }
     }
 
     /// Block until every slot is filled, then take the outcomes.
     pub(crate) fn wait_take(&self) -> Vec<Option<T>> {
-        let mut d = self.done.lock().unwrap();
+        let mut d = lock(&self.done);
         while !*d {
-            d = self.done_cv.wait(d).unwrap();
+            d = wait(&self.done_cv, d);
         }
-        std::mem::take(&mut *self.slots.lock().unwrap())
+        std::mem::take(&mut *lock(&self.slots))
     }
 }
 
@@ -256,7 +297,7 @@ impl CancelToken {
     /// Arm an absolute deadline; the job observes it at the next boundary
     /// after it passes.
     pub fn set_deadline(&self, at: Instant) {
-        *self.inner.deadline.lock().unwrap() = Some(at);
+        *lock(&self.inner.deadline) = Some(at);
     }
 
     /// Arm a deadline `d` from now.
@@ -267,11 +308,7 @@ impl CancelToken {
     /// Has the armed deadline passed? (`false` when no deadline is set —
     /// the clock is read only when one is.)
     pub fn deadline_exceeded(&self) -> bool {
-        self.inner
-            .deadline
-            .lock()
-            .unwrap()
-            .is_some_and(|at| Instant::now() >= at)
+        lock(&self.inner.deadline).is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -281,9 +318,10 @@ impl CancelToken {
 
 /// One queued job slice: the `p` slot tasks, plus an abort closure that
 /// fills every result-board slot with [`BspError::RuntimeShutdown`] so a
-/// slice abandoned by a fast [`Runtime::shutdown`] still unblocks its
-/// coordinator instead of hanging it in `wait_take`. Exactly one of
-/// `tasks` / `abort` ever runs.
+/// slice abandoned by a fast [`Runtime::shutdown`] still settles its
+/// board — waking a blocked caller, or resolving a submitted job's handle
+/// through the board's completion. Exactly one of `tasks` / `abort` ever
+/// runs.
 struct JobSlice {
     tasks: Vec<Task>,
     abort: Task,
@@ -311,8 +349,7 @@ struct Sched {
 /// slice. Returns whether any tasks were made ready (caller notifies).
 fn pump(s: &mut Sched) -> bool {
     let mut made = false;
-    while s.queue.front().is_some_and(|job| job.tasks.len() <= s.free) {
-        let job = s.queue.pop_front().unwrap();
+    while let Some(job) = s.queue.pop_front_if(|job| job.tasks.len() <= s.free) {
         s.free -= job.tasks.len();
         s.ready.extend(job.tasks);
         // The slice is admitted: its abort closure is dead weight. Dropping
@@ -321,25 +358,6 @@ fn pump(s: &mut Sched) -> bool {
         made = true;
     }
     made
-}
-
-/// A whole-job orchestration unit run on a coordinator thread: `run` is the
-/// job's pipeline (rollback loop + merge), `abort` resolves its handle with
-/// [`BspError::RuntimeShutdown`]. Exactly one of the two ever runs.
-struct CoordJob {
-    run: Box<dyn FnOnce() + Send>,
-    abort: Box<dyn FnOnce() + Send>,
-}
-
-/// Coordinator-pool state. Coordinators run [`Runtime::submit`] jobs'
-/// rollback loop and merge; they are separate from workers so a submitted
-/// job blocking on its result board can never occupy a slot its own
-/// processes need.
-struct CoordState {
-    queue: VecDeque<CoordJob>,
-    idle: usize,
-    spawned: usize,
-    shutdown: bool,
 }
 
 /// Key identifying a reusable transport-set shape. Two configs with equal
@@ -412,8 +430,6 @@ const ARENA_TOTAL: usize = 64;
 struct PoolInner {
     sched: Mutex<Sched>,
     work_cv: Condvar,
-    coord: Mutex<CoordState>,
-    coord_cv: Condvar,
     arena: Mutex<ArenaState>,
     arena_hits: AtomicU64,
     arena_misses: AtomicU64,
@@ -442,7 +458,7 @@ enum WorkerExit {
 
 fn worker_loop(inner: &PoolInner) -> WorkerExit {
     IS_POOL_WORKER.with(|c| c.set(true));
-    let mut s = inner.sched.lock().unwrap();
+    let mut s = lock(&inner.sched);
     loop {
         s.free += 1;
         if pump(&mut s) {
@@ -455,7 +471,7 @@ fn worker_loop(inner: &PoolInner) -> WorkerExit {
             if s.shutdown {
                 return WorkerExit::Shutdown;
             }
-            s = inner.work_cv.wait(s).unwrap();
+            s = wait(&inner.work_cv, s);
         };
         drop(s);
         // Slot tasks catch panics internally (and always fill their board
@@ -471,7 +487,7 @@ fn worker_loop(inner: &PoolInner) -> WorkerExit {
         if escaped || aborted {
             return WorkerExit::Died;
         }
-        s = inner.sched.lock().unwrap();
+        s = lock(&inner.sched);
     }
 }
 
@@ -485,36 +501,18 @@ fn run_worker(inner: Arc<PoolInner>, idx: usize, cores: usize) {
     inner.live_workers.fetch_sub(1, Ordering::Relaxed);
     if let WorkerExit::Died = exit {
         inner.quarantined.fetch_add(1, Ordering::Relaxed);
-        if inner.sched.lock().unwrap().shutdown {
+        if lock(&inner.sched).shutdown {
             return;
         }
         inner.respawns.fetch_add(1, Ordering::Relaxed);
         let inner2 = Arc::clone(&inner);
+        // The OS refusing a thread is the one reachable failure here, and
+        // it stays a panic: there is no caller to return an error to.
         let h = std::thread::Builder::new()
             .name(format!("bsp-worker-{idx}"))
             .spawn(move || run_worker(inner2, idx, cores))
             .expect("failed to respawn BSP pool worker");
-        inner.handles.lock().unwrap().push(h);
-    }
-}
-
-fn coord_loop(inner: &PoolInner) {
-    let mut c = inner.coord.lock().unwrap();
-    loop {
-        if let Some(job) = c.queue.pop_front() {
-            drop(c);
-            // A panicking job already reported its error through its
-            // JobHandle (submit wraps the pipeline in catch_unwind); this
-            // catch just keeps the coordinator reusable.
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(job.run));
-            c = inner.coord.lock().unwrap();
-        } else if c.shutdown {
-            return;
-        } else {
-            c.idle += 1;
-            c = inner.coord_cv.wait(c).unwrap();
-            c.idle -= 1;
-        }
+        lock(&inner.handles).push(h);
     }
 }
 
@@ -565,13 +563,6 @@ impl Runtime {
                     shutdown: false,
                 }),
                 work_cv: Condvar::new(),
-                coord: Mutex::new(CoordState {
-                    queue: VecDeque::new(),
-                    idle: 0,
-                    spawned: 0,
-                    shutdown: false,
-                }),
-                coord_cv: Condvar::new(),
                 arena: Mutex::new(ArenaState {
                     sets: HashMap::new(),
                     total: 0,
@@ -598,7 +589,7 @@ impl Runtime {
 
     /// Number of worker threads currently spawned.
     pub fn workers(&self) -> usize {
-        self.inner.sched.lock().unwrap().spawned
+        lock(&self.inner.sched).spawned
     }
 
     /// Warm-lease count: jobs whose transport fabric came from the arena.
@@ -615,7 +606,7 @@ impl Runtime {
     /// `i mod ncores` (best effort; a failed pin is harmless).
     fn ensure_capacity(&self, p: usize) {
         let to_spawn: Vec<usize> = {
-            let mut s = self.inner.sched.lock().unwrap();
+            let mut s = lock(&self.inner.sched);
             let mut v = Vec::new();
             while !s.shutdown && s.spawned < p {
                 v.push(s.spawned);
@@ -632,24 +623,26 @@ impl Runtime {
         let mut spawned = Vec::with_capacity(to_spawn.len());
         for idx in to_spawn {
             let inner = Arc::clone(&self.inner);
+            // As on respawn: a refused thread is reachable and stays a panic.
             let h = std::thread::Builder::new()
                 .name(format!("bsp-worker-{idx}"))
                 .spawn(move || run_worker(inner, idx, cores))
                 .expect("failed to spawn BSP pool worker");
             spawned.push(h);
         }
-        self.inner.handles.lock().unwrap().extend(spawned);
+        lock(&self.inner.handles).extend(spawned);
     }
 
     /// Enqueue a whole job slice (`tasks.len()` = the job's `p`) at the
-    /// back of the FIFO queue. All slots dispatch atomically. If the pool
-    /// is already shut down, `abort` runs instead on the calling thread,
-    /// failing the slice's result board with [`BspError::RuntimeShutdown`]
-    /// — without this, the slice would sit in a queue no worker will ever
-    /// drain and its coordinator would hang in `wait_take`.
+    /// back of the FIFO queue and return; it never waits for the slice, so
+    /// a submitted job's completion can relaunch from a worker. All slots
+    /// dispatch atomically. If the pool is already shut down, `abort` runs
+    /// instead on the calling thread, failing the slice's result board with
+    /// [`BspError::RuntimeShutdown`] — without this, the slice would sit in
+    /// a queue no worker will ever drain and its job would never settle.
     pub(crate) fn execute(&self, tasks: Vec<Task>, abort: Task) {
         self.ensure_capacity(tasks.len());
-        let mut s = self.inner.sched.lock().unwrap();
+        let mut s = lock(&self.inner.sched);
         if s.shutdown {
             drop(s);
             abort();
@@ -680,7 +673,7 @@ impl Runtime {
             return None;
         }
         let key = ArenaKey::of(cfg);
-        let mut a = self.inner.arena.lock().unwrap();
+        let mut a = lock(&self.inner.arena);
         match a.sets.get_mut(&key).and_then(Vec::pop) {
             Some(set) => {
                 a.total -= 1;
@@ -723,7 +716,7 @@ impl Runtime {
             return;
         }
         let key = ArenaKey::of(cfg);
-        let mut a = self.inner.arena.lock().unwrap();
+        let mut a = lock(&self.inner.arena);
         if a.total >= ARENA_TOTAL {
             return;
         }
@@ -752,10 +745,12 @@ impl Runtime {
     }
 
     /// Submit a job and return immediately with a [`JobHandle`]. The job's
-    /// orchestration runs on a coordinator thread; its processes run on the
-    /// worker pool alongside other in-flight jobs, each leasing its own
-    /// `p`-slice. Results arrive in whatever order jobs finish; slices are
-    /// *admitted* in submission order.
+    /// first incarnation is built and enqueued on the calling thread; its
+    /// processes run on the worker pool alongside other in-flight jobs,
+    /// each leasing its own `p`-slice, and the worker that finishes an
+    /// incarnation's last slot merges it and resolves the handle (or
+    /// relaunches after a rollback). Results arrive in whatever order jobs
+    /// finish; slices are *admitted* in submission order.
     ///
     /// The handle is cancellable via [`JobHandle::cancel`], which fires the
     /// token attached with [`Config::cancel_token`] when there is one — so
@@ -765,73 +760,28 @@ impl Runtime {
         F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
         R: Send + 'static,
     {
-        // Validate on the caller's thread so a bad config panics here, not
-        // on a coordinator (where the panic would be reported through the
-        // handle instead).
+        // Validate here so a bad config panics in the caller, not on a
+        // worker (where the panic would be reported through the handle).
         assert!(cfg.nprocs > 0, "a BSP machine needs at least one process");
-        *self.inner.pending.lock().unwrap() += 1;
+        *lock(&self.inner.pending) += 1;
         let mut cfg = cfg.clone();
         let token = cfg.control.get_or_insert_with(CancelToken::new).clone();
         let state = Arc::new(HandleState {
             slot: Mutex::new(Slot::Pending),
             cv: Condvar::new(),
         });
-        let report = Arc::clone(&state);
-        let abort_report = Arc::clone(&state);
-        let rt = self.clone();
-        let abort_rt = self.clone();
-        let submitted = Instant::now();
-        let run = Box::new(move || {
-            let queue_wait = submitted.elapsed();
-            let res =
-                std::panic::catch_unwind(AssertUnwindSafe(|| run_pipeline(Some(&rt), &cfg, &f)))
-                    .unwrap_or_else(|payload| Err(payload_to_error(0, payload)))
-                    .map(|mut out| {
-                        out.stats.queue_wait = queue_wait;
-                        out
-                    });
+        let (report, inner) = (Arc::clone(&state), Arc::clone(&self.inner));
+        let finish = Box::new(move |res| {
             report.finish(res);
-            job_done(&rt.inner);
+            // One submitted job fewer for `shutdown_drain` to wait on.
+            *lock(&inner.pending) -= 1;
+            inner.pending_cv.notify_all();
         });
-        let abort = Box::new(move || {
-            abort_report.finish(Err(BspError::RuntimeShutdown));
-            job_done(&abort_rt.inner);
-        });
-        self.spawn_coord(CoordJob { run, abort });
+        submit_pipeline(self, cfg, f, finish);
         JobHandle {
             shared: state,
             token,
         }
-    }
-
-    /// Hand a job to the coordinator pool, spawning a coordinator if none
-    /// is parked. (Occasional over-spawn under a race is harmless: spare
-    /// coordinators park on the condvar.) After shutdown, the job's abort
-    /// runs instead — the handle resolves with
-    /// [`BspError::RuntimeShutdown`] rather than hanging.
-    fn spawn_coord(&self, job: CoordJob) {
-        let mut c = self.inner.coord.lock().unwrap();
-        if c.shutdown {
-            drop(c);
-            (job.abort)();
-            return;
-        }
-        c.queue.push_back(job);
-        let spawn = c.idle == 0;
-        if spawn {
-            c.spawned += 1;
-        }
-        let idx = c.spawned;
-        drop(c);
-        if spawn {
-            let inner = Arc::clone(&self.inner);
-            let h = std::thread::Builder::new()
-                .name(format!("bsp-coord-{idx}"))
-                .spawn(move || coord_loop(&inner))
-                .expect("failed to spawn BSP coordinator");
-            self.inner.handles.lock().unwrap().push(h);
-        }
-        self.inner.coord_cv.notify_one();
     }
 
     /// Run a throwaway job with `cfg`'s shape so the arena holds a warm
@@ -856,40 +806,30 @@ impl Runtime {
         }
     }
 
-    /// Fast shutdown: stop and join every worker and coordinator. Jobs
-    /// whose slices are already running complete; still-queued jobs are
-    /// *not* drained — their handles resolve with a structured
-    /// [`BspError::RuntimeShutdown`] (previously they were silently
-    /// abandoned and `join` hung forever). Use [`Runtime::shutdown_drain`]
-    /// to complete queued work instead.
+    /// Fast shutdown: stop and join every worker. Jobs whose slices are
+    /// already running complete; still-queued jobs are *not* drained —
+    /// their handles resolve with a structured [`BspError::RuntimeShutdown`]
+    /// (previously they were silently abandoned and `join` hung forever).
+    /// Use [`Runtime::shutdown_drain`] to complete queued work instead.
     pub fn shutdown(self) {
-        // Drain both queues under their locks, then run the abort closures
-        // outside them: coordinator-level aborts resolve job handles,
-        // slice-level aborts fill result boards so in-flight pipelines
-        // unwind with `RuntimeShutdown`.
-        let coord_aborts: Vec<Box<dyn FnOnce() + Send>> = {
-            let mut c = self.inner.coord.lock().unwrap();
-            c.shutdown = true;
-            c.queue.drain(..).map(|j| j.abort).collect()
-        };
-        let slice_aborts: Vec<Task> = {
-            let mut s = self.inner.sched.lock().unwrap();
+        // Drain the queue under its lock, then run the abort closures
+        // outside it: each fills its slice's result board with
+        // `RuntimeShutdown`, and the last fill settles the job — a blocked
+        // caller wakes, a submitted job's handle resolves.
+        let aborts: Vec<Task> = {
+            let mut s = lock(&self.inner.sched);
             s.shutdown = true;
             s.queue.drain(..).map(|j| j.abort).collect()
         };
         self.inner.work_cv.notify_all();
-        self.inner.coord_cv.notify_all();
-        for a in coord_aborts {
-            a();
-        }
-        for a in slice_aborts {
+        for a in aborts {
             a();
         }
         // A dying worker can push a respawned handle concurrently with the
         // take (it re-checks `shutdown` first, but the flag may land after
         // its check); loop until the vector stays empty.
         loop {
-            let handles = std::mem::take(&mut *self.inner.handles.lock().unwrap());
+            let handles = std::mem::take(&mut *lock(&self.inner.handles));
             if handles.is_empty() {
                 break;
             }
@@ -903,19 +843,13 @@ impl Runtime {
     /// then [`Runtime::shutdown`]. New submissions racing the drain may
     /// still be aborted with [`BspError::RuntimeShutdown`].
     pub fn shutdown_drain(self) {
-        let mut pending = self.inner.pending.lock().unwrap();
+        let mut pending = lock(&self.inner.pending);
         while *pending > 0 {
-            pending = self.inner.pending_cv.wait(pending).unwrap();
+            pending = wait(&self.inner.pending_cv, pending);
         }
         drop(pending);
         self.shutdown();
     }
-}
-
-/// Mark one submitted job finished (or aborted) and wake `shutdown_drain`.
-fn job_done(inner: &PoolInner) {
-    *inner.pending.lock().unwrap() -= 1;
-    inner.pending_cv.notify_all();
 }
 
 /// The process-wide runtime backing [`crate::run`] / [`crate::try_run`].
@@ -945,9 +879,9 @@ struct HandleState<R> {
 
 impl<R> HandleState<R> {
     fn finish(&self, res: Result<RunOutput<R>, BspError>) {
-        let mut slot = self.slot.lock().unwrap();
-        // `finish` is called exactly once per job (run XOR abort), so the
-        // slot can only be Pending here.
+        let mut slot = lock(&self.slot);
+        // `finish` is called exactly once per job, so the slot can only be
+        // Pending here.
         *slot = Slot::Ready(res);
         drop(slot);
         self.cv.notify_all();
@@ -968,14 +902,14 @@ impl<R> JobHandle<R> {
     /// Panics if the result was already taken by a successful
     /// [`JobHandle::join_timeout`].
     pub fn join(self) -> Result<RunOutput<R>, BspError> {
-        let mut slot = self.shared.slot.lock().unwrap();
+        let mut slot = lock(&self.shared.slot);
         loop {
             match std::mem::replace(&mut *slot, Slot::Taken) {
                 Slot::Ready(res) => return res,
                 Slot::Taken => panic!("job result already taken by join_timeout"),
                 Slot::Pending => {
                     *slot = Slot::Pending;
-                    slot = self.shared.cv.wait(slot).unwrap();
+                    slot = wait(&self.shared.cv, slot);
                 }
             }
         }
@@ -986,7 +920,7 @@ impl<R> JobHandle<R> {
     /// cancel it, keep waiting, or drop it).
     pub fn join_timeout(&self, d: Duration) -> Option<Result<RunOutput<R>, BspError>> {
         let deadline = Instant::now() + d;
-        let mut slot = self.shared.slot.lock().unwrap();
+        let mut slot = lock(&self.shared.slot);
         loop {
             match std::mem::replace(&mut *slot, Slot::Taken) {
                 Slot::Ready(res) => return Some(res),
@@ -997,7 +931,11 @@ impl<R> JobHandle<R> {
             if left.is_zero() {
                 return None;
             }
-            let (g, timeout) = self.shared.cv.wait_timeout(slot, left).unwrap();
+            let (g, timeout) = self
+                .shared
+                .cv
+                .wait_timeout(slot, left)
+                .unwrap_or_else(PoisonError::into_inner);
             slot = g;
             if timeout.timed_out() && matches!(*slot, Slot::Pending) {
                 return None;
@@ -1021,7 +959,7 @@ impl<R> JobHandle<R> {
 
     /// Has the job finished (result ready to take without blocking)?
     pub fn is_finished(&self) -> bool {
-        !matches!(*self.shared.slot.lock().unwrap(), Slot::Pending)
+        !matches!(*lock(&self.shared.slot), Slot::Pending)
     }
 }
 

@@ -17,6 +17,7 @@ use crate::fault::{
 };
 use crate::relax::SyncGraph;
 use crate::stats::RunStats;
+use std::ops::{ControlFlow, Deref};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -358,8 +359,8 @@ where
     run_pipeline(None, cfg, &f)
 }
 
-/// The full job pipeline: fault-state setup, the checkpoint-rollback loop,
-/// and per-incarnation execution via [`run_once`]. With a runtime, process
+/// The full job pipeline on the caller's thread: the checkpoint-rollback
+/// loop over blocking incarnations ([`run_once`]). With a runtime, process
 /// slots run on its worker pool and plain-config transports are leased
 /// from / released to its arena; without one, every incarnation spawns
 /// fresh threads.
@@ -372,74 +373,192 @@ where
     R: Send,
 {
     assert!(cfg.nprocs > 0, "a BSP machine needs at least one process");
-    // Fired-event state is shared across rollback incarnations so a
-    // transient fault injected before the rollback does not re-fire after it.
-    let fstate = cfg
-        .fault_plan
-        .as_ref()
-        .map(|p| Arc::new(FaultState::new(p.events.len())));
-    let policy = cfg.tolerance.as_ref().and_then(|t| t.checkpoint);
-    let ckpt_store = policy.map(|_| Arc::new(CheckpointStore::new(cfg.nprocs)));
-    let every = policy.map(|c| c.every_supersteps).unwrap_or(0);
-    let max_rollbacks = cfg.tolerance.as_ref().map(|t| t.max_rollbacks).unwrap_or(0);
-    let mut rolled_back = 0u64;
-    let mut carried = FaultCounters::default();
-    let mut recover_from: Option<Instant> = None;
-    let mut restored: Vec<Option<Vec<u8>>> = (0..cfg.nprocs).map(|_| None).collect();
+    let mut rec = Recovery::new(cfg);
+    let mut restored = no_blobs(cfg.nprocs);
     loop {
-        let ckpt = ckpt_store.as_ref().map(|s| (every, s));
-        match run_once(
-            rt,
-            cfg,
-            f,
-            fstate.as_ref(),
-            ckpt,
-            std::mem::take(&mut restored),
-        ) {
+        match rec.next(cfg.nprocs, run_once(rt, cfg, f, &rec, restored)) {
+            ControlFlow::Break(res) => return res,
+            ControlFlow::Continue(blobs) => restored = blobs,
+        }
+    }
+}
+
+/// Resolves a submitted job's handle with its result.
+pub(crate) type Finish<R> = Box<dyn FnOnce(Result<RunOutput<R>, BspError>) + Send>;
+
+/// Launch a submitted job and return at once. The first incarnation is
+/// built on the calling thread; each incarnation's merge, arena park,
+/// rollback decision, relaunch and the final `finish` run on the thread
+/// that fills its board's last slot. No thread blocks on the job.
+pub(crate) fn submit_pipeline<F, R>(rt: &exec::Runtime, cfg: Config, f: F, finish: Finish<R>)
+where
+    F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
+    R: Send + 'static,
+{
+    let restored = no_blobs(cfg.nprocs);
+    Submitted {
+        rt: rt.clone(),
+        rec: Recovery::new(&cfg),
+        cfg,
+        f: Arc::new(f),
+        finish,
+    }
+    .launch(restored);
+}
+
+/// A submitted job between incarnations: everything its board completion
+/// needs to settle one incarnation and start the next.
+struct Submitted<F, R> {
+    rt: exec::Runtime,
+    cfg: Config,
+    f: Arc<F>,
+    rec: Recovery,
+    finish: Finish<R>,
+}
+
+impl<F, R> Submitted<F, R>
+where
+    F: Fn(&mut Ctx) -> R + Send + Sync + 'static,
+    R: Send + 'static,
+{
+    /// Build an incarnation and enqueue its slice. Never waits: `execute`
+    /// only enqueues, so a relaunch issued on a worker of a pool exactly
+    /// `p` wide is admitted once that worker returns to its loop.
+    fn launch(self, restored: Vec<Option<Vec<u8>>>) {
+        let prepared = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            prepare(Some(&self.rt), &self.cfg, self.rec.fstate.as_ref())
+        }));
+        let (launch, ctxs) = match prepared {
+            Ok(prepared) => prepared,
+            Err(payload) => return (self.finish)(Err(payload_to_error(0, payload))),
+        };
+        let nprocs = self.cfg.nprocs;
+        let board = exec::Board::new(nprocs);
+        let tasks = slot_tasks(
+            &launch,
+            ctxs,
+            Arc::clone(&self.f),
+            self.rec.ckpt.as_ref(),
+            restored,
+            &board,
+        );
+        let abort = shutdown_fill(&board, nprocs);
+        let rt = self.rt.clone();
+        board.then(Box::new(move |outcomes| self.settle(launch, outcomes)));
+        rt.execute(tasks, abort);
+    }
+
+    /// The board's completion: merge the incarnation, then resolve the job
+    /// or relaunch it. A panic in the merge resolves the handle with an
+    /// error instead of escaping onto the worker.
+    fn settle(mut self, launch: Launch, outcomes: Vec<Option<SlotOutcome<R>>>) {
+        let next = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let res = collect(Some(&self.rt), &self.cfg, launch, outcomes);
+            self.rec.next(self.cfg.nprocs, res)
+        }))
+        .unwrap_or_else(|payload| ControlFlow::Break(Err(payload_to_error(0, payload))));
+        match next {
+            ControlFlow::Break(res) => (self.finish)(res),
+            ControlFlow::Continue(restored) => self.launch(restored),
+        }
+    }
+}
+
+/// No checkpoint to resume from, for any of `nprocs` processes.
+fn no_blobs(nprocs: usize) -> Vec<Option<Vec<u8>>> {
+    (0..nprocs).map(|_| None).collect()
+}
+
+/// What a job does once an incarnation has settled: stop with its result,
+/// or run again, each process resuming from its blob (none: from scratch).
+type Next<R> = ControlFlow<Result<RunOutput<R>, BspError>, Vec<Option<Vec<u8>>>>;
+
+/// A job's fault and rollback state across its incarnations.
+struct Recovery {
+    /// Fired-event state, shared across incarnations so a transient fault
+    /// injected before a rollback does not re-fire after it.
+    fstate: Option<Arc<FaultState>>,
+    /// Checkpoint interval and store, under a checkpoint policy.
+    ckpt: Option<(usize, Arc<CheckpointStore>)>,
+    max_rollbacks: u64,
+    rolled_back: u64,
+    /// Fault counters of the failed incarnations.
+    carried: FaultCounters,
+    recover_from: Option<Instant>,
+}
+
+impl Recovery {
+    fn new(cfg: &Config) -> Recovery {
+        let tol = cfg.tolerance.as_ref();
+        let store = || Arc::new(CheckpointStore::new(cfg.nprocs));
+        Recovery {
+            fstate: cfg
+                .fault_plan
+                .as_ref()
+                .map(|p| Arc::new(FaultState::new(p.events.len()))),
+            ckpt: tol
+                .and_then(|t| t.checkpoint)
+                .map(|c| (c.every_supersteps, store())),
+            max_rollbacks: tol.map_or(0, |t| u64::from(t.max_rollbacks)),
+            rolled_back: 0,
+            carried: FaultCounters::default(),
+            recover_from: None,
+        }
+    }
+
+    /// The one rollback rule: carry a failed incarnation's counters, never
+    /// roll back a terminal error, spend the rollback budget, and resume
+    /// from the newest checkpoint consistent across all processes.
+    fn next<R>(
+        &mut self,
+        nprocs: usize,
+        res: Result<RunOutput<R>, (BspError, FaultCounters)>,
+    ) -> Next<R> {
+        let (err, fc) = match res {
             Ok(mut out) => {
-                out.stats.faults.add(&carried);
-                out.stats.faults.rolled_back += rolled_back;
-                if let Some(t0) = recover_from {
+                out.stats.faults.add(&self.carried);
+                out.stats.faults.rolled_back += self.rolled_back;
+                if let Some(t0) = self.recover_from {
                     out.stats.faults.recovery_ms += t0.elapsed().as_millis() as u64;
                 }
-                return Ok(out);
+                return ControlFlow::Break(Ok(out));
             }
-            Err((err, fc)) => {
-                // Keep the failed incarnation's counters: its detections and
-                // retries are part of the run's fault history.
-                carried.add(&fc);
-                // Deliberate terminations are never rolled back: a cancelled
-                // or overdue job must unwind immediately, and a shut-down
-                // runtime has no pool to re-run on.
-                let terminal = matches!(
-                    err,
-                    BspError::Cancelled { .. }
-                        | BspError::DeadlineExceeded { .. }
-                        | BspError::RuntimeShutdown
-                );
-                if let Some(store) = ckpt_store
-                    .as_ref()
-                    .filter(|_| !terminal && rolled_back < u64::from(max_rollbacks))
-                {
-                    recover_from.get_or_insert_with(Instant::now);
-                    rolled_back += 1;
-                    restored = (0..cfg.nprocs).map(|_| None).collect();
-                    if let Some(cs) = store.consistent_step() {
-                        // Roll every process back to the newest superstep all
-                        // of them snapshotted; later snapshots are discarded.
-                        store.prune_above(cs);
-                        for (pid, slot) in restored.iter_mut().enumerate() {
-                            *slot = store.blob(pid, cs);
-                        }
-                    }
-                    // No consistent cut yet: re-run from scratch (restored
-                    // stays all-None). Deterministic apps still converge to
-                    // bit-identical output.
-                    continue;
-                }
-                return Err(err);
+            Err(failed) => failed,
+        };
+        // Keep the failed incarnation's counters: its detections and
+        // retries are part of the run's fault history.
+        self.carried.add(&fc);
+        // Deliberate terminations are never rolled back: a cancelled or
+        // overdue job must unwind immediately, and a shut-down runtime has
+        // no pool to re-run on.
+        let terminal = matches!(
+            err,
+            BspError::Cancelled { .. }
+                | BspError::DeadlineExceeded { .. }
+                | BspError::RuntimeShutdown
+        );
+        let Some((_, store)) = self
+            .ckpt
+            .as_ref()
+            .filter(|_| !terminal && self.rolled_back < self.max_rollbacks)
+        else {
+            return ControlFlow::Break(Err(err));
+        };
+        self.recover_from.get_or_insert_with(Instant::now);
+        self.rolled_back += 1;
+        let mut restored = no_blobs(nprocs);
+        if let Some(cs) = store.consistent_step() {
+            // Roll every process back to the newest superstep all of them
+            // snapshotted; later snapshots are discarded.
+            store.prune_above(cs);
+            for (pid, slot) in restored.iter_mut().enumerate() {
+                *slot = store.blob(pid, cs);
             }
         }
+        // No consistent cut yet: re-run from scratch (restored stays
+        // all-None). Deterministic apps still converge to bit-identical
+        // output.
+        ControlFlow::Continue(restored)
     }
 }
 
@@ -566,15 +685,18 @@ impl Drop for ArriveOnDrop<'_> {
 /// process parked waiting for the baton charges that wait to the run, not
 /// to launch setup — and `finished` after `finalize`, so
 /// `max(finished)..collect` is pure teardown.
-fn slot_body<R>(
+fn slot_body<R, F>(
     pid: usize,
     mut ctx: Ctx,
-    f: &(dyn Fn(&mut Ctx) -> R + Sync),
+    f: &F,
     shared: Option<Arc<CheckShared>>,
     ckpt: Option<(usize, Arc<CheckpointStore>)>,
     blob: Option<Vec<u8>>,
     gate: Option<&ResetGate>,
-) -> SlotOutcome<R> {
+) -> SlotOutcome<R>
+where
+    F: Fn(&mut Ctx) -> R + Sync + ?Sized,
+{
     let entered = Instant::now();
     let mut arrive = ArriveOnDrop(gate);
     if let Some(shared) = shared {
@@ -647,22 +769,24 @@ fn slot_body<R>(
     }
 }
 
-/// One incarnation of a run: lease or build the transport fabric, execute
-/// every process slot (on the runtime's worker pool when one is given,
-/// otherwise on freshly spawned scoped threads), join, merge. A process
-/// failure yields the primary error plus the fault counters gathered
-/// before death.
-fn run_once<R>(
+/// One incarnation's launch-side state, carried from [`prepare`] to
+/// [`collect`].
+struct Launch {
+    /// Admission (for a submitted job's first incarnation, the submit):
+    /// `wall`, `setup` and `queue_wait` count from here.
+    start: Instant,
+    shared: Option<Arc<CheckShared>>,
+    /// Armed when the slots reset their own endpoints for the arena.
+    gate: Option<Arc<ResetGate>>,
+}
+
+/// Open an incarnation: lease or build the transport fabric and stamp the
+/// per-run state on every slot.
+fn prepare(
     rt: Option<&exec::Runtime>,
     cfg: &Config,
-    f: &(dyn Fn(&mut Ctx) -> R + Sync),
     fstate: Option<&Arc<FaultState>>,
-    ckpt: Option<(usize, &Arc<CheckpointStore>)>,
-    mut restored: Vec<Option<Vec<u8>>>,
-) -> Result<RunOutput<R>, (BspError, FaultCounters)>
-where
-    R: Send,
-{
+) -> (Launch, Vec<Ctx>) {
     // The clock opens at admission: `wall` covers transport lease or
     // construction (reported separately as `RunStats::setup`), the
     // supersteps, and result collection (`RunStats::teardown`).
@@ -694,7 +818,6 @@ where
             ctx.control = cfg.control.clone();
         }
     }
-    let ckpt_owned = ckpt.map(|(every, store)| (every, Arc::clone(store)));
     // Arena-bound sets reset on their own workers (see `slot_body` and
     // `ResetGate`) — but only when the host really runs the slots in
     // parallel. On an oversubscribed host (fewer cores than processes)
@@ -702,101 +825,127 @@ where
     // waits for, and the serial release-time reset is strictly cheaper.
     // The spawn-per-run path and ineligible shapes never park either way.
     let gate = (rt.is_some() && exec::arena_eligible(cfg) && par_reset_wanted(nprocs))
-        .then(|| ResetGate::new(nprocs));
-    let pre_reset = gate.is_some();
+        .then(|| Arc::new(ResetGate::new(nprocs)));
+    (
+        Launch {
+            start,
+            shared,
+            gate,
+        },
+        ctxs,
+    )
+}
 
-    let outcomes: Vec<SlotOutcome<R>> = match rt {
-        // Pooled: one lifetime-erased task per slot, all dispatched
-        // atomically to the pool; the board blocks until the last slot
-        // reports, which is what makes the lifetime erasure sound.
+/// The incarnation's slot tasks: each runs [`slot_body`] and fills its
+/// board slot. The outer catch guarantees the fill even if the runner
+/// itself bugs out, so the board always completes.
+fn slot_tasks<'a, R, P>(
+    launch: &Launch,
+    ctxs: Vec<Ctx>,
+    f: P,
+    ckpt: Option<&(usize, Arc<CheckpointStore>)>,
+    restored: Vec<Option<Vec<u8>>>,
+    board: &Arc<exec::Board<SlotOutcome<R>>>,
+) -> Vec<Box<dyn FnOnce() + Send + 'a>>
+where
+    R: Send + 'a,
+    P: Deref + Clone + Send + 'a,
+    P::Target: Fn(&mut Ctx) -> R + Sync,
+{
+    ctxs.into_iter()
+        .zip(restored)
+        .enumerate()
+        .map(|(pid, (ctx, blob))| {
+            debug_assert_eq!(ctx.pid(), pid, "arena set out of pid order");
+            let (f, shared, ckpt) = (f.clone(), launch.shared.clone(), ckpt.cloned());
+            let (gate, board) = (launch.gate.clone(), Arc::clone(board));
+            Box::new(move || {
+                let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    slot_body(pid, ctx, &*f, shared, ckpt, blob, gate.as_deref())
+                }))
+                .unwrap_or_else(|payload| SlotOutcome::Fail {
+                    err: payload_to_error(pid, payload),
+                    fc: FaultCounters::default(),
+                });
+                board.fill(pid, out);
+            }) as Box<dyn FnOnce() + Send + 'a>
+        })
+        .collect()
+}
+
+/// What a queued slice runs instead of its tasks when the runtime shuts
+/// down: every slot fails with [`BspError::RuntimeShutdown`], so the board
+/// completes and its job settles instead of hanging.
+fn shutdown_fill<'a, R: Send + 'a>(
+    board: &Arc<exec::Board<SlotOutcome<R>>>,
+    nprocs: usize,
+) -> Box<dyn FnOnce() + Send + 'a> {
+    let board = Arc::clone(board);
+    Box::new(move || {
+        for pid in 0..nprocs {
+            board.fill(
+                pid,
+                SlotOutcome::Fail {
+                    err: BspError::RuntimeShutdown,
+                    fc: FaultCounters::default(),
+                },
+            );
+        }
+    })
+}
+
+/// One blocking incarnation: launch every process slot (on the runtime's
+/// worker pool when one is given, otherwise on freshly spawned scoped
+/// threads), wait for the board, merge.
+fn run_once<R>(
+    rt: Option<&exec::Runtime>,
+    cfg: &Config,
+    f: &(dyn Fn(&mut Ctx) -> R + Sync),
+    rec: &Recovery,
+    restored: Vec<Option<Vec<u8>>>,
+) -> Result<RunOutput<R>, (BspError, FaultCounters)>
+where
+    R: Send,
+{
+    let (launch, ctxs) = prepare(rt, cfg, rec.fstate.as_ref());
+    let board = exec::Board::new(cfg.nprocs);
+    let tasks = slot_tasks(&launch, ctxs, f, rec.ckpt.as_ref(), restored, &board);
+    match rt {
         Some(rt) => {
-            let board = exec::Board::new(nprocs);
-            let gate = gate.as_ref();
-            let tasks: Vec<exec::Task> = ctxs
+            // SAFETY: `board.wait_take()` below returns only after every
+            // task has filled its slot, i.e. run to completion, or after
+            // the abort filled them all in their stead; the borrow the
+            // tasks capture (`f`) outlives that point, and the abort
+            // captures only an `Arc` of the board.
+            let tasks = tasks
                 .into_iter()
-                .enumerate()
-                .map(|(pid, ctx)| {
-                    debug_assert_eq!(ctx.pid(), pid, "arena set out of pid order");
-                    let shared = shared.clone();
-                    let ckpt = ckpt_owned.clone();
-                    let blob = restored[pid].take();
-                    let board = Arc::clone(&board);
-                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        // The outer catch guarantees the board slot is
-                        // always filled, even if the runner itself bugs
-                        // out, so the submitting thread can never hang.
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            slot_body(pid, ctx, f, shared, ckpt, blob, gate)
-                        }))
-                        .unwrap_or_else(|payload| SlotOutcome::Fail {
-                            err: payload_to_error(pid, payload),
-                            fc: FaultCounters::default(),
-                        });
-                        board.fill(pid, out);
-                    });
-                    // SAFETY: `board.wait_take()` below returns only after
-                    // every task has filled its slot, i.e. run to
-                    // completion; the borrows the tasks capture (`f`,
-                    // `shared`, `board`) all outlive that point.
-                    unsafe { exec::erase_task(task) }
-                })
+                .map(|t| unsafe { exec::erase_task(t) })
                 .collect();
-            // The abort task runs instead of the slice if the runtime shuts
-            // down while the job is still queued: it fills every board slot
-            // so `wait_take` below returns with a structured error instead
-            // of hanging. Same lifetime-erasure argument as the tasks.
-            let abort_board = Arc::clone(&board);
-            let abort: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                for pid in 0..nprocs {
-                    abort_board.fill(
-                        pid,
-                        SlotOutcome::<R>::Fail {
-                            err: BspError::RuntimeShutdown,
-                            fc: FaultCounters::default(),
-                        },
-                    );
-                }
-            });
-            // SAFETY: identical to the `tasks` erasure above — the closure
-            // only touches `board`, which `wait_take` below keeps alive on
-            // this stack until every slot (including abort fills) is taken.
-            let abort = unsafe { exec::erase_task(abort) };
+            // SAFETY: as for the tasks.
+            let abort = unsafe { exec::erase_task(shutdown_fill(&board, cfg.nprocs)) };
             rt.execute(tasks, abort);
-            board
-                .wait_take()
-                .into_iter()
-                .map(|o| o.expect("pool task finished without filling its board slot"))
-                .collect()
         }
         // Unpooled: the original spawn-per-run strategy.
         None => std::thread::scope(|s| {
-            let handles: Vec<_> = ctxs
-                .into_iter()
-                .enumerate()
-                .map(|(pid, ctx)| {
-                    let shared = shared.clone();
-                    let ckpt = ckpt_owned.clone();
-                    let blob = restored[pid].take();
-                    s.spawn(move || slot_body(pid, ctx, f, shared, ckpt, blob, None))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(pid, h)| match h.join() {
-                    Ok(out) => out,
-                    // The thread died outside slot_body's catch (a bug in
-                    // the runtime itself, not the program); preserve the
-                    // payload regardless.
-                    Err(payload) => SlotOutcome::Fail {
-                        err: payload_to_error(pid, payload),
-                        fc: FaultCounters::default(),
-                    },
-                })
-                .collect()
+            for task in tasks {
+                s.spawn(task);
+            }
         }),
-    };
+    }
+    collect(rt, cfg, launch, board.wait_take())
+}
 
+/// Merge one incarnation's slot outcomes. A process failure yields the
+/// primary error plus the fault counters gathered before death; a clean
+/// pooled run parks its transport set in the arena and returns the
+/// results with merged statistics.
+fn collect<R>(
+    rt: Option<&exec::Runtime>,
+    cfg: &Config,
+    launch: Launch,
+    outcomes: Vec<Option<SlotOutcome<R>>>,
+) -> Result<RunOutput<R>, (BspError, FaultCounters)> {
+    let nprocs = cfg.nprocs;
     let mut per_proc: Vec<Option<ProcResult<R>>> = (0..nprocs).map(|_| None).collect();
     let mut faults = FaultCounters::default();
     // The primary error: prefer the root cause over collateral. A panicking
@@ -828,15 +977,17 @@ where
             *fail = Some(err);
         }
     };
+    let mut first_entered: Option<Instant> = None;
     let mut last_entered: Option<Instant> = None;
     let mut last_finished: Option<Instant> = None;
     let mut reusable: Vec<Ctx> = Vec::with_capacity(nprocs);
     let mut all_reset = true;
     for (pid, outcome) in outcomes.into_iter().enumerate() {
-        match outcome {
+        match outcome.expect("a board completes only once every slot is filled") {
             SlotOutcome::Done(ok) => {
                 let ok = *ok;
                 faults.add(&ok.fc);
+                first_entered = Some(first_entered.map_or(ok.entered, |t| t.min(ok.entered)));
                 last_entered = Some(last_entered.map_or(ok.entered, |t| t.max(ok.entered)));
                 last_finished = Some(last_finished.map_or(ok.finished, |t| t.max(ok.finished)));
                 all_reset &= ok.reset_ok;
@@ -856,14 +1007,14 @@ where
     }
 
     let end = Instant::now();
-    let wall = end.duration_since(start);
+    let wall = end.duration_since(launch.start);
     // Clean run: hand the transport set back to the arena. When the gate
     // was armed, every slot already reset itself on its worker and the
     // park is a map probe and a push; if any endpoint declined (poisoned
     // barrier, mid-protocol channel), the set is dropped — rebuild, not
     // reuse. Without the gate, `release` does the serial reset here.
     if let Some(rt) = rt {
-        if pre_reset {
+        if launch.gate.is_some() {
             if all_reset {
                 rt.park(cfg, reusable);
             }
@@ -936,19 +1087,24 @@ where
     stats.faults = faults;
     // Pooled runs snapshot executor health so a job that rode out a worker
     // respawn can see it (see DESIGN.md §15).
+    // The wait behind other jobs: admission to the first slot picked up
+    // by a worker.
     if let Some(rt) = rt {
         stats.pool = rt.pool_health();
+        stats.queue_wait = first_entered
+            .map(|t| t.duration_since(launch.start))
+            .unwrap_or_default();
     }
     // Launch/teardown split: the slowest slot's pickup bounds setup, its
     // finish bounds teardown. (`duration_since` saturates to zero, so a
     // clock oddity can't panic here.)
     stats.setup = last_entered
-        .map(|t| t.duration_since(start))
+        .map(|t| t.duration_since(launch.start))
         .unwrap_or_default();
     stats.teardown = last_finished
         .map(|t| end.duration_since(t))
         .unwrap_or_default();
-    if let Some(shared) = &shared {
+    if let Some(shared) = &launch.shared {
         stats.check_reports = check::analyze(&traces, &shared.sink);
         // Keep the raw traces: the plan analyzer rebuilds each process's
         // superstep skeleton from them (see `crate::analyze`).

@@ -180,8 +180,9 @@ pub struct RunStats {
     /// quarantined slots; see [`crate::exec::PoolHealth`]). Default for
     /// unpooled and hand-built stats.
     pub pool: crate::exec::PoolHealth,
-    /// Time the job spent queued before admission (submit → coordinator
-    /// pickup). Zero outside `submit`.
+    /// Time the job waited behind other jobs: admission (the submit, or
+    /// the start of a pooled run) → the first of its slots picked up by a
+    /// worker. Zero on unpooled runs.
     pub queue_wait: Duration,
 }
 

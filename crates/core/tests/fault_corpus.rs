@@ -15,77 +15,12 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use common::{backends, matches_seqsim};
+use common::{backends, digest_app, matches_seqsim, STEPS};
 use green_bsp::{
-    try_run, BackendKind, BarrierKind, BspError, CheckKind, CheckpointPolicy, Config, Ctx,
-    FaultEvent, FaultKind, FaultPlan, FaultTolerance, Packet, RunStats, TransportErrorKind,
+    try_run, BackendKind, BarrierKind, BspError, CheckKind, CheckpointPolicy, Config, FaultEvent,
+    FaultKind, FaultPlan, FaultTolerance, Packet, RunStats, TransportErrorKind,
 };
 use proptest::prelude::*;
-
-/// Supersteps run by the digest app.
-const STEPS: usize = 5;
-
-fn encode_state(acc: u64, log: &[u64], step: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(16 + log.len() * 8);
-    v.extend_from_slice(&acc.to_le_bytes());
-    v.extend_from_slice(&(step as u64).to_le_bytes());
-    for x in log {
-        v.extend_from_slice(&x.to_le_bytes());
-    }
-    v
-}
-
-fn decode_state(b: &[u8]) -> (u64, Vec<u64>, usize) {
-    let acc = u64::from_le_bytes(b[0..8].try_into().unwrap());
-    let step = u64::from_le_bytes(b[8..16].try_into().unwrap()) as usize;
-    let log = b[16..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    (acc, log, step)
-}
-
-/// A deterministic multi-superstep program exercising both the packet lane
-/// and the byte lane. Per superstep it folds everything received into a
-/// running digest in delivery order, so a healed superstep must deliver the
-/// very sequence a clean one does. Checkpoint-aware: resumes mid-run after
-/// a rollback.
-fn digest_app(ctx: &mut Ctx) -> Vec<u64> {
-    let (me, p) = (ctx.pid(), ctx.nprocs());
-    let (mut acc, mut log, start) = match ctx.restore_checkpoint() {
-        Some(blob) => decode_state(&blob),
-        None => (me as u64 + 1, Vec::new(), 0),
-    };
-    for step in start..STEPS {
-        if ctx.checkpoint_due() {
-            ctx.save_checkpoint(&encode_state(acc, &log, step));
-        }
-        for dest in 0..p {
-            let tag = ((step as u64) << 32) | ((me as u64) << 16) | dest as u64;
-            ctx.send_pkt(dest, Packet::two_u64(acc ^ tag, tag));
-            ctx.send_pkt(dest, Packet::two_u64(tag, acc));
-        }
-        let nb = (step * 7 + me * 3) % 23;
-        let payload: Vec<u8> = (0..nb)
-            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(me as u8))
-            .collect();
-        ctx.send_bytes((me + step + 1) % p, &payload);
-        ctx.sync();
-
-        while let Some(pkt) = ctx.get_pkt() {
-            let (a, b) = pkt.as_two_u64();
-            acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ a ^ b.rotate_left(17);
-        }
-        while let Some((src, b)) = ctx.recv_bytes() {
-            acc = acc.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (src as u64) << 8;
-            for &byte in b {
-                acc = acc.wrapping_mul(31).wrapping_add(u64::from(byte));
-            }
-        }
-        log.push(acc);
-    }
-    log
-}
 
 fn digest(cfg: &Config) -> Result<(Vec<Vec<u64>>, RunStats), BspError> {
     let out = try_run(cfg, digest_app)?;

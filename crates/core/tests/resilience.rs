@@ -1,5 +1,6 @@
 //! Resilient-kernel corpus (DESIGN.md §15): cancellation, deadlines, FIFO
-//! admission, self-healing workers, and structured shutdown.
+//! admission, self-healing workers, rollback of a submitted job, and
+//! structured shutdown.
 //!
 //! Every scenario is bounded by `join_timeout` — a hang is a test failure
 //! with a message, never a stuck binary — and the long-running probe
@@ -9,10 +10,10 @@
 
 mod common;
 
-use common::backends;
+use common::{backends, digest_app};
 use green_bsp::{
-    run_unpooled, BspError, CancelToken, Config, Ctx, FaultEvent, FaultKind, FaultPlan, Packet,
-    Runtime,
+    run_unpooled, BspError, CancelToken, CheckpointPolicy, Config, Ctx, FaultEvent, FaultKind,
+    FaultPlan, FaultTolerance, Packet, Runtime,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -271,8 +272,66 @@ fn slices_admit_in_submission_order() {
         })
         .collect();
     assert_eq!(*order.lock().unwrap(), vec!["first", "second"]);
-    // `first` sat behind `long` on the single worker, and its stats say so.
-    assert!(outs[1].stats.queue_wait > Duration::ZERO);
+    // `first` sat behind `long` on the single worker (queued at t ≈ 20 ms
+    // behind a 120 ms job), and its stats say so; `long` found the worker
+    // free.
+    assert!(
+        outs[1].stats.queue_wait >= Duration::from_millis(50),
+        "first waited only {:?}",
+        outs[1].stats.queue_wait
+    );
+    assert!(
+        outs[0].stats.queue_wait < Duration::from_millis(50),
+        "long waited {:?}",
+        outs[0].stats.queue_wait
+    );
+    rt.shutdown();
+}
+
+/// A submitted job's rollback relaunches from the worker that settled the
+/// failed incarnation. On a pool exactly `p` wide the relaunched slice
+/// needs that very worker back, so it is admitted only once the settling
+/// worker returns to its loop: the job must heal bit for bit, not hang.
+/// Without a rollback budget the same panic is the job's result.
+#[test]
+fn submitted_rollback_relaunches_on_an_exactly_wide_pool() {
+    let p = 4;
+    let want = run_unpooled(&Config::new(p), digest_app).unwrap().results;
+    let cfg = Config::new(p).faults(FaultPlan::new(4).with(FaultEvent {
+        pid: 2,
+        step: 3,
+        dest: 0,
+        kind: FaultKind::Panic,
+    }));
+    let tol = FaultTolerance {
+        checkpoint: Some(CheckpointPolicy {
+            every_supersteps: 2,
+        }),
+        ..FaultTolerance::default()
+    };
+    let rt = Runtime::with_workers(p);
+    let out = rt
+        .submit(&cfg.clone().tolerant(tol.clone()), digest_app)
+        .join_timeout(Duration::from_secs(15))
+        .expect("submitted rollback hung")
+        .expect("the rollback should heal the run");
+    assert_eq!(out.results, want);
+    assert_eq!(out.stats.faults.rolled_back, 1);
+    assert_eq!(rt.pool_health().quarantined, 0);
+
+    let no_budget = FaultTolerance {
+        max_rollbacks: 0,
+        ..tol
+    };
+    let err = rt
+        .submit(&cfg.tolerant(no_budget), digest_app)
+        .join_timeout(Duration::from_secs(15))
+        .expect("submitted failure hung")
+        .expect_err("zero rollback budget must surface the panic");
+    assert!(
+        matches!(err, BspError::ProcPanicked { pid: 2, .. }),
+        "expected ProcPanicked, got {err}"
+    );
     rt.shutdown();
 }
 
