@@ -27,7 +27,7 @@ use super::shared::Grid;
 use crate::relax::SyncMode;
 use crate::stats::TransportCounters;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 pub(crate) struct SeqState {
     /// Both lanes, one slot per `(dest, src, phase)` — no locking needed
@@ -46,6 +46,19 @@ struct BatonState {
     done: Vec<bool>,
 }
 
+/// Lock the baton. Poisoning is unreachable: its critical sections only
+/// read and write `BatonState`, and `pass_baton`'s one assertion holds
+/// (see there). So the guard is taken either way.
+fn lock(m: &Mutex<BatonState>) -> MutexGuard<'_, BatonState> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Wait on the baton's condvar with a guard from [`lock`]; unpoisonable for
+/// the same reason.
+fn wait<'a>(cv: &Condvar, guard: MutexGuard<'a, BatonState>) -> MutexGuard<'a, BatonState> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
 impl SeqState {
     pub(crate) fn new(nprocs: usize) -> Arc<Self> {
         Arc::new(SeqState {
@@ -61,9 +74,9 @@ impl SeqState {
     }
 
     fn wait_for_baton(&self, pid: usize) {
-        let mut b = self.baton.lock().unwrap();
+        let mut b = lock(&self.baton);
         while b.current != pid && !self.poisoned.load(Ordering::Acquire) {
-            b = self.cv.wait(b).unwrap();
+            b = wait(&self.cv, b);
         }
         drop(b);
         if self.poisoned.load(Ordering::Acquire) {
@@ -77,14 +90,19 @@ impl SeqState {
 
     fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        let _b = self.baton.lock().unwrap();
+        let _b = lock(&self.baton);
         self.cv.notify_all();
     }
 
     /// Hand the baton to the next not-yet-finished process after `pid`
     /// (cyclically). If every process is done, the baton stops moving.
+    ///
+    /// The assertion cannot fire: only the holder calls this, from
+    /// `exchange` or `finish`, after its own `wait_for_baton` returned, and
+    /// while a job runs only the holder moves the baton (`reset` rewinds it
+    /// after every slot has finished).
     fn pass_baton(&self, pid: usize) {
-        let mut b = self.baton.lock().unwrap();
+        let mut b = lock(&self.baton);
         debug_assert_eq!(b.current, pid);
         let p = b.done.len();
         for off in 1..=p {
@@ -166,7 +184,7 @@ impl ProcTransport for SeqProc {
     }
 
     fn finish(&mut self) {
-        let mut b = self.st.baton.lock().unwrap();
+        let mut b = lock(&self.st.baton);
         b.done[self.pid] = true;
         drop(b);
         self.st.pass_baton(self.pid);
@@ -190,7 +208,7 @@ impl ProcTransport for SeqProc {
         self.st.pkts.clear(self.pid);
         self.st.bytes.clear(self.pid);
         self.cur_step = 0;
-        let mut b = self.st.baton.lock().unwrap();
+        let mut b = lock(&self.st.baton);
         b.done[self.pid] = false;
         if self.pid == 0 {
             b.current = 0;

@@ -46,6 +46,7 @@ use crate::stats::TransportCounters;
 // build, loom's model-checked equivalents under `--cfg loom`. See
 // sync_shim.rs and DESIGN.md §13.
 use crate::sync_shim::{AtomicUsize, Mutex, Ordering, Thread};
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 /// The fabric of both lanes: one buffer slot per `(dest, src, phase)`.
@@ -70,6 +71,18 @@ pub(crate) struct Grid<T> {
     /// boundary that orders a slot's deposit before its collect orders
     /// this count the same way.
     deposits: Vec<[CachePadded<AtomicUsize>; 2]>,
+}
+
+/// Lock a grid slot. Poisoning is unreachable: a slot's critical sections
+/// only swap, append to or clear a `Vec` of `Copy` records, which cannot
+/// panic short of running out of memory, and an allocation failure
+/// aborts. So the guard is taken either way.
+fn lock<T>(m: &Mutex<Vec<T>>) -> impl DerefMut<Target = Vec<T>> + '_ {
+    #[cfg(not(loom))]
+    let guard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    #[cfg(loom)]
+    let Ok(guard) = m.lock();
+    guard
 }
 
 impl<T> Grid<T> {
@@ -97,10 +110,7 @@ impl<T> Grid<T> {
     /// unless this superstep already deposited there (a fault injector's
     /// duplicate), in which case the traffic is appended.
     pub(crate) fn deposit(&self, dest: usize, src: usize, phase: usize, buf: &mut Vec<T>) {
-        let mut slot = self.slots[dest][src][phase]
-            .lock()
-            .expect("grid slot lock poisoned");
-        hand_over(&mut slot, buf);
+        hand_over(&mut lock(&self.slots[dest][src][phase]), buf);
         self.deposits[dest][phase].0.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -117,7 +127,7 @@ impl<T> Grid<T> {
         }
         let mut filled = 0;
         for (slot, seg) in self.slots[dest].iter().zip(inbox) {
-            let mut slot = slot[phase].lock().expect("grid slot lock poisoned");
+            let mut slot = lock(&slot[phase]);
             std::mem::swap(&mut *slot, seg);
             slot.clear();
             filled += u64::from(!seg.is_empty());
@@ -130,7 +140,7 @@ impl<T> Grid<T> {
     /// keeping every slot's capacity.
     pub(crate) fn clear(&self, dest: usize) {
         for slot in self.slots[dest].iter().flatten() {
-            slot.lock().expect("grid slot lock poisoned").clear();
+            lock(slot).clear();
         }
         for count in &self.deposits[dest] {
             count.0.store(0, Ordering::Relaxed);

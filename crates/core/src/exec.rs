@@ -27,7 +27,7 @@
 //!   pure pop.
 //! * **Concurrent jobs** — [`Runtime::submit`] builds a job's first
 //!   incarnation on the caller's thread, enqueues its slice and returns a
-//!   [`JobHandle`]. The rest of the job — merge, arena park, rollback
+//!   [`JobHandle`]. The rest of the job — merge, arena reset, rollback
 //!   decision, relaunch, handle resolution — runs on the worker whose slot
 //!   finishes each incarnation last, as its result board's completion. No
 //!   thread blocks on a submitted job, so a harness sweep can keep many
@@ -173,6 +173,9 @@ impl<T> Board<T> {
 /// Pin the calling thread to `core` (best effort). Uses a raw
 /// `sched_setaffinity(2)` syscall on Linux/x86-64 — the workspace links no
 /// libc crate — and is a no-op elsewhere. Returns whether the pin took.
+/// Kept on a measurement: un-pinned workers cost the ledger's `stream`
+/// workload 8 % of its wall time (EXPERIMENTS.md, "One arena reset, on the
+/// thread that merges").
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn pin_to_core(core: usize) -> bool {
     // A 1024-bit CPU mask, the kernel's default cpu_set_t width.
@@ -692,9 +695,8 @@ impl Runtime {
     /// Park a job's transport set for reuse. Every endpoint is reset in
     /// place ([`Ctx::reset_for_reuse`]); if any endpoint declines (poisoned
     /// barrier, mid-protocol channel), the whole set is dropped — rebuild,
-    /// not reuse. The pooled runner avoids this serial loop: each slot
-    /// resets itself on its own worker and the set arrives through
-    /// [`Runtime::park`] instead.
+    /// not reuse. This is the arena's one reset site: the runner calls it
+    /// once every slot has finished, so no peer can still touch the set.
     pub(crate) fn release(&self, cfg: &Config, mut ctxs: Vec<Ctx>) {
         if !arena_eligible(cfg) || ctxs.len() != cfg.nprocs {
             return;
@@ -703,17 +705,6 @@ impl Runtime {
             if !ctx.reset_for_reuse() {
                 return;
             }
-        }
-        self.park(cfg, ctxs);
-    }
-
-    /// Park an *already-reset* transport set. This is the warm-launch fast
-    /// path: the pooled runner runs `reset_for_reuse` on each slot's worker
-    /// in parallel (overlapped with the stragglers' completion), so the
-    /// submitting thread's release cost is one `HashMap` entry and a push.
-    pub(crate) fn park(&self, cfg: &Config, ctxs: Vec<Ctx>) {
-        if !arena_eligible(cfg) || ctxs.len() != cfg.nprocs {
-            return;
         }
         let key = ArenaKey::of(cfg);
         let mut a = lock(&self.inner.arena);
@@ -994,13 +985,8 @@ mod tests {
     }
 
     #[test]
-    fn forced_worker_side_reset_stays_clean_on_every_backend() {
+    fn reused_sets_start_clean_on_every_backend() {
         use crate::backend::{BackendKind, NetSimParams};
-        // Arm the reset gate even on a single-core host, so the parallel
-        // worker-side reset path gets exercised: each slot resets its own
-        // endpoint behind the quiescence gate, and the parked set must
-        // carry no stale packets into the next lease.
-        crate::runner::FORCE_PAR_RESET.store(true, std::sync::atomic::Ordering::Relaxed);
         let rt = Runtime::new();
         for backend in [
             BackendKind::Shared,
@@ -1037,7 +1023,6 @@ mod tests {
             }
             assert!(rt.debug_lease_cycle(&cfg), "no parked set for {backend:?}");
         }
-        crate::runner::FORCE_PAR_RESET.store(false, std::sync::atomic::Ordering::Relaxed);
         rt.shutdown();
     }
 

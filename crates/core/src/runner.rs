@@ -19,7 +19,6 @@ use crate::relax::SyncGraph;
 use crate::stats::RunStats;
 use std::ops::{ControlFlow, Deref};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -387,7 +386,7 @@ where
 pub(crate) type Finish<R> = Box<dyn FnOnce(Result<RunOutput<R>, BspError>) + Send>;
 
 /// Launch a submitted job and return at once. The first incarnation is
-/// built on the calling thread; each incarnation's merge, arena park,
+/// built on the calling thread; each incarnation's merge, arena reset,
 /// rollback decision, relaunch and the final `finish` run on the thread
 /// that fills its board's last slot. No thread blocks on the job.
 pub(crate) fn submit_pipeline<F, R>(rt: &exec::Runtime, cfg: Config, f: F, finish: Finish<R>)
@@ -578,11 +577,6 @@ struct SlotOk<R> {
     ctx: Ctx,
     entered: Instant,
     finished: Instant,
-    /// Whether this slot already ran `Ctx::reset_for_reuse` on its worker
-    /// (and it succeeded). Set only on the pooled path for arena-eligible
-    /// configs; resetting in parallel on the workers keeps the submitting
-    /// thread's release down to a map probe and a push.
-    reset_ok: bool,
 }
 
 enum SlotOutcome<R> {
@@ -594,89 +588,6 @@ enum SlotOutcome<R> {
     },
 }
 
-/// Quiescence gate for worker-side arena resets. `Ctx::reset_for_reuse`
-/// touches state peers may still be using after *this* slot's last barrier
-/// — a late peer can flush post-last-sync packets into this endpoint's
-/// grid slots, and a seqsim reset rewinds the shared baton peers are still
-/// waiting on. So every slot first *arrives* (its own work is done), then
-/// waits for the whole group before resetting. The waits are bounded by
-/// the job's own slot skew: every peer is past its last blocking operation
-/// when it arrives.
-struct ResetGate {
-    remaining: AtomicUsize,
-}
-
-impl ResetGate {
-    fn new(p: usize) -> ResetGate {
-        ResetGate {
-            remaining: AtomicUsize::new(p),
-        }
-    }
-
-    fn arrive(&self) {
-        self.remaining.fetch_sub(1, Ordering::Release);
-    }
-
-    fn wait_quiesced(&self) {
-        // The expected wait is the job's slot skew — sub-microsecond to a
-        // few microseconds of barrier-release stagger — so spin long
-        // enough to cover it: yielding early puts an OS reschedule on the
-        // job's critical path (tens of µs), which is worse than burning
-        // the worker's own pinned core briefly. The gate is only armed
-        // when every slot has a core of its own (see `run_once`), so
-        // spinning here never starves the peer being waited for. Fall back
-        // to yielding only for pathological skew (a descheduled peer).
-        let mut spins = 0u32;
-        while self.remaining.load(Ordering::Acquire) != 0 {
-            spins += 1;
-            if spins < 1 << 14 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// Cores the OS will actually run in parallel, cached per process; gates
-/// whether worker-side resets can spin without starving a peer.
-fn parallel_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Test-only override: arm the reset gate regardless of core count, so the
-/// worker-side reset path stays covered on single-core CI hosts (the gate
-/// is correct there too — arrivals make progress through the yields — just
-/// not profitable).
-#[cfg(test)]
-pub(crate) static FORCE_PAR_RESET: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-fn par_reset_wanted(nprocs: usize) -> bool {
-    #[cfg(test)]
-    if FORCE_PAR_RESET.load(Ordering::Relaxed) {
-        return true;
-    }
-    parallel_cores() >= nprocs
-}
-
-/// Decrements the gate on drop, so a slot that fails — or unwinds through
-/// a runner bug — can never strand its peers spinning at the gate.
-struct ArriveOnDrop<'a>(Option<&'a ResetGate>);
-
-impl Drop for ArriveOnDrop<'_> {
-    fn drop(&mut self) {
-        if let Some(gate) = self.0.take() {
-            gate.arrive();
-        }
-    }
-}
-
 /// The body of one process slot, identical on the pooled and the
 /// spawn-per-run path: attach per-run checker/checkpoint state, run the
 /// user function, and package the outcome.
@@ -684,7 +595,7 @@ impl Drop for ArriveOnDrop<'_> {
 /// `entered` is stamped at pickup, *before* `Ctx::begin` — so a seqsim
 /// process parked waiting for the baton charges that wait to the run, not
 /// to launch setup — and `finished` after `finalize`, so
-/// `max(finished)..collect` is pure teardown.
+/// `max(finished)..collect` is pure teardown: merge and arena reset.
 fn slot_body<R, F>(
     pid: usize,
     mut ctx: Ctx,
@@ -692,13 +603,11 @@ fn slot_body<R, F>(
     shared: Option<Arc<CheckShared>>,
     ckpt: Option<(usize, Arc<CheckpointStore>)>,
     blob: Option<Vec<u8>>,
-    gate: Option<&ResetGate>,
 ) -> SlotOutcome<R>
 where
     F: Fn(&mut Ctx) -> R + Sync + ?Sized,
 {
     let entered = Instant::now();
-    let mut arrive = ArriveOnDrop(gate);
     if let Some(shared) = shared {
         ctx.check = Some(Box::new(CheckCtx::new(shared)));
     }
@@ -731,29 +640,12 @@ where
             let fc = ctx.transport.fault_counters();
             let trace = ctx.check.take().map(|c| Box::new(c.trace));
             let log = std::mem::take(&mut ctx.log);
-            // Reset here, after every capture, so the clearing work runs on
-            // this worker in parallel with its peers instead of serially on
-            // the submitting thread at release. The gate supplies the
-            // quiescence the serial release-time reset got for free: only
-            // after every slot has arrived (all closures and finalizes
-            // done, so no peer can still touch this endpoint's state) do
-            // the parallel resets begin.
-            let reset_ok = match gate {
-                Some(g) => {
-                    arrive.0 = None;
-                    g.arrive();
-                    g.wait_quiesced();
-                    ctx.reset_for_reuse()
-                }
-                None => false,
-            };
             SlotOutcome::Done(Box::new(SlotOk {
                 res: (r, log, counters, trace),
                 fc,
                 ctx,
                 entered,
                 finished,
-                reset_ok,
             }))
         }
         Err(payload) => {
@@ -776,8 +668,6 @@ struct Launch {
     /// `wall`, `setup` and `queue_wait` count from here.
     start: Instant,
     shared: Option<Arc<CheckShared>>,
-    /// Armed when the slots reset their own endpoints for the arena.
-    gate: Option<Arc<ResetGate>>,
 }
 
 /// Open an incarnation: lease or build the transport fabric and stamp the
@@ -818,22 +708,7 @@ fn prepare(
             ctx.control = cfg.control.clone();
         }
     }
-    // Arena-bound sets reset on their own workers (see `slot_body` and
-    // `ResetGate`) — but only when the host really runs the slots in
-    // parallel. On an oversubscribed host (fewer cores than processes)
-    // the slots are time-sliced, a spinning slot starves the peer it
-    // waits for, and the serial release-time reset is strictly cheaper.
-    // The spawn-per-run path and ineligible shapes never park either way.
-    let gate = (rt.is_some() && exec::arena_eligible(cfg) && par_reset_wanted(nprocs))
-        .then(|| Arc::new(ResetGate::new(nprocs)));
-    (
-        Launch {
-            start,
-            shared,
-            gate,
-        },
-        ctxs,
-    )
+    (Launch { start, shared }, ctxs)
 }
 
 /// The incarnation's slot tasks: each runs [`slot_body`] and fills its
@@ -858,10 +733,10 @@ where
         .map(|(pid, (ctx, blob))| {
             debug_assert_eq!(ctx.pid(), pid, "arena set out of pid order");
             let (f, shared, ckpt) = (f.clone(), launch.shared.clone(), ckpt.cloned());
-            let (gate, board) = (launch.gate.clone(), Arc::clone(board));
+            let board = Arc::clone(board);
             Box::new(move || {
                 let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    slot_body(pid, ctx, &*f, shared, ckpt, blob, gate.as_deref())
+                    slot_body(pid, ctx, &*f, shared, ckpt, blob)
                 }))
                 .unwrap_or_else(|payload| SlotOutcome::Fail {
                     err: payload_to_error(pid, payload),
@@ -937,8 +812,8 @@ where
 
 /// Merge one incarnation's slot outcomes. A process failure yields the
 /// primary error plus the fault counters gathered before death; a clean
-/// pooled run parks its transport set in the arena and returns the
-/// results with merged statistics.
+/// pooled run resets its transport set into the arena (the arena's one
+/// reset site) and returns the results with merged statistics.
 fn collect<R>(
     rt: Option<&exec::Runtime>,
     cfg: &Config,
@@ -946,7 +821,6 @@ fn collect<R>(
     outcomes: Vec<Option<SlotOutcome<R>>>,
 ) -> Result<RunOutput<R>, (BspError, FaultCounters)> {
     let nprocs = cfg.nprocs;
-    let mut per_proc: Vec<Option<ProcResult<R>>> = (0..nprocs).map(|_| None).collect();
     let mut faults = FaultCounters::default();
     // The primary error: prefer the root cause over collateral. A panicking
     // proc's peers report `PeerFailed` (poisoned barrier) or a hung-up
@@ -981,8 +855,13 @@ fn collect<R>(
     let mut last_entered: Option<Instant> = None;
     let mut last_finished: Option<Instant> = None;
     let mut reusable: Vec<Ctx> = Vec::with_capacity(nprocs);
-    let mut all_reset = true;
-    for (pid, outcome) in outcomes.into_iter().enumerate() {
+    // Filled in pid order: the board hands its slots back that way, and a
+    // run with any failed slot returns before these are read.
+    let mut results = Vec::with_capacity(nprocs);
+    let mut logs = Vec::with_capacity(nprocs);
+    let mut transport = Vec::with_capacity(nprocs);
+    let mut traces: Vec<ProcTrace> = Vec::new();
+    for outcome in outcomes {
         match outcome.expect("a board completes only once every slot is filled") {
             SlotOutcome::Done(ok) => {
                 let ok = *ok;
@@ -990,9 +869,12 @@ fn collect<R>(
                 first_entered = Some(first_entered.map_or(ok.entered, |t| t.min(ok.entered)));
                 last_entered = Some(last_entered.map_or(ok.entered, |t| t.max(ok.entered)));
                 last_finished = Some(last_finished.map_or(ok.finished, |t| t.max(ok.finished)));
-                all_reset &= ok.reset_ok;
                 reusable.push(ok.ctx);
-                per_proc[pid] = Some(ok.res);
+                let (r, log, counters, trace) = ok.res;
+                results.push(r);
+                logs.push(log);
+                transport.push(counters);
+                traces.extend(trace.map(|t| *t));
             }
             SlotOutcome::Fail { err, fc } => {
                 faults.add(&fc);
@@ -1006,35 +888,14 @@ fn collect<R>(
         return Err((err, faults));
     }
 
+    // Clean run: reset the transport set and hand it back to the arena
+    // (`Runtime::release`; a set with a declining endpoint is dropped).
+    // The clock stops after it, so `wall` and `teardown` include the reset.
+    if let Some(rt) = rt {
+        rt.release(cfg, reusable);
+    }
     let end = Instant::now();
     let wall = end.duration_since(launch.start);
-    // Clean run: hand the transport set back to the arena. When the gate
-    // was armed, every slot already reset itself on its worker and the
-    // park is a map probe and a push; if any endpoint declined (poisoned
-    // barrier, mid-protocol channel), the set is dropped — rebuild, not
-    // reuse. Without the gate, `release` does the serial reset here.
-    if let Some(rt) = rt {
-        if launch.gate.is_some() {
-            if all_reset {
-                rt.park(cfg, reusable);
-            }
-        } else {
-            rt.release(cfg, reusable);
-        }
-    }
-    let mut results = Vec::with_capacity(nprocs);
-    let mut logs = Vec::with_capacity(nprocs);
-    let mut transport = Vec::with_capacity(nprocs);
-    let mut traces: Vec<ProcTrace> = Vec::new();
-    for slot in per_proc {
-        let (r, log, counters, trace) = slot.unwrap();
-        results.push(r);
-        logs.push(log);
-        transport.push(counters);
-        if let Some(t) = trace {
-            traces.push(*t);
-        }
-    }
     // Post-last-sync sends: each process's final partial LocalStep records
     // them. Reported as a structured diagnostic — the same path in debug
     // and release builds (this used to be a debug_assert that silently

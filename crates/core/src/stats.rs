@@ -155,8 +155,9 @@ pub struct RunStats {
     /// Zero for hand-built stats.
     pub setup: Duration,
     /// Teardown overhead: time from the last process slot finishing
-    /// `finalize` until the run's results were collected and merged.
-    /// `wall ≈ setup + compute-and-exchange + teardown`.
+    /// `finalize` until the run's results were collected and merged. On a
+    /// pooled run it includes the reset that returns the transport set to
+    /// the arena. `wall ≈ setup + compute-and-exchange + teardown`.
     pub teardown: Duration,
     /// Raw per-process checker traces (checked runs only; empty
     /// otherwise). Kept after [`crate::check::analyze`] consumes them so
