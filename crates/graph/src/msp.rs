@@ -56,6 +56,7 @@ fn unpk(p: Packet) -> (u32, u32, u32, f64) {
 /// their own [`LocalGraph`] of the same partition.
 pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usize) -> MspResult {
     assert!(work_factor > 0);
+    assert!(lg.n_global <= 1 << TAG_SHIFT, "node ids need over 28 bits");
     let k = sources.len();
     assert!(k <= u16::MAX as usize, "too many instances");
     let nh = lg.n_home();

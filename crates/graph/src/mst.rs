@@ -124,13 +124,14 @@ impl<'a> MstState<'a> {
     /// edges are rediscovered by the candidate scans.
     fn local_phase(lg: &'a LocalGraph, owner: &'a [u32]) -> Self {
         let nh = lg.n_home();
+        let home = &lg.home;
         let mut edges: Vec<(f64, u32, u32)> = Vec::new();
         // Cheapest border-incident edge per home node (f64::INFINITY if none).
         let mut min_border = vec![f64::INFINITY; nh];
         for h in 0..nh as u32 {
             for &(v, w) in lg.neighbors(h) {
                 if lg.is_home(v) {
-                    if h < v {
+                    if home[h as usize] < home[v as usize] {
                         edges.push((w, h, v));
                     }
                 } else if w < min_border[h as usize] {
@@ -138,7 +139,13 @@ impl<'a> MstState<'a> {
                 }
             }
         }
-        edges.sort_unstable_by_key(edge_key);
+        // Oriented and tied by global id, so the unions below (and so each
+        // component's label) do not depend on the local numbering. Exactly
+        // equal weights are rare: ids are looked up only inside such runs.
+        edges.sort_unstable_by_key(|e| edge_key(e).0);
+        for run in edges.chunk_by_mut(|x, y| x.0.to_bits() == y.0.to_bits()) {
+            run.sort_unstable_by_key(|&(_, a, b)| (home[a as usize], home[b as usize]));
+        }
         let mut uf = UnionFind::new(nh);
         let mut weights = Vec::new();
         for (w, a, b) in edges {
@@ -247,6 +254,7 @@ fn send_stat(ctx: &mut Ctx, a: u32, b: u32) {
 /// (`owner[gid] = processor`). Must be called by all processors with their
 /// own [`LocalGraph`] of the same partition.
 pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
+    assert!(lg.n_global <= 1 << TAG_SHIFT, "node ids need over 28 bits");
     let p = ctx.nprocs();
     let threshold = (2 * p).max(32) as u64;
     let mut st = MstState::local_phase(lg, owner);

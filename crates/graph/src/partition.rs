@@ -10,6 +10,10 @@
 //! Because the input graphs are geometric, the partition is spatial: a
 //! balanced kd-split of the node positions, which keeps the border small
 //! (`O(√(n/p))` nodes per cut for these graphs).
+//!
+//! Home nodes get local ids along a Morton (Z-order) curve of their
+//! positions, so a relaxation's neighbours sit in nearby `dist` slots and
+//! adjacency rows; border nodes follow in ascending global id.
 
 use crate::gen::Graph;
 use std::collections::HashMap;
@@ -74,8 +78,9 @@ fn split(idx: &mut [u32], pos: &[(f64, f64)], first_part: u32, nparts: u32, owne
 
 /// One processor's portion of a distributed graph.
 ///
-/// Local node ids: home nodes are `0..n_home()` (in ascending global-id
-/// order), border nodes are `n_home()..n_home()+border_gid.len()`.
+/// Local node ids: home nodes are `0..n_home()` (in Morton order of their
+/// positions, ties by global id), border nodes are
+/// `n_home()..n_home()+border_gid.len()` (in ascending global id).
 #[derive(Clone, Debug)]
 pub struct LocalGraph {
     /// This processor's id.
@@ -84,7 +89,8 @@ pub struct LocalGraph {
     pub nprocs: usize,
     /// Total nodes in the global graph.
     pub n_global: usize,
-    /// Global ids of home nodes, ascending.
+    /// Global ids of home nodes, by local id: ascending in
+    /// `(Morton key of the position, global id)`.
     pub home: Vec<u32>,
     /// CSR offsets over home nodes (by home local index).
     pub xadj: Vec<u32>,
@@ -154,17 +160,37 @@ impl LocalGraph {
     }
 }
 
+/// Morton key of a position on the unit square: `x` and `y` quantised to
+/// 16 bits each (clamped to the square) and interleaved, `x` in the even
+/// bits.
+fn morton_key((x, y): (f64, f64)) -> u32 {
+    fn spread(c: f64) -> u32 {
+        let mut v = ((c * 65536.0) as u32).min(0xFFFF); // `as` saturates, NaN -> 0
+        v = (v | (v << 8)) & 0x00FF_00FF;
+        v = (v | (v << 4)) & 0x0F0F_0F0F;
+        v = (v | (v << 2)) & 0x3333_3333;
+        (v | (v << 1)) & 0x5555_5555
+    }
+    spread(x) | (spread(y) << 1)
+}
+
 /// Build every processor's [`LocalGraph`] from a global graph and an owner
 /// map (e.g. from [`partition_kd`]).
 pub fn build_locals(g: &Graph, owner: &[u32], nprocs: usize) -> Vec<LocalGraph> {
     assert_eq!(owner.len(), g.n);
+    // One global Morton order; each process takes its home nodes in it.
+    let mut order: Vec<(u32, u32)> = (0..g.n as u32)
+        .map(|u| (morton_key(g.pos[u as usize]), u))
+        .collect();
+    order.sort_unstable();
     let mut homes: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
-    for u in 0..g.n as u32 {
+    for (_, u) in order {
         homes[owner[u as usize] as usize].push(u);
     }
-    (0..nprocs)
-        .map(|pid| {
-            let home = homes[pid].clone(); // ascending by construction
+    homes
+        .into_iter()
+        .enumerate()
+        .map(|(pid, home)| {
             let mut gid_to_lid: HashMap<u32, u32> = home
                 .iter()
                 .enumerate()
@@ -290,6 +316,46 @@ mod tests {
             // Owners recorded correctly.
             for (i, &b) in lg.border_gid.iter().enumerate() {
                 assert_eq!(lg.border_owner[i], owner[b as usize]);
+            }
+        }
+    }
+
+    #[test]
+    fn morton_key_interleaves_the_quantised_coordinates() {
+        let q = 1.0 / 65536.0; // one quantisation step
+        assert_eq!(morton_key((0.0, 0.0)), 0);
+        assert_eq!(morton_key((q, 0.0)), 0b01);
+        assert_eq!(morton_key((0.0, q)), 0b10);
+        assert_eq!(morton_key((3.0 * q, 0.0)), 0b0101);
+        assert_eq!(morton_key((5.0 * q, 6.0 * q)), 0b11_10_01);
+        assert_eq!(morton_key((0.5, 0.0)), 1 << 30);
+        assert_eq!(morton_key((0.0, 0.5)), 1 << 31);
+        // The far corner (clamped into the square) is the maximum key.
+        assert_eq!(morton_key((1.0, 1.0)), u32::MAX);
+        assert_eq!(morton_key((1.0 - q, 1.0 - q)), u32::MAX);
+        assert_eq!(morton_key((-0.5, 2.0)), 0xAAAA_AAAA);
+    }
+
+    #[test]
+    fn home_lids_follow_the_curve_and_border_lids_ascend_after_them() {
+        let g = geometric_graph(800, 17);
+        for p in [1usize, 2, 3, 4] {
+            let owner = partition_kd(&g.pos, p);
+            for lg in build_locals(&g, &owner, p) {
+                let keys: Vec<(u32, u32)> = lg
+                    .home
+                    .iter()
+                    .map(|&u| (morton_key(g.pos[u as usize]), u))
+                    .collect();
+                assert!(keys.windows(2).all(|k| k[0] < k[1]), "p={p}: home order");
+                assert!(
+                    lg.border_gid.windows(2).all(|b| b[0] < b[1]),
+                    "p={p}: border"
+                );
+                let nh = lg.n_home() as u32;
+                for (i, &b) in lg.border_gid.iter().enumerate() {
+                    assert_eq!(lg.lid(b), Some(nh + i as u32), "p={p}: border {b}");
+                }
             }
         }
     }

@@ -66,6 +66,7 @@ fn unpk(p: Packet) -> (u32, u32, u32, f64) {
 /// this with their own [`LocalGraph`] of the same partition.
 pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -> SpResult {
     assert!(work_factor > 0);
+    assert!(lg.n_global <= 1 << TAG_SHIFT, "node ids need over 28 bits");
     let nh = lg.n_home();
     let mut dist = vec![f64::INFINITY; nh];
     let mut border_cache = vec![f64::INFINITY; lg.border_gid.len()];

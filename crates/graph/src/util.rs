@@ -65,7 +65,9 @@ pub(crate) fn heap_key(dist: f64, lid: u32) -> Reverse<(u64, u32)> {
 }
 
 /// Sort key of an mst edge `(weight, a, b)`: by weight, then `a`, then `b`,
-/// with the weight's bits standing in for it as in [`heap_key`].
+/// with the weight's bits standing in for it as in [`heap_key`]. mst's
+/// mixed phase sorts by the whole key (its endpoints are global labels);
+/// the local phase by the weight bits, ties by its endpoints' global ids.
 #[inline]
 pub(crate) fn edge_key(&(w, a, b): &(f64, u32, u32)) -> (u64, u32, u32) {
     debug_assert!(w.is_sign_positive() && !w.is_nan(), "edge key {w}");
