@@ -224,6 +224,8 @@ impl ChannelProc {
 
     /// Put `batch` on the pipe to `dest`.
     fn post(&self, dest: usize, step: usize, batch: Batch) {
+        // Proven invariant: only a process's own slot is `None`, and every
+        // caller posts to a peer that `meets` admitted, which excludes self.
         let pipe = self.senders[dest].as_ref().expect("peer pipe");
         if pipe.send(batch).is_err() {
             self.fail(
@@ -238,6 +240,8 @@ impl ChannelProc {
     /// Block for the next batch from `src`; on a hardened transport, give
     /// up on a pipe that stays silent past the timeout.
     fn recv_batch(&self, src: usize, step: usize) -> Batch {
+        // Proven invariant, as in `post`: `meets` excludes self, the one
+        // `None` slot.
         let pipe = self.receivers[src].as_ref().expect("peer pipe");
         let got = match self.timeout {
             Some(t) => pipe.recv_timeout(t),

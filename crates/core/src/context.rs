@@ -11,6 +11,7 @@ use crate::check::{
     report, BoundaryEvent, CheckCtx, CheckKind, CheckReport, CollectiveEvent, CollectiveKind,
     DrmaEvent, DrmaOp, TrackedPkt,
 };
+use crate::digest::fixed;
 use crate::fault::{BspError, FaultCounters, TransportError, TransportErrorKind};
 use crate::packet::Packet;
 use crate::relax::{SyncGraph, SyncMode};
@@ -608,8 +609,8 @@ impl Ctx {
             self.byte_pos = 0;
         };
         let hdr = &seg[self.byte_pos..self.byte_pos + MSG_HDR];
-        let src = u32::from_le_bytes(hdr[0..4].try_into().unwrap()) as usize;
-        let len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
+        let src = u32::from_le_bytes(fixed(hdr)) as usize;
+        let len = u32::from_le_bytes(fixed(&hdr[4..])) as usize;
         let body = self.byte_pos + MSG_HDR;
         debug_assert!(body + len <= seg.len(), "truncated record");
         self.byte_pos = body + len;
