@@ -373,8 +373,9 @@ pub struct StreamRun<R> {
 ///
 /// For every tile, `f` runs once per process on the warm executor: it
 /// receives the process context (with [`Ctx::tile`] set), the whole tile's
-/// bytes, and this process's recycled output buffer. After the job, the
-/// tile's `p` output buffers travel to the writer thread, which calls
+/// bytes, and this process's output buffer, empty on every entry (a
+/// relaunch of a failed tile job included). After the job, the tile's `p`
+/// output buffers travel to the writer thread, which calls
 /// `write(meta, bufs)` — it must return the number of bytes it wrote (for
 /// [`RunStats::io_write_bytes`]), and may lock the buffers freely (the
 /// compute loop has moved on). Output buffers and tile buffers are recycled
@@ -413,6 +414,8 @@ where
     let (loaded_tx, loaded_rx) = mpsc::sync_channel::<io::Result<(TileMeta, Vec<u8>)>>(ring);
     let (wsend_tx, wsend_rx) = mpsc::channel::<(TileMeta, Vec<Mutex<Vec<u8>>>)>();
     let (wfree_tx, wfree_rx) = mpsc::channel::<Vec<Mutex<Vec<u8>>>>();
+    // The receivers were made just above and are still held, and both
+    // channels are unbounded, so these sends cannot fail.
     for _ in 0..ring {
         free_tx.send(Vec::new()).expect("fresh channel");
     }
@@ -448,15 +451,13 @@ where
             read
         });
         // Writer: drain completed tiles' output sets through the caller's
-        // write-back stage, then recycle the buffers (capacity kept).
+        // write-back stage, then recycle the buffers (capacity kept; the
+        // next tile's job empties them).
         let writer = s.spawn(move || -> io::Result<u64> {
             let mut write = write;
             let mut wrote = 0u64;
             while let Ok((meta, set)) = wsend_rx.recv() {
                 wrote += write(&meta, &set)?;
-                for m in &set {
-                    m.lock().unwrap().clear();
-                }
                 // The driver drops its recycle endpoint as soon as the
                 // compute loop ends, usually while the last tile is still
                 // queued here — a failed recycle must not abort the drain.
@@ -499,8 +500,17 @@ where
                 tile_cfg.tile = Some(meta);
                 let out = rt
                     .try_run(&tile_cfg, |ctx| {
-                        let pid = ctx.pid();
-                        let mut ob = outs[pid].lock().unwrap();
+                        // Each process starts from an empty buffer. Under a
+                        // tolerant config a failed incarnation of this job
+                        // is relaunched: a process that panicked inside `f`
+                        // left its buffer's lock poisoned and every process
+                        // left partial output, all of which is dropped here.
+                        let slot = &outs[ctx.pid()];
+                        let mut ob = slot.lock().unwrap_or_else(|poisoned| {
+                            slot.clear_poison();
+                            poisoned.into_inner()
+                        });
+                        ob.clear();
                         f(ctx, &data, &mut ob)
                     })
                     .map_err(StreamError::Bsp)?;
@@ -580,7 +590,11 @@ where
         let Some(store) = output else { return Ok(0) };
         let mut wrote = 0u64;
         for m in outs {
-            let buf = m.lock().unwrap();
+            // A set reaches the writer only after its job succeeded, and in
+            // a successful job every process took its buffer's lock (clearing
+            // any poison a failed incarnation left) and released it without
+            // panicking, so no lock here is poisoned.
+            let buf = m.lock().expect("output buffer of a successful job");
             if !buf.is_empty() {
                 store.write_at(cursor, &buf)?;
                 cursor += buf.len() as u64;
@@ -594,7 +608,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use crate::fault::{CheckpointPolicy, FaultTolerance};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
         static SEQ: AtomicU32 = AtomicU32::new(0);
@@ -694,6 +709,43 @@ mod tests {
         assert_eq!(output.read_to_vec().unwrap(), bytes);
         // The warm path reused one leased fabric across tiles.
         assert!(rt.arena_hits() >= 5, "hits {}", rt.arena_hits());
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_relaunched_tile_job_writes_its_output_once() {
+        // Under a tolerant config a failed tile job is relaunched. Here one
+        // process panics inside `f` (poisoning its buffer's lock) after the
+        // others wrote their shards; the relaunch must still write each
+        // tile's bytes exactly once.
+        let dir = tmpdir("relaunch");
+        let bytes: Vec<u8> = (0..400u64).flat_map(|i| (i * 3).to_le_bytes()).collect();
+        let input = TileStore::create_in(&dir, "in.dat").unwrap();
+        input.write_all(&bytes).unwrap();
+        let output = TileStore::create_in(&dir, "out.dat").unwrap();
+        let sc = StreamConfig::new(8 * 100).record(8).spill_dir(&dir);
+        let rt = Runtime::new();
+        let cfg = Config::new(3).tolerant(FaultTolerance {
+            checkpoint: Some(CheckpointPolicy {
+                every_supersteps: 1,
+            }),
+            max_rollbacks: 1,
+            ..FaultTolerance::default()
+        });
+        let fired = AtomicBool::new(false);
+        let run = run_stream(&rt, &cfg, &sc, &input, Some(&output), |ctx, data, out| {
+            let meta = ctx.tile().expect("tile meta visible in job");
+            out.extend_from_slice(&data[meta.shard(ctx.pid(), ctx.nprocs())]);
+            if meta.index == 1 && ctx.pid() == 1 && !fired.swap(true, Ordering::Relaxed) {
+                panic!("injected panic in tile 1");
+            }
+            ctx.sync();
+        })
+        .unwrap();
+        assert!(fired.load(Ordering::Relaxed));
+        assert_eq!(run.stats.faults.rolled_back, 1);
+        assert_eq!(output.read_to_vec().unwrap(), bytes);
         rt.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }

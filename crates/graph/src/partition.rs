@@ -187,15 +187,15 @@ pub fn build_locals(g: &Graph, owner: &[u32], nprocs: usize) -> Vec<LocalGraph> 
     for (_, u) in order {
         homes[owner[u as usize] as usize].push(u);
     }
+    // Dense global -> local index for the adjacency translation, shared by
+    // the processes in turn. Each process sets the entries of its home and
+    // border nodes before reading any, and every neighbour of a home node
+    // is one of those, so another process's stale entries are never read.
+    let mut lid_of = vec![0u32; g.n];
     homes
         .into_iter()
         .enumerate()
         .map(|(pid, home)| {
-            let mut gid_to_lid: HashMap<u32, u32> = home
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| (g, i as u32))
-                .collect();
             // Collect border nodes.
             let mut border: Vec<u32> = Vec::new();
             for &u in &home {
@@ -207,9 +207,10 @@ pub fn build_locals(g: &Graph, owner: &[u32], nprocs: usize) -> Vec<LocalGraph> 
             }
             border.sort_unstable();
             border.dedup();
-            let nh = home.len() as u32;
-            for (i, &b) in border.iter().enumerate() {
-                gid_to_lid.insert(b, nh + i as u32);
+            let mut gid_to_lid = HashMap::with_capacity(home.len() + border.len());
+            for (lid, &u) in home.iter().chain(&border).enumerate() {
+                gid_to_lid.insert(u, lid as u32);
+                lid_of[u as usize] = lid as u32;
             }
             let border_owner: Vec<u32> = border.iter().map(|&b| owner[b as usize]).collect();
             // Home adjacency in local ids + distinct adjacent remote procs.
@@ -223,7 +224,7 @@ pub fn build_locals(g: &Graph, owner: &[u32], nprocs: usize) -> Vec<LocalGraph> 
             for &u in &home {
                 procs_buf.clear();
                 for &(v, w) in g.neighbors(u) {
-                    adj.push((gid_to_lid[&v], w));
+                    adj.push((lid_of[v as usize], w));
                     let o = owner[v as usize];
                     if o as usize != pid {
                         procs_buf.push(o);

@@ -1,5 +1,6 @@
 //! Union-find (disjoint set union) with path halving and union by size.
-//! Used by the graph generator's connectivity search, the sequential
+//! Used by the graph generator's bottleneck computation (the union of the
+//! short pairs and the Kruskal tail that finishes it), the sequential
 //! Kruskal baseline, and the local phase of the parallel MST.
 
 /// Disjoint-set forest over `0..n`.
