@@ -26,7 +26,7 @@ use crate::expansion::{Binomials, Expansion, NCOEF};
 use crate::quadtree::{leaf_of, Cell};
 use crate::seq::{Charge, FmmResult};
 use green_bsp::{Ctx, Packet};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const TAG_SHIFT: u32 = 28;
 const ID_MASK: u32 = (1 << TAG_SHIFT) - 1;
@@ -58,6 +58,13 @@ fn coeff_pkts(tag: u32, cell: Cell, e: &Expansion, out: &mut Vec<Packet>) {
             out.push(Packet::tag_u32_f64(k, i as u32 | 0x8000, c.im));
         }
     }
+}
+
+/// The keys of `map`, ascending: the order every send loop walks cells in.
+fn sorted_keys(map: &HashMap<u32, Expansion>) -> Vec<u32> {
+    let mut keys: Vec<u32> = map.keys().copied().collect();
+    keys.sort_unstable();
+    keys
 }
 
 /// The Morton-range partition of the leaf level.
@@ -132,8 +139,8 @@ pub fn fmm_bsp(ctx: &mut Ctx, my_charges: &[Charge], part: &Partition) -> FmmRes
     let me = ctx.pid();
     let my_range = part.range(me);
 
-    // Bucket my charges into my leaves.
-    let mut buckets: HashMap<u32, Vec<u32>> = HashMap::new();
+    // Bucket my charges into my leaves, in ascending Morton order.
+    let mut buckets: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     for (i, c) in my_charges.iter().enumerate() {
         let leaf = leaf_of(c.z, leaf_level);
         debug_assert!(
@@ -146,7 +153,7 @@ pub fn fmm_bsp(ctx: &mut Ctx, my_charges: &[Charge], part: &Partition) -> FmmRes
     // ---- superstep 1: partial upward pass + boundary charge push ----
     let mut st = State::default();
     // P2M on my leaves, then M2M through all ancestors (partial sums).
-    let mut frontier: HashSet<Cell> = HashSet::new();
+    let mut frontier: BTreeSet<Cell> = BTreeSet::new();
     for (&m, idxs) in &buckets {
         let cell = Cell {
             level: leaf_level,
@@ -162,7 +169,7 @@ pub fn fmm_bsp(ctx: &mut Ctx, my_charges: &[Charge], part: &Partition) -> FmmRes
     }
     let mut level_cells = frontier;
     for _l in (1..=leaf_level).rev() {
-        let mut parents: HashSet<Cell> = HashSet::new();
+        let mut parents: BTreeSet<Cell> = BTreeSet::new();
         for cell in &level_cells {
             let parent = cell.parent();
             let child_exp = st.multipole[&key(*cell)];
@@ -173,10 +180,10 @@ pub fn fmm_bsp(ctx: &mut Ctx, my_charges: &[Charge], part: &Partition) -> FmmRes
         }
         level_cells = parents;
     }
-    // Ship partial multipoles of cells owned elsewhere; drop them locally.
+    // Ship partial multipoles of cells owned elsewhere, in ascending key
+    // order; drop them locally.
     let mut pkts = Vec::new();
-    let keys: Vec<u32> = st.multipole.keys().copied().collect();
-    for k in keys {
+    for k in sorted_keys(&st.multipole) {
         let cell = unkey(k);
         let owner = part.owner(cell);
         if owner != me {
@@ -195,7 +202,7 @@ pub fn fmm_bsp(ctx: &mut Ctx, my_charges: &[Charge], part: &Partition) -> FmmRes
             level: leaf_level,
             m,
         };
-        let mut dests: HashSet<usize> = HashSet::new();
+        let mut dests: BTreeSet<usize> = BTreeSet::new();
         for nb in cell.neighbors() {
             let o = part.owner_of_leaf(nb.m);
             if o != me {
@@ -240,12 +247,13 @@ pub fn fmm_bsp(ctx: &mut Ctx, my_charges: &[Charge], part: &Partition) -> FmmRes
 
     // ---- superstep 2: interaction-list multipole push ----
     let mut pkts = Vec::new();
-    for (&k, e) in &st.multipole {
+    for k in sorted_keys(&st.multipole) {
         let cell = unkey(k);
         if cell.level < 2 {
             continue;
         }
-        let mut dests: HashSet<usize> = HashSet::new();
+        let e = &st.multipole[&k];
+        let mut dests: BTreeSet<usize> = BTreeSet::new();
         for d in cell.interaction_list() {
             let o = part.owner(d);
             if o != me {
@@ -307,10 +315,9 @@ pub fn fmm_bsp(ctx: &mut Ctx, my_charges: &[Charge], part: &Partition) -> FmmRes
     // ---- downward pass: one superstep per level ----
     for l in 2..leaf_level {
         // Send/apply L2L from my owned cells at level l to their children.
-        let cells: Vec<Cell> = st
-            .local
-            .keys()
-            .map(|&k| unkey(k))
+        let cells: Vec<Cell> = sorted_keys(&st.local)
+            .into_iter()
+            .map(unkey)
             .filter(|c| c.level == l)
             .collect();
         let mut pkts = Vec::new();

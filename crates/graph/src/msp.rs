@@ -20,7 +20,7 @@ use crate::partition::LocalGraph;
 use crate::util::heap_key;
 use green_bsp::{Ctx, Packet};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Result of a distributed multi-source run on one processor.
 #[derive(Clone, Debug)]
@@ -69,6 +69,12 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
         (0..k).map(|_| BinaryHeap::new()).collect();
     let mut pops = 0u64;
     let mut relaxations = 0u64;
+    // `(instance, border index)` pairs improved this superstep, in
+    // first-improvement order; `queued[inst][bi]` is the superstep that last
+    // queued the pair.
+    let mut dirty: Vec<(u16, u32)> = Vec::new();
+    let mut queued: Vec<Vec<u32>> = vec![vec![0u32; nb]; k];
+    let mut step = 0u32;
 
     for (inst, &s) in sources.iter().enumerate() {
         if let Some(lid) = lg.lid(s) {
@@ -81,11 +87,13 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
 
     loop {
         let relax_before = relaxations;
-        let mut pending: HashMap<(u32, u16), f64> = HashMap::new();
+        step += 1;
+        dirty.clear();
         for inst in 0..k {
             let mut budget = work_factor;
             let d_inst = &mut dist[inst];
             let bc_inst = &mut border_cache[inst];
+            let q_inst = &mut queued[inst];
             let heap = &mut heaps[inst];
             while budget > 0 {
                 let Some(Reverse((bits, u))) = heap.pop() else {
@@ -109,7 +117,10 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
                         let bi = v as usize - nh;
                         if nd < bc_inst[bi] {
                             bc_inst[bi] = nd;
-                            pending.insert((v, inst as u16), nd);
+                            if q_inst[bi] != step {
+                                q_inst[bi] = step;
+                                dirty.push((inst as u16, bi as u32));
+                            }
                         }
                     }
                 }
@@ -117,11 +128,12 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
         }
         ctx.charge(relaxations - relax_before);
 
-        let sent = pending.len() as u64;
-        for ((blid, inst), d) in pending {
-            let owner = lg.owner_of_border(blid) as usize;
-            let gid = lg.gid(blid);
-            ctx.send_pkt(owner, pk(T_UPD, gid, inst as u32, d));
+        let sent = dirty.len() as u64;
+        for &(inst, bi) in &dirty {
+            let (inst, bi) = (inst as usize, bi as usize);
+            let owner = lg.border_owner[bi] as usize;
+            let d = border_cache[inst][bi];
+            ctx.send_pkt(owner, pk(T_UPD, lg.border_gid[bi], inst as u32, d));
         }
         let active = heaps.iter().map(|h| h.len() as u64).sum::<u64>() + sent;
         for dest in 0..ctx.nprocs() {

@@ -29,7 +29,8 @@ use crate::partition::LocalGraph;
 use crate::unionfind::UnionFind;
 use crate::util::edge_key;
 use green_bsp::{Ctx, Packet};
-use std::collections::{HashMap, HashSet};
+#[cfg(test)]
+use std::collections::BTreeMap;
 
 /// Result of a distributed MST run, identical on every processor except for
 /// `local_weights`.
@@ -39,9 +40,10 @@ pub struct MstResult {
     pub total_weight: f64,
     /// Number of tree edges found (`n − 1` when connected).
     pub total_edges: u64,
-    /// Weights of the tree edges recorded by *this* processor (local-phase
-    /// edges, parallel-phase merges led here, and — on processor 0 — the
-    /// mixed-phase edges). Concatenated over processors these are exactly
+    /// Weights of the tree edges recorded by *this* processor, in the order
+    /// recorded: local-phase edges in Kruskal order, each round's merges led
+    /// here in ascending label order, and — on processor 0 — the mixed-phase
+    /// edges in Kruskal order. Concatenated over processors these are exactly
     /// the tree's edge weights.
     pub local_weights: Vec<f64>,
     /// Borůvka rounds executed in the parallel phase.
@@ -78,7 +80,7 @@ fn unpk(p: Packet) -> (u32, u32, u32, f64) {
 }
 
 /// Per-component candidate: minimum outgoing edge, ordered by `(w, cv)`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Cand {
     w: f64,
     cv: u32,
@@ -90,18 +92,43 @@ impl Cand {
     }
 }
 
+/// Reduce `(label, candidate)` pairs to the best candidate per label, in
+/// ascending label order. Weights are positive, so their bits order as they
+/// do (see [`edge_key`]) and the key ranks candidates as `better_than` does.
+fn best_per_label(cands: &mut Vec<(u32, Cand)>) {
+    cands.sort_unstable_by_key(|&(c, d)| (c, d.w.to_bits(), d.cv));
+    cands.dedup_by_key(|&mut (c, _)| c);
+}
+
+/// Index of `label` in the ascending table `labels`.
+fn index_of(labels: &[u32], label: u32) -> usize {
+    labels
+        .binary_search(&label)
+        .unwrap_or_else(|_| panic!("no table entry for label {label}"))
+}
+
 /// State of the parallel phase on one processor.
+///
+/// Labels live in *slots*: slot `ci < nc` is the local phase's component
+/// `ci`, slot `nc + bi` is border node `bi`. A relabel rewrites the `nc`
+/// component slots, a label push one border slot.
 struct MstState<'a> {
     lg: &'a LocalGraph,
     owner: &'a [u32],
-    /// Component label per home node (global node ids as labels).
-    comp: Vec<u32>,
-    /// Cached component label per border node (by border index).
-    border_comp: Vec<u32>,
-    /// Leader-side parent pointers for labels owned here.
-    parent: HashMap<u32, u32>,
-    /// Leader-side subscriber lists for labels owned here.
-    subscribers: HashMap<u32, Vec<u32>>,
+    /// Number of components the local phase left.
+    nc: usize,
+    /// Local component of each home node (a slot below `nc`).
+    cidx: Vec<u32>,
+    /// Current label of each slot (global node ids as labels); a border
+    /// slot holds the last label pushed for it.
+    lab: Vec<u32>,
+    /// Home nodes with remote neighbours, ascending: the label pushers.
+    pushers: Vec<u32>,
+    /// Home adjacency entries `(home slot, neighbour slot, w)` that may still
+    /// join two components: every border entry and every home–home entry
+    /// between local components. Labels only merge, so an entry once
+    /// internal stays internal and is dropped.
+    frontier: Vec<(u32, u32, f64)>,
     /// Recorded tree-edge weights.
     weights: Vec<f64>,
 }
@@ -121,11 +148,14 @@ impl<'a> MstState<'a> {
     /// `A` (or from `B`) to a border node — and a component's full outgoing
     /// edge set is locally visible. Heavier joins are deferred to the
     /// parallel phase, where the components stay separate and the deferred
-    /// edges are rediscovered by the candidate scans.
+    /// edges are rediscovered by the candidate scans: they and the border
+    /// entries make up the frontier.
     fn local_phase(lg: &'a LocalGraph, owner: &'a [u32]) -> Self {
         let nh = lg.n_home();
         let home = &lg.home;
         let mut edges: Vec<(f64, u32, u32)> = Vec::new();
+        // Border entries `(home lid, border index, w)`.
+        let mut border_adj: Vec<(u32, u32, f64)> = Vec::new();
         // Cheapest border-incident edge per home node (f64::INFINITY if none).
         let mut min_border = vec![f64::INFINITY; nh];
         for h in 0..nh as u32 {
@@ -134,8 +164,11 @@ impl<'a> MstState<'a> {
                     if home[h as usize] < home[v as usize] {
                         edges.push((w, h, v));
                     }
-                } else if w < min_border[h as usize] {
-                    min_border[h as usize] = w;
+                } else {
+                    border_adj.push((h, v - nh as u32, w));
+                    if w < min_border[h as usize] {
+                        min_border[h as usize] = w;
+                    }
                 }
             }
         }
@@ -148,6 +181,7 @@ impl<'a> MstState<'a> {
         }
         let mut uf = UnionFind::new(nh);
         let mut weights = Vec::new();
+        let mut deferred: Vec<(u32, u32, f64)> = Vec::new();
         for (w, a, b) in edges {
             let (ra, rb) = (uf.find(a), uf.find(b));
             if ra == rb {
@@ -159,51 +193,73 @@ impl<'a> MstState<'a> {
                 let r = uf.find(ra);
                 min_border[r as usize] = mba.min(mbb);
                 weights.push(w);
+            } else {
+                deferred.push((a, b, w)); // neither side's cut is certified locally
             }
-            // else: deferred — neither side's cut is certified locally.
         }
-        let comp: Vec<u32> = (0..nh as u32)
-            .map(|h| lg.home[uf.find(h) as usize])
+        // Number the components densely, each labelled by its root's
+        // global id.
+        let mut slot_of_root = vec![u32::MAX; nh];
+        let mut lab: Vec<u32> = Vec::new();
+        let cidx: Vec<u32> = (0..nh as u32)
+            .map(|h| {
+                let r = uf.find(h) as usize;
+                if slot_of_root[r] == u32::MAX {
+                    slot_of_root[r] = lab.len() as u32;
+                    lab.push(home[r]);
+                }
+                slot_of_root[r]
+            })
             .collect();
+        let nc = lab.len();
+        lab.resize(nc + lg.border_gid.len(), u32::MAX);
+        // Every home–home entry between components is a deferred edge (a
+        // cycle or a union leaves its endpoints together), seen from both
+        // ends.
+        let mut frontier = Vec::with_capacity(2 * deferred.len() + border_adj.len());
+        for (a, b, w) in deferred {
+            let (ca, cb) = (cidx[a as usize], cidx[b as usize]);
+            if ca != cb {
+                frontier.push((ca, cb, w));
+                frontier.push((cb, ca, w));
+            }
+        }
+        frontier.extend(
+            border_adj
+                .into_iter()
+                .map(|(h, bi, w)| (cidx[h as usize], (nc as u32) + bi, w)),
+        );
         MstState {
             lg,
             owner,
-            comp,
-            border_comp: vec![u32::MAX; lg.border_gid.len()],
-            parent: HashMap::new(),
-            subscribers: HashMap::new(),
+            nc,
+            cidx,
+            lab,
+            pushers: (0..nh as u32)
+                .filter(|&h| !lg.remote_procs(h).is_empty())
+                .collect(),
+            frontier,
             weights,
         }
     }
 
-    /// Component label of a neighbour by local id.
-    #[inline]
-    fn comp_of(&self, lid: u32) -> u32 {
-        let nh = self.lg.n_home();
-        if (lid as usize) < nh {
-            self.comp[lid as usize]
-        } else {
-            self.border_comp[lid as usize - nh]
-        }
-    }
-
     /// Superstep A: push boundary labels to adjacent processors and
-    /// subscribe to every live local label at its leader.
+    /// subscribe to every live local label at its leader, in ascending
+    /// label order.
     fn push_labels_and_subscribe(&self, ctx: &mut Ctx, subscribe: bool) {
-        for h in 0..self.lg.n_home() as u32 {
-            let procs = self.lg.remote_procs(h);
-            if !procs.is_empty() {
-                let gid = self.lg.home[h as usize];
-                let c = self.comp[h as usize];
-                for &pr in procs {
-                    ctx.send_pkt(pr as usize, pk(T_PUSH, gid, c, 0.0));
-                }
+        for &h in &self.pushers {
+            let gid = self.lg.home[h as usize];
+            let c = self.lab[self.cidx[h as usize] as usize];
+            for &pr in self.lg.remote_procs(h) {
+                ctx.send_pkt(pr as usize, pk(T_PUSH, gid, c, 0.0));
             }
         }
         if subscribe {
             let me = ctx.pid() as u32;
-            let distinct: HashSet<u32> = self.comp.iter().copied().collect();
-            for c in distinct {
+            let mut labels = self.lab[..self.nc].to_vec();
+            labels.sort_unstable();
+            labels.dedup();
+            for c in labels {
                 ctx.send_pkt(self.owner_of(c), pk(T_SUB, c, me, 0.0));
             }
         }
@@ -211,32 +267,60 @@ impl<'a> MstState<'a> {
 
     /// Apply a `T_PUSH` packet.
     fn apply_push(&mut self, gid: u32, c: u32) {
-        let lid = self.lg.lid(gid).expect("push for unknown border node");
-        let nh = self.lg.n_home();
-        debug_assert!(lid as usize >= nh, "push must target a border node");
-        self.border_comp[lid as usize - nh] = c;
+        let bi = self
+            .lg
+            .border_gid
+            .binary_search(&gid)
+            .expect("push for unknown border node");
+        self.lab[self.nc + bi] = c;
     }
 
-    /// Local candidate scan: minimum outgoing edge per local component.
-    fn candidates(&self) -> HashMap<u32, Cand> {
-        let mut best: HashMap<u32, Cand> = HashMap::new();
-        for h in 0..self.lg.n_home() as u32 {
-            let cu = self.comp[h as usize];
-            for &(v, w) in self.lg.neighbors(h) {
-                let cv = self.comp_of(v);
-                if cv != cu {
-                    let cand = Cand { w, cv };
-                    match best.get_mut(&cu) {
-                        Some(cur) if !cand.better_than(cur) => {}
-                        Some(cur) => *cur = cand,
-                        None => {
-                            best.insert(cu, cand);
-                        }
-                    }
-                }
+    /// Candidate scan: the minimum outgoing edge of each local label, in
+    /// ascending label order. Call it once the round's label pushes are in:
+    /// it drops the frontier entries that merges have made internal.
+    fn candidates(&mut self) -> Vec<(u32, Cand)> {
+        let lab = &self.lab;
+        let mut best: Vec<Option<Cand>> = vec![None; self.nc];
+        self.frontier.retain(|&(a, b, w)| {
+            let cv = lab[b as usize];
+            if cv == lab[a as usize] {
+                return false;
             }
-        }
-        best
+            let cand = Cand { w, cv };
+            let cur = &mut best[a as usize];
+            if cur.is_none_or(|c| cand.better_than(&c)) {
+                *cur = Some(cand);
+            }
+            true
+        });
+        let mut out: Vec<(u32, Cand)> = best
+            .iter()
+            .zip(lab)
+            .filter_map(|(b, &c)| b.map(|d| (c, d)))
+            .collect();
+        best_per_label(&mut out);
+        #[cfg(test)]
+        assert_eq!(out, self.reference_candidates(), "frontier candidates");
+        out
+    }
+
+    /// Mixed-phase scan: the minimum edge weight between each pair of
+    /// labels `a < b` seen here, in ascending `(a, b)` order.
+    fn pair_minima(&self) -> Vec<(u32, u32, f64)> {
+        let lab = &self.lab;
+        let mut pairs: Vec<(u32, u32, f64)> = self
+            .frontier
+            .iter()
+            .filter_map(|&(a, b, w)| {
+                let (cu, cv) = (lab[a as usize], lab[b as usize]);
+                (cu != cv).then_some((cu.min(cv), cu.max(cv), w))
+            })
+            .collect();
+        pairs.sort_unstable_by_key(|&(a, b, w)| (a, b, w.to_bits()));
+        pairs.dedup_by_key(|&mut (a, b, _)| (a, b));
+        #[cfg(test)]
+        assert_eq!(pairs, self.reference_pair_minima(), "frontier pair minima");
+        pairs
     }
 }
 
@@ -264,6 +348,8 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
     let mut rounds = 0u32;
 
     // ---- Phase 2: Borůvka rounds ----
+    // Leader-side tables cover the labels owned here and are sorted by
+    // label, so every send loop below runs in ascending label order.
     loop {
         rounds += 1;
         // A: push fresh labels + subscriptions.
@@ -271,19 +357,18 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
         ctx.sync();
 
         // B: absorb pushes and subscriptions; send aggregated candidates.
-        st.subscribers.clear();
-        let mut live: HashSet<u32> = HashSet::new();
+        let mut subscribers: Vec<(u32, u32)> = Vec::new(); // (label, pid)
         while let Some(pkt) = ctx.get_pkt() {
             let (tag, id, aux, _) = unpk(pkt);
             match tag {
                 T_PUSH => st.apply_push(id, aux),
-                T_SUB => {
-                    st.subscribers.entry(id).or_default().push(aux);
-                    live.insert(id);
-                }
+                T_SUB => subscribers.push((id, aux)),
                 _ => unreachable!("unexpected tag {tag} in superstep B"),
             }
         }
+        subscribers.sort_unstable();
+        let mut live: Vec<u32> = subscribers.iter().map(|&(c, _)| c).collect();
+        live.dedup();
         for (cu, cand) in st.candidates() {
             ctx.send_pkt(st.owner_of(cu), pk(T_CAND, cu, cand.cv, cand.w));
         }
@@ -291,43 +376,37 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
         ctx.sync();
 
         // C: leaders select the global minimum per component and hook.
-        let mut pending: HashMap<u32, Cand> = HashMap::new();
+        let mut pending: Vec<(u32, Cand)> = Vec::new();
         while let Some(pkt) = ctx.get_pkt() {
             let (tag, cu, cv, w) = unpk(pkt);
             debug_assert_eq!(tag, T_CAND);
-            let cand = Cand { w, cv };
-            match pending.get_mut(&cu) {
-                Some(cur) if !cand.better_than(cur) => {}
-                Some(cur) => *cur = cand,
-                None => {
-                    pending.insert(cu, cand);
-                }
-            }
+            pending.push((cu, Cand { w, cv }));
         }
-        for (&cu, cand) in &pending {
+        best_per_label(&mut pending);
+        for &(cu, cand) in &pending {
             ctx.send_pkt(st.owner_of(cand.cv), pk(T_HOOK, cu, cand.cv, cand.w));
         }
         ctx.sync();
 
         // D: break 2-cycles, fix parents, record merge weights.
-        let mut incoming: HashMap<u32, HashMap<u32, f64>> = HashMap::new(); // cv -> {cu: w}
+        let mut incoming: Vec<(u32, u32, f64)> = Vec::new(); // (cv, cu, w)
         while let Some(pkt) = ctx.get_pkt() {
             let (tag, cu, cv, w) = unpk(pkt);
             debug_assert_eq!(tag, T_HOOK);
-            incoming.entry(cv).or_default().insert(cu, w);
+            incoming.push((cv, cu, w));
         }
-        st.parent.clear();
-        for &c in &live {
-            st.parent.insert(c, c);
-        }
+        incoming.sort_unstable_by_key(|&(cv, cu, _)| (cv, cu));
+        // Parent pointer of each live label, by its index in `live`.
+        let mut parent = live.clone();
         let mut merges = 0u32;
         let mut unsettled: Vec<u32> = Vec::new();
-        for (&c, cand) in &pending {
+        for &(c, cand) in &pending {
             let d = cand.cv;
-            let mutual_w = incoming.get(&c).and_then(|s| s.get(&d).copied());
-            if let Some(w2) = mutual_w {
+            let mutual = incoming.binary_search_by_key(&(c, d), |&(cv, cu, _)| (cv, cu));
+            if let Ok(i) = mutual {
                 // With distinct weights a mutual pair must have chosen the
                 // same (minimum) edge; a mismatch means a selection bug.
+                let w2 = incoming[i].2;
                 debug_assert!(
                     (w2 - cand.w).abs() < 1e-12,
                     "mutual hook {c}<->{d} with differing weights {w2} vs {}",
@@ -337,7 +416,7 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
                     continue; // the d -> c hook survives instead
                 }
             }
-            st.parent.insert(c, d);
+            parent[index_of(&live, c)] = d;
             st.weights.push(cand.w);
             merges += 1;
             unsettled.push(c);
@@ -354,7 +433,7 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
             send_stat(ctx, unsettled.len() as u32, 0);
             let me = ctx.pid() as f64;
             for &c in &unsettled {
-                let pc = st.parent[&c];
+                let pc = parent[index_of(&live, c)];
                 ctx.send_pkt(st.owner_of(pc), pk(T_JQ, c, pc, me));
             }
             ctx.sync();
@@ -372,10 +451,7 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
                 break;
             }
             for (c, pc, asker) in queries {
-                let gp = *st
-                    .parent
-                    .get(&pc)
-                    .unwrap_or_else(|| panic!("no parent entry for label {pc}"));
+                let gp = parent[index_of(&live, pc)];
                 let tag = if gp == pc { T_JR_ROOT } else { T_JR_STEP };
                 ctx.send_pkt(asker, pk(tag, c, gp, 0.0));
             }
@@ -384,11 +460,9 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
             while let Some(pkt) = ctx.get_pkt() {
                 let (tag, c, gp, _) = unpk(pkt);
                 match tag {
-                    T_JR_ROOT => {
-                        st.parent.insert(c, gp);
-                    }
+                    T_JR_ROOT => parent[index_of(&live, c)] = gp,
                     T_JR_STEP => {
-                        st.parent.insert(c, gp);
+                        parent[index_of(&live, c)] = gp;
                         still.push(c);
                     }
                     _ => unreachable!("unexpected tag {tag} in jump-reply superstep"),
@@ -398,28 +472,19 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
         }
 
         // F: push new roots to subscribers; exchange merge/root counters.
-        let mut my_roots = 0u32;
-        for &c in &live {
-            let root = st.parent[&c];
-            if root == c {
-                my_roots += 1;
-            }
-            if let Some(subs) = st.subscribers.get(&c) {
-                for &pid in subs {
-                    ctx.send_pkt(pid as usize, pk(T_ROOT, c, root, 0.0));
-                }
-            }
+        let my_roots = live.iter().zip(&parent).filter(|(c, r)| c == r).count() as u32;
+        for &(c, pid) in &subscribers {
+            let root = parent[index_of(&live, c)];
+            ctx.send_pkt(pid as usize, pk(T_ROOT, c, root, 0.0));
         }
         send_stat(ctx, merges, my_roots);
         ctx.sync();
-        let mut relabel: HashMap<u32, u32> = HashMap::new();
+        let mut relabel: Vec<(u32, u32)> = Vec::new(); // (old label, root)
         let (mut total_merges, mut total_roots) = (merges as u64, my_roots as u64);
         while let Some(pkt) = ctx.get_pkt() {
             let (tag, id, aux, _) = unpk(pkt);
             match tag {
-                T_ROOT => {
-                    relabel.insert(id, aux);
-                }
+                T_ROOT => relabel.push((id, aux)),
                 T_STAT => {
                     total_merges += id as u64;
                     total_roots += aux as u64;
@@ -427,9 +492,10 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
                 _ => unreachable!("unexpected tag {tag} in superstep F"),
             }
         }
-        for c in st.comp.iter_mut() {
-            if let Some(&r) = relabel.get(c) {
-                *c = r;
+        relabel.sort_unstable();
+        for c in &mut st.lab[..st.nc] {
+            if let Ok(i) = relabel.binary_search_by_key(&*c, |&(old, _)| old) {
+                *c = relabel[i].1;
             }
         }
         if total_merges == 0 || total_roots <= threshold {
@@ -447,30 +513,19 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
         st.apply_push(id, aux);
     }
     // Min edge per component pair -> processor 0; per-proc totals -> all.
-    let mut pair_best: HashMap<(u32, u32), f64> = HashMap::new();
-    for h in 0..lg.n_home() as u32 {
-        let cu = st.comp[h as usize];
-        for &(v, w) in lg.neighbors(h) {
-            let cv = st.comp_of(v);
-            if cv != cu {
-                let key = (cu.min(cv), cu.max(cv));
-                let e = pair_best.entry(key).or_insert(f64::INFINITY);
-                if w < *e {
-                    *e = w;
-                }
-            }
-        }
-    }
-    for (&(a, b), &w) in &pair_best {
+    for (a, b, w) in st.pair_minima() {
         ctx.send_pkt(0, pk(T_CAND, a, b, w));
     }
     ctx.charge(lg.adj.len() as u64); // mixed-phase pair scan
     let my_count = st.weights.len() as u32;
-    // Sum in sorted order so the value is independent of the (arrival-
-    // order-dependent) sequence the weights were recorded in.
+    // Sum in sorted order so the value is independent of the sequence the
+    // weights were recorded in. The local phase recorded its weights in
+    // ascending order already; the stable sort finds that run and merges in
+    // the rounds' few weights (equal keys are equal weights, so stability
+    // changes no bit).
     let my_weight: f64 = {
         let mut ws = st.weights.clone();
-        ws.sort_unstable_by_key(|w| w.to_bits());
+        ws.sort_by_key(|w| w.to_bits());
         ws.iter().sum()
     };
     if ctx.pid() != 0 {
@@ -495,19 +550,15 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
         let others_count: u64 = totals.iter().map(|&(_, c, _)| c as u64).sum();
         let others_weight: f64 = totals.iter().map(|&(_, _, w)| w).sum();
         edges.sort_unstable_by_key(edge_key);
-        // Union-find over labels via dense renumbering.
-        let mut dense: HashMap<u32, u32> = HashMap::new();
-        for &(_, a, b) in &edges {
-            let next = dense.len() as u32;
-            dense.entry(a).or_insert(next);
-            let next = dense.len() as u32;
-            dense.entry(b).or_insert(next);
-        }
-        let mut uf = UnionFind::new(dense.len());
+        // Union-find over the labels, numbered by rank.
+        let mut labels: Vec<u32> = edges.iter().flat_map(|&(_, a, b)| [a, b]).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        let mut uf = UnionFind::new(labels.len());
         let mut fixed_count = 0u32;
         let mut fixed_weight = 0.0;
         for (w, a, b) in edges {
-            if uf.union(dense[&a], dense[&b]) {
+            if uf.union(index_of(&labels, a) as u32, index_of(&labels, b) as u32) {
                 st.weights.push(w);
                 fixed_count += 1;
                 fixed_weight += w;
@@ -543,13 +594,66 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
     }
 }
 
+/// The full-adjacency scans the frontier replaces: `candidates` and
+/// `pair_minima` check every result against them under test.
+#[cfg(test)]
+impl MstState<'_> {
+    /// Label of a local id (home or border).
+    fn label_of(&self, lid: u32) -> u32 {
+        let nh = self.lg.n_home();
+        if (lid as usize) < nh {
+            self.lab[self.cidx[lid as usize] as usize]
+        } else {
+            self.lab[self.nc + lid as usize - nh]
+        }
+    }
+
+    fn reference_candidates(&self) -> Vec<(u32, Cand)> {
+        let mut best: BTreeMap<u32, Cand> = BTreeMap::new();
+        for h in 0..self.lg.n_home() as u32 {
+            let cu = self.label_of(h);
+            for &(v, w) in self.lg.neighbors(h) {
+                let cv = self.label_of(v);
+                if cv != cu {
+                    let cand = Cand { w, cv };
+                    let cur = best.entry(cu).or_insert(cand);
+                    if cand.better_than(cur) {
+                        *cur = cand;
+                    }
+                }
+            }
+        }
+        best.into_iter().collect()
+    }
+
+    fn reference_pair_minima(&self) -> Vec<(u32, u32, f64)> {
+        let mut best: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        for h in 0..self.lg.n_home() as u32 {
+            let cu = self.label_of(h);
+            for &(v, w) in self.lg.neighbors(h) {
+                let cv = self.label_of(v);
+                if cv != cu {
+                    let e = best
+                        .entry((cu.min(cv), cu.max(cv)))
+                        .or_insert(f64::INFINITY);
+                    if w < *e {
+                        *e = w;
+                    }
+                }
+            }
+        }
+        best.into_iter().map(|((a, b), w)| (a, b, w)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::geometric_graph;
+    use crate::gen::{geometric_graph, Graph};
     use crate::partition::{build_locals, partition_kd};
     use crate::seq::kruskal_mst;
     use green_bsp::{run, Config};
+    use proptest::prelude::*;
 
     fn check(n: usize, seed: u64, p: usize) {
         let g = geometric_graph(n, seed);
@@ -643,6 +747,79 @@ mod tests {
                 step.max_sent,
                 3 * max_border + p as u64
             );
+        }
+    }
+
+    /// A `side × side` lattice on the unit square with every edge weight 1;
+    /// cell `c` (row-major) is node `c · 7919 mod side²`, so global ids are
+    /// scattered over the square (`side < 7919`).
+    fn tie_lattice(side: usize) -> Graph {
+        let n = side * side;
+        let id = |c: usize| (c * 7919 % n) as u32;
+        let (mut pos, mut rows) = (vec![(0.0, 0.0); n], vec![Vec::new(); n]);
+        for c in 0..n {
+            let (x, y) = (c % side, c / side);
+            pos[id(c) as usize] = (
+                (x as f64 + 0.5) / side as f64,
+                (y as f64 + 0.5) / side as f64,
+            );
+            let row = &mut rows[id(c) as usize];
+            if x + 1 < side {
+                row.push(id(c + 1));
+            }
+            if y + 1 < side {
+                row.push(id(c + side));
+            }
+            if x > 0 {
+                row.push(id(c - 1));
+            }
+            if y > 0 {
+                row.push(id(c - side));
+            }
+        }
+        let (mut xadj, mut adj) = (vec![0u32], Vec::new());
+        for mut row in rows {
+            row.sort_unstable();
+            adj.extend(row.into_iter().map(|v| (v, 1.0)));
+            xadj.push(adj.len() as u32);
+        }
+        Graph {
+            n,
+            xadj,
+            adj,
+            pos,
+            delta: 1.0 / side as f64,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// In every round of every process, the frontier's candidates, and
+        /// in the mixed phase its pair minima, equal the full-adjacency
+        /// scans': `candidates` and `pair_minima` assert it under test, and
+        /// a process that panics fails the run. On G(δ), and on a lattice
+        /// where every weight ties.
+        #[test]
+        fn frontier_scans_match_the_full_adjacency_scans(
+            n in 1usize..=2000,
+            seed in any::<u64>(),
+            p in 1usize..=4,
+            ties in any::<bool>(),
+        ) {
+            let g = if ties {
+                tie_lattice(((n as f64).sqrt() as usize).max(1))
+            } else {
+                geometric_graph(n, seed)
+            };
+            let owner = partition_kd(&g.pos, p);
+            let locals = build_locals(&g, &owner, p);
+            let out = run(&Config::new(p), |ctx| {
+                mst_run(ctx, &locals[ctx.pid()], &owner)
+            });
+            for r in &out.results {
+                prop_assert_eq!(r.total_edges, (g.n - 1) as u64, "n = {}, p = {}", g.n, p);
+            }
         }
     }
 }

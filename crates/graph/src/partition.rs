@@ -152,12 +152,6 @@ impl LocalGraph {
         &self.adj_procs[self.adj_procs_xadj[home_lid as usize] as usize
             ..self.adj_procs_xadj[home_lid as usize + 1] as usize]
     }
-
-    /// Owner of a border node given its local id.
-    #[inline]
-    pub fn owner_of_border(&self, lid: u32) -> u32 {
-        self.border_owner[(lid as usize) - self.home.len()]
-    }
 }
 
 /// Morton key of a position on the unit square: `x` and `y` quantised to

@@ -22,7 +22,7 @@ use crate::partition::LocalGraph;
 use crate::util::heap_key;
 use green_bsp::{Ctx, Packet};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// The work factor used for the paper-style experiments: maximum non-stale
 /// queue pops per processor per superstep. Small factors are the paper's
@@ -73,6 +73,11 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
     let mut pops = 0u64;
     let mut relaxations = 0u64;
+    // Border indices improved this superstep, in first-improvement order;
+    // `queued[bi]` is the superstep that last queued `bi`.
+    let mut dirty: Vec<u32> = Vec::new();
+    let mut queued = vec![0u32; lg.border_gid.len()];
+    let mut step = 0u32;
 
     if let Some(lid) = lg.lid(source) {
         if lg.is_home(lid) {
@@ -84,7 +89,8 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
     loop {
         // Local Dijkstra work, bounded by the work factor.
         let relax_before = relaxations;
-        let mut pending: HashMap<u32, f64> = HashMap::new(); // border lid -> best dist
+        step += 1;
+        dirty.clear();
         let mut budget = work_factor;
         while budget > 0 {
             let Some(Reverse((bits, u))) = heap.pop() else {
@@ -108,7 +114,10 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
                     let bi = v as usize - nh;
                     if nd < border_cache[bi] {
                         border_cache[bi] = nd;
-                        pending.insert(v, nd);
+                        if queued[bi] != step {
+                            queued[bi] = step;
+                            dirty.push(bi as u32);
+                        }
                     }
                 }
             }
@@ -116,11 +125,11 @@ pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -
         ctx.charge(relaxations - relax_before);
 
         // Ship the improved border labels to their owners.
-        let sent = pending.len() as u64;
-        for (blid, d) in pending {
-            let owner = lg.owner_of_border(blid) as usize;
-            let gid = lg.gid(blid);
-            ctx.send_pkt(owner, pk(T_UPD, gid, 0, d));
+        let sent = dirty.len() as u64;
+        for &bi in &dirty {
+            let bi = bi as usize;
+            let owner = lg.border_owner[bi] as usize;
+            ctx.send_pkt(owner, pk(T_UPD, lg.border_gid[bi], 0, border_cache[bi]));
         }
         // Status: my remaining work after this superstep.
         let active = heap.len() as u64 + sent;

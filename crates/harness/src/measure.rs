@@ -21,7 +21,8 @@ pub struct Measurement {
     /// `H`: summed h-relations (packets).
     pub h: u64,
     /// `W`: work depth in host seconds. Measured as wall time on the
-    /// sequential simulator at `p = 1`; for `p > 1` derived as
+    /// sequential simulator at `p = 1` (the median of three runs after a
+    /// discarded warm-up); for `p > 1` derived as
     /// `W_wall(1) · units_W(p) / units(1)` — the charged-operation ratio —
     /// because on a 2-core host the per-superstep wall clock has an
     /// oversubscription noise floor that swamps microsecond compute slices
@@ -44,8 +45,15 @@ pub struct Measurement {
 pub fn measure(app: App, wl: &crate::apps::Workload, size: usize, p: usize) -> Measurement {
     // Parallel run: exact H and S, host wall clock.
     let (par_stats, par_wall) = execute(app, wl, p, BackendKind::Shared);
-    // Sequential simulation: clean per-superstep compute times.
-    let (seq_stats, _) = execute(app, wl, p, BackendKind::SeqSim);
+    // Sequential simulation: clean per-superstep compute times. One warm-up
+    // run is discarded (a cold first touch of the workload inflates them),
+    // then the run with the median `W` of three is kept.
+    let _ = execute(app, wl, p, BackendKind::SeqSim);
+    let mut seq_runs: Vec<_> = (0..3)
+        .map(|_| execute(app, wl, p, BackendKind::SeqSim).0)
+        .collect();
+    seq_runs.sort_by_key(|s| s.w_total());
+    let seq_stats = seq_runs.swap_remove(1);
     debug_assert_eq!(par_stats.s(), seq_stats.s(), "backends must agree on S");
     let wall = seq_stats.w_total().as_secs_f64();
     Measurement {
