@@ -11,12 +11,13 @@
 //!
 //! * **Pinned worker pool** — a [`Runtime`] owns worker threads that are
 //!   spawned once (grown on demand, pinned round-robin to cores where the
-//!   OS allows it) and parked on a condvar between jobs. A job leases a
-//!   `p`-sized slice of the pool for its lifetime; slices are dispatched
-//!   atomically (all `p` slots at once, FIFO), so a job's processes always
-//!   run on `p` distinct workers and rendezvous-style backends (seqsim's
-//!   baton, the channel transport's staged exchange) cannot deadlock on a
-//!   partial slice.
+//!   OS allows it) and parked on a condvar between jobs. A job's `p` slot
+//!   tasks queue as one slice, and a free worker takes the next task of
+//!   the oldest slice (FIFO). A worker runs one task at a time, so a job's
+//!   processes run on `p` distinct workers; and since a slot only waits on
+//!   its own job's peers, the oldest job's missing tasks are always next
+//!   in line, so rendezvous-style backends (seqsim's baton, the channel
+//!   transport's staged exchange) cannot deadlock on a pool `p` wide.
 //! * **Transport arena** — after a clean run of a *plain* config (no
 //!   checker, no fault plan, no hardening) the job's transport endpoints
 //!   are reset in place ([`crate::context::ProcTransport::reset`]) and
@@ -319,48 +320,44 @@ impl CancelToken {
 // The runtime
 // ---------------------------------------------------------------------------
 
-/// One queued job slice: the `p` slot tasks, plus an abort closure that
-/// fills every result-board slot with [`BspError::RuntimeShutdown`] so a
-/// slice abandoned by a fast [`Runtime::shutdown`] still settles its
-/// board — waking a blocked caller, or resolving a submitted job's handle
-/// through the board's completion. Exactly one of `tasks` / `abort` ever
-/// runs.
+/// One queued job slice: the slot tasks no worker has taken yet, plus an
+/// abort closure that fills every result-board slot with
+/// [`BspError::RuntimeShutdown`] so a slice abandoned by a fast
+/// [`Runtime::shutdown`] still settles its board — waking a blocked
+/// caller, or resolving a submitted job's handle through the board's
+/// completion. The abort is dropped when the first task is taken, so
+/// exactly one of `tasks` / `abort` ever runs.
 struct JobSlice {
-    tasks: Vec<Task>,
-    abort: Task,
+    tasks: std::vec::IntoIter<Task>,
+    abort: Option<Task>,
 }
 
-/// Scheduler state: parked-worker accounting plus the FIFO job queue.
-///
-/// Invariant: `free` = (workers inside the wait loop) − (tasks in `ready`).
-/// [`pump`] moves a job's tasks to `ready` only when `free` covers all of
-/// them, claiming that many parked workers; since a worker pops at most one
-/// task before leaving the wait loop, a job's `p` tasks always land on `p`
-/// distinct workers.
+/// Scheduler state: the FIFO queue of slices; a free worker takes the next
+/// task of the head slice ([`Sched::take`]). Deadlock-free on any pool at
+/// least `p` wide ([`Runtime::ensure_capacity`]): a slot only ever waits on
+/// peers of its own job, and no task of a later slice is taken while the
+/// head slice has one left, so every running slot belongs to the head job
+/// or to an older, fully running one — and the head job's missing tasks
+/// are next in line for the next free worker.
 struct Sched {
-    ready: VecDeque<Task>,
-    /// Pending jobs; each entry is a whole `p`-task slice, admitted
-    /// atomically in submission order. A wide job at the head is never
-    /// starved by narrow jobs behind it.
     queue: VecDeque<JobSlice>,
-    free: usize,
     spawned: usize,
     shutdown: bool,
 }
 
-/// Admit queued jobs while enough workers are parked to cover the whole
-/// slice. Returns whether any tasks were made ready (caller notifies).
-fn pump(s: &mut Sched) -> bool {
-    let mut made = false;
-    while let Some(job) = s.queue.pop_front_if(|job| job.tasks.len() <= s.free) {
-        s.free -= job.tasks.len();
-        s.ready.extend(job.tasks);
-        // The slice is admitted: its abort closure is dead weight. Dropping
-        // it here (under the sched lock) only drops an Arc clone.
-        drop(job.abort);
-        made = true;
+impl Sched {
+    /// Take the head slice's next task. The slice is now started, so its
+    /// abort closure is dead weight; dropping it here (under the sched
+    /// lock) only drops an `Arc` clone.
+    fn take(&mut self) -> Option<Task> {
+        let head = self.queue.front_mut()?;
+        head.abort = None;
+        let task = head.tasks.next();
+        if head.tasks.as_slice().is_empty() {
+            self.queue.pop_front();
+        }
+        task
     }
-    made
 }
 
 /// Key identifying a reusable transport-set shape. Two configs with equal
@@ -418,15 +415,14 @@ pub(crate) fn arena_eligible(cfg: &Config) -> bool {
     !cfg.check && cfg.fault_plan.is_none() && cfg.tolerance.is_none()
 }
 
-/// Parked transport sets, keyed by fabric shape. Bounded so a sweep over
-/// many shapes cannot hoard memory.
+/// Parked transport sets, keyed by fabric shape. A shape never parks more
+/// sets than it had out at once; [`ARENA_TOTAL`] bounds them all, so a
+/// sweep over many shapes cannot hoard memory.
 struct ArenaState {
     sets: HashMap<ArenaKey, Vec<Vec<Ctx>>>,
     total: usize,
 }
 
-/// Max parked sets per fabric shape.
-const ARENA_PER_KEY: usize = 4;
 /// Max parked sets across all shapes.
 const ARENA_TOTAL: usize = 64;
 
@@ -461,14 +457,10 @@ enum WorkerExit {
 
 fn worker_loop(inner: &PoolInner) -> WorkerExit {
     IS_POOL_WORKER.with(|c| c.set(true));
-    let mut s = lock(&inner.sched);
     loop {
-        s.free += 1;
-        if pump(&mut s) {
-            inner.work_cv.notify_all();
-        }
+        let mut s = lock(&inner.sched);
         let task = loop {
-            if let Some(t) = s.ready.pop_front() {
+            if let Some(t) = s.take() {
                 break t;
             }
             if s.shutdown {
@@ -482,15 +474,11 @@ fn worker_loop(inner: &PoolInner) -> WorkerExit {
         // itself. A panic that reaches it anyway — or an abort requested by
         // the fault injector — kills this worker, and the self-healing path
         // in `run_worker` quarantines the slot and respawns a replacement.
-        // The accounting stays consistent either way: a worker that took a
-        // task is not counted in `free` until it loops back, so a dead one
-        // simply never re-enters the count.
         let escaped = std::panic::catch_unwind(AssertUnwindSafe(task)).is_err();
         let aborted = ABORT_WORKER.with(|c| c.replace(false));
         if escaped || aborted {
             return WorkerExit::Died;
         }
-        s = lock(&inner.sched);
     }
 }
 
@@ -559,9 +547,7 @@ impl Runtime {
         Runtime {
             inner: Arc::new(PoolInner {
                 sched: Mutex::new(Sched {
-                    ready: VecDeque::new(),
                     queue: VecDeque::new(),
-                    free: 0,
                     spawned: 0,
                     shutdown: false,
                 }),
@@ -583,7 +569,7 @@ impl Runtime {
     }
 
     /// A runtime pre-sized to `n` workers (spawned immediately), so jobs up
-    /// to `p = n` admit without a spawn on the submission path.
+    /// to `p = n` dispatch without a spawn on the submission path.
     pub fn with_workers(n: usize) -> Runtime {
         let rt = Runtime::new();
         rt.ensure_capacity(n);
@@ -634,27 +620,38 @@ impl Runtime {
             spawned.push(h);
         }
         lock(&self.inner.handles).extend(spawned);
+        // Workers take tasks at once: wait until `p` run, so a fresh pool's
+        // first barrier does not wait out a thread start.
+        while self.inner.live_workers.load(Ordering::Relaxed) < p
+            && !lock(&self.inner.sched).shutdown
+        {
+            std::thread::yield_now();
+        }
     }
 
     /// Enqueue a whole job slice (`tasks.len()` = the job's `p`) at the
-    /// back of the FIFO queue and return; it never waits for the slice, so
-    /// a submitted job's completion can relaunch from a worker. All slots
-    /// dispatch atomically. If the pool is already shut down, `abort` runs
+    /// back of the FIFO queue, wake a worker per task and return; it never
+    /// waits for the slice, so a submitted job's completion can relaunch
+    /// from a worker. If the pool is already shut down, `abort` runs
     /// instead on the calling thread, failing the slice's result board with
     /// [`BspError::RuntimeShutdown`] — without this, the slice would sit in
     /// a queue no worker will ever drain and its job would never settle.
     pub(crate) fn execute(&self, tasks: Vec<Task>, abort: Task) {
-        self.ensure_capacity(tasks.len());
+        let p = tasks.len();
+        self.ensure_capacity(p);
         let mut s = lock(&self.inner.sched);
         if s.shutdown {
             drop(s);
             abort();
             return;
         }
-        s.queue.push_back(JobSlice { tasks, abort });
-        if pump(&mut s) {
-            drop(s);
-            self.inner.work_cv.notify_all();
+        s.queue.push_back(JobSlice {
+            tasks: tasks.into_iter(),
+            abort: Some(abort),
+        });
+        drop(s);
+        for _ in 0..p {
+            self.inner.work_cv.notify_one();
         }
     }
 
@@ -708,15 +705,10 @@ impl Runtime {
         }
         let key = ArenaKey::of(cfg);
         let mut a = lock(&self.inner.arena);
-        if a.total >= ARENA_TOTAL {
-            return;
+        if a.total < ARENA_TOTAL {
+            a.sets.entry(key).or_default().push(ctxs);
+            a.total += 1;
         }
-        let sets = a.sets.entry(key).or_default();
-        if sets.len() >= ARENA_PER_KEY {
-            return;
-        }
-        sets.push(ctxs);
-        a.total += 1;
     }
 
     /// Run one job to completion on this runtime's pool, blocking the
@@ -741,7 +733,7 @@ impl Runtime {
     /// each leasing its own `p`-slice, and the worker that finishes an
     /// incarnation's last slot merges it and resolves the handle (or
     /// relaunches after a rollback). Results arrive in whatever order jobs
-    /// finish; slices are *admitted* in submission order.
+    /// finish; slot tasks are *dispatched* in submission order.
     ///
     /// The handle is cancellable via [`JobHandle::cancel`], which fires the
     /// token attached with [`Config::cancel_token`] when there is one — so
@@ -797,20 +789,23 @@ impl Runtime {
         }
     }
 
-    /// Fast shutdown: stop and join every worker. Jobs whose slices are
-    /// already running complete; still-queued jobs are *not* drained —
-    /// their handles resolve with a structured [`BspError::RuntimeShutdown`]
-    /// (previously they were silently abandoned and `join` hung forever).
-    /// Use [`Runtime::shutdown_drain`] to complete queued work instead.
+    /// Fast shutdown: stop and join every worker. Jobs a worker has
+    /// started complete, their queued tasks included; jobs no worker has
+    /// started are *not* drained — their handles resolve with a structured
+    /// [`BspError::RuntimeShutdown`] (previously they were silently
+    /// abandoned and `join` hung forever). Use [`Runtime::shutdown_drain`]
+    /// to complete queued work instead.
     pub fn shutdown(self) {
-        // Drain the queue under its lock, then run the abort closures
-        // outside it: each fills its slice's result board with
-        // `RuntimeShutdown`, and the last fill settles the job — a blocked
-        // caller wakes, a submitted job's handle resolves.
+        // Drain the unstarted slices under the queue's lock, then run their
+        // abort closures outside it: each fills its slice's result board
+        // with `RuntimeShutdown`, and the last fill settles the job — a
+        // blocked caller wakes, a submitted job's handle resolves. Only the
+        // head slice can be started (FIFO); it stays for the workers.
         let aborts: Vec<Task> = {
             let mut s = lock(&self.inner.sched);
             s.shutdown = true;
-            s.queue.drain(..).map(|j| j.abort).collect()
+            let started = usize::from(s.queue.front().is_some_and(|j| j.abort.is_none()));
+            s.queue.drain(started..).filter_map(|j| j.abort).collect()
         };
         self.inner.work_cv.notify_all();
         for a in aborts {
@@ -1087,6 +1082,71 @@ mod tests {
             inner.results.iter().sum::<u64>()
         });
         assert_eq!(out.results, vec![1, 1]);
+    }
+
+    /// Submit one job per config, each holding its slots (and so its
+    /// transport set) until every job is submitted, then join them all.
+    fn gated_wave(rt: &Runtime, cfgs: &[Config]) {
+        let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let handles: Vec<_> = cfgs
+            .iter()
+            .map(|cfg| {
+                let gate = Arc::clone(&gate);
+                rt.submit(cfg, move |ctx: &mut Ctx| {
+                    // A 20 s escape hatch turns a broken gate into a
+                    // failed join below instead of a hang.
+                    let start = Instant::now();
+                    while !gate.load(Ordering::Acquire) && start.elapsed().as_secs() < 20 {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    ctx.sync();
+                })
+            })
+            .collect();
+        gate.store(true, Ordering::Release);
+        for h in handles {
+            h.join_timeout(Duration::from_secs(15))
+                .expect("gated job hung")
+                .unwrap();
+        }
+    }
+
+    /// Sets parked across every shape (checked against the running total).
+    fn parked(rt: &Runtime) -> usize {
+        let a = lock(&rt.inner.arena);
+        assert_eq!(a.sets.values().map(Vec::len).sum::<usize>(), a.total);
+        a.total
+    }
+
+    #[test]
+    fn the_arena_keeps_every_set_a_wave_gives_back() {
+        use crate::backend::BackendKind;
+        let rt = Runtime::with_workers(2);
+        // Eight sets of one shape out at once all park on their way back,
+        // so a second wave of eight leases only warm sets.
+        let wave = vec![Config::new(2); 8];
+        gated_wave(&rt, &wave);
+        assert_eq!((rt.arena_hits(), rt.arena_misses()), (0, 8));
+        assert_eq!(parked(&rt), 8);
+        gated_wave(&rt, &wave);
+        assert_eq!((rt.arena_hits(), rt.arena_misses()), (8, 8));
+        // Nine sets of each of eight more shapes come back onto those
+        // eight: 80 in all, of which the arena's one bound keeps 64.
+        let shapes: Vec<Config> = [
+            BackendKind::Shared,
+            BackendKind::MsgPass,
+            BackendKind::TcpSim,
+            BackendKind::SeqSim,
+        ]
+        .into_iter()
+        .flat_map(|b| {
+            [BarrierKind::Central, BarrierKind::Flag].map(|k| Config::new(1).backend(b).barrier(k))
+        })
+        .flat_map(|cfg| vec![cfg; 9])
+        .collect();
+        gated_wave(&rt, &shapes);
+        assert_eq!(parked(&rt), ARENA_TOTAL);
+        rt.shutdown();
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Resilient-kernel corpus (DESIGN.md §15): cancellation, deadlines, FIFO
-//! admission, self-healing workers, rollback of a submitted job, and
+//! slot dispatch, self-healing workers, rollback of a submitted job, and
 //! structured shutdown.
 //!
 //! Every scenario is bounded by `join_timeout` — a hang is a test failure
@@ -11,11 +11,12 @@
 mod common;
 
 use common::{backends, digest_app};
+use green_bsp::collectives::{allreduce_u64, sum_u64};
 use green_bsp::{
     run_unpooled, BspError, CancelToken, CheckpointPolicy, Config, Ctx, FaultEvent, FaultKind,
     FaultPlan, FaultTolerance, Packet, Runtime,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -333,6 +334,140 @@ fn submitted_rollback_relaunches_on_an_exactly_wide_pool() {
         "expected ProcPanicked, got {err}"
     );
     rt.shutdown();
+}
+
+/// Spin until `ready` holds (bounded, so a broken scheduler fails the test
+/// with `what` instead of hanging it).
+fn await_flag(what: &str, ready: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while !ready() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// FIFO slot dispatch on a pool exactly two wide: eight jobs stay in
+/// flight, p = 1 and p = 2 mixed, with zero, exchange and all-reduce
+/// supersteps, on the baton (seqsim), the staged pipes (msgpass, tcpsim)
+/// and shared memory. A p = 2 job's first slot waits for its peer, so a
+/// worker that took a later slice's task before the head slice's
+/// remaining one would wedge both workers on two half-started jobs. Every
+/// handle must resolve, bit-equal to the pool-free run.
+#[test]
+fn fifo_dispatch_keeps_mixed_jobs_live_on_a_two_wide_pool() {
+    type Prog = fn(&mut Ctx) -> Vec<u64>;
+    let progs: [(&str, Prog); 3] = [
+        ("zero supersteps", |ctx| vec![ctx.pid() as u64 * 3 + 1]),
+        ("exchange", exchange_prog),
+        ("all-reduce", |ctx| {
+            let me = ctx.pid() as u64;
+            let sum = sum_u64(ctx, me + 1);
+            vec![sum, allreduce_u64(ctx, sum ^ (me * 7), u64::max)]
+        }),
+    ];
+    for name in ["seqsim", "msgpass", "tcpsim", "shared"] {
+        let cfg = |p: usize| {
+            backends(p)
+                .into_iter()
+                .find(|(n, _)| *n == name)
+                .expect("known backend")
+                .1
+        };
+        let want: Vec<Vec<_>> = (1..=2)
+            .map(|p| {
+                progs
+                    .iter()
+                    .map(|(_, prog)| run_unpooled(&cfg(p), prog).unwrap().results)
+                    .collect()
+            })
+            .collect();
+        let rt = Runtime::with_workers(2);
+        let mut inflight = std::collections::VecDeque::new();
+        for i in 0..64 {
+            if inflight.len() == 8 {
+                join_dispatched(inflight.pop_front().unwrap());
+            }
+            // p = 1 + (i / 3) % 2 and program i % 3: every pairing recurs.
+            let (p, prog) = (1 + (i / 3) % 2, i % 3);
+            let what = format!("{name} job {i} (p = {p}, {})", progs[prog].0);
+            let h = rt.submit(&cfg(p), progs[prog].1);
+            inflight.push_back((what, want[p - 1][prog].as_slice(), h));
+        }
+        inflight.into_iter().for_each(join_dispatched);
+        rt.shutdown();
+    }
+}
+
+/// Join a dispatched job within the timeout and compare it with its
+/// pool-free run.
+fn join_dispatched((what, want, h): (String, &[Vec<u64>], green_bsp::JobHandle<Vec<u64>>)) {
+    let out = h
+        .join_timeout(Duration::from_secs(15))
+        .unwrap_or_else(|| panic!("{what} hung"))
+        .unwrap_or_else(|e| panic!("{what} failed: {e}"));
+    assert_eq!(out.results, want, "{what} diverged");
+}
+
+/// A fast shutdown lands while a p = 2 slice has one task taken and one
+/// still queued behind a blocker: the started job completes with its
+/// results (a worker takes its queued task after the blocker), and every
+/// job behind it resolves `RuntimeShutdown`.
+#[test]
+fn fast_shutdown_drains_a_started_slice_and_fails_the_rest() {
+    let rt = Runtime::with_workers(2);
+    let (running, release) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let (r, go) = (Arc::clone(&running), Arc::clone(&release));
+    let blocker = rt.submit(&Config::new(1), move |ctx: &mut Ctx| {
+        r.store(true, Ordering::Release);
+        await_flag("the blocker's release", || go.load(Ordering::Acquire));
+        ctx.sync();
+        5u64
+    });
+    await_flag("the blocker to start", || running.load(Ordering::Acquire));
+    let entered = Arc::new(AtomicUsize::new(0));
+    let e = Arc::clone(&entered);
+    let pair = rt.submit(&Config::new(2), move |ctx: &mut Ctx| {
+        e.fetch_add(1, Ordering::AcqRel);
+        ctx.sync();
+        ctx.pid() as u64 * 10
+    });
+    await_flag("the pair's first slot", || {
+        entered.load(Ordering::Acquire) == 1
+    });
+    let behind: Vec<_> = (1..=4)
+        .map(|p| rt.submit(&Config::new(1 + p % 2), |ctx: &mut Ctx| ctx.sync()))
+        .collect();
+    let stopper = thread::spawn({
+        let rt = rt.clone();
+        move || rt.shutdown()
+    });
+    for h in behind {
+        let err = h
+            .join_timeout(Duration::from_secs(15))
+            .expect("queued job hung across shutdown")
+            .unwrap_err();
+        assert!(matches!(err, BspError::RuntimeShutdown), "{err:?}");
+    }
+    // The shutdown has drained the queue, and the pair is still half
+    // started: its second task waits for the blocker's worker.
+    assert_eq!(entered.load(Ordering::Acquire), 1);
+    assert!(!pair.is_finished());
+    release.store(true, Ordering::Release);
+    let out = blocker
+        .join_timeout(Duration::from_secs(15))
+        .expect("blocker hung across shutdown")
+        .expect("the blocker was running and must complete");
+    assert_eq!(out.results, vec![5]);
+    let out = pair
+        .join_timeout(Duration::from_secs(15))
+        .expect("started pair hung across shutdown")
+        .expect("a started slice is drained, not failed");
+    assert_eq!(out.results, vec![0, 10]);
+    assert_eq!(entered.load(Ordering::Acquire), 2);
+    stopper.join().expect("shutdown panicked");
 }
 
 #[test]
