@@ -122,8 +122,9 @@ fn concurrent_checked_jobs_raise_no_cross_job_diagnostics() {
 #[test]
 fn job_spanning_the_whole_pool_queues_and_completes() {
     // p == pool size: the first job takes every worker; the second must
-    // queue behind it (the scheduler only admits a job when p workers are
-    // free) and still complete with correct results.
+    // queue behind it (a free worker takes the head slice's next task, and
+    // the first job's slots hold all four workers until they finish) and
+    // still complete with correct results.
     let rt = Runtime::with_workers(4);
     let first = rt.submit(&Config::new(4), job_body(0xA, 6));
     let second = rt.submit(&Config::new(4), job_body(0xB, 6));

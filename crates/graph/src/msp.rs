@@ -9,8 +9,21 @@
 //! trees, which is why the paper's MSP speed-ups on the high-latency PC LAN
 //! are so much better than single-source SP.
 //!
-//! The inner loop is exactly the work-factor Dijkstra of [`crate::sp`], run
-//! round-robin over instances with the same per-instance work factor.
+//! [`crate::sp`] is this kernel with one source: `sp_run` calls
+//! [`msp_run`] with one instance, so single-source and multi-source runs send
+//! the same packets in the same order and share every line of the loop.
+//!
+//! Each instance runs the work-factor Dijkstra of §3.4, round-robin over
+//! instances with the same per-instance work factor. Distance labels are
+//! tentative (label-correcting): a popped node may be re-relaxed later if a
+//! shorter path arrives from another processor. On termination every label
+//! equals the true Dijkstra distance.
+//!
+//! Termination detection: each processor appends `p − 1` status packets to
+//! its superstep traffic carrying `remaining queue length + updates sent`;
+//! when the global sum for a superstep is zero, no work remains and no
+//! messages are in flight, so everyone stops — in lockstep, since all
+//! processors compute the same sum.
 
 // Index-based loops below mirror the papers' formulas (loop variables
 // participate in index arithmetic); clippy's iterator suggestions obscure them.
@@ -62,11 +75,11 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
     let nh = lg.n_home();
     let nb = lg.border_gid.len();
     // Read-write state per instance: three integers and one double per node
-    // in the paper; here a distance, a cached border distance, and a heap.
-    let mut dist: Vec<Vec<f64>> = vec![vec![f64::INFINITY; nh]; k];
-    let mut border_cache: Vec<Vec<f64>> = vec![vec![f64::INFINITY; nb]; k];
-    let mut heaps: Vec<BinaryHeap<Reverse<(u64, u32)>>> =
-        (0..k).map(|_| BinaryHeap::new()).collect();
+    // in the paper; here one label table indexed by local id (the home
+    // distances, then the border cache), a superstep stamp per border node,
+    // and a heap.
+    let mut label: Vec<Vec<f64>> = vec![vec![f64::INFINITY; nh + nb]; k];
+    let mut heaps: Vec<BinaryHeap<Reverse<u128>>> = (0..k).map(|_| BinaryHeap::new()).collect();
     let mut pops = 0u64;
     let mut relaxations = 0u64;
     // `(instance, border index)` pairs improved this superstep, in
@@ -75,52 +88,61 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
     let mut dirty: Vec<(u16, u32)> = Vec::new();
     let mut queued: Vec<Vec<u32>> = vec![vec![0u32; nb]; k];
     let mut step = 0u32;
+    // The improvements `(v, label)` of the row being relaxed, in row order.
+    let max_degree = (0..nh as u32).map(|u| lg.neighbors(u).len()).max();
+    let mut staged = vec![(0u32, 0.0f64); max_degree.unwrap_or(0)];
 
     for (inst, &s) in sources.iter().enumerate() {
         if let Some(lid) = lg.lid(s) {
             if lg.is_home(lid) {
-                dist[inst][lid as usize] = 0.0;
+                label[inst][lid as usize] = 0.0;
                 heaps[inst].push(heap_key(0.0, lid));
             }
         }
     }
 
     loop {
+        // Local Dijkstra work, bounded by the work factor per instance.
         let relax_before = relaxations;
         step += 1;
         dirty.clear();
         for inst in 0..k {
             let mut budget = work_factor;
-            let d_inst = &mut dist[inst];
-            let bc_inst = &mut border_cache[inst];
+            let lab = &mut label[inst][..];
             let q_inst = &mut queued[inst];
             let heap = &mut heaps[inst];
             while budget > 0 {
-                let Some(Reverse((bits, u))) = heap.pop() else {
+                let Some(Reverse(key)) = heap.pop() else {
                     break;
                 };
-                let d = f64::from_bits(bits);
-                if d > d_inst[u as usize] {
-                    continue;
+                let (d, u) = (f64::from_bits((key >> 32) as u64), key as u32);
+                if d > lab[u as usize] {
+                    continue; // stale entry: free to discard
                 }
                 budget -= 1;
                 pops += 1;
-                for &(v, w) in lg.neighbors(u) {
-                    relaxations += 1;
+                let row = lg.neighbors(u);
+                relaxations += row.len() as u64;
+                // Relax the whole row without a branch on the outcome: every
+                // entry is written to the next staging slot, and only an
+                // improvement advances the index past it.
+                let mut improved = 0;
+                for &(v, w) in row {
                     let nd = d + w;
+                    let old = lab[v as usize];
+                    let better = nd < old;
+                    lab[v as usize] = if better { nd } else { old };
+                    staged[improved] = (v, nd);
+                    improved += better as usize;
+                }
+                for &(v, nd) in &staged[..improved] {
                     if lg.is_home(v) {
-                        if nd < d_inst[v as usize] {
-                            d_inst[v as usize] = nd;
-                            heap.push(heap_key(nd, v));
-                        }
+                        heap.push(heap_key(nd, v));
                     } else {
                         let bi = v as usize - nh;
-                        if nd < bc_inst[bi] {
-                            bc_inst[bi] = nd;
-                            if q_inst[bi] != step {
-                                q_inst[bi] = step;
-                                dirty.push((inst as u16, bi as u32));
-                            }
+                        if q_inst[bi] != step {
+                            q_inst[bi] = step;
+                            dirty.push((inst as u16, bi as u32));
                         }
                     }
                 }
@@ -128,13 +150,15 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
         }
         ctx.charge(relaxations - relax_before);
 
+        // Ship the improved border labels to their owners.
         let sent = dirty.len() as u64;
         for &(inst, bi) in &dirty {
             let (inst, bi) = (inst as usize, bi as usize);
             let owner = lg.border_owner[bi] as usize;
-            let d = border_cache[inst][bi];
+            let d = label[inst][nh + bi];
             ctx.send_pkt(owner, pk(T_UPD, lg.border_gid[bi], inst as u32, d));
         }
+        // Status: my remaining work after this superstep.
         let active = heaps.iter().map(|h| h.len() as u64).sum::<u64>() + sent;
         for dest in 0..ctx.nprocs() {
             if dest != ctx.pid() {
@@ -151,8 +175,9 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
                 T_UPD => {
                     let inst = aux as usize;
                     let lid = lg.lid(id).expect("update for a node we do not own");
-                    if val < dist[inst][lid as usize] {
-                        dist[inst][lid as usize] = val;
+                    debug_assert!(lg.is_home(lid));
+                    if val < label[inst][lid as usize] {
+                        label[inst][lid as usize] = val;
                         heaps[inst].push(heap_key(val, lid));
                     }
                 }
@@ -164,8 +189,11 @@ pub fn msp_run(ctx: &mut Ctx, lg: &LocalGraph, sources: &[u32], work_factor: usi
         }
     }
 
+    for lab in &mut label {
+        lab.truncate(nh);
+    }
     MspResult {
-        dist,
+        dist: label,
         pops,
         relaxations,
     }

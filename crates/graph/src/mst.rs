@@ -172,38 +172,23 @@ impl<'a> MstState<'a> {
                 }
             }
         }
-        // Oriented and tied by global id, so the unions below (and so each
-        // component's label) do not depend on the local numbering. Exactly
-        // equal weights are rare: ids are looked up only inside such runs.
-        edges.sort_unstable_by_key(|e| edge_key(e).0);
-        for run in edges.chunk_by_mut(|x, y| x.0.to_bits() == y.0.to_bits()) {
-            run.sort_unstable_by_key(|&(_, a, b)| (home[a as usize], home[b as usize]));
-        }
-        let mut uf = UnionFind::new(nh);
-        let mut weights = Vec::new();
-        let mut deferred: Vec<(u32, u32, f64)> = Vec::new();
-        for (w, a, b) in edges {
-            let (ra, rb) = (uf.find(a), uf.find(b));
-            if ra == rb {
-                continue; // cycle: excluded by the cycle property
-            }
-            let (mba, mbb) = (min_border[ra as usize], min_border[rb as usize]);
-            if w <= mba || w <= mbb {
-                uf.union(ra, rb);
-                let r = uf.find(ra);
-                min_border[r as usize] = mba.min(mbb);
-                weights.push(w);
-            } else {
-                deferred.push((a, b, w)); // neither side's cut is certified locally
-            }
-        }
+        #[cfg(test)]
+        let reference = reference_local_kruskal(home, edges.clone(), min_border.clone());
+        let mut kr = LocalKruskal {
+            home,
+            uf: UnionFind::new(nh),
+            min_border,
+            weights: Vec::new(),
+            deferred: Vec::new(),
+        };
+        kr.filter_kruskal(&mut edges);
         // Number the components densely, each labelled by its root's
         // global id.
         let mut slot_of_root = vec![u32::MAX; nh];
         let mut lab: Vec<u32> = Vec::new();
         let cidx: Vec<u32> = (0..nh as u32)
             .map(|h| {
-                let r = uf.find(h) as usize;
+                let r = kr.uf.find(h) as usize;
                 if slot_of_root[r] == u32::MAX {
                     slot_of_root[r] = lab.len() as u32;
                     lab.push(home[r]);
@@ -211,13 +196,18 @@ impl<'a> MstState<'a> {
                 slot_of_root[r]
             })
             .collect();
+        #[cfg(test)]
+        assert!(
+            (&kr.weights, &kr.deferred, &cidx) == (&reference.0, &reference.1, &reference.2),
+            "Filter-Kruskal differs from the sort-then-scan local phase"
+        );
         let nc = lab.len();
         lab.resize(nc + lg.border_gid.len(), u32::MAX);
         // Every home–home entry between components is a deferred edge (a
         // cycle or a union leaves its endpoints together), seen from both
         // ends.
-        let mut frontier = Vec::with_capacity(2 * deferred.len() + border_adj.len());
-        for (a, b, w) in deferred {
+        let mut frontier = Vec::with_capacity(2 * kr.deferred.len() + border_adj.len());
+        for (a, b, w) in kr.deferred {
             let (ca, cb) = (cidx[a as usize], cidx[b as usize]);
             if ca != cb {
                 frontier.push((ca, cb, w));
@@ -239,7 +229,7 @@ impl<'a> MstState<'a> {
                 .filter(|&h| !lg.remote_procs(h).is_empty())
                 .collect(),
             frontier,
-            weights,
+            weights: kr.weights,
         }
     }
 
@@ -322,6 +312,140 @@ impl<'a> MstState<'a> {
         assert_eq!(pairs, self.reference_pair_minima(), "frontier pair minima");
         pairs
     }
+}
+
+/// Edges of at most this many are sorted and scanned; larger sets are split
+/// around a pivot weight first.
+const KRUSKAL_LEAF: usize = 4096;
+
+/// Edges per block of [`partition_below`] (its offsets fit a `u8`).
+const BLOCK: usize = 128;
+
+/// The local phase's Kruskal: a union-find over the home nodes, each root's
+/// cheapest border edge, and the edges committed and deferred so far.
+struct LocalKruskal<'a> {
+    home: &'a [u32],
+    uf: UnionFind,
+    min_border: Vec<f64>,
+    weights: Vec<f64>,
+    deferred: Vec<(u32, u32, f64)>,
+}
+
+impl LocalKruskal<'_> {
+    /// Commit or defer `edges`, which are in Kruskal order: by weight, ties
+    /// by their endpoints' global ids.
+    fn scan(&mut self, edges: &[(f64, u32, u32)]) {
+        for &(w, a, b) in edges {
+            let (ra, rb) = (self.uf.find(a), self.uf.find(b));
+            if ra == rb {
+                continue; // cycle: excluded by the cycle property
+            }
+            let (mba, mbb) = (self.min_border[ra as usize], self.min_border[rb as usize]);
+            if w <= mba || w <= mbb {
+                self.uf.union(ra, rb);
+                let r = self.uf.find(ra);
+                self.min_border[r as usize] = mba.min(mbb);
+                self.weights.push(w);
+            } else {
+                self.deferred.push((a, b, w)); // neither side's cut is certified locally
+            }
+        }
+    }
+
+    /// Run a set of exactly equal weights, oriented and tied by global id, so
+    /// the unions (and so each component's label) do not depend on the local
+    /// numbering.
+    fn scan_ties(&mut self, run: &mut [(f64, u32, u32)]) {
+        let home = self.home;
+        run.sort_unstable_by_key(|&(_, a, b)| (home[a as usize], home[b as usize]));
+        self.scan(run);
+    }
+
+    /// Filter-Kruskal: process `edges` in Kruskal order without sorting them
+    /// all. A set above [`KRUSKAL_LEAF`] is split three ways around a
+    /// median-of-three pivot weight; the lighter part goes first, then the
+    /// run equal to the pivot, and the heavier part is filtered — an edge
+    /// whose endpoints are joined already would be a cycle — before it is
+    /// split in turn. Equal weights always share a part, so every tie run is
+    /// scanned whole.
+    fn filter_kruskal(&mut self, mut edges: &mut [(f64, u32, u32)]) {
+        while edges.len() > KRUSKAL_LEAF {
+            let bits = |i: usize| edges[i].0.to_bits();
+            let (x, y, z) = (bits(0), bits(edges.len() / 2), bits(edges.len() - 1));
+            let pivot = x.max(y).min(x.min(y).max(z));
+            // Three ways: below the pivot, equal to it, above it.
+            let lt = partition_below(edges, pivot);
+            let gt = lt + partition_below(&mut edges[lt..], pivot + 1);
+            let (light, rest) = std::mem::take(&mut edges).split_at_mut(lt);
+            let (equal, heavy) = rest.split_at_mut(gt - lt);
+            self.filter_kruskal(light);
+            self.scan_ties(equal);
+            let mut kept = 0;
+            for i in 0..heavy.len() {
+                let e = heavy[i];
+                heavy[kept] = e;
+                kept += (self.uf.find(e.1) != self.uf.find(e.2)) as usize;
+            }
+            edges = &mut heavy[..kept];
+            #[cfg(test)]
+            assert!(
+                edges
+                    .iter()
+                    .all(|&(_, a, b)| self.uf.find(a) != self.uf.find(b)),
+                "the filter kept a cycle edge"
+            );
+        }
+        edges.sort_unstable_by_key(|e| edge_key(e).0);
+        for run in edges.chunk_by_mut(|x, y| x.0.to_bits() == y.0.to_bits()) {
+            self.scan_ties(run);
+        }
+    }
+}
+
+/// Move the edges whose weight bits are below `bound` to the front and
+/// return how many there are. Block partition (Edelkamp and Weiß's
+/// BlockQuicksort): the comparisons of a block of [`BLOCK`] edges from each
+/// end are recorded as offsets without a branch, then the misplaced pairs
+/// are swapped; what is left between the blocks is partitioned one by one.
+fn partition_below(edges: &mut [(f64, u32, u32)], bound: u64) -> usize {
+    let below = |e: &(f64, u32, u32)| e.0.to_bits() < bound;
+    // `edges[..l]` are below the bound and `edges[r..]` are not; a block
+    // with misplaced offsets still to swap stays in `l..r`.
+    let (mut l, mut r) = (0, edges.len());
+    let (mut left, mut right) = ([0u8; BLOCK], [0u8; BLOCK]);
+    let (mut nl, mut nr) = (0, 0);
+    while r - l >= 2 * BLOCK {
+        if nl == 0 {
+            for i in 0..BLOCK {
+                left[nl] = i as u8;
+                nl += !below(&edges[l + i]) as usize;
+            }
+        }
+        if nr == 0 {
+            for i in 0..BLOCK {
+                right[nr] = i as u8;
+                nr += below(&edges[r - 1 - i]) as usize;
+            }
+        }
+        for _ in 0..nl.min(nr) {
+            (nl, nr) = (nl - 1, nr - 1);
+            edges.swap(l + left[nl] as usize, r - 1 - right[nr] as usize);
+        }
+        if nl == 0 {
+            l += BLOCK;
+        }
+        if nr == 0 {
+            r -= BLOCK;
+        }
+    }
+    let mut k = l;
+    for i in l..r {
+        if below(&edges[i]) {
+            edges.swap(k, i);
+            k += 1;
+        }
+    }
+    k
 }
 
 /// Broadcast a bookkeeping counter pair to every other processor.
@@ -594,6 +718,54 @@ pub fn mst_run(ctx: &mut Ctx, lg: &LocalGraph, owner: &[u32]) -> MstResult {
     }
 }
 
+/// The local phase's Kruskal as a sort of every edge and one scan, which
+/// [`LocalKruskal::filter_kruskal`] replaces: `local_phase` checks the
+/// committed weights, the deferred edges and the component slots against it
+/// under test.
+#[cfg(test)]
+#[allow(clippy::type_complexity)]
+fn reference_local_kruskal(
+    home: &[u32],
+    mut edges: Vec<(f64, u32, u32)>,
+    mut min_border: Vec<f64>,
+) -> (Vec<f64>, Vec<(u32, u32, f64)>, Vec<u32>) {
+    edges.sort_unstable_by_key(|e| edge_key(e).0);
+    for run in edges.chunk_by_mut(|x, y| x.0.to_bits() == y.0.to_bits()) {
+        run.sort_unstable_by_key(|&(_, a, b)| (home[a as usize], home[b as usize]));
+    }
+    let mut uf = UnionFind::new(home.len());
+    let mut weights = Vec::new();
+    let mut deferred: Vec<(u32, u32, f64)> = Vec::new();
+    for (w, a, b) in edges {
+        let (ra, rb) = (uf.find(a), uf.find(b));
+        if ra == rb {
+            continue;
+        }
+        let (mba, mbb) = (min_border[ra as usize], min_border[rb as usize]);
+        if w <= mba || w <= mbb {
+            uf.union(ra, rb);
+            let r = uf.find(ra);
+            min_border[r as usize] = mba.min(mbb);
+            weights.push(w);
+        } else {
+            deferred.push((a, b, w));
+        }
+    }
+    let mut slot_of_root = vec![u32::MAX; home.len()];
+    let mut slots = 0;
+    let cidx = (0..home.len() as u32)
+        .map(|h| {
+            let r = uf.find(h) as usize;
+            if slot_of_root[r] == u32::MAX {
+                slot_of_root[r] = slots;
+                slots += 1;
+            }
+            slot_of_root[r]
+        })
+        .collect();
+    (weights, deferred, cidx)
+}
+
 /// The full-adjacency scans the frontier replaces: `candidates` and
 /// `pair_minima` check every result against them under test.
 #[cfg(test)]
@@ -750,6 +922,33 @@ mod tests {
         }
     }
 
+    #[test]
+    fn partition_below_splits_at_the_bound() {
+        for len in [0u32, 1, 2, 255, 256, 257, 511, 1000, 5000] {
+            // Weights 1..=97 in a scramble, with every value repeated.
+            let edges: Vec<(f64, u32, u32)> = (0..len)
+                .map(|i| ((i.wrapping_mul(2_654_435_761) % 97) as f64 + 1.0, i, 0))
+                .collect();
+            for bound in [0.5, 1.0, 30.0, 49.5, 97.0, 98.0] {
+                let mut parted = edges.clone();
+                let k = partition_below(&mut parted, f64::to_bits(bound));
+                assert!(
+                    parted[..k].iter().all(|e| e.0 < bound),
+                    "len {len} bound {bound}"
+                );
+                assert!(
+                    parted[k..].iter().all(|e| e.0 >= bound),
+                    "len {len} bound {bound}"
+                );
+                parted.sort_unstable_by_key(|e| e.1);
+                assert!(
+                    parted == edges,
+                    "len {len} bound {bound}: not a permutation"
+                );
+            }
+        }
+    }
+
     /// A `side × side` lattice on the unit square with every edge weight 1;
     /// cell `c` (row-major) is node `c · 7919 mod side²`, so global ids are
     /// scattered over the square (`side < 7919`).
@@ -819,6 +1018,36 @@ mod tests {
             });
             for r in &out.results {
                 prop_assert_eq!(r.total_edges, (g.n - 1) as u64, "n = {}, p = {}", g.n, p);
+            }
+        }
+
+        /// The Filter-Kruskal local phase commits the weights, defers the
+        /// edges and numbers the components exactly as the sort-then-scan
+        /// it replaced: `local_phase` asserts it under test on every call.
+        /// On G(δ) with its weights rounded up to `levels` values, so tie
+        /// runs are long (one run of every edge at `levels = 1`), with
+        /// process edge counts on both sides of [`KRUSKAL_LEAF`].
+        #[test]
+        fn filter_kruskal_matches_the_sort_then_scan_on_quantised_weights(
+            n in 1usize..=4000,
+            seed in any::<u64>(),
+            p in 1usize..=3,
+            levels in (0usize..5).prop_map(|i| [1.0, 2.0, 7.0, 64.0, 1024.0][i]),
+        ) {
+            let mut g = geometric_graph(n, seed);
+            let delta = g.delta;
+            for e in &mut g.adj {
+                e.1 = (e.1 / delta * levels).ceil().max(1.0);
+            }
+            let owner = partition_kd(&g.pos, p);
+            let locals = build_locals(&g, &owner, p);
+            let out = run(&Config::new(p), |ctx| {
+                mst_run(ctx, &locals[ctx.pid()], &owner)
+            });
+            let (kw, _) = kruskal_mst(&g);
+            for r in &out.results {
+                prop_assert_eq!(r.total_edges, (g.n - 1) as u64, "n = {}, p = {}", g.n, p);
+                prop_assert_eq!(r.total_weight, kw, "n = {}, p = {}", g.n, p);
             }
         }
     }

@@ -8,21 +8,14 @@
 //! grows with the machine's latency `L`; the paper picked one value for all
 //! platforms, and so do we (it is a parameter, swept by the ablation bench).
 //!
-//! Distance labels are tentative (label-correcting): a popped node may be
-//! re-relaxed later if a shorter path arrives from another processor. On
-//! termination every label equals the true Dijkstra distance.
-//!
-//! Termination detection: each processor appends `p − 1` status packets to
-//! its superstep traffic carrying `remaining queue length + updates sent`;
-//! when the global sum for a superstep is zero, no work remains and no
-//! messages are in flight, so everyone stops — in lockstep, since all
-//! processors compute the same sum.
+//! sp is [`crate::msp`] with one source: [`sp_run`] runs [`msp_run`] with a
+//! single instance, so it sends the same update packets (instance 0) and
+//! status packets in the same order, and its labels, termination detection
+//! and work counts are msp's.
 
+use crate::msp::{msp_run, MspResult};
 use crate::partition::LocalGraph;
-use crate::util::heap_key;
-use green_bsp::{Ctx, Packet};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use green_bsp::Ctx;
 
 /// The work factor used for the paper-style experiments: maximum non-stale
 /// queue pops per processor per superstep. Small factors are the paper's
@@ -45,124 +38,16 @@ pub struct SpResult {
     pub relaxations: u64,
 }
 
-const TAG_SHIFT: u32 = 28;
-const ID_MASK: u32 = (1 << TAG_SHIFT) - 1;
-const T_UPD: u32 = 0;
-const T_STAT: u32 = 1;
-
-#[inline]
-fn pk(tag: u32, id: u32, aux: u32, val: f64) -> Packet {
-    debug_assert!(id <= ID_MASK);
-    Packet::tag_u32_f64((tag << TAG_SHIFT) | id, aux, val)
-}
-
-#[inline]
-fn unpk(p: Packet) -> (u32, u32, u32, f64) {
-    let (t, aux, val) = p.as_tag_u32_f64();
-    (t >> TAG_SHIFT, t & ID_MASK, aux, val)
-}
-
 /// Run distributed SSSP from global node `source`. All processors must call
 /// this with their own [`LocalGraph`] of the same partition.
 pub fn sp_run(ctx: &mut Ctx, lg: &LocalGraph, source: u32, work_factor: usize) -> SpResult {
-    assert!(work_factor > 0);
-    assert!(lg.n_global <= 1 << TAG_SHIFT, "node ids need over 28 bits");
-    let nh = lg.n_home();
-    let mut dist = vec![f64::INFINITY; nh];
-    let mut border_cache = vec![f64::INFINITY; lg.border_gid.len()];
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-    let mut pops = 0u64;
-    let mut relaxations = 0u64;
-    // Border indices improved this superstep, in first-improvement order;
-    // `queued[bi]` is the superstep that last queued `bi`.
-    let mut dirty: Vec<u32> = Vec::new();
-    let mut queued = vec![0u32; lg.border_gid.len()];
-    let mut step = 0u32;
-
-    if let Some(lid) = lg.lid(source) {
-        if lg.is_home(lid) {
-            dist[lid as usize] = 0.0;
-            heap.push(heap_key(0.0, lid));
-        }
-    }
-
-    loop {
-        // Local Dijkstra work, bounded by the work factor.
-        let relax_before = relaxations;
-        step += 1;
-        dirty.clear();
-        let mut budget = work_factor;
-        while budget > 0 {
-            let Some(Reverse((bits, u))) = heap.pop() else {
-                break;
-            };
-            let d = f64::from_bits(bits);
-            if d > dist[u as usize] {
-                continue; // stale entry: free to discard
-            }
-            budget -= 1;
-            pops += 1;
-            for &(v, w) in lg.neighbors(u) {
-                relaxations += 1;
-                let nd = d + w;
-                if lg.is_home(v) {
-                    if nd < dist[v as usize] {
-                        dist[v as usize] = nd;
-                        heap.push(heap_key(nd, v));
-                    }
-                } else {
-                    let bi = v as usize - nh;
-                    if nd < border_cache[bi] {
-                        border_cache[bi] = nd;
-                        if queued[bi] != step {
-                            queued[bi] = step;
-                            dirty.push(bi as u32);
-                        }
-                    }
-                }
-            }
-        }
-        ctx.charge(relaxations - relax_before);
-
-        // Ship the improved border labels to their owners.
-        let sent = dirty.len() as u64;
-        for &bi in &dirty {
-            let bi = bi as usize;
-            let owner = lg.border_owner[bi] as usize;
-            ctx.send_pkt(owner, pk(T_UPD, lg.border_gid[bi], 0, border_cache[bi]));
-        }
-        // Status: my remaining work after this superstep.
-        let active = heap.len() as u64 + sent;
-        for dest in 0..ctx.nprocs() {
-            if dest != ctx.pid() {
-                ctx.send_pkt(dest, pk(T_STAT, active.min(ID_MASK as u64) as u32, 0, 0.0));
-            }
-        }
-        ctx.sync();
-
-        let mut global_active = active;
-        while let Some(pkt) = ctx.get_pkt() {
-            let (tag, id, _, val) = unpk(pkt);
-            match tag {
-                T_STAT => global_active += id as u64,
-                T_UPD => {
-                    let lid = lg.lid(id).expect("update for a node we do not own");
-                    debug_assert!(lg.is_home(lid));
-                    if val < dist[lid as usize] {
-                        dist[lid as usize] = val;
-                        heap.push(heap_key(val, lid));
-                    }
-                }
-                _ => unreachable!("unexpected tag {tag}"),
-            }
-        }
-        if global_active == 0 {
-            break;
-        }
-    }
-
+    let MspResult {
+        mut dist,
+        pops,
+        relaxations,
+    } = msp_run(ctx, lg, &[source], work_factor);
     SpResult {
-        dist,
+        dist: dist.pop().expect("one instance"),
         pops,
         relaxations,
     }

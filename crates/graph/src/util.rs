@@ -57,11 +57,13 @@ impl<T: Eq + Ord> Ord for MinEntry<T> {
 
 /// Heap key of the BSP shortest-path heaps: pops the smallest `dist` first,
 /// ties to the smaller `lid`, as [`MinEntry`] does. For `dist ≥ +0.0` (not
-/// NaN) `to_bits` orders as the value does; `f64::from_bits` recovers it.
+/// NaN) `to_bits` orders as the value does, so one packed integer,
+/// `bits << 32 | lid`, orders as the pair; `f64::from_bits(key >> 32)` and
+/// `key as u32` recover them.
 #[inline]
-pub(crate) fn heap_key(dist: f64, lid: u32) -> Reverse<(u64, u32)> {
+pub(crate) fn heap_key(dist: f64, lid: u32) -> Reverse<u128> {
     debug_assert!(dist.is_sign_positive() && !dist.is_nan(), "heap key {dist}");
-    Reverse((dist.to_bits(), lid))
+    Reverse((dist.to_bits() as u128) << 32 | lid as u128)
 }
 
 /// Sort key of an mst edge `(weight, a, b)`: by weight, then `a`, then `b`,
@@ -156,8 +158,8 @@ mod tests {
             item,
         }) = entries.pop()
         {
-            let Reverse((bits, lid)) = keyed.pop().expect("same length");
-            assert_eq!((bits, lid), (d.to_bits(), item));
+            let Reverse(key) = keyed.pop().expect("same length");
+            assert_eq!(((key >> 32) as u64, key as u32), (d.to_bits(), item));
         }
         assert!(keyed.is_empty());
     }
