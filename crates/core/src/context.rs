@@ -211,10 +211,9 @@ pub struct Ctx {
     /// Checkpoint plumbing; `None` unless the run has a
     /// [`crate::CheckpointPolicy`].
     pub(crate) ckpt: Option<Box<CkptState>>,
-    /// Tile coordinates when this job is one tile of a streaming run
-    /// (see [`crate::stream`]); `None` for ordinary in-core jobs. Stamped
-    /// by the runner from the job's [`crate::Config`] — a plain `Copy`, so
-    /// the warm lease path stays allocation-free.
+    /// Coordinates of the tile this process is computing when the job is
+    /// a streamed pass (see [`crate::stream`]); `None` for ordinary
+    /// in-core jobs. Set by the stream layer before each tile's `f`.
     pub(crate) tile: Option<crate::stream::TileMeta>,
     /// Cooperative cancellation/deadline token, checked at every superstep
     /// boundary (see DESIGN.md §15); `None` for plain runs, so the boundary
@@ -383,14 +382,23 @@ impl Ctx {
     /// while queued never enters the user closure.
     #[inline]
     pub(crate) fn check_control(&mut self) {
-        let Some(tok) = &self.control else { return };
-        if tok.is_cancelled() {
-            let (pid, step) = (self.pid, self.step);
-            panic_any(BspError::Cancelled { pid, step });
+        if let Some(err) = self.control_error() {
+            panic_any(err);
         }
-        if tok.deadline_exceeded() {
-            let (pid, step) = (self.pid, self.step);
-            panic_any(BspError::DeadlineExceeded { pid, step });
+    }
+
+    /// The error a fired control token ends this process's run with, if
+    /// it fired.
+    #[inline]
+    pub(crate) fn control_error(&self) -> Option<BspError> {
+        let tok = self.control.as_ref()?;
+        let (pid, step) = (self.pid, self.step);
+        if tok.is_cancelled() {
+            Some(BspError::Cancelled { pid, step })
+        } else if tok.deadline_exceeded() {
+            Some(BspError::DeadlineExceeded { pid, step })
+        } else {
+            None
         }
     }
 
@@ -398,21 +406,7 @@ impl Ctx {
     /// in `S` (e.g. the 1-processor matrix multiplication has `S = 1` with no
     /// synchronizations at all).
     pub(crate) fn finalize(&mut self) {
-        if self.split.is_some() {
-            let pid = self.pid;
-            // Checked degradation: complete the half-crossed boundary so
-            // peers blocked in the matching exchange are not stranded,
-            // then finalize normally.
-            if self.split_misuse(&format!(
-                "proc {} returned between sync_begin and sync_end \
-                 (open window force-closed before finalize)",
-                pid
-            )) {
-                self.sync_end();
-            } else {
-                panic!("proc {} returned between sync_begin and sync_end", pid);
-            }
-        }
+        self.close_open_window("before finalize");
         let compute = self.step_start.elapsed();
         // Packets sent after the last sync have no delivery boundary left.
         // They are recorded in this final LocalStep and surfaced as
@@ -433,6 +427,68 @@ impl Ctx {
         self.transport.finish();
     }
 
+    /// A program that returned between `sync_begin` and `sync_end` left
+    /// a boundary half-crossed. Checked degradation completes it, so peers
+    /// blocked in the matching exchange are not stranded; unchecked runs
+    /// panic. `at` says where the return was caught.
+    fn close_open_window(&mut self, at: &str) {
+        if self.split.is_none() {
+            return;
+        }
+        let pid = self.pid;
+        if self.split_misuse(&format!(
+            "proc {pid} returned between sync_begin and sync_end \
+             (open window force-closed {at})"
+        )) {
+            self.sync_end();
+        } else {
+            panic!("proc {pid} returned between sync_begin and sync_end");
+        }
+    }
+
+    /// End one tile of a streamed pass ([`crate::stream`]) without a
+    /// boundary. Traffic staged since the tile's last sync has no delivery
+    /// boundary left in its tile, and deliveries it left unread belong to
+    /// it too: both are dropped here, so neither reaches the next tile.
+    /// Returns the dropped sends as `(packets, lane bytes)`; they leave
+    /// this superstep's `sent` counts, and a checked run reports them as an
+    /// undelivered send.
+    pub(crate) fn end_tile(&mut self) -> (u64, u64) {
+        self.close_open_window("at the end of its tile");
+        for buf in &mut self.pkt_out {
+            buf.clear();
+        }
+        for buf in &mut self.byte_out {
+            buf.clear();
+        }
+        (self.pkt_seg, self.pkt_pos, self.pkt_unread) = (self.inbox.len(), 0, 0);
+        (self.byte_seg, self.byte_pos, self.byte_unread) = (self.byte_inbox.len(), 0, 0);
+        let stray = (
+            std::mem::take(&mut self.sent_this_step),
+            std::mem::take(&mut self.sent_bytes_this_step),
+        );
+        if let Some(c) = self.check.as_ref().filter(|_| stray != (0, 0)) {
+            let detail = format!(
+                "{} packet(s) and {} byte-lane byte(s) sent after a tile's last sync \
+                 have no delivery boundary in that tile and were dropped",
+                stray.0, stray.1
+            );
+            let (kind, pid, step) = (CheckKind::UndeliveredSend, self.pid, self.step);
+            let related_step = None;
+            report(
+                &c.shared.sink,
+                CheckReport {
+                    kind,
+                    pid,
+                    step,
+                    related_step,
+                    detail,
+                },
+            );
+        }
+        stray
+    }
+
     /// This process's id in `0..nprocs` (the paper's `bspMyProc`).
     #[inline]
     pub fn pid(&self) -> usize {
@@ -451,10 +507,10 @@ impl Ctx {
         self.step
     }
 
-    /// When this job is one tile of a streaming run ([`crate::stream`]),
-    /// the tile's coordinates — index, record range, byte offset into the
-    /// backing [`crate::stream::TileStore`], and the total tile count.
-    /// `None` for ordinary in-core jobs.
+    /// When this job is a streamed pass ([`crate::stream`]), the
+    /// coordinates of the tile being computed — index, record range, byte
+    /// offset into the backing [`crate::stream::TileStore`], and the total
+    /// tile count. `None` for ordinary in-core jobs.
     #[inline]
     pub fn tile(&self) -> Option<crate::stream::TileMeta> {
         self.tile

@@ -54,11 +54,6 @@ pub struct Config {
     /// processes back to the last consistent checkpoint on an unrecovered
     /// failure.
     pub tolerance: Option<FaultTolerance>,
-    /// Tile coordinates stamped onto every [`Ctx`] of the run, surfaced via
-    /// [`Ctx::tile`]. Set per tile job by the streaming driver
-    /// ([`crate::stream`]); not part of the arena shape key — the same warm
-    /// transport set serves every tile.
-    pub(crate) tile: Option<crate::stream::TileMeta>,
     /// Cooperative cancellation/deadline token stamped onto every [`Ctx`]
     /// and checked at superstep boundaries (see DESIGN.md §15). Attached
     /// with [`Config::cancel_token`], or a fresh one by
@@ -78,7 +73,6 @@ impl Config {
             sync_graph: None,
             fault_plan: None,
             tolerance: None,
-            tile: None,
             control: None,
         }
     }
@@ -693,13 +687,6 @@ fn prepare(
             .map(|(pid, t)| Ctx::new(pid, nprocs, cfg.sync_graph.clone(), t))
             .collect(),
     };
-    // Streaming runs: stamp the tile coordinates on every slot (a `Copy`,
-    // so the warm path stays allocation-free).
-    if cfg.tile.is_some() {
-        for ctx in &mut ctxs {
-            ctx.tile = cfg.tile;
-        }
-    }
     // Cancellable runs: stamp the control token on every slot (an `Arc`
     // clone, so the warm path stays allocation-free; plain runs skip the
     // loop entirely and their boundary checks stay token-free).

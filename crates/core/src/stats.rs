@@ -362,41 +362,43 @@ impl RunStats {
         self.prefetch_wait.as_secs_f64() * 1e3
     }
 
-    /// Fold the stats of one tile's run into a streaming aggregate:
-    /// supersteps are concatenated, per-process totals and transport
-    /// counters are summed element-wise, diagnostics and fault counters
-    /// accumulate, and `tiles` advances by one. The I/O and prefetch
-    /// fields are owned by the streaming driver, which stamps them after
-    /// the pipeline drains (see [`crate::stream`]).
-    pub fn absorb_tile(&mut self, tile: &RunStats) {
+    /// Fold another run's statistics into this aggregate — say, one
+    /// streamed pass into its application's total: supersteps are
+    /// concatenated, per-process totals and transport counters are summed
+    /// element-wise, diagnostics and fault counters accumulate, and so do
+    /// the streaming counters (`tiles`, the I/O bytes, `prefetch_wait`).
+    pub fn absorb(&mut self, other: &RunStats) {
         if self.per_proc_compute.is_empty() {
-            self.nprocs = tile.nprocs;
-            self.per_proc_compute = vec![Duration::ZERO; tile.nprocs];
-            self.per_proc_sync_wait = vec![Duration::ZERO; tile.nprocs];
-            self.per_proc_work_units = vec![0; tile.nprocs];
-            self.transport = vec![TransportCounters::default(); tile.nprocs];
+            self.nprocs = other.nprocs;
+            self.per_proc_compute = vec![Duration::ZERO; other.nprocs];
+            self.per_proc_sync_wait = vec![Duration::ZERO; other.nprocs];
+            self.per_proc_work_units = vec![0; other.nprocs];
+            self.transport = vec![TransportCounters::default(); other.nprocs];
         }
-        debug_assert_eq!(self.nprocs, tile.nprocs, "tile ran at a different p");
-        self.steps.extend_from_slice(&tile.steps);
-        for (pid, d) in tile.per_proc_compute.iter().enumerate() {
+        debug_assert_eq!(self.nprocs, other.nprocs, "runs at different p");
+        self.steps.extend_from_slice(&other.steps);
+        for (pid, d) in other.per_proc_compute.iter().enumerate() {
             self.per_proc_compute[pid] += *d;
         }
-        for (pid, d) in tile.per_proc_sync_wait.iter().enumerate() {
+        for (pid, d) in other.per_proc_sync_wait.iter().enumerate() {
             self.per_proc_sync_wait[pid] += *d;
         }
-        for (pid, u) in tile.per_proc_work_units.iter().enumerate() {
+        for (pid, u) in other.per_proc_work_units.iter().enumerate() {
             self.per_proc_work_units[pid] += *u;
         }
-        for (pid, t) in tile.transport.iter().enumerate() {
+        for (pid, t) in other.transport.iter().enumerate() {
             self.transport[pid].add(t);
         }
-        self.undelivered_pkts += tile.undelivered_pkts;
-        self.undelivered_bytes += tile.undelivered_bytes;
-        self.check_reports.extend_from_slice(&tile.check_reports);
-        self.faults.add(&tile.faults);
-        self.setup += tile.setup;
-        self.teardown += tile.teardown;
-        self.tiles += 1;
+        self.undelivered_pkts += other.undelivered_pkts;
+        self.undelivered_bytes += other.undelivered_bytes;
+        self.check_reports.extend_from_slice(&other.check_reports);
+        self.faults.add(&other.faults);
+        self.setup += other.setup;
+        self.teardown += other.teardown;
+        self.tiles += other.tiles;
+        self.io_read_bytes += other.io_read_bytes;
+        self.io_write_bytes += other.io_write_bytes;
+        self.prefetch_wait += other.prefetch_wait;
     }
 
     /// Launch overhead in milliseconds (see [`RunStats::setup`]).

@@ -4,44 +4,38 @@
 //! The paper's efficiency argument assumes the problem fits in memory; this
 //! layer removes that assumption without changing the programming model. A
 //! dataset living in a spill-directory [`TileStore`] is partitioned into
-//! fixed-budget tiles ([`StreamConfig::plan`]), and each tile runs as one
-//! warm, allocation-free BSP job against the executor's per-shape transport
-//! arena ([`crate::exec::Runtime`]) — the same `p` processes, the same
-//! leased fabric, tile after tile. Around the compute loop sits a
-//! double-buffered prefetch pipeline:
+//! fixed-budget tiles ([`StreamConfig::plan`]), and a streamed pass runs as
+//! **one** BSP job ([`crate::exec::Runtime`]) in which each tile is a
+//! hyperstep: every process runs the tiles in order, each starting in the
+//! superstep after the previous tile's last `sync`, with no barrier between
+//! tiles. A **reader thread** loads tile `N+1` into a buffer from a ring of
+//! 2–3 while tile `N` computes; a **tile board** hands each loaded tile to
+//! every process (the first process to reach a tile decides whether the
+//! pass runs it, and its wait for the reader is
+//! [`crate::RunStats::prefetch_wait`]), and the last process to finish a
+//! tile returns its buffer to the ring. Each process writes its own output
+//! back as soon as its `f` returns.
 //!
-//! * a dedicated **reader thread** loads tile `N+1` into a recycled buffer
-//!   from a ring of 2–3 while tile `N` computes;
-//! * a dedicated **writer thread** writes tile `N−1`'s output back while
-//!   tile `N` computes;
-//! * the driver thread only ever blocks when the prefetcher falls behind,
-//!   and that stall is measured first-class as
-//!   [`crate::RunStats::prefetch_wait`].
-//!
-//! When compute ≥ I/O the executor therefore never stalls on disk: the
-//! steady state is one `recv` from an already-full channel per tile. The
-//! store is positioned-`pread`/`pwrite` backed (`std::os::unix::fs::FileExt`);
-//! an `mmap` window would serve the same role but needs a platform crate
-//! this workspace deliberately does not link, so the portable read path is
-//! the only one compiled (the OS page cache provides most of the benefit).
-//!
-//! Inside a tile job, [`crate::Ctx::tile`] exposes the tile's coordinates
-//! ([`TileMeta`]): its index, byte range in the backing store, record size,
-//! and the total tile count, plus [`TileMeta::shard`] for the conventional
-//! contiguous split of the tile's records across the job's processes.
+//! The store is positioned-`pread`/`pwrite` backed (`FileExt`); an `mmap`
+//! window would need a platform crate this workspace does not link, and the
+//! OS page cache provides most of its benefit. Inside a tile,
+//! [`crate::Ctx::tile`] gives the tile's [`TileMeta`], and
+//! [`TileMeta::shard`] the conventional contiguous split of its records.
 
+use crate::backend::BackendKind;
 use crate::context::Ctx;
 use crate::exec::Runtime;
 use crate::fault::BspError;
 use crate::runner::Config;
 use crate::stats::RunStats;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Coordinates of one tile of a streaming run, visible to the tile's BSP
@@ -101,9 +95,9 @@ pub struct StreamConfig {
     /// In-core budget per tile in bytes. The planner rounds it down to a
     /// whole number of records (minimum one record per tile).
     pub tile_bytes: usize,
-    /// Tile buffers in flight (reader-owned + computing + writer-owned).
-    /// Clamped to `2..=3`: 2 is classic double buffering, 3 additionally
-    /// decouples write-back from prefetch.
+    /// Tile buffers in flight (reader-owned + computing). Clamped to
+    /// `2..=3`: 2 is classic double buffering, 3 lets a process run a tile
+    /// ahead of its slowest peer while the reader still prefetches.
     pub ring: usize,
     /// Record granularity in bytes; tiles split only on record boundaries.
     pub record: usize,
@@ -150,7 +144,8 @@ impl StreamConfig {
     /// one-record tiles.
     ///
     /// Panics if `total` is not a multiple of the record size — a tile
-    /// boundary through the middle of a record cannot be computed on.
+    /// boundary through the middle of a record cannot be computed on
+    /// ([`run_stream_with`] reports such a store as an error instead).
     pub fn plan(&self, total: u64) -> Vec<TileMeta> {
         let rec = self.record.max(1) as u64;
         assert!(
@@ -178,8 +173,9 @@ impl StreamConfig {
 }
 
 /// A spill-directory dataset: a plain file accessed with positioned reads
-/// and writes, safe to share across the prefetcher's reader and writer
-/// threads (`&self` everywhere; the logical length is an atomic).
+/// and writes, safe to share across the prefetcher's reader thread and the
+/// processes writing back (`&self` everywhere; the logical length is an
+/// atomic).
 #[derive(Debug)]
 pub struct TileStore {
     file: File,
@@ -198,19 +194,9 @@ impl TileStore {
     /// Create (or truncate) the store at `path`.
     pub fn create(path: impl Into<PathBuf>) -> io::Result<TileStore> {
         let path = path.into();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(TileStore {
-            file,
-            path,
-            len: AtomicU64::new(0),
-            reads_left: AtomicU64::new(u64::MAX),
-            writes_left: AtomicU64::new(u64::MAX),
-        })
+        let mut opts = OpenOptions::new();
+        opts.create(true).truncate(true);
+        TileStore::with(path, opts)
     }
 
     /// Create (or truncate) `dir/name`, creating `dir` if needed.
@@ -222,15 +208,20 @@ impl TileStore {
     /// Open an existing store read-write; the logical length starts at the
     /// file's current size.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<TileStore> {
-        let path = path.into();
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let len = file.metadata()?.len();
+        TileStore::with(path.into(), OpenOptions::new())
+    }
+
+    /// Open `path` read-write with `opts`, the logical length at the file's size.
+    fn with(path: PathBuf, mut opts: OpenOptions) -> io::Result<TileStore> {
+        let file = opts.read(true).write(true).open(&path)?;
+        let len = AtomicU64::new(file.metadata()?.len());
+        let (reads_left, writes_left) = (AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX));
         Ok(TileStore {
             file,
             path,
-            len: AtomicU64::new(len),
-            reads_left: AtomicU64::new(u64::MAX),
-            writes_left: AtomicU64::new(u64::MAX),
+            len,
+            reads_left,
+            writes_left,
         })
     }
 
@@ -250,19 +241,16 @@ impl TileStore {
         self.writes_left.store(n, Ordering::Release);
     }
 
-    /// Charge one operation against an injection budget. `u64::MAX` means
-    /// injection is off and the counter never moves (the steady-state
-    /// cost is one relaxed load).
+    /// Charge one operation against an injection budget, in one atomic
+    /// step, so concurrent writers never both spend the last unit.
+    /// `u64::MAX` means injection is off and the counter never moves (the
+    /// steady-state cost is one load).
     fn charge(counter: &AtomicU64, what: &str) -> io::Result<()> {
-        let left = counter.load(Ordering::Acquire);
-        if left == u64::MAX {
-            return Ok(());
+        let spend = |left: u64| (left != u64::MAX && left > 0).then(|| left - 1);
+        match counter.fetch_update(Ordering::AcqRel, Ordering::Acquire, spend) {
+            Ok(_) | Err(u64::MAX) => Ok(()),
+            Err(_) => Err(io::Error::other(format!("injected spill {what} failure"))),
         }
-        if left == 0 {
-            return Err(io::Error::other(format!("injected spill {what} failure")));
-        }
-        counter.store(left - 1, Ordering::Release);
-        Ok(())
     }
 
     /// Logical length in bytes.
@@ -327,7 +315,7 @@ impl TileStore {
 pub enum StreamError {
     /// A spill-store read or write failed.
     Io(io::Error),
-    /// A tile's BSP job failed.
+    /// The pass's BSP job failed, or a token ended it at a tile boundary.
     Bsp(BspError),
 }
 
@@ -357,10 +345,9 @@ impl From<BspError> for StreamError {
 /// Results of a streaming run.
 #[derive(Debug)]
 pub struct StreamRun<R> {
-    /// Per-tile, per-process results of the tile jobs, in tile order.
+    /// Per-tile, per-process results of `f`, in tile order.
     pub tiles: Vec<Vec<R>>,
-    /// Aggregate statistics: supersteps concatenated across tiles,
-    /// per-process totals summed, plus the streaming-only fields
+    /// The pass job's statistics plus the streaming-only fields
     /// ([`RunStats::io_read_bytes`], [`RunStats::io_write_bytes`],
     /// [`RunStats::prefetch_wait`], [`RunStats::tiles`]).
     pub stats: RunStats,
@@ -368,18 +355,196 @@ pub struct StreamRun<R> {
     pub wall: Duration,
 }
 
-/// Stream `input` through `cfg.nprocs`-process BSP tile jobs with a custom
+/// The tile board of one streamed pass. No critical section under its
+/// lock can panic, so a poisoned lock still guards a whole board.
+struct Board<R> {
+    st: Mutex<Shelf<R>>,
+    /// Signalled on every change a process or the reader may wait for.
+    cv: Condvar,
+}
+
+struct Shelf<R> {
+    /// Empty ring buffers, and the loaded tiles `first..first + held.len()`:
+    /// a tile stays until every process has finished it, so a relaunched
+    /// incarnation finds it again.
+    free: Vec<Arc<Vec<u8>>>,
+    held: VecDeque<Arc<Vec<u8>>>,
+    first: usize,
+    /// Every process runs tiles `0..go`; the pass ends at `stop`.
+    go: usize,
+    stop: Option<usize>,
+    err: Option<StreamError>,
+    /// Per process, its result for each tile it finished (computed and
+    /// written back), and the incarnations of the pass job it entered.
+    results: Vec<Vec<R>>,
+    entered: Vec<usize>,
+    /// The newest incarnation in which a process failed.
+    failed: usize,
+    /// The streaming counters.
+    stats: RunStats,
+}
+
+impl<R> Board<R> {
+    fn lock(&self) -> MutexGuard<'_, Shelf<R>> {
+        self.st.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// End the pass at tile `at` at the latest (no process has started a
+    /// tile at or after it), keeping the first error.
+    fn halt(&self, st: &mut Shelf<R>, at: usize, err: Option<StreamError>) {
+        st.stop = Some(st.stop.map_or(at, |s| s.min(at)));
+        st.err = st.err.take().or(err);
+        self.cv.notify_all();
+    }
+
+    /// The reader thread: load the plan's tiles in order into free ring
+    /// buffers until the plan ends, the pass stops before the next tile,
+    /// or a read fails. Returns the bytes read.
+    fn read(&self, plan: &[TileMeta], input: &TileStore) -> u64 {
+        let mut read = 0;
+        for meta in plan {
+            let mut st = self.lock();
+            let mut buf = loop {
+                if st.stop.is_some_and(|s| meta.index >= s) {
+                    return read;
+                }
+                match st.free.pop() {
+                    Some(buf) => break buf,
+                    None => st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner),
+                }
+            };
+            drop(st);
+            // Every process dropped its view before the buffer came back,
+            // so this never copies.
+            let bytes = Arc::make_mut(&mut buf);
+            bytes.resize(meta.len, 0);
+            let res = input.read_at(meta.offset, bytes);
+            let mut st = self.lock();
+            if let Err(e) = res {
+                self.halt(&mut st, meta.index, Some(StreamError::Io(e)));
+                return read;
+            }
+            st.held.push_back(buf);
+            read += meta.len as u64;
+            self.cv.notify_all();
+        }
+        read
+    }
+
+    /// Hand tile `*t` to a process of incarnation `inc` — moved past the
+    /// tiles every process has finished, which only a relaunch meets — or
+    /// `None` when the pass ends before it. The first process to reach a
+    /// tile decides whether the pass runs it (the tile-boundary
+    /// cancellation point), so every process leaves after the same tile.
+    fn take(&self, ctx: &Ctx, tiles: usize, inc: usize, t: &mut usize) -> Option<Arc<Vec<u8>>> {
+        let mut st = self.lock();
+        let mut decided = None;
+        loop {
+            *t = (*t).max(st.first);
+            if st.failed >= inc || st.stop.is_some_and(|s| *t >= s) {
+                return None;
+            }
+            if *t == st.go {
+                let fired = ctx.control_error();
+                if *t == tiles || fired.is_some() {
+                    let at = *t;
+                    self.halt(&mut st, at, fired.map(StreamError::Bsp));
+                    return None;
+                }
+                st.go += 1;
+                decided = Some(Instant::now());
+            }
+            if let Some(buf) = st.held.get(*t - st.first).cloned() {
+                // Only the deciding process's wait is a prefetch stall; the
+                // others wait for the same load.
+                st.stats.prefetch_wait += decided.map_or(Duration::ZERO, |t0| t0.elapsed());
+                return Some(buf);
+            }
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Process `pid` finished its next tile, wrote it back and sent
+    /// `stray`: keep its result, and return every tile all processes have
+    /// finished to the ring.
+    fn finish(&self, pid: usize, r: R, stray: (u64, u64), wrote: io::Result<u64>) {
+        let mut st = self.lock();
+        match wrote {
+            Ok(n) => st.stats.io_write_bytes += n,
+            Err(e) => {
+                let at = st.go;
+                self.halt(&mut st, at, Some(StreamError::Io(e)));
+            }
+        }
+        st.stats.undelivered_pkts += stray.0;
+        st.stats.undelivered_bytes += stray.1;
+        st.results[pid].push(r);
+        let done = st.results.iter().map(Vec::len).min().unwrap_or(0);
+        while st.first < done {
+            let buf = st.held.pop_front();
+            st.free.extend(buf);
+            st.first += 1;
+            self.cv.notify_all();
+        }
+    }
+
+    /// One process's share of the pass: every tile the board hands out,
+    /// from the oldest one some process has not finished.
+    fn pass<F, W>(&self, ctx: &mut Ctx, plan: &[TileMeta], serial: bool, f: &F, write: &W)
+    where
+        F: Fn(&mut Ctx, &[u8], &mut Vec<u8>) -> R,
+        W: Fn(&TileMeta, usize, &[u8]) -> io::Result<u64>,
+    {
+        let pid = ctx.pid();
+        let (inc, mut t) = {
+            let mut st = self.lock();
+            st.entered[pid] += 1;
+            (st.entered[pid], st.first)
+        };
+        // A relaunch resumes from the board, never from a snapshot `f` saved.
+        let _ = ctx.restore_checkpoint();
+        let mut out = Vec::new();
+        let tiles = catch_unwind(AssertUnwindSafe(|| {
+            while let Some(data) = self.take(ctx, plan.len(), inc, &mut t) {
+                let meta = plan[t];
+                ctx.tile = Some(meta);
+                out.clear();
+                let r = f(ctx, &data, &mut out);
+                drop(data);
+                let stray = ctx.end_tile();
+                // A relaunch may run a tile this process already finished.
+                if self.lock().results[pid].len() == t {
+                    self.finish(pid, r, stray, write(&meta, pid, &out));
+                }
+                if serial {
+                    ctx.sync();
+                }
+                t += 1;
+            }
+        }));
+        if let Err(payload) = tiles {
+            // Peers waiting for a tile leave instead of waiting on buffers
+            // this process will never finish.
+            self.lock().failed = inc;
+            self.cv.notify_all();
+            resume_unwind(payload);
+        }
+    }
+}
+
+/// Stream `input` through one `cfg.nprocs`-process BSP job with a custom
 /// write-back stage.
 ///
-/// For every tile, `f` runs once per process on the warm executor: it
-/// receives the process context (with [`Ctx::tile`] set), the whole tile's
-/// bytes, and this process's output buffer, empty on every entry (a
-/// relaunch of a failed tile job included). After the job, the tile's `p`
-/// output buffers travel to the writer thread, which calls
-/// `write(meta, bufs)` — it must return the number of bytes it wrote (for
-/// [`RunStats::io_write_bytes`]), and may lock the buffers freely (the
-/// compute loop has moved on). Output buffers and tile buffers are recycled
-/// through rings, so the steady state allocates nothing.
+/// Every process runs `f` once per tile, in tile order, with [`Ctx::tile`]
+/// set, the tile's bytes, and its own output buffer, empty on every entry.
+/// Traffic staged after a tile's last `sync` never reaches the next tile:
+/// it counts as undelivered ([`RunStats::undelivered_pkts`]); deliveries
+/// left unread are dropped. When its `f` returns, the process calls
+/// `write(meta, pid, buf)`, which returns the bytes it wrote. Cancellation,
+/// deadlines and I/O errors end the pass after the same tile on every
+/// process; a relaunch under a tolerant config resumes at the oldest tile
+/// some process had not finished and writes no output twice. A store whose
+/// length is not a multiple of the record size is `InvalidInput`.
 pub fn run_stream_with<R, F, W>(
     rt: &Runtime,
     cfg: &Config,
@@ -391,188 +556,73 @@ pub fn run_stream_with<R, F, W>(
 where
     F: Fn(&mut Ctx, &[u8], &mut Vec<u8>) -> R + Sync,
     R: Send,
-    W: FnMut(&TileMeta, &[Mutex<Vec<u8>>]) -> io::Result<u64> + Send,
+    W: Fn(&TileMeta, usize, &[u8]) -> io::Result<u64> + Sync,
 {
     let start = Instant::now();
+    if !input.len().is_multiple_of(sc.record.max(1) as u64) {
+        let msg = "store length is not a multiple of the record size";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg).into());
+    }
     let plan = sc.plan(input.len());
-    let ntiles = plan.len();
-    let ring = sc.ring.clamp(2, 3);
     let p = cfg.nprocs;
-    let mut tile_cfg = cfg.clone();
-
-    let mut agg = RunStats {
-        nprocs: p,
-        ..RunStats::default()
+    let board = Board {
+        st: Mutex::new(Shelf {
+            free: (0..sc.ring.clamp(2, 3)).map(|_| Arc::default()).collect(),
+            held: VecDeque::new(),
+            first: 0,
+            go: 0,
+            stop: None,
+            err: None,
+            results: (0..p).map(|_| Vec::new()).collect(),
+            entered: vec![0; p],
+            failed: 0,
+            stats: RunStats::default(),
+        }),
+        cv: Condvar::new(),
     };
-    let mut tiles_out: Vec<Vec<R>> = Vec::with_capacity(ntiles);
-    let mut prefetch_wait = Duration::ZERO;
-
-    // Ring plumbing. Tile buffers cycle main → reader → main; output-buffer
-    // sets cycle main → writer → main. Both rings are primed here and only
-    // recycled afterwards.
-    let (free_tx, free_rx) = mpsc::channel::<Vec<u8>>();
-    let (loaded_tx, loaded_rx) = mpsc::sync_channel::<io::Result<(TileMeta, Vec<u8>)>>(ring);
-    let (wsend_tx, wsend_rx) = mpsc::channel::<(TileMeta, Vec<Mutex<Vec<u8>>>)>();
-    let (wfree_tx, wfree_rx) = mpsc::channel::<Vec<Mutex<Vec<u8>>>>();
-    // The receivers were made just above and are still held, and both
-    // channels are unbounded, so these sends cannot fail.
-    for _ in 0..ring {
-        free_tx.send(Vec::new()).expect("fresh channel");
+    // The sequential simulator runs one process at a time, and a process
+    // waiting on the ring for peers that cannot run would wait forever;
+    // there, each tile ends at a boundary.
+    let serial = matches!(cfg.backend, BackendKind::SeqSim);
+    let (read, job) = std::thread::scope(|s| {
+        let reader = s.spawn(|| board.read(&plan, input));
+        let job = rt.try_run(cfg, |ctx| board.pass(ctx, &plan, serial, &f, &write));
+        board.halt(&mut board.lock(), 0, None); // the reader loads nothing more
+        (reader.join(), job)
+    });
+    // A panic escaping the reader is a structured error, not re-thrown.
+    let read = read.map_err(|payload| crate::runner::payload_to_error(0, payload))?;
+    let mut stats = job?.stats;
+    let shelf = board
+        .st
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(err) = shelf.err {
+        return Err(err);
     }
-    for _ in 0..2 {
-        wfree_tx
-            .send((0..p).map(|_| Mutex::new(Vec::new())).collect())
-            .expect("fresh channel");
-    }
-
-    let plan_ref = &plan;
-    std::thread::scope(|s| -> Result<StreamRun<R>, StreamError> {
-        // Reader: prefetch tiles in order into recycled buffers. Exits when
-        // the plan is exhausted, on I/O error (forwarded through the loaded
-        // channel), or when the driver hangs up early.
-        let reader = s.spawn(move || -> u64 {
-            let mut read = 0u64;
-            for meta in plan_ref {
-                let Ok(mut buf) = free_rx.recv() else { break };
-                buf.resize(meta.len, 0);
-                match input.read_at(meta.offset, &mut buf) {
-                    Ok(()) => {
-                        read += meta.len as u64;
-                        if loaded_tx.send(Ok((*meta, buf))).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = loaded_tx.send(Err(e));
-                        break;
-                    }
-                }
-            }
-            read
-        });
-        // Writer: drain completed tiles' output sets through the caller's
-        // write-back stage, then recycle the buffers (capacity kept; the
-        // next tile's job empties them).
-        let writer = s.spawn(move || -> io::Result<u64> {
-            let mut write = write;
-            let mut wrote = 0u64;
-            while let Ok((meta, set)) = wsend_rx.recv() {
-                wrote += write(&meta, &set)?;
-                // The driver drops its recycle endpoint as soon as the
-                // compute loop ends, usually while the last tile is still
-                // queued here — a failed recycle must not abort the drain.
-                let _ = wfree_tx.send(set);
-            }
-            Ok(wrote)
-        });
-
-        // Compute loop: the only place the driver can stall is the two
-        // `recv`s, and only the loaded-channel one is prefetch starvation.
-        let mut compute = || -> Result<(), StreamError> {
-            for _ in 0..ntiles {
-                // Tile-boundary cancellation point (see DESIGN.md §15): a
-                // fired token stops the run between tiles — completed tiles'
-                // write-backs drain normally below.
-                if let Some(tok) = &tile_cfg.control {
-                    if tok.is_cancelled() {
-                        return Err(StreamError::Bsp(BspError::Cancelled { pid: 0, step: 0 }));
-                    }
-                    if tok.deadline_exceeded() {
-                        return Err(StreamError::Bsp(BspError::DeadlineExceeded {
-                            pid: 0,
-                            step: 0,
-                        }));
-                    }
-                }
-                let t0 = Instant::now();
-                let msg = loaded_rx.recv().map_err(|_| {
-                    StreamError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream reader exited before the plan was exhausted",
-                    ))
-                })?;
-                prefetch_wait += t0.elapsed();
-                let (meta, data) = msg?;
-                let Ok(outs) = wfree_rx.recv() else {
-                    // Writer died on an I/O error; surfaced after the joins.
-                    return Ok(());
-                };
-                tile_cfg.tile = Some(meta);
-                let out = rt
-                    .try_run(&tile_cfg, |ctx| {
-                        // Each process starts from an empty buffer. Under a
-                        // tolerant config a failed incarnation of this job
-                        // is relaunched: a process that panicked inside `f`
-                        // left its buffer's lock poisoned and every process
-                        // left partial output, all of which is dropped here.
-                        let slot = &outs[ctx.pid()];
-                        let mut ob = slot.lock().unwrap_or_else(|poisoned| {
-                            slot.clear_poison();
-                            poisoned.into_inner()
-                        });
-                        ob.clear();
-                        f(ctx, &data, &mut ob)
-                    })
-                    .map_err(StreamError::Bsp)?;
-                agg.absorb_tile(&out.stats);
-                tiles_out.push(out.results);
-                if wsend_tx.send((meta, outs)).is_err() {
-                    return Ok(()); // writer died; its error wins below
-                }
-                let _ = free_tx.send(data); // reader may already be done
-            }
-            Ok(())
-        };
-        let run_res = compute();
-
-        // Hang up our ring endpoints so both I/O threads drain and exit,
-        // then collect their byte counts (or the writer's error).
-        drop(wsend_tx);
-        drop(free_tx);
-        drop(loaded_rx);
-        drop(wfree_rx);
-        // A panic escaping either I/O thread (ordinary errors come back as
-        // values) is surfaced as a structured error, not re-thrown into the
-        // driver: the caller of `run_stream_with` gets a `Result` either way.
-        let io_read = match reader.join() {
-            Ok(n) => n,
-            Err(payload) => {
-                return Err(StreamError::Bsp(crate::runner::payload_to_error(
-                    0, payload,
-                )))
-            }
-        };
-        let wrote = match writer.join() {
-            Ok(res) => res,
-            Err(payload) => {
-                return Err(StreamError::Bsp(crate::runner::payload_to_error(
-                    0, payload,
-                )))
-            }
-        };
-        run_res?;
-        let io_write = wrote?;
-
-        agg.io_read_bytes = io_read;
-        agg.io_write_bytes = io_write;
-        agg.prefetch_wait = prefetch_wait;
-        debug_assert_eq!(agg.tiles as usize, ntiles);
-        Ok(StreamRun {
-            tiles: tiles_out,
-            stats: agg,
-            wall: start.elapsed(),
-        })
+    let mut passed = shelf.stats;
+    (passed.nprocs, passed.io_read_bytes) = (p, read);
+    passed.tiles = shelf.first as u64;
+    stats.absorb(&passed);
+    // Each process's results in tile order, as each tile's in pid order.
+    let mut per_proc: Vec<_> = shelf.results.into_iter().map(Vec::into_iter).collect();
+    let tiles = (0..shelf.first)
+        .map(|_| per_proc.iter_mut().filter_map(Iterator::next).collect())
+        .collect();
+    Ok(StreamRun {
+        tiles,
+        stats,
+        wall: start.elapsed(),
     })
 }
 
-/// Stream `input` through BSP tile jobs, writing each tile's output —
-/// the job's per-process output buffers concatenated in pid order —
-/// sequentially to `output` (or discarding it when `output` is `None`).
+/// Stream `input` through one BSP job, writing process `pid`'s output of
+/// each tile at `meta.offset + meta.shard(pid, p).start` in `output` (or
+/// discarding it when `output` is `None`).
 ///
-/// This is the common geometry: a run over `T` tiles produces `output` as
-/// the in-order concatenation of every tile's output, which for
-/// length-preserving kernels (e.g. a stencil sweep) lands each tile's bytes
-/// at the offset it was read from.
+/// This is the common geometry: for length-preserving kernels, whose
+/// processes each emit exactly their shard's bytes (e.g. a stencil sweep),
+/// every tile's output lands at the offset it was read from.
 pub fn run_stream<R, F>(
     rt: &Runtime,
     cfg: &Config,
@@ -585,30 +635,22 @@ where
     F: Fn(&mut Ctx, &[u8], &mut Vec<u8>) -> R + Sync,
     R: Send,
 {
-    let mut cursor = 0u64;
-    run_stream_with(rt, cfg, sc, input, f, move |_meta, outs| {
-        let Some(store) = output else { return Ok(0) };
-        let mut wrote = 0u64;
-        for m in outs {
-            // A set reaches the writer only after its job succeeded, and in
-            // a successful job every process took its buffer's lock (clearing
-            // any poison a failed incarnation left) and released it without
-            // panicking, so no lock here is poisoned.
-            let buf = m.lock().expect("output buffer of a successful job");
-            if !buf.is_empty() {
-                store.write_at(cursor, &buf)?;
-                cursor += buf.len() as u64;
-                wrote += buf.len() as u64;
-            }
-        }
-        Ok(wrote)
+    run_stream_with(rt, cfg, sc, input, f, |meta, pid, buf| {
+        let Some(store) = output.filter(|_| !buf.is_empty()) else {
+            return Ok(0);
+        };
+        let at = meta.offset + meta.shard(pid, cfg.nprocs).start as u64;
+        store.write_at(at, buf)?;
+        Ok(buf.len() as u64)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::CheckKind;
     use crate::fault::{CheckpointPolicy, FaultTolerance};
+    use crate::Packet;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -691,6 +733,8 @@ mod tests {
         let sc = StreamConfig::new(8 * 192).record(8).spill_dir(&dir);
         let rt = Runtime::new();
         let cfg = Config::new(3);
+        let launches = || rt.arena_hits() + rt.arena_misses();
+        let before = launches();
         let run = run_stream(&rt, &cfg, &sc, &input, Some(&output), |ctx, data, out| {
             let meta = ctx.tile().expect("tile meta visible in job");
             let shard = meta.shard(ctx.pid(), ctx.nprocs());
@@ -707,17 +751,17 @@ mod tests {
             assert!(per_proc.iter().all(|&idx| idx == i));
         }
         assert_eq!(output.read_to_vec().unwrap(), bytes);
-        // The warm path reused one leased fabric across tiles.
-        assert!(rt.arena_hits() >= 5, "hits {}", rt.arena_hits());
+        // The whole pass is one job: one lease of the arena for six tiles.
+        assert_eq!(launches(), before + 1, "one job per streamed pass");
         rt.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn a_relaunched_tile_job_writes_its_output_once() {
-        // Under a tolerant config a failed tile job is relaunched. Here one
-        // process panics inside `f` (poisoning its buffer's lock) after the
-        // others wrote their shards; the relaunch must still write each
+        // Under a tolerant config a failed pass job is relaunched. Here one
+        // process panics inside `f` after the others wrote their shards;
+        // the relaunch resumes at that tile and must still write each
         // tile's bytes exactly once.
         let dir = tmpdir("relaunch");
         let bytes: Vec<u8> = (0..400u64).flat_map(|i| (i * 3).to_le_bytes()).collect();
@@ -811,8 +855,8 @@ mod tests {
 
     #[test]
     fn injected_write_failure_surfaces_structured_io_error() {
-        // The writer thread fails on the second tile's write-back; the
-        // driver must drain and report it, never hang on the ring.
+        // The second write-back fails on a process; the pass must end on
+        // every process and report it, never hang on the ring.
         let dir = tmpdir("writefail");
         let bytes = vec![1u8; 8 * 64];
         let input = TileStore::create_in(&dir, "in.dat").unwrap();
@@ -843,9 +887,8 @@ mod tests {
 
     #[test]
     fn cancelled_stream_stops_at_tile_boundary() {
-        // Cancel before launch: the compute loop must observe the token at
-        // its first tile boundary and return `Cancelled` without running
-        // any tile job.
+        // Cancel before launch: the pass must observe the token before its
+        // first tile and return `Cancelled` without running any tile.
         let dir = tmpdir("cancel");
         let input = TileStore::create_in(&dir, "in.dat").unwrap();
         input.write_all(&vec![2u8; 8 * 64]).unwrap();
@@ -929,6 +972,143 @@ mod tests {
             "diagnostics: {:?}",
             run.stats.check_reports
         );
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_spend_an_injection_budget_exactly() {
+        let dir = tmpdir("charge");
+        let store = TileStore::create_in(&dir, "w.dat").unwrap();
+        store.fail_writes_after(50);
+        let ok = AtomicU32::new(0);
+        std::thread::scope(|s| {
+            for w in 0..2u64 {
+                let (store, ok) = (&store, &ok);
+                s.spawn(move || {
+                    for i in 0..100u64 {
+                        if store.write_at((w * 100 + i) * 8, &i.to_le_bytes()).is_ok() {
+                            ok.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(ok.load(Ordering::Relaxed), 50);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_misaligned_store_is_an_invalid_input_error() {
+        let dir = tmpdir("misaligned");
+        let input = TileStore::create_in(&dir, "in.dat").unwrap();
+        input.write_all(&[5u8; 8 * 10 + 3]).unwrap();
+        let rt = Runtime::new();
+        let err = run_stream(
+            &rt,
+            &Config::new(2),
+            &StreamConfig::new(64).record(8).spill_dir(&dir),
+            &input,
+            None,
+            |ctx, _data, _out| ctx.sync(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Io(e) if e.kind() == io::ErrorKind::InvalidInput),
+            "{err:?}"
+        );
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_stray_send_is_reported_and_never_reaches_the_next_tile() {
+        // Every tile sends one packet per process before its sync and one
+        // stray after it; odd tiles also leave their delivery unread. The
+        // next tile must start with an empty inbox and receive only its
+        // own tile's packets, on plain and checked configs alike; checked
+        // runs also report each stray.
+        let dir = tmpdir("stray");
+        let input = TileStore::create_in(&dir, "in.dat").unwrap();
+        input.write_all(&[1u8; 8 * 40]).unwrap();
+        let sc = StreamConfig::new(8 * 10).record(8).spill_dir(&dir);
+        let rt = Runtime::new();
+        for cfg in [Config::new(2), Config::new(2).checked()] {
+            let run = run_stream(&rt, &cfg, &sc, &input, None, |ctx, _data, _out| {
+                let t = ctx.tile().unwrap().index as u64;
+                let peer = 1 - ctx.pid();
+                let mut wrong = ctx.pkts_remaining() as u64;
+                ctx.send_pkt(peer, Packet::two_u64(t, 0));
+                ctx.sync();
+                if t.is_multiple_of(2) {
+                    while let Some(pkt) = ctx.get_pkt() {
+                        wrong += u64::from(pkt.as_two_u64().0 != t);
+                    }
+                }
+                ctx.send_pkt(peer, Packet::two_u64(t, 1)); // stray
+                wrong
+            })
+            .unwrap();
+            assert_eq!(run.stats.tiles, 4);
+            assert!(
+                run.tiles.iter().flatten().all(|&w| w == 0),
+                "{:?}",
+                run.tiles
+            );
+            assert_eq!(
+                run.stats.undelivered_pkts, 8,
+                "one stray per tile and process"
+            );
+            let kinds: Vec<_> = run.stats.check_reports.iter().map(|r| r.kind).collect();
+            let reported = if cfg.check { 8 } else { 0 };
+            assert_eq!(kinds, vec![CheckKind::UndeliveredSend; reported]);
+            assert_eq!(
+                run.stats.total_pkts(),
+                8,
+                "only the delivered packets count as sent"
+            );
+        }
+        rt.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_token_fired_mid_pass_ends_it_after_the_same_tile_on_every_process() {
+        // `f` has no sync, so only the tile boundary can see the token;
+        // process 0 fires it in tile 2. Whatever the processes' lead over
+        // each other, they must all leave after the same tile.
+        let dir = tmpdir("midcancel");
+        let input = TileStore::create_in(&dir, "in.dat").unwrap();
+        input.write_all(&[4u8; 8 * 64]).unwrap();
+        let rt = Runtime::new();
+        let tok = crate::exec::CancelToken::new();
+        let ran = [AtomicU32::new(0), AtomicU32::new(0)];
+        let err = run_stream(
+            &rt,
+            &Config::new(2).cancel_token(&tok),
+            &StreamConfig::new(8).record(8).spill_dir(&dir),
+            &input,
+            None,
+            |ctx, _data, _out| {
+                ran[ctx.pid()].fetch_add(1, Ordering::Relaxed);
+                if ctx.pid() == 0 && ctx.tile().unwrap().index == 2 {
+                    // Once process 1 is in the pass: a slot that starts
+                    // after the cancel fails at launch instead.
+                    while ran[1].load(Ordering::Relaxed) == 0 {
+                        std::thread::yield_now();
+                    }
+                    tok.cancel();
+                }
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, StreamError::Bsp(BspError::Cancelled { .. })),
+            "{err:?}"
+        );
+        let ran = ran.map(|n| n.into_inner());
+        assert_eq!(ran[0], ran[1]);
+        assert!((3..64).contains(&ran[0]), "{ran:?}");
         rt.shutdown();
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -323,8 +323,8 @@ pub fn predict_with(
 /// probed once per process (write 4 MiB to a temp-dir store, read it back
 /// timed). **Caveat:** the read-back almost always hits the OS page cache,
 /// so this is a cache-bandwidth figure — an upper bound on cold-store
-/// bandwidth. It still ranks candidates correctly for the warm tile rings
-/// `run_stream_with` actually produces; treat absolute streaming
+/// bandwidth. It still ranks candidates correctly for the warm tile ring
+/// a streamed pass's reader actually refills; treat absolute streaming
 /// predictions for cold data with suspicion (DESIGN.md §16). Falls back to
 /// 1 GB/s if the probe cannot run (unwritable temp dir).
 pub fn read_bandwidth() -> f64 {

@@ -4,23 +4,24 @@
 //!
 //! The `n × n` row-major `f64` grid lives in a [`TileStore`]; tiles are
 //! row bands (`StreamConfig::record` = one row). Every sweep is one
-//! streaming pass: each tile runs as a warm BSP job whose processes own
-//! contiguous row bands of the tile, apply the five-point Jacobi update
-//! against the *old* grid, and allreduce their squared-update norms (one
-//! superstep per tile), while the default write-back stage lands the new
-//! rows at the offsets they were read from in the ping-pong partner store.
+//! streaming pass — one BSP job — and each tile is a hyperstep of it: the
+//! processes own contiguous row bands of the tile, apply the five-point
+//! Jacobi update against the *old* grid, and allreduce their
+//! squared-update norms (one superstep per tile), and each process's
+//! write-back lands its new rows at the offsets they were read from in the
+//! ping-pong partner store.
 //!
 //! **Ghost rows.** A row band's stencil reaches one row above and one row
 //! below the tile, and those rows belong to neighboring tiles that are
 //! out of core by the time this tile computes. Before each sweep the
 //! driver therefore reads every tile's two boundary-adjacent rows from
 //! the old grid into one in-memory byte buffer (`2 · tiles` rows, the
-//! store's own little-endian `f64` encoding), and each tile job hands the
+//! store's own little-endian `f64` encoding), and each tile hands the
 //! kernel slices of it. Rows outside the grid are the homogeneous Dirichlet
 //! boundary: a zero row.
 //!
 //! **Bit-identity.** Both the in-core reference [`jacobi_in_core`] and the
-//! tile jobs relax through the one row kernel `relax_row`, which is generic
+//! streamed tiles relax through the one row kernel `relax_row`, which is generic
 //! only over how a cell is stored (`f64` in core, eight little-endian bytes
 //! in a tile). Every operand is the same `f64` regardless of where the tile
 //! boundary fell, so the streamed grid is bit-identical to the in-core
@@ -238,12 +239,7 @@ pub fn tiled_jacobi(
         if sweep + 1 == sweeps {
             res2 = out.tiles.iter().map(|t| t[0]).sum();
         }
-        let tiles = agg.tiles;
-        agg.absorb_tile(&out.stats);
-        agg.tiles = tiles + out.stats.tiles;
-        agg.io_read_bytes += out.stats.io_read_bytes;
-        agg.io_write_bytes += out.stats.io_write_bytes;
-        agg.prefetch_wait += out.stats.prefetch_wait;
+        agg.absorb(&out.stats);
     }
 
     Ok(TiledOcean {
@@ -277,7 +273,7 @@ mod tests {
     }
 
     /// The per-cell sweep this module shipped before the row kernel, kept
-    /// as the oracle: `jacobi_in_core` and the tile jobs now share one loop,
+    /// as the oracle: `jacobi_in_core` and the streamed sweep now share one loop,
     /// so comparing them to each other could not see a bug in it.
     fn jacobi_per_cell(n: usize, u: &mut Vec<f64>, sweeps: usize) -> f64 {
         let h = 1.0 / (n as f64 + 1.0);

@@ -13,7 +13,7 @@ use crate::hier::{refine, Link};
 use crate::patchtree::PatchTree;
 use crate::scene::Scene;
 use green_bsp::{Ctx, Packet};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 const TAG_SHIFT: u32 = 28;
 const ID_MASK: u32 = (1 << TAG_SHIFT) - 1;
@@ -61,37 +61,25 @@ pub fn solve_bsp(
     }
 
     // Subscribe to remote source nodes (once).
-    let mut needed: HashSet<(u32, u32)> = HashSet::new();
-    for l in &links {
-        if owner_of(l.src_patch, p) != me {
-            needed.insert((l.src_patch, l.src_node));
-        }
-    }
-    for &(sp, sn) in &needed {
+    for (sp, sn) in needed_nodes(&links, p, me) {
         ctx.send_pkt(
             owner_of(sp, p),
             Packet::tag_u32_f64((T_SUB << TAG_SHIFT) | sp, sn, me as f64),
         );
     }
     ctx.sync();
-    // subscribers[(patch, node)] -> pids
-    let mut subscribers: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
+    let mut requests = Vec::with_capacity(ctx.pkts_remaining());
     while let Some(pkt) = ctx.get_pkt() {
         let (tk, node, who) = pkt.as_tag_u32_f64();
         debug_assert_eq!(tk >> TAG_SHIFT, T_SUB);
-        subscribers
-            .entry((tk & ID_MASK, node))
-            .or_default()
-            .push(who as usize);
+        requests.push(((tk & ID_MASK, node), who as usize));
     }
-    for subs in subscribers.values_mut() {
-        subs.sort_unstable();
-    }
+    let subscribers = group_subscribers(requests);
 
     // Iterate: push subscribed values, gather, push-pull.
     let mut remote_b: HashMap<(u32, u32), f64> = HashMap::new();
     for _ in 0..iters {
-        for (&(sp, sn), subs) in &subscribers {
+        for &((sp, sn), ref subs) in &subscribers {
             let v = trees[sp as usize].b[sn as usize];
             for &dest in subs {
                 ctx.send_pkt(dest, Packet::tag_u32_f64((T_BVAL << TAG_SHIFT) | sp, sn, v));
@@ -128,6 +116,33 @@ pub fn solve_bsp(
         .collect()
 }
 
+/// The remote source nodes `me`'s links read, once each, ascending by
+/// `(patch, node)`: the order its subscriptions are sent in.
+fn needed_nodes(links: &[Link], p: usize, me: usize) -> Vec<(u32, u32)> {
+    let mut needed: Vec<(u32, u32)> = (links.iter())
+        .filter(|l| owner_of(l.src_patch, p) != me)
+        .map(|l| (l.src_patch, l.src_node))
+        .collect();
+    needed.sort_unstable();
+    needed.dedup();
+    needed
+}
+
+/// Subscription requests `((patch, node), subscriber)` grouped by node,
+/// nodes ascending and each node's subscribers ascending: the order every
+/// iteration's pushes are sent in.
+fn group_subscribers(mut requests: Vec<((u32, u32), usize)>) -> Vec<((u32, u32), Vec<usize>)> {
+    requests.sort_unstable();
+    let mut groups: Vec<((u32, u32), Vec<usize>)> = Vec::new();
+    for (node, who) in requests {
+        match groups.last_mut() {
+            Some((last, subs)) if *last == node => subs.push(who),
+            _ => groups.push((node, vec![who])),
+        }
+    }
+    groups
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +167,41 @@ mod tests {
             }
         }
         trees.into_iter().map(Option::unwrap).collect()
+    }
+
+    #[test]
+    fn subscriptions_and_pushes_go_out_in_one_sorted_order() {
+        // The send orders are functions of the links alone: two calls
+        // agree, and both are sorted (two hash sets holding the same
+        // nodes iterate them in different orders).
+        let scene = open_box(1.0, 0.6);
+        let trees: Vec<PatchTree> = (scene.patches.iter())
+            .map(|&pt| PatchTree::new(pt, 2))
+            .collect();
+        let npatch = scene.patches.len() as u32;
+        for p in [2usize, 3, 4] {
+            let mut requests = Vec::new();
+            for me in 0..p {
+                let mut links = Vec::new();
+                for dp in (0..npatch).filter(|&dp| owner_of(dp, p) == me) {
+                    for sp in (0..npatch).filter(|&sp| sp != dp) {
+                        refine(&trees, dp, sp, 0.04, &mut links);
+                    }
+                }
+                let needed = needed_nodes(&links, p, me);
+                assert!(!needed.is_empty(), "p={p}: proc {me} subscribes to nothing");
+                assert!(needed.windows(2).all(|w| w[0] < w[1]), "p={p}");
+                assert_eq!(needed, needed_nodes(&links, p, me), "p={p}");
+                requests.extend(needed.into_iter().map(|node| (node, me)));
+            }
+            let groups = group_subscribers(requests.clone());
+            requests.reverse();
+            assert_eq!(groups, group_subscribers(requests), "p={p}");
+            assert!(groups.windows(2).all(|w| w[0].0 < w[1].0), "p={p}");
+            assert!(groups
+                .iter()
+                .all(|(_, subs)| subs.windows(2).all(|w| w[0] < w[1])));
+        }
     }
 
     #[test]

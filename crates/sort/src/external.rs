@@ -9,16 +9,17 @@
 //!    The driver sorts the pooled samples and picks `B − 1` bucket
 //!    splitters, `B` sized so the *expected* bucket fits the tile budget
 //!    with 2× slack.
-//! 2. **Partition** — stream the input again; each tile is a one-superstep
-//!    BSP job that routes every key to the process owning its bucket
-//!    (`bucket % p`), on either message lane. Receivers group keys by
-//!    bucket and the writer thread appends each group to that bucket's
-//!    spill file.
-//! 3. **Merge** — for each bucket in splitter order, read the whole spill
-//!    file and sort it with a warm in-core [`sample_sort_with`] job: each
-//!    process decodes its shard straight from the bucket's bytes and
-//!    returns its sorted slice already encoded, and the driver appends the
-//!    `p` slices to the output store.
+//! 2. **Partition** — stream the input again; each tile is one superstep
+//!    of the pass's BSP job that routes every key to the process owning its
+//!    bucket (`bucket % p`), on either message lane. Receivers group keys
+//!    by bucket and append each group to that bucket's spill file
+//!    themselves; only a bucket's owner ever holds its groups, so each
+//!    spill file fills in tile order.
+//! 3. **Merge** — one BSP job over the buckets in splitter order: each
+//!    process reads its shard of the bucket's spill file, and the job sorts
+//!    the bucket in core with [`sample_sort_with`]; the last process to
+//!    finish a bucket appends the `p` sorted slices to the output store in
+//!    pid order. At most two buckets are in memory at a time.
 //!
 //! Buckets partition the key space, so concatenating the sorted buckets
 //! in splitter order yields the globally sorted sequence — and because a
@@ -27,8 +28,8 @@
 //! the same data, whatever the tile budget or bucket boundaries did.
 //!
 //! Skew note: splitters come from a sample, so a bucket can exceed the
-//! tile budget (pathologically: one repeated key). Pass 3 reads each
-//! bucket whole regardless — the budget shapes passes 1–2 and the
+//! tile budget (pathologically: one repeated key). Pass 3 sorts each
+//! bucket in core regardless — the budget shapes passes 1–2 and the
 //! *expected* bucket size, it is not a hard memory cap. This is the same
 //! trade the paper's sample sort makes with its `p · OVERSAMPLE` pool.
 
@@ -37,7 +38,9 @@ use green_bsp::{
     run_stream, run_stream_with, Config, Ctx, Packet, RunStats, Runtime, StreamConfig, StreamError,
     TileStore,
 };
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Hard cap on the bucket count, so absurd budget/input ratios do not
@@ -57,16 +60,32 @@ pub struct ExternalSort {
     pub wall: Duration,
 }
 
-/// Fold one pass's (or one bucket job's) statistics into the running
-/// aggregate, preserving the streaming counters that
-/// [`RunStats::absorb_tile`] treats as per-tile.
-fn merge(agg: &mut RunStats, s: &RunStats) {
-    let tiles = agg.tiles;
-    agg.absorb_tile(s);
-    agg.tiles = tiles + s.tiles;
-    agg.io_read_bytes += s.io_read_bytes;
-    agg.io_write_bytes += s.io_write_bytes;
-    agg.prefetch_wait += s.prefetch_wait;
+/// Pass 3's shared state: the oldest bucket not yet appended (where a
+/// relaunch resumes), the sorted slices deposited for it by pid, and the
+/// first I/O error.
+#[derive(Default)]
+struct Merge {
+    next: usize,
+    slices: Vec<Option<Vec<u8>>>,
+    err: Option<io::Error>,
+}
+
+impl Merge {
+    /// Deposit process `pid`'s sorted slice of bucket `b`; the `p`-th
+    /// deposit takes all `p`, in pid order, to append. Deposits after an
+    /// error, or of a bucket appended before a relaunch, are dropped.
+    fn deposit(&mut self, b: usize, pid: usize, p: usize, slice: Vec<u8>) -> Option<Vec<Vec<u8>>> {
+        if b < self.next || self.err.is_some() {
+            return None;
+        }
+        self.slices.resize(p, None);
+        self.slices[pid] = Some(slice);
+        if self.slices.iter().any(Option::is_none) {
+            return None;
+        }
+        self.next = b + 1;
+        self.slices.drain(..).collect()
+    }
 }
 
 /// The pass-2 bucket spill files. They are removed when this drops, so no
@@ -139,7 +158,7 @@ pub fn external_sample_sort_with(
         }
         samples
     })?;
-    merge(&mut agg, &sampled.stats);
+    agg.absorb(&sampled.stats);
     let mut pool: Vec<u64> = sampled.tiles.into_iter().flatten().flatten().collect();
     pool.sort_unstable();
 
@@ -157,8 +176,8 @@ pub fn external_sample_sort_with(
         .collect();
 
     // Pass 2: partition to per-bucket spill files. Each process's output
-    // buffer carries `[u64: bucket << 32 | count][count × u64 key]` groups;
-    // the writer thread appends each group's keys to its bucket store.
+    // buffer carries `[u64: bucket << 32 | count][count × u64 key]` groups,
+    // and the process appends each group's keys to its bucket store.
     let run = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut spills = Spills(Vec::with_capacity(buckets));
     for b in 0..buckets {
@@ -166,69 +185,84 @@ pub fn external_sample_sort_with(
         spills.0.push(TileStore::create_in(&sc.spill_dir, &name)?);
     }
 
-    let splitters_ref = &splitters;
     let partitioned = run_stream_with(
         rt,
         cfg,
         sc,
         input,
         |ctx: &mut Ctx, data: &[u8], out: &mut Vec<u8>| {
-            route_shard(ctx, data, splitters_ref, byte_lane, out);
+            route_shard(ctx, data, &splitters, byte_lane, out);
             ctx.sync();
-            receive_groups(ctx, out, splitters_ref.len() + 1, byte_lane);
+            receive_groups(ctx, out, buckets, byte_lane);
         },
-        |_meta, bufs| {
+        |_meta, _pid, buf| {
             let mut wrote = 0u64;
-            for m in bufs {
-                let buf = m.lock().unwrap();
-                let mut rest = &buf[..];
-                while rest.len() >= 8 {
-                    let hdr = u64::from_le_bytes(rest[..8].try_into().unwrap());
-                    let (b, count) = ((hdr >> 32) as usize, (hdr & 0xffff_ffff) as usize);
-                    let bytes = count * 8;
-                    spills.0[b].append(&rest[8..8 + bytes])?;
-                    wrote += bytes as u64;
-                    rest = &rest[8 + bytes..];
-                }
+            let mut rest = buf;
+            while rest.len() >= 8 {
+                let hdr = u64::from_le_bytes(rest[..8].try_into().unwrap());
+                let (b, count) = ((hdr >> 32) as usize, (hdr & 0xffff_ffff) as usize);
+                let bytes = count * 8;
+                spills.0[b].append(&rest[8..8 + bytes])?;
+                wrote += bytes as u64;
+                rest = &rest[8 + bytes..];
             }
             Ok(wrote)
         },
     )?;
-    merge(&mut agg, &partitioned.stats);
+    agg.absorb(&partitioned.stats);
     let spilled: u64 = spills.0.iter().map(|s| s.len()).sum();
     assert_eq!(
         spilled, total,
         "partition pass lost keys: {spilled} of {total} bytes spilled"
     );
 
-    // Pass 3: sort each bucket in core with a warm BSP job and append it
-    // to the output. Buckets are read whole — see the skew note above.
-    for store in &spills.0 {
-        let bytes = store.read_to_vec()?;
-        agg.io_read_bytes += bytes.len() as u64;
-        if bytes.is_empty() {
-            continue;
-        }
-        let (keys, _) = bytes.as_chunks::<8>();
-        let per = keys.len().div_ceil(p);
-        let out = rt
-            .try_run(cfg, |ctx| {
-                let shard = keys.chunks(per).nth(ctx.pid()).unwrap_or(&[]);
-                let shard = shard.iter().map(|&k| u64::from_le_bytes(k)).collect();
-                let sorted = sample_sort_with(ctx, shard, byte_lane);
-                let mut encoded = vec![0u8; sorted.len() * 8];
-                for (slot, k) in encoded.as_chunks_mut::<8>().0.iter_mut().zip(sorted) {
-                    *slot = k.to_le_bytes();
+    // Pass 3: one job sorts the buckets in splitter order, each process
+    // reading its shard of a bucket from the spill file; the last process
+    // to finish a bucket appends the `p` sorted slices in pid order. The
+    // sort's supersteps do not depend on its keys, so every process runs
+    // every bucket, and an I/O error only stops the appends.
+    let merge = Mutex::new(Merge::default());
+    let board = || merge.lock().unwrap_or_else(PoisonError::into_inner);
+    let merged = rt.try_run(cfg, |ctx| {
+        let (me, p) = (ctx.pid(), ctx.nprocs());
+        let resume = board().next;
+        for (b, store) in spills.0.iter().enumerate().skip(resume) {
+            let keys = (store.len() / 8) as usize;
+            if keys == 0 {
+                continue;
+            }
+            let per = keys.div_ceil(p);
+            let lo = (me * per).min(keys);
+            let mut raw = vec![0u8; 8 * (((me + 1) * per).min(keys) - lo)];
+            if let Err(e) = store.read_at(8 * lo as u64, &mut raw) {
+                board().err.get_or_insert(e);
+            }
+            let shard = raw.as_chunks::<8>().0.iter();
+            let sorted = sample_sort_with(
+                ctx,
+                shard.map(|&k| u64::from_le_bytes(k)).collect(),
+                byte_lane,
+            );
+            let mut encoded = vec![0u8; sorted.len() * 8];
+            for (slot, k) in encoded.as_chunks_mut::<8>().0.iter_mut().zip(sorted) {
+                *slot = k.to_le_bytes();
+            }
+            let slices = board().deposit(b, me, p, encoded);
+            for part in slices.into_iter().flatten() {
+                if let Err(e) = output.append(&part) {
+                    board().err.get_or_insert(e);
                 }
-                encoded
-            })
-            .map_err(StreamError::Bsp)?;
-        merge(&mut agg, &out.stats);
-        for part in &out.results {
-            output.append(part)?;
-            agg.io_write_bytes += part.len() as u64;
+            }
         }
+    })?;
+    let merge = merge.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some(e) = merge.err {
+        return Err(e.into());
     }
+    // Every spilled byte was read once and appended once.
+    agg.absorb(&merged.stats);
+    agg.io_read_bytes += total;
+    agg.io_write_bytes += total;
 
     Ok(ExternalSort {
         stats: agg,
@@ -305,6 +339,7 @@ fn receive_groups(ctx: &mut Ctx, out: &mut Vec<u8>, buckets: usize, byte_lane: b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use green_bsp::{CheckpointPolicy, FaultEvent, FaultKind, FaultPlan, FaultTolerance};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::path::PathBuf;
@@ -446,6 +481,46 @@ mod tests {
             ),
             "{res:?}"
         );
+    }
+
+    #[test]
+    fn a_panic_in_a_tolerant_sort_is_rolled_back_without_a_trace() {
+        // Process 1 panics inside its fourth exchange. Pass 2 has one per
+        // tile, so its job fails in tile 3; pass 3's merge job fails in
+        // one of its first buckets. Each is relaunched where it stopped,
+        // so every spilled group and every sorted bucket is written once.
+        let keys: Vec<u64> = (0..800u64).map(|k| k.wrapping_mul(0x9E37_79B9)).collect();
+        let panic = FaultEvent {
+            pid: 1,
+            step: 3,
+            dest: 0,
+            kind: FaultKind::Panic,
+        };
+        let cfg = Config::new(2)
+            .faults(FaultPlan::new(0).with(panic))
+            .tolerant(FaultTolerance {
+                checkpoint: Some(CheckpointPolicy {
+                    every_supersteps: 1,
+                }),
+                max_rollbacks: 1,
+                ..FaultTolerance::default()
+            });
+        let dir = tmpdir("tolerant");
+        let input = TileStore::create_in(&dir, "input.keys").unwrap();
+        input.write_all(&key_bytes(&keys)).unwrap();
+        let output = TileStore::create_in(&dir, "output.keys").unwrap();
+        let rt = Runtime::new();
+        let sc = StreamConfig::new(64).record(8).spill_dir(&dir);
+        let res = external_sample_sort(&rt, &cfg, &sc, &input, &output)
+            .expect("a rolled-back sort completes");
+        assert_eq!(output.read_to_vec().unwrap(), sorted_bytes(&keys));
+        assert_eq!(
+            res.stats.faults.rolled_back, 2,
+            "passes 2 and 3 roll back once each"
+        );
+        assert!(!spills_exist(&dir), "spills leaked");
+        rt.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
